@@ -10,13 +10,14 @@ from .family import (
     enumerate_family,
     project_to_net,
     round_magnitude,
+    run_pipeline,
     sample_ball,
     sample_family,
     snap_direction,
 )
 from .functions import PiecewiseConstFn, SampledFn, lp_norm
-from .geometry import Cell, Domain, Partition, build_partition, quadrature
-from .integral_op import DiscretizedOperator, image_of_family, lq_norm
+from .geometry import Cell, Domain, Partition, build_partition
+from .integral_op import DiscretizedOperator
 from .kernels import (
     Kernel,
     KernelMetrics,

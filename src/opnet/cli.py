@@ -26,7 +26,7 @@ from .errors import (
     RefineOmegaError,
 )
 from .family import count_family, enumerate_family, sample_family
-from .geometry import Domain, build_partition
+from .geometry import Domain
 from .integral_op import DiscretizedOperator
 from .kernels import (
     builtin_kernel,
@@ -34,10 +34,11 @@ from .kernels import (
     estimate_metrics,
     load_tabulated_kernel,
 )
-from .sphere import build_sigma_net
-from .verify import verify_steps, verify_bound
+from .verify import _setup, verify_steps, verify_bound
 
 SCHEMA_VERSION = 1
+# family members whose images build holds at once while writing images.csv
+IMAGE_BLOCK = 4096
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -276,13 +277,6 @@ def _dump_json(obj, path: str | None) -> str:
     return text
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("OPNET_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # --------------------------------------------------------------------------
 # commands
 
@@ -306,14 +300,8 @@ def cmd_bound(cfg: RunConfig) -> int:
 
 def cmd_build(cfg: RunConfig) -> int:
     domain, kernel, metrics, _ = resolve(cfg)
-    partition = build_partition(domain, cfg.Delta, nodes_per_axis=cfg.quad_nodes)
-    import math as _math
-
-    a = max(1, _math.ceil(cfg.gamma / cfg.delta * (1.0 - 1e-12)))
-    from .family import build_magnitude_grid
-
-    grid = build_magnitude_grid(cfg.gamma, a)
-    net = build_sigma_net(kernel.n, cfg.sigma, seed=cfg.seed)
+    partition, grid, net = _setup(kernel, domain, cfg.gamma, cfg.Delta, cfg.delta,
+                                  cfg.sigma, cfg.quad_nodes, cfg.seed)
     count = count_family(partition, grid, net, cfg.p, cfg.r)
 
     manifest = {
@@ -335,8 +323,8 @@ def cmd_build(cfg: RunConfig) -> int:
         return EXIT_RESOURCE
 
     if cfg.family_mode == "enumerate":
-        family = list(enumerate_family(partition, grid, net, cfg.p, cfg.r,
-                                       cap=cfg.enum_cap))
+        family = enumerate_family(partition, grid, net, cfg.p, cfg.r,
+                                  cap=cfg.enum_cap)
     else:
         family = sample_family(partition, grid, net, cfg.p, cfg.r,
                                cfg.family_samples, cfg.seed)
@@ -347,24 +335,22 @@ def cmd_build(cfg: RunConfig) -> int:
         cols = [f"mag_{i}" for i in range(n_cells)] + \
                [f"dir_{i}" for i in range(n_cells)]
         fh.write(",".join(cols) + "\n")
-        for f in family:
-            row = [str(int(v)) for v in f.mag_idx] + \
-                  [str(int(v)) for v in f.dir_idx]
-            fh.write(",".join(row) + "\n")
+        np.savetxt(fh, np.hstack([family.mag_idx, family.dir_idx]), fmt="%d",
+                   delimiter=",")
     with open(os.path.join(out, "images.csv"), "w") as fh:
         p_nodes = partition.points.shape[0]
         cols = [f"node{i}_{j}" for i in range(p_nodes) for j in range(kernel.m)]
         fh.write(",".join(cols) + "\n")
-        for f in family:
-            y = op.apply(f)
-            fh.write(",".join(repr(float(v)) for v in y.values.ravel()) + "\n")
+        for start in range(0, len(family), IMAGE_BLOCK):
+            images = op.apply(family[start:start + IMAGE_BLOCK]).values
+            fh.writelines(",".join(map(repr, row.tolist())) + "\n"
+                          for row in images.reshape(len(images), -1))
     print(_dump_json(manifest, None), end="")
     return EXIT_OK
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     domain, kernel, metrics, selection = resolve(cfg)
-    threads = _threads()
     steps_report = verify_steps(
         kernel, domain, cfg.p, cfg.r, cfg.gamma, cfg.Delta, cfg.delta,
         cfg.sigma, cfg.samples, cfg.seed, metrics, cfg.quad_nodes,
@@ -375,7 +361,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         cfg.sigma, cfg.samples, cfg.seed, cfg.lam, metrics, cfg.quad_nodes,
         family_mode=cfg.family_mode, enum_cap=cfg.enum_cap,
         family_samples=cfg.family_samples,
-        bound_scale=cfg.debug_bound_scale, threads=threads,
+        bound_scale=cfg.debug_bound_scale,
     )
     passed = steps_report.passed and bound_report.passed
     payload = {
@@ -398,7 +384,6 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
     if axis not in ("gamma", "Delta", "delta", "sigma", "lam"):
         raise ConfigError(f"sweep axis: unknown parameter {axis!r}")
     domain, kernel, metrics, _ = resolve(cfg)
-    threads = _threads()
     rows = []
     for value in values:
         kwargs = {
@@ -411,7 +396,7 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
             kwargs["delta"], kwargs["sigma"], cfg.samples, cfg.seed,
             kwargs["lam"], metrics, cfg.quad_nodes,
             family_mode=cfg.family_mode, enum_cap=cfg.enum_cap,
-            family_samples=cfg.family_samples, threads=threads,
+            family_samples=cfg.family_samples,
         )
         rows.append((value, report.breakdown, report.certified_total,
                      report.directed_sampled_to_family))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,8 @@ __all__ = [
     "cell_average",
     "round_magnitude",
     "snap_direction",
+    "run_pipeline",
+    "tchebyshev_measure",
     "project_to_net",
 ]
 
@@ -148,8 +150,9 @@ def enumerate_family(
     p: float,
     r: float,
     cap: int = 10_000_000,
-):
-    """Yield every family member once, lexicographic in (cell, magnitude, direction).
+) -> PiecewiseConstFn:
+    """Every family member once, as one stack in lexicographic
+    (cell, magnitude, direction) order.
 
     Zero-magnitude cells carry the canonical direction index 0.
     """
@@ -157,39 +160,43 @@ def enumerate_family(
     if total > cap:
         raise FamilyTooLargeError(total, cap)
 
-    n_cells = partition.num_cells
     limit = budget_limit(p, r)
     costs = _cost_table(partition, grid, p)
-
-    mag = [0] * n_cells
-    dirs = [0] * n_cells
-
-    def rec(i: int):
-        if i == n_cells:
-            yield _family_member(partition, grid, net, mag, dirs)
-            return
-        for j in range(grid.a + 1):
-            mag[i] = j
-            if math.fsum(costs[t, mag[t]] for t in range(i + 1)) > limit:
-                break
-            if j == 0:
-                dirs[i] = 0
-                yield from rec(i + 1)
-            else:
-                for l in range(net.size):
-                    dirs[i] = l
-                    yield from rec(i + 1)
-        mag[i] = 0
-        dirs[i] = 0
-
-    yield from rec(0)
+    c = net.size
+    # rows are the feasible prefixes in order; cell i extends a row by
+    # magnitude 0 (direction 0), then by each magnitude j >= 1 with each
+    # direction, up to the row's largest feasible j
+    mag = np.zeros((1, 0), dtype=int)
+    dirs = np.zeros((1, 0), dtype=int)
+    for i in range(partition.num_cells):
+        # feasibility depends on the magnitudes only: test each distinct prefix
+        prefixes, inverse = np.unique(mag, axis=0, return_inverse=True)
+        top = np.array([_top_level(costs, i, row, limit) for row in prefixes])
+        children = 1 + c * top[inverse.ravel()]
+        parent = np.repeat(np.arange(mag.shape[0]), children)
+        # position of each child under its parent; position 0 is magnitude 0
+        first = np.repeat(np.cumsum(children) - children, children)
+        rank = (np.arange(parent.size) - first)[:, None]
+        mag = np.hstack([mag[parent], 1 + (rank - 1) // c])
+        dirs = np.hstack([dirs[parent], np.where(rank > 0, (rank - 1) % c, 0)])
+    return _from_indices(partition, grid, net, mag, dirs)
 
 
-def _family_member(partition, grid, net, mag, dirs) -> PiecewiseConstFn:
-    mag_idx = np.array(mag, dtype=int)
-    dir_idx = np.array(dirs, dtype=int)
-    values = grid.values[mag_idx][:, None] * net.points[dir_idx]
-    return PiecewiseConstFn(partition, values, mag_idx=mag_idx, dir_idx=dir_idx)
+def _top_level(costs: np.ndarray, i: int, prefix, limit: float) -> int:
+    """Largest magnitude index cell i may take after `prefix` within the budget."""
+    used = [costs[t, j] for t, j in enumerate(prefix)]
+    top = 0
+    for j in range(1, costs.shape[1]):
+        if math.fsum(used + [costs[i, j]]) > limit:
+            break  # costs increase with j
+        top = j
+    return top
+
+
+def _from_indices(partition, grid, net, mag, dirs) -> PiecewiseConstFn:
+    """The stack of members with (F, N) magnitude and direction indices."""
+    values = grid.values[mag][..., None] * net.points[dirs]
+    return PiecewiseConstFn(partition, values, mag_idx=mag, dir_idx=dirs)
 
 
 def sample_family(
@@ -200,8 +207,9 @@ def sample_family(
     r: float,
     count: int,
     seed: int = 0,
-) -> list[PiecewiseConstFn]:
-    """Draw members with uniform magnitude profiles via the completion table.
+) -> PiecewiseConstFn:
+    """Draw a stack of members with uniform magnitude profiles via the
+    completion table.
 
     Magnitude profiles are sampled uniformly over the feasible set (counts of
     feasible completions drive the per-cell choice); directions are uniform
@@ -230,8 +238,8 @@ def sample_family(
         memo[key] = total
         return total
 
-    out = []
-    while len(out) < count:
+    mags, dirs = [], []
+    while len(mags) < count:
         mag = []
         budget = limit
         for i in range(n_cells):
@@ -245,9 +253,12 @@ def sample_family(
             budget -= costs[i, j]
         if budget_used(partition.measures, grid.values[mag], p) > limit:
             continue  # boundary drift between the table and fsum; redraw
-        dirs = [int(rng.integers(net.size)) if j > 0 else 0 for j in mag]
-        out.append(_family_member(partition, grid, net, mag, dirs))
-    return out
+        mags.append(mag)
+        dirs.append([int(rng.integers(net.size)) if j > 0 else 0 for j in mag])
+    shape = (count, n_cells)
+    return _from_indices(partition, grid, net,
+                         np.array(mags, dtype=int).reshape(shape),
+                         np.array(dirs, dtype=int).reshape(shape))
 
 
 def sample_ball(
@@ -259,8 +270,8 @@ def sample_ball(
     seed: int = 0,
     smoothness: str = "rough",
     exact_fraction: float = 0.5,
-) -> list[SampledFn]:
-    """Random elements of the closed L_p ball of radius r.
+) -> SampledFn:
+    """A stack of random elements of the closed L_p ball of radius r.
 
     Rough mode draws a random vector per cell; smooth mode a short random
     cosine series.  Each draw is rescaled so its quadrature L_p norm is
@@ -272,29 +283,27 @@ def sample_ball(
     rng = np.random.default_rng(seed)
     dom = partition.domain
     pts = partition.points
-    out = []
+    vals = np.zeros((count, pts.shape[0], n))
+    targets = np.full(count, float(r))
     n_exact = int(round(exact_fraction * count))
     for idx in range(count):
         if smoothness == "rough":
             cell_vals = rng.standard_normal((partition.num_cells, n))
-            vals = cell_vals[partition.node_cell]
+            vals[idx] = cell_vals[partition.node_cell]
         else:
             u = (pts - dom.lower) / dom.lengths  # (P, k) in [0,1]
-            vals = np.zeros((pts.shape[0], n))
             for _ in range(3):
                 freq = rng.integers(0, 3, size=dom.dim)
                 phase = rng.uniform(0.0, 2.0 * math.pi, size=dom.dim)
                 direction = rng.standard_normal(n)
                 direction /= np.linalg.norm(direction)
                 profile = np.prod(np.cos(math.pi * freq * u + phase), axis=1)
-                vals += rng.standard_normal() * profile[:, None] * direction
-        f = SampledFn(partition, vals)
-        norm = lp_norm(f, p)
-        target = r if idx < n_exact else r * rng.uniform(0.0, 1.0)
-        if norm > 0:
-            f = SampledFn(partition, vals * (target / norm))
-        out.append(f)
-    return out
+                vals[idx] += rng.standard_normal() * profile[:, None] * direction
+        if idx >= n_exact:
+            targets[idx] = r * rng.uniform(0.0, 1.0)
+    norms = lp_norm(SampledFn(partition, vals), p)
+    scale = np.where(norms > 0, targets / np.where(norms > 0, norms, 1.0), 1.0)
+    return SampledFn(partition, vals * scale[:, None, None])
 
 
 # --------------------------------------------------------------------------
@@ -305,21 +314,21 @@ def clip_to_gamma(x: SampledFn, gamma: float) -> SampledFn:
     """Radially clip node values to norm <= gamma."""
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    norms = np.linalg.norm(x.values, axis=1)
+    norms = np.linalg.norm(x.values, axis=-1)
     # the relative tolerance makes clipping exactly idempotent in floats
     over = norms > gamma * (1.0 + 1e-12)
     scale = np.where(over, gamma / np.where(norms > 0, norms, 1.0), 1.0)
-    return SampledFn(x.partition, x.values * scale[:, None])
+    return SampledFn(x.partition, x.values * scale[..., None])
 
 
 def cell_average(x: SampledFn, partition: Partition) -> PiecewiseConstFn:
     """Per-cell quadrature mean; preserves cell integrals exactly."""
-    if x.partition is not partition and x.values.shape[0] != partition.points.shape[0]:
+    if x.partition is not partition and x.values.shape[-2] != partition.points.shape[0]:
         raise ValueError("sampled function is not aligned with the partition")
     qpc = partition.nodes_per_cell
     w = partition.weights.reshape(partition.num_cells, qpc, 1)
-    v = x.values.reshape(partition.num_cells, qpc, -1)
-    means = (w * v).sum(axis=1) / partition.measures[:, None]
+    v = x.values.reshape(*x.values.shape[:-2], partition.num_cells, qpc, -1)
+    means = (w * v).sum(axis=-2) / partition.measures[:, None]
     return PiecewiseConstFn(partition, means)
 
 
@@ -335,7 +344,7 @@ def round_magnitude(f: PiecewiseConstFn, grid: MagnitudeGrid) -> PiecewiseConstF
     j[norms >= grid.gamma] = grid.a
     z = grid.values[j]
     scale = np.where(norms > 0, z / np.where(norms > 0, norms, 1.0), 0.0)
-    return PiecewiseConstFn(f.partition, f.values * scale[:, None], mag_idx=j)
+    return PiecewiseConstFn(f.partition, f.values * scale[..., None], mag_idx=j)
 
 
 def snap_direction(f: PiecewiseConstFn, net: DirectionNet) -> PiecewiseConstFn:
@@ -343,7 +352,7 @@ def snap_direction(f: PiecewiseConstFn, net: DirectionNet) -> PiecewiseConstFn:
     if f.mag_idx is None:
         raise ValueError("snap_direction needs grid magnitudes (run round_magnitude)")
     norms = f.cell_norms()
-    dir_idx = np.zeros(f.partition.num_cells, dtype=int)
+    dir_idx = np.zeros(norms.shape, dtype=int)
     values = np.zeros_like(f.values)
     nz = norms > 0
     if np.any(nz):
@@ -352,6 +361,29 @@ def snap_direction(f: PiecewiseConstFn, net: DirectionNet) -> PiecewiseConstFn:
         dir_idx[nz] = idx
         values[nz] = norms[nz, None] * net.points[idx]
     return PiecewiseConstFn(f.partition, values, mag_idx=f.mag_idx, dir_idx=dir_idx)
+
+
+def run_pipeline(
+    x: SampledFn,
+    gamma: float,
+    partition: Partition,
+    grid: MagnitudeGrid,
+    net: DirectionNet,
+) -> tuple[SampledFn, PiecewiseConstFn, PiecewiseConstFn, PiecewiseConstFn]:
+    """Clip, average, round and snap `x` (one function or a stack).
+
+    Returns every stage: (clipped, averaged, rounded, snapped).
+    """
+    clipped = clip_to_gamma(x, gamma)
+    averaged = cell_average(clipped, partition)
+    rounded = round_magnitude(averaged, grid)
+    return clipped, averaged, rounded, snap_direction(rounded, net)
+
+
+def tchebyshev_measure(x: SampledFn, gamma: float):
+    """Measure of the nodes where |x| exceeds gamma (one per member of a stack)."""
+    over = np.linalg.norm(x.values, axis=-1) > gamma
+    return np.where(over, x.partition.weights, 0.0).sum(axis=-1)
 
 
 @dataclass
@@ -385,27 +417,14 @@ def project_to_net(
     if lp_norm(x, p) > r * (1.0 + 1e-9):
         raise ValueError("input lies outside the L_p ball of radius r")
     report = ProjectionReport()
+    stages = [x, *run_pipeline(x, gamma, partition, grid, net)]
+    nodes = [g.to_sampled().values for g in stages]
+    for name, before, after in zip(("clip", "average", "round", "snap"),
+                                   nodes, nodes[1:]):
+        report.steps[name] = _sup_l1(partition, before, after)
+    report.tchebyshev_measure = float(tchebyshev_measure(x, gamma))
 
-    clipped = clip_to_gamma(x, gamma)
-    report.steps["clip"] = _sup_l1(partition, x.values, clipped.values)
-    norms = np.linalg.norm(x.values, axis=1)
-    report.tchebyshev_measure = float(np.sum(partition.weights[norms > gamma]))
-
-    averaged = cell_average(clipped, partition)
-    report.steps["average"] = _sup_l1(
-        partition, clipped.values, averaged.to_sampled().values
-    )
-
-    rounded = round_magnitude(averaged, grid)
-    report.steps["round"] = _sup_l1(
-        partition, averaged.to_sampled().values, rounded.to_sampled().values
-    )
-
-    snapped = snap_direction(rounded, net)
-    report.steps["snap"] = _sup_l1(
-        partition, rounded.to_sampled().values, snapped.to_sampled().values
-    )
-
+    snapped = stages[-1]
     report.budget_used = budget_used(
         partition.measures, grid.values[snapped.mag_idx], p
     )

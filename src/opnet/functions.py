@@ -4,11 +4,16 @@
 such functions are always the weighted node sums.  ``PiecewiseConstFn`` stores
 one value per cell, optionally with magnitude/direction indices when the
 function is a member of the finite input family.
+
+Either type may hold a whole set of functions as a stack: ``values`` then has
+a leading stack axis, ``(S, P, n)`` or ``(F, N, n)``, and ``mag_idx`` /
+``dir_idx`` are ``(F, N)``.  A stack has a length, indexes and slices along
+that axis, and iterates as its members.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,61 +22,85 @@ from .geometry import Partition
 __all__ = ["SampledFn", "PiecewiseConstFn", "lp_norm"]
 
 
-@dataclass(frozen=True, eq=False)
-class SampledFn:
-    partition: Partition
-    values: np.ndarray  # (P, d)
+class _Functions:
+    """Stack-axis access shared by both function types."""
 
-    def __post_init__(self):
+    _member_fields: tuple[str, ...] = ("values",)  # fields carrying the stack axis
+
+    def _check_values(self, rows: int, what: str) -> None:
         v = np.asarray(self.values, dtype=float)
         if v.ndim == 1:
             v = v[:, None]
         object.__setattr__(self, "values", v)
-        if v.shape[0] != self.partition.points.shape[0]:
-            raise ValueError(
-                f"expected {self.partition.points.shape[0]} node values, "
-                f"got {v.shape[0]}"
-            )
+        if v.ndim not in (2, 3) or v.shape[-2] != rows:
+            raise ValueError(f"expected {rows} {what} values, got shape {v.shape}")
 
     @property
     def dim(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
+
+    @property
+    def stacked(self) -> bool:
+        return self.values.ndim == 3
+
+    def __len__(self) -> int:
+        if not self.stacked:
+            raise TypeError("a single function has no length; it is not a stack")
+        return self.values.shape[0]
+
+    def __getitem__(self, key):
+        """One member for an integer key, a sub-stack for a slice."""
+        len(self)  # single functions are not indexable
+        return replace(self, **{
+            name: getattr(self, name)[key] for name in self._member_fields
+            if getattr(self, name) is not None
+        })
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True, eq=False)
-class PiecewiseConstFn:
+class SampledFn(_Functions):
     partition: Partition
-    values: np.ndarray  # (N, n), one vector per cell
+    values: np.ndarray  # (P, d), or (S, P, d) for a stack
+
+    def __post_init__(self):
+        self._check_values(self.partition.points.shape[0], "node")
+
+    def to_sampled(self) -> SampledFn:
+        return self
+
+
+@dataclass(frozen=True, eq=False)
+class PiecewiseConstFn(_Functions):
+    partition: Partition
+    values: np.ndarray  # (N, n), one vector per cell; (F, N, n) for a stack
     mag_idx: np.ndarray | None = None  # indices into a MagnitudeGrid
     dir_idx: np.ndarray | None = None  # indices into a DirectionNet
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        object.__setattr__(self, "values", v)
-        if v.shape[0] != self.partition.num_cells:
-            raise ValueError(
-                f"expected {self.partition.num_cells} cell values, got {v.shape[0]}"
-            )
+    _member_fields = ("values", "mag_idx", "dir_idx")
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
+    def __post_init__(self):
+        self._check_values(self.partition.num_cells, "cell")
 
     def to_sampled(self) -> SampledFn:
-        return SampledFn(self.partition, self.values[self.partition.node_cell])
+        return SampledFn(self.partition, self.values[..., self.partition.node_cell, :])
 
     def cell_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.values, axis=1)
+        return np.linalg.norm(self.values, axis=-1)
 
 
-def lp_norm(f: SampledFn | PiecewiseConstFn, p: float) -> float:
-    """Quadrature L_p norm; exact closed form for piecewise-constant inputs."""
+def lp_norm(f: SampledFn | PiecewiseConstFn, p: float):
+    """Quadrature L_p norm; exact closed form for piecewise-constant inputs.
+
+    A float for one function, an array with one norm per member for a stack.
+    """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
     if isinstance(f, PiecewiseConstFn):
-        norms = f.cell_norms()
-        return float(np.sum(f.partition.measures * norms**p) ** (1.0 / p))
-    norms = np.linalg.norm(f.values, axis=1)
-    return float(np.sum(f.partition.weights * norms**p) ** (1.0 / p))
+        weights, norms = f.partition.measures, f.cell_norms()
+    else:
+        weights, norms = f.partition.weights, np.linalg.norm(f.values, axis=-1)
+    out = np.sum(weights * norms**p, axis=-1) ** (1.0 / p)
+    return out if f.stacked else float(out)

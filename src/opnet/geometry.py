@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Domain", "Cell", "Partition", "build_partition", "quadrature"]
+__all__ = ["Domain", "Cell", "Partition", "build_partition"]
 
 # cell diameters may exceed the requested delta by rounding noise only
 _DIAM_SLACK = 1e-9
@@ -179,9 +179,3 @@ def build_partition(domain: Domain, delta: float, nodes_per_axis: int = 3) -> Pa
         node_cell=node_cell,
     )
 
-
-def quadrature(domain: Domain, partition: Partition, nodes_per_axis: int) -> Partition:
-    """Same cells, re-populated with a tensor rule of the given order."""
-    if nodes_per_axis < 1:
-        raise ValueError(f"nodes_per_axis must be >= 1, got {nodes_per_axis}")
-    return build_partition(domain, partition.delta, nodes_per_axis=nodes_per_axis)

@@ -2,23 +2,19 @@
 
 ``DiscretizedOperator`` evaluates the kernel once on the partition's node
 grid and caches both the weighted node matrix (for sampled inputs) and the
-per-cell integral matrices (for piecewise-constant inputs), so applying the
-operator across a whole family reuses a single kernel evaluation pass.
+per-cell integral matrices (for piecewise-constant inputs), so a whole
+stacked family is applied in one contraction against one kernel evaluation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .functions import PiecewiseConstFn, SampledFn, lp_norm
+from .functions import PiecewiseConstFn, SampledFn
 from .geometry import Partition
 from .kernels import Kernel
 
-__all__ = ["DiscretizedOperator", "apply", "image_of_family", "lq_norm"]
-
-
-def lq_norm(y: SampledFn, q: float) -> float:
-    return lp_norm(y, q)
+__all__ = ["DiscretizedOperator"]
 
 
 class DiscretizedOperator:
@@ -39,30 +35,12 @@ class DiscretizedOperator:
         ).sum(axis=2)  # (P, N, m, n): integral of K over each cell
 
     def apply(self, x: SampledFn | PiecewiseConstFn) -> SampledFn:
-        if isinstance(x, PiecewiseConstFn):
-            if x.dim != self.kernel.n:
-                raise ValueError(
-                    f"input dim {x.dim} != kernel input dim {self.kernel.n}"
-                )
-            y = np.einsum("pnij,nj->pi", self._cell_int, x.values)
-        else:
-            if x.dim != self.kernel.n:
-                raise ValueError(
-                    f"input dim {x.dim} != kernel input dim {self.kernel.n}"
-                )
-            y = np.einsum("pqij,qj->pi", self._weighted, x.values)
+        """Image of one function, or of every member of a stack at once."""
+        if x.dim != self.kernel.n:
+            raise ValueError(
+                f"input dim {x.dim} != kernel input dim {self.kernel.n}"
+            )
+        matrix = self._cell_int if isinstance(x, PiecewiseConstFn) else self._weighted
+        # contract the input's (cell or node, component) axes: (..., P, m)
+        y = np.tensordot(x.values, matrix, axes=([-2, -1], [1, 3]))
         return SampledFn(self.partition, y)
-
-    def image_of_family(self, family) -> list[SampledFn]:
-        """Apply to every member; output order matches input order."""
-        return [self.apply(f) for f in family]
-
-
-def apply(kernel: Kernel, x: SampledFn | PiecewiseConstFn,
-          partition: Partition) -> SampledFn:
-    """One-shot application without keeping the cache."""
-    return DiscretizedOperator(kernel, partition).apply(x)
-
-
-def image_of_family(kernel: Kernel, family, partition: Partition) -> list[SampledFn]:
-    return DiscretizedOperator(kernel, partition).image_of_family(family)

@@ -14,21 +14,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import error_bound
-from .errors import FamilyTooLargeError
 from .family import (
     build_magnitude_grid,
-    cell_average,
-    clip_to_gamma,
     count_family,
     enumerate_family,
-    round_magnitude,
+    run_pipeline,
     sample_ball,
     sample_family,
-    snap_direction,
+    tchebyshev_measure,
 )
-from .functions import SampledFn
+from .functions import SampledFn, lp_norm
 from .geometry import Domain, build_partition
-from .integral_op import DiscretizedOperator, lq_norm
+from .integral_op import DiscretizedOperator
 from .kernels import Kernel, KernelMetrics, certified_metrics
 from .sphere import build_sigma_net
 
@@ -46,28 +43,24 @@ TCHEBYSHEV_TOLERANCE = 1e-10
 _CHUNK = 64
 
 
-def _stack(fns) -> np.ndarray:
-    return np.stack([f.values for f in fns], axis=0)  # (A, P, m)
-
-
 def _pair_dist(u: np.ndarray, block: np.ndarray, w: np.ndarray, q: float):
     norms = np.linalg.norm(block - u[None, :, :], axis=2)  # (B, P)
     return (norms**q @ w) ** (1.0 / q)
 
 
-def directed_distance(from_fns, to_fns, q: float, threads: int = 1) -> float:
+def directed_distance(from_fns: SampledFn, to_fns: SampledFn, q: float) -> float:
     """max over `from` of min over `to` of the weighted L_q distance.
 
-    Prunes the quadratic scan with the triangle inequality on cached norms.
+    Both sets are stacks of sampled functions on one partition.  Prunes the
+    quadratic scan with the triangle inequality on cached norms.
     """
     if not to_fns:
         raise ValueError("target set must be nonempty")
     if not from_fns:
         return 0.0
-    part = from_fns[0].partition
-    w = part.weights
-    fv = _stack(from_fns)
-    tv = _stack(to_fns)
+    w = from_fns.partition.weights
+    fv = from_fns.values
+    tv = to_fns.values
     tnorms = (np.linalg.norm(tv, axis=2) ** q @ w) ** (1.0 / q)
 
     def min_dist(u, global_best):
@@ -85,15 +78,8 @@ def directed_distance(from_fns, to_fns, q: float, threads: int = 1) -> float:
         return best
 
     result = 0.0
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for d in ex.map(lambda u: min_dist(u, 0.0), fv):
-                result = max(result, d)
-    else:
-        for u in fv:
-            result = max(result, min_dist(u, result))
+    for u in fv:
+        result = max(result, min_dist(u, result))
     return result
 
 
@@ -169,11 +155,11 @@ def _setup(kernel, domain, gamma, Delta, delta, sigma, nodes_per_axis, seed):
     return partition, grid, net
 
 
-def _mixed_ball_samples(partition, n, p, r, samples, seed):
+def _mixed_ball_samples(partition, n, p, r, samples, seed) -> SampledFn:
     half = samples // 2
     rough = sample_ball(partition, n, p, r, samples - half, seed, "rough")
     smooth = sample_ball(partition, n, p, r, half, seed + 1, "smooth")
-    return rough + smooth
+    return SampledFn(partition, np.concatenate([rough.values, smooth.values]))
 
 
 def verify_steps(
@@ -213,23 +199,14 @@ def verify_steps(
     tcheby_bound = r**p / gamma**p
 
     op = DiscretizedOperator(kernel, partition)
-    observed = {name: 0.0 for name in bounds}
-    tcheby_obs = 0.0
-    for x in _mixed_ball_samples(partition, kernel.n, p, r, samples, seed):
-        clipped = clip_to_gamma(x, gamma)
-        averaged = cell_average(clipped, partition)
-        rounded = round_magnitude(averaged, grid)
-        snapped = snap_direction(rounded, net)
-
-        norms = np.linalg.norm(x.values, axis=1)
-        tcheby_obs = max(tcheby_obs, float(np.sum(partition.weights[norms > gamma])))
-
-        images = [op.apply(g) for g in (x, clipped, averaged, rounded, snapped)]
-        for name, (ya, yb) in zip(
-            bounds, zip(images[:-1], images[1:])
-        ):
-            disp = lq_norm(SampledFn(partition, ya.values - yb.values), q)
-            observed[name] = max(observed[name], disp)
+    ball = _mixed_ball_samples(partition, kernel.n, p, r, samples, seed)
+    images = [op.apply(g).values
+              for g in (ball, *run_pipeline(ball, gamma, partition, grid, net))]
+    observed = {
+        name: float(lp_norm(SampledFn(partition, before - after), q).max())
+        for name, before, after in zip(bounds, images, images[1:])
+    }
+    tcheby_obs = float(tchebyshev_measure(ball, gamma).max())
 
     report = VerificationReport(
         config={
@@ -274,7 +251,6 @@ def verify_bound(
     enum_cap: int = 10_000_000,
     family_samples: int = 500,
     bound_scale: float = 1.0,
-    threads: int = 1,
 ) -> VerificationReport:
     """Compare the observed directed image distance against the certified total."""
     if family_mode not in ("enumerate", "sample"):
@@ -288,23 +264,20 @@ def verify_bound(
 
     count = count_family(partition, grid, net, p, r)
     if family_mode == "enumerate":
-        if count > enum_cap:
-            raise FamilyTooLargeError(count, enum_cap)
-        family = list(enumerate_family(partition, grid, net, p, r, cap=enum_cap))
+        family = enumerate_family(partition, grid, net, p, r, cap=enum_cap)
     else:
         family = sample_family(partition, grid, net, p, r, family_samples, seed)
 
     op = DiscretizedOperator(kernel, partition)
-    family_images = op.image_of_family(family)
-    ball = _mixed_ball_samples(partition, kernel.n, p, r, samples, seed)
-    ball_images = op.image_of_family(ball)
+    family_images = op.apply(family)
+    ball_images = op.apply(_mixed_ball_samples(partition, kernel.n, p, r, samples, seed))
 
     breakdown = error_bound(
         p, r, domain.measure, lam, gamma, Delta, grid.delta_step, sigma, metrics
     )
     certified = bound_scale * breakdown.total
-    d_fwd = directed_distance(ball_images, family_images, q, threads=threads)
-    d_rev = directed_distance(family_images, ball_images, q, threads=threads)
+    d_fwd = directed_distance(ball_images, family_images, q)
+    d_rev = directed_distance(family_images, ball_images, q)
 
     report = VerificationReport(
         config={

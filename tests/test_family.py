@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from opnet.family import (
     enumerate_family,
     project_to_net,
     round_magnitude,
+    run_pipeline,
     sample_ball,
     sample_family,
     snap_direction,
@@ -152,6 +154,32 @@ def test_enumerate_is_a_set():
         assert np.all(f.dir_idx[f.mag_idx == 0] == 0)
 
 
+@pytest.mark.parametrize("n_cells,a,c,p,r", [
+    (3, 3, 3, 2.0, 0.8),
+    (4, 2, 2, 1.5, 1.0),
+])
+def test_enumerate_order_and_content_match_brute_force(n_cells, a, c, p, r):
+    # a member reads (m_0, d_0, m_1, d_1, ...); walking each cell's choices in
+    # that order and keeping the combinations within budget gives the family
+    part = interval_partition(delta=1.0 / n_cells, nodes=1)
+    grid = build_magnitude_grid(1.0, a)
+    net = angle_net(c)
+    limit = budget_limit(p, r)
+    choices = [(0, 0)] + [(j, l) for j in range(1, a + 1) for l in range(c)]
+    want = [
+        combo for combo in itertools.product(choices, repeat=n_cells)
+        if math.fsum(part.measures[i] * grid.values[j] ** p
+                     for i, (j, _) in enumerate(combo)) <= limit
+    ]
+    fam = enumerate_family(part, grid, net, p, r)
+    got = [tuple(zip(m, d))
+           for m, d in zip(fam.mag_idx.tolist(), fam.dir_idx.tolist())]
+    assert got == want
+    for f in fam:
+        assert np.array_equal(f.values,
+                              grid.values[f.mag_idx][:, None] * net.points[f.dir_idx])
+
+
 # --------------------------------------------------------------------------
 # sampling
 
@@ -172,7 +200,7 @@ def test_sample_family_empty_and_budget():
     part = interval_partition(delta=0.5)
     grid = build_magnitude_grid(1.0, 3)
     net = angle_net(3)
-    assert sample_family(part, grid, net, 2, 1.0, 0, seed=1) == []
+    assert len(sample_family(part, grid, net, 2, 1.0, 0, seed=1)) == 0
     limit = budget_limit(2, 1.0)
     for f in sample_family(part, grid, net, 2, 1.0, 50, seed=1):
         assert budget_used(part.measures, grid.values[f.mag_idx], 2) <= limit
@@ -274,6 +302,17 @@ def test_cell_average_preserves_integrals_and_norm():
         assert lp_norm(avg, p) <= lp_norm(f, p) + 1e-10
         again = cell_average(avg.to_sampled(), part)
         assert again.values == pytest.approx(avg.values, abs=1e-14)
+
+
+def test_cell_average_rejects_misaligned_stack():
+    # as many members as the coarse partition has nodes: only the node axis,
+    # not the stack axis, shows that the functions live on another partition
+    fine = interval_partition(delta=0.25)  # 12 nodes
+    coarse = interval_partition(delta=0.5)  # 6 nodes
+    stack = SampledFn(fine, np.ones((coarse.points.shape[0],
+                                     fine.points.shape[0], 1)))
+    with pytest.raises(ValueError):
+        cell_average(stack, coarse)
 
 
 def test_round_magnitude_examples():
@@ -398,3 +437,17 @@ def test_pipeline_norm_monotone():
         ]
         for before, after in zip(norms, norms[1:]):
             assert after <= before + 1e-10
+
+
+def test_pipeline_on_a_stack_matches_member_by_member():
+    part = interval_partition(delta=0.25)
+    grid = build_magnitude_grid(1.5, 6)
+    net = angle_net(6)
+    ball = sample_ball(part, 2, 2.0, 1.0, 12, seed=18)
+    stacked = run_pipeline(ball, 1.5, part, grid, net)
+    for k, x in enumerate(ball):
+        single = run_pipeline(x, 1.5, part, grid, net)
+        for whole, one in zip(stacked, single):
+            assert whole[k].values == pytest.approx(one.values, abs=1e-14)
+        assert np.array_equal(stacked[-1].mag_idx[k], single[-1].mag_idx)
+        assert np.array_equal(stacked[-1].dir_idx[k], single[-1].dir_idx)

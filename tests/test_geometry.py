@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from opnet.geometry import Domain, build_partition, quadrature
+from opnet.geometry import Domain, build_partition
 
 
 def unit_interval():
@@ -119,7 +119,7 @@ def test_refinement_monotonicity():
 def test_quadrature_repopulates_nodes():
     dom = unit_interval()
     part = build_partition(dom, 0.5, nodes_per_axis=1)
-    finer = quadrature(dom, part, 4)
+    finer = build_partition(dom, part.delta, nodes_per_axis=4)
     assert finer.num_cells == part.num_cells
     assert finer.nodes_per_cell == 4
     assert finer.weights.sum() == pytest.approx(1.0)

@@ -17,8 +17,9 @@ def unit_domain():
 
 
 def consts(part, values):
-    return [SampledFn(part, np.full((part.points.shape[0], 1), v))
-            for v in values]
+    """A stack of constant functions, one per value."""
+    return SampledFn(part, np.array(values, dtype=float)[:, None, None]
+                     * np.ones((part.points.shape[0], 1)))
 
 
 # --------------------------------------------------------------------------
@@ -48,8 +49,7 @@ def test_directed_distance_constants():
 def test_directed_distance_symmetric_inputs():
     part = build_partition(unit_domain(), 0.25)
     rng = np.random.default_rng(0)
-    fns = [SampledFn(part, rng.standard_normal((part.points.shape[0], 1)))
-           for _ in range(8)]
+    fns = SampledFn(part, rng.standard_normal((8, part.points.shape[0], 1)))
     assert hausdorff_distance(fns, fns, 2) == 0.0
     assert hausdorff_distance(fns, fns[:3], 1.5) \
         == directed_distance(fns, fns[:3], 1.5)
@@ -63,17 +63,6 @@ def test_directed_distance_empty_sets():
         directed_distance(v, [], 2)
     with pytest.raises(ValueError):
         hausdorff_distance([], v, 2)
-
-
-def test_directed_distance_threads_agree():
-    part = build_partition(unit_domain(), 0.25)
-    rng = np.random.default_rng(1)
-    u = [SampledFn(part, rng.standard_normal((part.points.shape[0], 2)))
-         for _ in range(20)]
-    v = [SampledFn(part, rng.standard_normal((part.points.shape[0], 2)))
-         for _ in range(15)]
-    assert directed_distance(u, v, 2, threads=4) \
-        == pytest.approx(directed_distance(u, v, 2, threads=1), abs=1e-14)
 
 
 # --------------------------------------------------------------------------
