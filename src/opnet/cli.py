@@ -20,6 +20,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .errors import (
+    BudgetTableTooLargeError,
     ConfigError,
     CoverageUnverifiableError,
     FamilyTooLargeError,
@@ -452,8 +453,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FamilyTooLargeError, CoverageUnverifiableError,
-            RefineOmegaError) as exc:
+    except (BudgetTableTooLargeError, FamilyTooLargeError,
+            CoverageUnverifiableError, RefineOmegaError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     return EXIT_CONFIG

@@ -13,6 +13,10 @@ class FamilyTooLargeError(RuntimeError):
         )
 
 
+class BudgetTableTooLargeError(RuntimeError):
+    """The family's budget completion table would exceed its state cap."""
+
+
 class CoverageUnverifiableError(RuntimeError):
     """The candidate pool is too coarse to certify the requested covering radius."""
 

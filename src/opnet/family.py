@@ -9,13 +9,14 @@ element onto the family with tracked per-step displacement.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import FamilyTooLargeError
+from .errors import BudgetTableTooLargeError, FamilyTooLargeError
 from .functions import PiecewiseConstFn, SampledFn, lp_norm
 from .geometry import Partition
 from .sphere import DirectionNet
@@ -26,6 +27,7 @@ __all__ = [
     "build_magnitude_grid",
     "budget_limit",
     "budget_used",
+    "integer_budget",
     "count_family",
     "enumerate_family",
     "sample_family",
@@ -41,6 +43,8 @@ __all__ = [
 
 # absolute slack for the floating budget comparison; reported, never silent
 BUDGET_SLACK = 1e-12
+# budget states the completion table may hold before the family is refused
+STATE_CAP = 200_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,13 +80,74 @@ def budget_used(measures, magnitudes, p: float) -> float:
     return math.fsum(float(m) * float(z) ** p for m, z in zip(measures, magnitudes))
 
 
-def _cost_table(partition: Partition, grid: MagnitudeGrid, p: float) -> np.ndarray:
-    """costs[i, j] = mu_i * z_j^p."""
-    return partition.measures[:, None] * grid.values[None, :] ** p
+def integer_budget(costs: np.ndarray, limit: float) -> tuple[list[list[int]], int]:
+    """The rows of a 2-D array of nonnegative `costs` as exact integers over
+    one binary denominator, and the largest integer sum T whose value rounds
+    to at most `limit`.
+
+    math.fsum is correctly rounded, so any choice of costs has fsum <= limit
+    exactly when its integer sum is <= T.
+    """
+    ratios = [[c.as_integer_ratio() for c in row] for row in costs.tolist()]
+    den = max(d for row in ratios for _, d in row)  # all powers of two
+    rows = [[n * (den // d) for n, d in row] for row in ratios]
+    # every sum below the midpoint between limit and the next float rounds
+    # to at most limit; the midpoint itself rounds to whichever is even
+    above = (Fraction(limit) + Fraction(math.nextafter(limit, math.inf))) / 2
+    top = math.floor(above * den)
+    return rows, top if float(Fraction(top, den)) <= limit else top - 1
 
 
 # --------------------------------------------------------------------------
-# counting / enumeration / sampling
+# the completion table: counting / enumeration / sampling
+
+
+class _BudgetTable:
+    """Every budget state (cell, budget used by the cells before it) that a
+    feasible member passes through.
+
+    `layers[i]` maps each used budget before cell i to its index; the last
+    layer holds the budgets of whole members.
+    """
+
+    def __init__(self, partition: Partition, grid: MagnitudeGrid, p: float, r: float):
+        # the budget only needs p >= 1; the p > 1 restriction is for norms
+        if p < 1 or r <= 0:
+            raise ValueError("need p >= 1 and r > 0")
+        self.costs, self.threshold = integer_budget(
+            partition.measures[:, None] * grid.values[None, :] ** p,
+            budget_limit(p, r))
+        self.layers = [{0: 0}]
+        states = 1
+        for row in self.costs:
+            nxt: dict[int, int] = {}
+            for used in self.layers[-1]:
+                for c in self.feasible(row, used):
+                    nxt.setdefault(used + c, len(nxt))
+                # checked per state, so a layer never grows far past the cap
+                if states + len(nxt) > STATE_CAP:
+                    raise BudgetTableTooLargeError(
+                        f"family too large: its budget table needs more than "
+                        f"{STATE_CAP} states ({partition.num_cells} cells x "
+                        f"{grid.a + 1} magnitude levels); increase Delta or delta")
+            states += len(nxt)
+            self.layers.append(nxt)
+
+    def feasible(self, row: list[int], used: int) -> list[int]:
+        """Costs of the levels 0, 1, ... a cell may take after `used`
+        (costs increase with the level)."""
+        return row[:bisect.bisect_right(row, self.threshold - used)]
+
+    def completions(self, factor: int) -> list[dict[int, int]]:
+        """Per layer, used budget -> weighted number of feasible completions;
+        a nonzero magnitude weighs `factor`, zero weighs 1."""
+        tables = [dict.fromkeys(self.layers[-1], 1)]
+        for row, layer in zip(reversed(self.costs), reversed(self.layers[:-1])):
+            nxt = tables[-1]
+            tables.append({used: nxt[used] + factor * sum(
+                nxt[used + c] for c in self.feasible(row, used)[1:])
+                for used in layer})
+        return tables[::-1]
 
 
 def count_family(
@@ -95,52 +160,9 @@ def count_family(
     """Exact cardinality of the finite family.
 
     Zero magnitudes contribute no direction factor (the zero function on a
-    cell is direction-free).  Grid partitions have equal cell measures, so the
-    count collapses to a sum over magnitude multisets; the general case falls
-    back to a pruned recursion over cells.
+    cell is direction-free), so each nonzero cell weighs `net.size`.
     """
-    # the budget only needs p >= 1; the p > 1 restriction is for norms
-    if p < 1 or r <= 0:
-        raise ValueError("need p >= 1 and r > 0")
-    n_cells = partition.num_cells
-    c = net.size
-    limit = budget_limit(p, r)
-    costs = _cost_table(partition, grid, p)
-
-    measures = partition.measures
-    if np.all(measures == measures[0]):
-        cell_costs = costs[0]
-        total = 0
-        fact = math.factorial(n_cells)
-        for combo in itertools.combinations_with_replacement(
-            range(grid.a + 1), n_cells
-        ):
-            if math.fsum(cell_costs[j] for j in combo) > limit:
-                continue
-            perms = fact
-            for j in set(combo):
-                perms //= math.factorial(combo.count(j))
-            nonzero = sum(1 for j in combo if j > 0)
-            total += perms * c**nonzero
-        return total
-
-    # unequal measures: pruned depth-first count over cells
-    def rec(i: int, chosen: list[int]) -> int:
-        if i == n_cells:
-            return 1
-        total = 0
-        for j in range(grid.a + 1):
-            chosen.append(j)
-            used = math.fsum(costs[t, jj] for t, jj in enumerate(chosen))
-            if used > limit:
-                chosen.pop()
-                break  # costs increase with j
-            sub = rec(i + 1, chosen)
-            total += sub * (c if j > 0 else 1)
-            chosen.pop()
-        return total
-
-    return rec(0, [])
+    return _BudgetTable(partition, grid, p, r).completions(net.size)[0][0]
 
 
 def enumerate_family(
@@ -156,41 +178,32 @@ def enumerate_family(
 
     Zero-magnitude cells carry the canonical direction index 0.
     """
-    total = count_family(partition, grid, net, p, r)
+    table = _BudgetTable(partition, grid, p, r)
+    c = net.size
+    total = table.completions(c)[0][0]
     if total > cap:
         raise FamilyTooLargeError(total, cap)
 
-    limit = budget_limit(p, r)
-    costs = _cost_table(partition, grid, p)
-    c = net.size
-    # rows are the feasible prefixes in order; cell i extends a row by
-    # magnitude 0 (direction 0), then by each magnitude j >= 1 with each
-    # direction, up to the row's largest feasible j
+    # rows are the feasible prefixes in order, each with its budget state;
+    # cell i extends a row by magnitude 0 (direction 0), then by each
+    # feasible magnitude j >= 1 with each direction
     mag = np.zeros((1, 0), dtype=int)
     dirs = np.zeros((1, 0), dtype=int)
-    for i in range(partition.num_cells):
-        # feasibility depends on the magnitudes only: test each distinct prefix
-        prefixes, inverse = np.unique(mag, axis=0, return_inverse=True)
-        top = np.array([_top_level(costs, i, row, limit) for row in prefixes])
-        children = 1 + c * top[inverse.ravel()]
+    state = np.zeros(1, dtype=int)
+    for row, layer, nxt in zip(table.costs, table.layers, table.layers[1:]):
+        # the next state of each feasible level, state by state
+        succ = [[nxt[used + cj] for cj in table.feasible(row, used)] for used in layer]
+        levels = np.array([len(s) for s in succ])
+        children = 1 + c * (levels[state] - 1)
         parent = np.repeat(np.arange(mag.shape[0]), children)
         # position of each child under its parent; position 0 is magnitude 0
         first = np.repeat(np.cumsum(children) - children, children)
-        rank = (np.arange(parent.size) - first)[:, None]
-        mag = np.hstack([mag[parent], 1 + (rank - 1) // c])
-        dirs = np.hstack([dirs[parent], np.where(rank > 0, (rank - 1) % c, 0)])
+        rank = np.arange(parent.size) - first
+        j = 1 + (rank - 1) // c
+        state = np.concatenate(succ)[(np.cumsum(levels) - levels)[state[parent]] + j]
+        mag = np.hstack([mag[parent], j[:, None]])
+        dirs = np.hstack([dirs[parent], np.where(rank > 0, (rank - 1) % c, 0)[:, None]])
     return _from_indices(partition, grid, net, mag, dirs)
-
-
-def _top_level(costs: np.ndarray, i: int, prefix, limit: float) -> int:
-    """Largest magnitude index cell i may take after `prefix` within the budget."""
-    used = [costs[t, j] for t, j in enumerate(prefix)]
-    top = 0
-    for j in range(1, costs.shape[1]):
-        if math.fsum(used + [costs[i, j]]) > limit:
-            break  # costs increase with j
-        top = j
-    return top
 
 
 def _from_indices(partition, grid, net, mag, dirs) -> PiecewiseConstFn:
@@ -218,47 +231,23 @@ def sample_family(
     if count < 0:
         raise ValueError("count must be >= 0")
     rng = np.random.default_rng(seed)
-    n_cells = partition.num_cells
-    limit = budget_limit(p, r)
-    costs = _cost_table(partition, grid, p)
-    memo: dict[tuple[int, float], int] = {}
-
-    def completions(i: int, budget: float) -> int:
-        if i == n_cells:
-            return 1
-        key = (i, budget)
-        if key in memo:
-            return memo[key]
-        total = 0
-        for j in range(grid.a + 1):
-            cj = costs[i, j]
-            if cj > budget:
-                break
-            total += completions(i + 1, budget - cj)
-        memo[key] = total
-        return total
-
-    mags, dirs = [], []
-    while len(mags) < count:
-        mag = []
-        budget = limit
-        for i in range(n_cells):
-            weights = []
-            for j in range(grid.a + 1):
-                cj = costs[i, j]
-                weights.append(completions(i + 1, budget - cj) if cj <= budget else 0)
-            w = np.array(weights, dtype=float)
-            j = int(rng.choice(grid.a + 1, p=w / w.sum()))
-            mag.append(j)
-            budget -= costs[i, j]
-        if budget_used(partition.measures, grid.values[mag], p) > limit:
-            continue  # boundary drift between the table and fsum; redraw
-        mags.append(mag)
-        dirs.append([int(rng.integers(net.size)) if j > 0 else 0 for j in mag])
-    shape = (count, n_cells)
-    return _from_indices(partition, grid, net,
-                         np.array(mags, dtype=int).reshape(shape),
-                         np.array(dirs, dtype=int).reshape(shape))
+    table = _BudgetTable(partition, grid, p, r)
+    completions = table.completions(1)
+    probs = {}  # (cell, used budget) -> level probabilities, as visited
+    mags = np.zeros((count, partition.num_cells), dtype=int)
+    dirs = np.zeros_like(mags)
+    for k in range(count):
+        used = 0
+        for i, row in enumerate(table.costs):
+            if (i, used) not in probs:
+                w = np.zeros(grid.a + 1)
+                feasible = table.feasible(row, used)
+                w[:len(feasible)] = [completions[i + 1][used + c] for c in feasible]
+                probs[i, used] = w / w.sum()
+            mags[k, i] = rng.choice(grid.a + 1, p=probs[i, used])
+            used += row[mags[k, i]]
+        dirs[k] = [rng.integers(net.size) if j > 0 else 0 for j in mags[k]]
+    return _from_indices(partition, grid, net, mags, dirs)
 
 
 def sample_ball(

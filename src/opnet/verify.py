@@ -41,11 +41,12 @@ __all__ = [
 STEP_TOLERANCE = 1e-8
 TCHEBYSHEV_TOLERANCE = 1e-10
 _CHUNK = 64
+_NORM_BLOCK = 4096
 
 
-def _pair_dist(u: np.ndarray, block: np.ndarray, w: np.ndarray, q: float):
-    norms = np.linalg.norm(block - u[None, :, :], axis=2)  # (B, P)
-    return (norms**q @ w) ** (1.0 / q)
+def _lq_norms(values: np.ndarray, w: np.ndarray, q: float):
+    """Weighted L_q norm of one sampled function, or of each in a stack."""
+    return (np.linalg.norm(values, axis=-1) ** q @ w) ** (1.0 / q)
 
 
 def directed_distance(from_fns: SampledFn, to_fns: SampledFn, q: float) -> float:
@@ -61,10 +62,12 @@ def directed_distance(from_fns: SampledFn, to_fns: SampledFn, q: float) -> float
     w = from_fns.partition.weights
     fv = from_fns.values
     tv = to_fns.values
-    tnorms = (np.linalg.norm(tv, axis=2) ** q @ w) ** (1.0 / q)
+    # in blocks, which bounds the temporaries of the norms
+    tnorms = np.concatenate([_lq_norms(tv[s:s + _NORM_BLOCK], w, q)
+                             for s in range(0, len(tv), _NORM_BLOCK)])
 
     def min_dist(u, global_best):
-        unorm = (np.linalg.norm(u, axis=1) ** q @ w) ** (1.0 / q)
+        unorm = _lq_norms(u, w, q)
         lb = np.abs(unorm - tnorms)
         order = np.argsort(lb)
         best = math.inf
@@ -74,7 +77,7 @@ def directed_distance(from_fns: SampledFn, to_fns: SampledFn, q: float) -> float
                 break  # remaining lower bounds can only be larger
             if best <= global_best:
                 break  # this element cannot raise the max
-            best = min(best, float(_pair_dist(u, tv[idx], w, q).min()))
+            best = min(best, float(_lq_norms(tv[idx] - u, w, q).min()))
         return best
 
     result = 0.0

@@ -27,3 +27,23 @@ def brute_force_count(measures, grid_values, net_size, p, r):
                 factor *= net_size
         total += factor
     return total
+
+
+def square_budget_count(n_cells, levels, budget, net_size):
+    """Members whose magnitude indices j_i in 0..levels satisfy
+    sum j_i^2 <= budget, counted in integers; a nonzero index contributes
+    `net_size` directions.
+
+    Equals the family count on equal cells when mu * (gamma * j / levels)^p
+    summed over cells is at most r^p exactly when sum j_i^2 <= budget.
+    """
+    ways = [1] + [0] * budget  # ways[s]: weighted prefixes with sum j^2 == s
+    for _ in range(n_cells):
+        nxt = [0] * (budget + 1)
+        for s, n in enumerate(ways):
+            for j in range(levels + 1):
+                if s + j * j > budget:
+                    break
+                nxt[s + j * j] += n * (net_size if j else 1)
+        ways = nxt
+    return sum(ways)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -167,6 +168,26 @@ def test_verify_epsilon_mode(capsys, tmp_path):
     report = json.loads(open(out).read())
     assert report["config"]["gamma"] is not None
     assert report["bound_report"]["certified_total"] <= 2.0 + 1e-12
+
+
+def test_verify_epsilon_one_sample_mode_finishes(capsys, tmp_path):
+    # 9 cells x 51 magnitude levels: about 1.3e10 magnitude multisets
+    cfg = write(tmp_path, EPSILON_CONFIG.replace("epsilon = 2.0", "epsilon = 1.0"))
+    out = str(tmp_path / "eps1.json")
+    assert main(["verify", cfg, "--output", out]) in (EXIT_OK, EXIT_VERIFY_FAIL)
+    report = json.loads(open(out).read())
+    assert int(report["bound_report"]["family_count"]) > 10**10
+
+
+def test_oversized_budget_table_is_resource_exit(capsys, tmp_path):
+    # epsilon = 0.5 gives 18 cells x 201 levels, past the table's state cap
+    cfg = write(tmp_path, EPSILON_CONFIG.replace("epsilon = 2.0", "epsilon = 0.5"))
+    start = time.perf_counter()
+    assert main(["verify", cfg]) == EXIT_RESOURCE
+    assert time.perf_counter() - start < 30.0
+    err = capsys.readouterr().err
+    assert "budget table needs more than" in err
+    assert "18 cells x 201 magnitude levels" in err
 
 
 def test_build_command(capsys, tmp_path):

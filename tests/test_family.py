@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from opnet.family import (
     clip_to_gamma,
     count_family,
     enumerate_family,
+    integer_budget,
     project_to_net,
     round_magnitude,
     run_pipeline,
@@ -24,7 +26,7 @@ from opnet.functions import PiecewiseConstFn, SampledFn, lp_norm
 from opnet.geometry import Domain, build_partition
 from opnet.sphere import DirectionNet, build_sigma_net
 
-from oracles import brute_force_count
+from oracles import brute_force_count, square_budget_count
 
 
 def interval_partition(delta=2.0, nodes=3):
@@ -66,6 +68,49 @@ def test_magnitude_grid_invalid():
 
 
 # --------------------------------------------------------------------------
+# exact budget arithmetic
+
+
+def _integer_test_agrees(costs, limit):
+    rows, threshold = integer_budget(np.array([costs]), limit)
+    return (sum(rows[0]) <= threshold) == (math.fsum(costs) <= limit)
+
+
+def test_integer_budget_matches_fsum_on_random_costs():
+    rng = np.random.default_rng(21)
+    for _ in range(2000):
+        size = int(rng.integers(1, 9))
+        costs = (rng.uniform(0.0, 1.0, size)
+                 * 2.0 ** rng.integers(-60, 20, size)).tolist()
+        total = math.fsum(costs)
+        # limits at, one float either side of, and far from the sum
+        for limit in (total, math.nextafter(total, math.inf),
+                      math.nextafter(total, 0.0), total * rng.uniform(0.5, 2.0),
+                      float(2.0 ** rng.integers(-60, 20))):
+            assert _integer_test_agrees(costs, limit), (costs, limit)
+
+
+def test_integer_budget_rounds_ties_like_fsum():
+    # sums exactly half an ulp above limit round to limit when its last
+    # mantissa bit is even and to the next float when it is odd, so one of
+    # each parity pins the threshold to the integer from both sides
+    rng = np.random.default_rng(22)
+    outcomes = set()
+    for _ in range(400):
+        limit = float(rng.uniform(0.5, 4.0) * 2.0 ** rng.integers(-30, 30))
+        half_up = math.ulp(limit) / 2
+        below = math.nextafter(limit, 0.0)
+        half_down = math.ulp(below) / 2
+        for costs in ([limit, half_up], [limit, half_up, half_up / 1024],
+                      [limit, half_up - half_up / 1024],
+                      [below, half_down], [below, half_down, half_down / 1024],
+                      [limit / 3, limit / 3, limit / 3]):
+            assert _integer_test_agrees(costs, limit), (costs, limit)
+        outcomes.add(math.fsum([limit, half_up]) <= limit)
+    assert outcomes == {True, False}
+
+
+# --------------------------------------------------------------------------
 # counting
 
 
@@ -102,6 +147,19 @@ def test_count_matches_brute_force_random_configs():
         net = angle_net(c)
         expected = brute_force_count(part.measures, grid.values, c, p, r)
         assert count_family(part, grid, net, p, r) == expected
+
+
+def test_count_epsilon_one_family_is_fast_and_exact():
+    # the 1-D gaussian at epsilon = 1: 9 cells of measure 1/9, gamma = 10
+    # with 50 steps, so mu * (j / 5)^2 summed is at most 1 iff sum j^2 <= 225
+    part = interval_partition(delta=1.0 / 9, nodes=1)
+    assert part.num_cells == 9
+    grid = build_magnitude_grid(10.0, 50)
+    expected = square_budget_count(9, 50, 225, 2)
+    assert expected == 128_236_319_951
+    start = time.perf_counter()
+    assert count_family(part, grid, sign_net(), 2, 1.0) == expected
+    assert time.perf_counter() - start < 5.0
 
 
 # --------------------------------------------------------------------------
@@ -204,6 +262,24 @@ def test_sample_family_empty_and_budget():
     limit = budget_limit(2, 1.0)
     for f in sample_family(part, grid, net, 2, 1.0, 50, seed=1):
         assert budget_used(part.measures, grid.values[f.mag_idx], 2) <= limit
+
+
+def test_sample_family_draws_are_pinned():
+    # sum j^2 <= 12 binds on 4 cells of 3 levels; any change to the draw
+    # sequence, and so to every seed's sample, fails here
+    part = interval_partition(delta=0.25, nodes=1)
+    grid = build_magnitude_grid(1.0, 3)
+    fam = sample_family(part, grid, angle_net(3), 2.0, 0.6, 12, seed=5)
+    assert fam.mag_idx.tolist() == [
+        [2, 2, 1, 0], [1, 0, 0, 3], [0, 1, 3, 1], [1, 1, 2, 0],
+        [2, 0, 2, 2], [2, 2, 0, 2], [1, 0, 1, 3], [0, 2, 1, 2],
+        [2, 1, 1, 0], [3, 0, 1, 0], [1, 3, 1, 0], [1, 1, 0, 2],
+    ]
+    assert fam.dir_idx.tolist() == [
+        [2, 0, 0, 0], [1, 0, 0, 0], [0, 1, 2, 2], [2, 1, 2, 0],
+        [0, 0, 1, 0], [2, 0, 0, 0], [1, 0, 0, 0], [0, 2, 0, 0],
+        [0, 2, 0, 0], [2, 0, 2, 0], [0, 2, 0, 0], [2, 1, 0, 0],
+    ]
 
 
 def test_sample_family_deterministic():
