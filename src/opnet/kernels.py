@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import RefineOmegaError
 from .geometry import Domain
@@ -305,6 +304,10 @@ def save_tabulated_kernel(path, kernel: Kernel, domain: Domain,
 
 def load_tabulated_kernel(path) -> tuple[Kernel, Domain]:
     """Read a tabulated kernel; evaluation is multilinear interpolation."""
+    # imported here: scipy.interpolate is most of the package's import time,
+    # and only tabulated kernels use it
+    from scipy.interpolate import RegularGridInterpolator
+
     with open(path, "rb") as fh:
         raw = fh.read()
     head, _, rest = raw.partition(b"\n")

@@ -40,35 +40,37 @@ __all__ = [
 
 STEP_TOLERANCE = 1e-8
 TCHEBYSHEV_TOLERANCE = 1e-10
-_CHUNK = 64
-_NORM_BLOCK = 4096
+_BLOCK = 1 << 15  # elements per temporary of the distance computations
+_CHUNK = 64  # targets per step of the pruned scan; larger steps prune less
+# c in the q = 2 screen tolerance c (dim + 4) eps (|a| + |b|)^2; see `_screen`
+_SCREEN_SAFETY = 4.0
 
 
 def _lq_norms(values: np.ndarray, w: np.ndarray, q: float):
-    """Weighted L_q norm of one sampled function, or of each in a stack."""
-    return (np.linalg.norm(values, axis=-1) ** q @ w) ** (1.0 / q)
+    """Weighted L_q norm of one sampled function, or of each in a stack.
 
-
-def directed_distance(from_fns: SampledFn, to_fns: SampledFn, q: float) -> float:
-    """max over `from` of min over `to` of the weighted L_q distance.
-
-    Both sets are stacks of sampled functions on one partition.  Prunes the
-    quadratic scan with the triangle inequality on cached norms.
+    The node sum is numpy's per-row reduction, not a BLAS product, so a row's
+    value does not depend on which other rows share the call.
     """
-    if not to_fns:
-        raise ValueError("target set must be nonempty")
-    if not from_fns:
-        return 0.0
-    w = from_fns.partition.weights
-    fv = from_fns.values
-    tv = to_fns.values
-    # in blocks, which bounds the temporaries of the norms
-    tnorms = np.concatenate([_lq_norms(tv[s:s + _NORM_BLOCK], w, q)
-                             for s in range(0, len(tv), _NORM_BLOCK)])
+    return (np.linalg.norm(values, axis=-1) ** q * w).sum(axis=-1) ** (1.0 / q)
+
+
+def _rows(values: np.ndarray) -> int:
+    """How many functions of a stack fit one block."""
+    return max(1, _BLOCK // values[0].size)
+
+
+def _pruned_scan(fv, tv, w, q) -> float:
+    """Directed distance for any q, one `from` element at a time.
+
+    Prunes the scan with the triangle inequality on the norms.
+    """
+    step = _rows(tv)
+    tnorms = np.concatenate([_lq_norms(tv[s:s + step], w, q)
+                             for s in range(0, len(tv), step)])
 
     def min_dist(u, global_best):
-        unorm = _lq_norms(u, w, q)
-        lb = np.abs(unorm - tnorms)
+        lb = np.abs(_lq_norms(u, w, q) - tnorms)
         order = np.argsort(lb)
         best = math.inf
         for start in range(0, order.size, _CHUNK):
@@ -84,6 +86,82 @@ def directed_distance(from_fns: SampledFn, to_fns: SampledFn, q: float) -> float
     for u in fv:
         result = max(result, min_dist(u, result))
     return result
+
+
+def _screen(fv, rows, tv, w, tsq):
+    """Squared L_2 distances of fv[rows] to tv, less |a|^2, block by block.
+
+    Yields (offset into `rows`, offset into `tv`, block).  A block holds
+    |b|^2 - 2 (a w).b for the flattened values a, b, with the weights w
+    folded into the `from` side only, so that the targets enter the product
+    as views; `tsq` holds the squared weighted norms |b|^2, and adding a
+    row's |a|^2 completes its squared distances.  Counting roundings of
+    eps / 2 each to first order, with N = |a| + |b| in the weighted norm, a
+    completed entry is within (dim + 3) N^2 eps / 2 of the exact squared
+    distance, and the exact expression `_lq_norms(t - u, w, 2) ** 2` is
+    within (dim + 6) N^2 eps / 2 of it: (dim + 4.5) eps N^2 in all, which
+    the tolerance in `directed_distance` covers from `_SCREEN_SAFETY` = 1.1
+    up.  Every temporary holds at most `_BLOCK` elements.
+    """
+    dim = fv[0].size
+    rf = min(len(rows), _rows(fv))
+    rt = max(1, _BLOCK // rf)
+    for fs in range(0, len(rows), rf):
+        a = (fv[rows[fs:fs + rf]] * (-2.0 * w)[:, None]).reshape(-1, dim)
+        for ts in range(0, len(tv), rt):
+            block = a @ tv[ts:ts + rt].reshape(-1, dim).T
+            block += tsq[ts:ts + rt]
+            yield fs, ts, block
+
+
+def directed_distance(from_fns: SampledFn, to_fns: SampledFn, q: float) -> float:
+    """max over `from` of min over `to` of the weighted L_q distance.
+
+    Both sets are stacks of sampled functions on one partition.  The result
+    is `_lq_norms(t - u, w, q)` of the maximizing pair, exactly as an
+    all-pairs scan gives it.  For q = 2 a blocked matrix-product screen
+    keeps the pairs that can attain it, and only those are computed exactly;
+    other q use a pruned scan.
+    """
+    if not to_fns:
+        raise ValueError("target set must be nonempty")
+    if not from_fns:
+        return 0.0
+    w = from_fns.partition.weights
+    fv = from_fns.values
+    tv = to_fns.values
+    if q != 2:
+        return _pruned_scan(fv, tv, w, q)
+
+    fsq = np.einsum("ipk,ipk,p->i", fv, fv, w)
+    tsq = np.einsum("ipk,ipk,p->i", tv, tv, w)
+    f64 = np.finfo(float)
+    tol = _SCREEN_SAFETY * (fv[0].size + 4) * (
+        f64.eps * (math.sqrt(fsq.max()) + math.sqrt(tsq.max())) ** 2
+        + f64.smallest_subnormal)  # underflow errors are absolute
+
+    # Each screened squared distance is within tol of the exact one.  So a
+    # row's exact minimum is within tol of its screened minimum, the
+    # maximizing row is within 2 tol of the largest screened minimum, and a
+    # row's minimizing target is within 2 tol of the row's screened minimum.
+    approx = np.full(len(fv), np.inf)
+    for fs, _, block in _screen(fv, np.arange(len(fv)), tv, w, tsq):
+        part = approx[fs:fs + len(block)]
+        np.minimum(part, block.min(axis=1), out=part)
+    approx += fsq  # adding a row constant commutes with the rounded min
+    rows = np.flatnonzero(approx >= approx.max() - 2.0 * tol)
+    limit = approx[rows] + 2.0 * tol
+    best = np.full(len(rows), np.inf)
+    chunk = _rows(tv)
+    for fs, ts, block in _screen(fv, rows, tv, w, tsq):
+        block += fsq[rows[fs:fs + len(block)], None]
+        i, j = np.nonzero(block <= limit[fs:fs + len(block), None])
+        i += fs
+        j += ts
+        for s in range(0, len(i), chunk):
+            ii, jj = i[s:s + chunk], j[s:s + chunk]
+            np.minimum.at(best, ii, _lq_norms(tv[jj] - fv[rows[ii]], w, q))
+    return float(best.max())
 
 
 def hausdorff_distance(u_fns, v_fns, q: float) -> float:

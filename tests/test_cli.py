@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -12,6 +15,7 @@ from opnet.cli import (
     parse_config,
     serialize_config,
 )
+import opnet
 from opnet.errors import ConfigError
 
 BASE_CONFIG = """\
@@ -229,3 +233,14 @@ def test_sweep_sigma_monotone(capsys, tmp_path):
 def test_sweep_unknown_axis(capsys, tmp_path):
     cfg = write(tmp_path, BASE_CONFIG)
     assert main(["sweep", cfg, "--axis", "bogus", "--values", "1"]) == EXIT_CONFIG
+
+
+def test_cli_import_leaves_scipy_interpolate_out():
+    # only tabulated kernels need it, and it is most of the import time
+    src = os.path.dirname(os.path.dirname(opnet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, opnet.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

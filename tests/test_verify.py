@@ -4,7 +4,9 @@ import pytest
 from opnet.functions import SampledFn
 from opnet.geometry import Domain, build_partition
 from opnet.kernels import builtin_kernel
+from opnet import verify
 from opnet.verify import (
+    _lq_norms,
     directed_distance,
     hausdorff_distance,
     verify_bound,
@@ -53,6 +55,64 @@ def test_directed_distance_symmetric_inputs():
     assert hausdorff_distance(fns, fns, 2) == 0.0
     assert hausdorff_distance(fns, fns[:3], 1.5) \
         == directed_distance(fns, fns[:3], 1.5)
+
+
+def brute_force(from_fns, to_fns, q):
+    """max over `from` of the min over every target of `_lq_norms`."""
+    w = from_fns.partition.weights
+    return max(float(_lq_norms(to_fns.values - u, w, q).min())
+               for u in from_fns.values)
+
+
+def stacks(kind, rng, part, n_from, n_to, n):
+    """A (from, to) pair of random stacks of one kind."""
+    shape = (part.points.shape[0], n)
+    if kind == "random":  # norms over two decades, so pruning bites
+        tv = rng.standard_normal((n_to,) + shape) \
+            * np.exp(rng.uniform(-2.5, 2.5, (n_to, 1, 1)))
+        fv = rng.standard_normal((n_from,) + shape) \
+            * np.exp(rng.uniform(-2.5, 2.5, (n_from, 1, 1)))
+    elif kind == "duplicates":  # every `from` element is a target
+        tv = rng.standard_normal((n_to,) + shape)
+        fv = tv[rng.integers(0, n_to, n_from)]
+    elif kind == "ties":  # small integers: exactly tied pairs and rows
+        tv = rng.integers(-2, 3, (n_to,) + shape).astype(float)
+        fv = rng.integers(-2, 3, (n_from,) + shape).astype(float)
+    else:  # near-duplicates at large norm, where the expansion cancels
+        tv = 1e6 + rng.standard_normal((n_to,) + shape)
+        fv = tv[rng.integers(0, n_to, n_from)] \
+            + 1e-6 * rng.standard_normal((n_from,) + shape)
+    return SampledFn(part, fv), SampledFn(part, tv)
+
+
+@pytest.mark.parametrize("kind", ["random", "duplicates", "ties", "near"])
+@pytest.mark.parametrize("block,n_from,n_to", [
+    (50, 13, 57),      # 2 rows by 25 targets per block, ragged on both axes
+    (97, 41, 9),       # 4 rows by 24 targets, one target block
+    (None, 1400, 60),  # the real block: 1365 rows by 24 targets
+])
+def test_directed_distance_q2_equals_brute_force(monkeypatch, kind, block,
+                                                 n_from, n_to):
+    if block is not None:
+        monkeypatch.setattr(verify, "_BLOCK", block)
+    part = build_partition(unit_domain(), 0.25)  # 12 nodes, 24 values
+    rng = np.random.default_rng(n_from)
+    fns, targets = stacks(kind, rng, part, n_from, n_to, 2)
+    for a, b in ((fns, targets), (targets, fns)):
+        assert directed_distance(a, b, 2) == brute_force(a, b, 2)
+    if kind == "duplicates":
+        assert directed_distance(fns, targets, 2) == 0.0
+
+
+@pytest.mark.parametrize("q", [1.5, 3.0])
+@pytest.mark.parametrize("kind", ["random", "ties"])
+def test_directed_distance_other_q_equals_brute_force(monkeypatch, q, kind):
+    monkeypatch.setattr(verify, "_CHUNK", 4)  # so that pruning can stop early
+    part = build_partition(unit_domain(), 0.25)
+    rng = np.random.default_rng(int(q * 10))
+    fns, targets = stacks(kind, rng, part, 23, 31, 2)
+    for a, b in ((fns, targets), (targets, fns)):
+        assert directed_distance(a, b, q) == brute_force(a, b, q)
 
 
 def test_directed_distance_empty_sets():
