@@ -16,7 +16,7 @@ from .family import (
     snap_direction,
 )
 from .functions import PiecewiseConstFn, SampledFn, lp_norm
-from .geometry import Cell, Domain, Partition, build_partition
+from .geometry import Domain, Partition, build_partition
 from .integral_op import DiscretizedOperator
 from .kernels import (
     Kernel,
@@ -34,8 +34,7 @@ from .verify import (
     VerificationReport,
     directed_distance,
     hausdorff_distance,
-    verify_steps,
-    verify_bound,
+    verify_run,
 )
 
 __version__ = "0.1.0"

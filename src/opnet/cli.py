@@ -35,7 +35,7 @@ from .kernels import (
     estimate_metrics,
     load_tabulated_kernel,
 )
-from .verify import _setup, verify_steps, verify_bound
+from .verify import _setup, verify_run
 
 SCHEMA_VERSION = 1
 # family members whose images build holds at once while writing images.csv
@@ -286,7 +286,7 @@ def cmd_bound(cfg: RunConfig) -> int:
     domain, kernel, metrics, selection = resolve(cfg)
     breakdown = bounds_mod.error_bound(
         cfg.p, cfg.r, domain.measure, cfg.lam, cfg.gamma, cfg.Delta,
-        cfg.delta, cfg.sigma, metrics, strict=cfg.strict_metrics,
+        cfg.delta, cfg.sigma, metrics,
     )
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -352,12 +352,7 @@ def cmd_build(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     domain, kernel, metrics, selection = resolve(cfg)
-    steps_report = verify_steps(
-        kernel, domain, cfg.p, cfg.r, cfg.gamma, cfg.Delta, cfg.delta,
-        cfg.sigma, cfg.samples, cfg.seed, metrics, cfg.quad_nodes,
-        bound_scale=cfg.debug_bound_scale,
-    )
-    bound_report = verify_bound(
+    steps_report, bound_report = verify_run(
         kernel, domain, cfg.p, cfg.r, cfg.gamma, cfg.Delta, cfg.delta,
         cfg.sigma, cfg.samples, cfg.seed, cfg.lam, metrics, cfg.quad_nodes,
         family_mode=cfg.family_mode, enum_cap=cfg.enum_cap,
@@ -392,7 +387,7 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
             "sigma": cfg.sigma, "lam": cfg.lam,
         }
         kwargs[axis] = value
-        report = verify_bound(
+        _, report = verify_run(
             kernel, domain, cfg.p, cfg.r, kwargs["gamma"], kwargs["Delta"],
             kwargs["delta"], kwargs["sigma"], cfg.samples, cfg.seed,
             kwargs["lam"], metrics, cfg.quad_nodes,

@@ -1,9 +1,8 @@
 """Axis-aligned box domains, grid partitions and tensor Gauss-Legendre quadrature.
 
-Every cell of a partition carries its exact measure, its diameter and a set of
-quadrature nodes whose weights sum to the cell measure.  All downstream
-integrals are weighted sums over the flattened node arrays exposed by
-``Partition``.
+A partition is held as flat arrays: the cell measures, and the quadrature
+nodes of every cell with weights that sum to the cell measure.  All
+downstream integrals are weighted sums over these node arrays.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Domain", "Cell", "Partition", "build_partition"]
+__all__ = ["Domain", "Partition", "build_partition"]
 
 # cell diameters may exceed the requested delta by rounding noise only
 _DIAM_SLACK = 1e-9
@@ -56,18 +55,6 @@ class Domain:
 
 
 @dataclass(frozen=True, eq=False)
-class Cell:
-    index: int
-    lower: np.ndarray
-    upper: np.ndarray
-    measure: float
-    diameter: float
-    center: np.ndarray
-    quad_points: np.ndarray  # (q, k)
-    quad_weights: np.ndarray  # (q,)
-
-
-@dataclass(frozen=True, eq=False)
 class Partition:
     """Grid partition of a Domain with per-cell quadrature.
 
@@ -77,41 +64,20 @@ class Partition:
 
     domain: Domain
     delta: float
-    cells: tuple[Cell, ...]
     axis_counts: tuple[int, ...]
     nodes_per_axis: int
+    measures: np.ndarray  # (N,)
     points: np.ndarray  # (P, k)
     weights: np.ndarray  # (P,)
     node_cell: np.ndarray  # (P,) int
 
     @property
     def num_cells(self) -> int:
-        return len(self.cells)
+        return self.measures.size
 
     @property
     def nodes_per_cell(self) -> int:
         return self.nodes_per_axis ** self.domain.dim
-
-    @property
-    def measures(self) -> np.ndarray:
-        return np.array([c.measure for c in self.cells])
-
-
-def _cell_nodes(lower, upper, ref_x, ref_w):
-    """Tensor Gauss-Legendre nodes/weights for one box cell."""
-    k = lower.size
-    axes_x, axes_w = [], []
-    for j in range(k):
-        h = upper[j] - lower[j]
-        axes_x.append(lower[j] + 0.5 * h * (ref_x + 1.0))
-        axes_w.append(0.5 * h * ref_w)
-    grids = np.meshgrid(*axes_x, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*axes_w, indexing="ij")
-    w = np.ones(pts.shape[0])
-    for g in wgrids:
-        w = w * g.ravel()
-    return pts, w
 
 
 def build_partition(domain: Domain, delta: float, nodes_per_axis: int = 3) -> Partition:
@@ -137,32 +103,18 @@ def build_partition(domain: Domain, delta: float, nodes_per_axis: int = 3) -> Pa
     measure = float(np.prod(h))
 
     ref_x, ref_w = np.polynomial.legendre.leggauss(nodes_per_axis)
-
-    cells = []
-    all_pts, all_w = [], []
-    for flat, idx in enumerate(np.ndindex(*counts)):
-        lo = domain.lower + np.array(idx, dtype=float) * h
-        hi = lo + h
-        pts, w = _cell_nodes(lo, hi, ref_x, ref_w)
-        cells.append(
-            Cell(
-                index=flat,
-                lower=lo,
-                upper=hi,
-                measure=measure,
-                diameter=diam,
-                center=0.5 * (lo + hi),
-                quad_points=pts,
-                quad_weights=w,
-            )
-        )
-        all_pts.append(pts)
-        all_w.append(w)
-
-    points = np.concatenate(all_pts, axis=0)
-    weights = np.concatenate(all_w, axis=0)
-    qpc = nodes_per_axis**k
-    node_cell = np.repeat(np.arange(len(cells)), qpc)
+    # cell-major: cells in C order of their grid index, and within each cell
+    # the nodes in C order of their per-axis Gauss index
+    lo = domain.lower + np.indices(counts).reshape(k, -1).T * h  # (N, k)
+    width = (lo + h) - lo  # each cell's sides as its corners give them
+    axis_x = lo[:, :, None] + 0.5 * width[:, :, None] * (ref_x + 1.0)  # (N, k, m)
+    axis_w = 0.5 * width[:, :, None] * ref_w
+    ax = np.arange(k)[:, None]
+    node = np.indices((nodes_per_axis,) * k).reshape(k, -1)  # (k, m^k)
+    points = axis_x[:, ax, node].transpose(0, 2, 1).reshape(-1, k)
+    weights = axis_w[:, ax, node].prod(axis=1).ravel()
+    measures = np.full(lo.shape[0], measure)
+    node_cell = np.repeat(np.arange(measures.size), nodes_per_axis**k)
 
     total = float(weights.sum())
     if abs(total - domain.measure) > 1e-12 * max(1.0, domain.measure):
@@ -171,9 +123,9 @@ def build_partition(domain: Domain, delta: float, nodes_per_axis: int = 3) -> Pa
     return Partition(
         domain=domain,
         delta=float(delta),
-        cells=tuple(cells),
         axis_counts=counts,
         nodes_per_axis=nodes_per_axis,
+        measures=measures,
         points=points,
         weights=weights,
         node_cell=node_cell,

@@ -166,7 +166,6 @@ class KernelMetrics:
     provenance: str  # "certified" | "estimated"
     lipschitz: float | None = None
     omega_table: tuple[tuple[float, float], ...] = ()
-    resolution: int | None = None
 
     def omega(self, delta: float, strict: bool = False) -> tuple[float, bool]:
         """omega(delta) and a flag set when the value was taken off-table."""
@@ -251,7 +250,6 @@ def estimate_metrics(
         sup_norm=kernel_sup_norm(kernel, domain, resolution, norm),
         provenance="estimated",
         omega_table=modulus_of_continuity(kernel, domain, deltas, resolution, norm),
-        resolution=resolution,
     )
 
 

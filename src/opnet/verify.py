@@ -34,8 +34,7 @@ __all__ = [
     "VerificationReport",
     "directed_distance",
     "hausdorff_distance",
-    "verify_steps",
-    "verify_bound",
+    "verify_run",
 ]
 
 STEP_TOLERANCE = 1e-8
@@ -243,78 +242,36 @@ def _mixed_ball_samples(partition, n, p, r, samples, seed) -> SampledFn:
     return SampledFn(partition, np.concatenate([rough.values, smooth.values]))
 
 
-def verify_steps(
-    kernel: Kernel,
-    domain: Domain,
-    p: float,
-    r: float,
-    gamma: float,
-    Delta: float,
-    delta: float,
-    sigma: float,
-    samples: int,
-    seed: int = 0,
-    metrics: KernelMetrics | None = None,
-    nodes_per_axis: int = 3,
-    bound_scale: float = 1.0,
-) -> VerificationReport:
-    """Check each projection stage's image-space displacement against its bound."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if metrics is None:
-        metrics = certified_metrics(kernel)
-    partition, grid, net = _setup(
-        kernel, domain, gamma, Delta, delta, sigma, nodes_per_axis, seed
-    )
-    q = p / (p - 1.0)
-    mu = domain.measure
-    big_m = metrics.sup_norm
-    omega, _ = metrics.omega(Delta)
+def _check_steps(op, ball, breakdown, gamma, grid, net, q, bound_scale):
+    """Per-stage image displacement of the ball samples against its bound term.
 
+    Returns the step records, the Tchebyshev observation and the ball images;
+    the stage images are released on return.
+    """
+    partition = op.partition
     bounds = {
-        "clip": bound_scale * 2.0 * r**p * big_m * mu ** (1.0 / q) / gamma ** (p - 1.0),
-        "average": bound_scale * 2.0 * r * mu ** (2.0 / q) * omega,
-        "round": bound_scale * big_m * mu ** (1.0 + 1.0 / q) * grid.delta_step,
-        "snap": bound_scale * big_m * mu ** (1.0 + 1.0 / q) * gamma * sigma,
+        "clip": bound_scale * breakdown.tail_term,
+        "average": bound_scale * breakdown.psi,
+        "round": bound_scale * breakdown.phi,
+        "snap": bound_scale * breakdown.alpha,
     }
-    tcheby_bound = r**p / gamma**p
-
-    op = DiscretizedOperator(kernel, partition)
-    ball = _mixed_ball_samples(partition, kernel.n, p, r, samples, seed)
     images = [op.apply(g).values
               for g in (ball, *run_pipeline(ball, gamma, partition, grid, net))]
-    observed = {
-        name: float(lp_norm(SampledFn(partition, before - after), q).max())
-        for name, before, after in zip(bounds, images, images[1:])
-    }
-    tcheby_obs = float(tchebyshev_measure(ball, gamma).max())
-
-    report = VerificationReport(
-        config={
-            "kernel": kernel.name, "p": p, "r": r, "gamma": gamma,
-            "Delta": Delta, "delta": grid.delta_step, "sigma": sigma,
-            "samples": samples, "nodes_per_axis": nodes_per_axis,
-            "metrics_provenance": metrics.provenance,
-        },
-        seed=seed,
-    )
-    for name in bounds:
-        rec = StepRecord(
+    steps = []
+    for name, before, after in zip(bounds, images, images[1:]):
+        observed = float(lp_norm(SampledFn(partition, before - after), q).max())
+        steps.append(StepRecord(
             step=name,
             certified=bounds[name],
-            observed_max=observed[name],
-            samples=samples,
-            passed=observed[name] <= bounds[name] + STEP_TOLERANCE,
-        )
-        report.steps.append(rec)
-    report.tchebyshev_bound = tcheby_bound
-    report.tchebyshev_observed = tcheby_obs
-    tcheby_ok = tcheby_obs <= tcheby_bound + TCHEBYSHEV_TOLERANCE
-    report.passed = tcheby_ok and all(s.passed for s in report.steps)
-    return report
+            observed_max=observed,
+            samples=len(ball),
+            passed=observed <= bounds[name] + STEP_TOLERANCE,
+        ))
+    tcheby_obs = float(tchebyshev_measure(ball, gamma).max())
+    return steps, tcheby_obs, SampledFn(partition, images[0])
 
 
-def verify_bound(
+def verify_run(
     kernel: Kernel,
     domain: Domain,
     p: float,
@@ -332,8 +289,16 @@ def verify_bound(
     enum_cap: int = 10_000_000,
     family_samples: int = 500,
     bound_scale: float = 1.0,
-) -> VerificationReport:
-    """Compare the observed directed image distance against the certified total."""
+) -> tuple[VerificationReport, VerificationReport]:
+    """Check the ball samples stage by stage and against the family image.
+
+    One partition, operator and stack of ball samples serve both checks.
+    Returns (steps_report, bound_report): each projection stage's
+    image-space displacement against its bound term, and the observed
+    directed image distance against the certified total.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     if family_mode not in ("enumerate", "sample"):
         raise ValueError(f"unknown family mode {family_mode!r}")
     if metrics is None:
@@ -342,40 +307,48 @@ def verify_bound(
         kernel, domain, gamma, Delta, delta, sigma, nodes_per_axis, seed
     )
     q = p / (p - 1.0)
+    breakdown = error_bound(
+        p, r, domain.measure, lam, gamma, Delta, grid.delta_step, sigma, metrics
+    )
+    config = {
+        "kernel": kernel.name, "p": p, "r": r, "gamma": gamma,
+        "Delta": Delta, "delta": grid.delta_step, "sigma": sigma,
+        "samples": samples, "nodes_per_axis": nodes_per_axis,
+        "metrics_provenance": metrics.provenance,
+    }
+
+    op = DiscretizedOperator(kernel, partition)
+    steps, tcheby_obs, ball_images = _check_steps(
+        op, _mixed_ball_samples(partition, kernel.n, p, r, samples, seed),
+        breakdown, gamma, grid, net, q, bound_scale,
+    )
+    steps_report = VerificationReport(config=config, seed=seed, steps=steps)
+    steps_report.tchebyshev_bound = r**p / gamma**p
+    steps_report.tchebyshev_observed = tcheby_obs
+    tcheby_ok = tcheby_obs <= steps_report.tchebyshev_bound + TCHEBYSHEV_TOLERANCE
+    steps_report.passed = tcheby_ok and all(s.passed for s in steps)
 
     count = count_family(partition, grid, net, p, r)
     if family_mode == "enumerate":
         family = enumerate_family(partition, grid, net, p, r, cap=enum_cap)
     else:
         family = sample_family(partition, grid, net, p, r, family_samples, seed)
-
-    op = DiscretizedOperator(kernel, partition)
     family_images = op.apply(family)
-    ball_images = op.apply(_mixed_ball_samples(partition, kernel.n, p, r, samples, seed))
 
-    breakdown = error_bound(
-        p, r, domain.measure, lam, gamma, Delta, grid.delta_step, sigma, metrics
-    )
     certified = bound_scale * breakdown.total
     d_fwd = directed_distance(ball_images, family_images, q)
     d_rev = directed_distance(family_images, ball_images, q)
 
-    report = VerificationReport(
-        config={
-            "kernel": kernel.name, "p": p, "r": r, "gamma": gamma,
-            "Delta": Delta, "delta": grid.delta_step, "sigma": sigma,
-            "lambda": lam, "samples": samples, "family_mode": family_mode,
-            "nodes_per_axis": nodes_per_axis,
-            "metrics_provenance": metrics.provenance,
-            "bound_scale": bound_scale,
-        },
+    bound_report = VerificationReport(
+        config={**config, "lambda": lam, "family_mode": family_mode,
+                "bound_scale": bound_scale},
         seed=seed,
     )
-    report.breakdown = breakdown.to_dict()
-    report.certified_total = certified
-    report.directed_sampled_to_family = d_fwd
-    report.directed_family_to_sampled = d_rev  # diagnostic only
-    report.ratio = d_fwd / certified if certified > 0 else 0.0
-    report.family_count = count
-    report.passed = d_fwd <= certified + STEP_TOLERANCE
-    return report
+    bound_report.breakdown = breakdown.to_dict()
+    bound_report.certified_total = certified
+    bound_report.directed_sampled_to_family = d_fwd
+    bound_report.directed_family_to_sampled = d_rev  # diagnostic only
+    bound_report.ratio = d_fwd / certified if certified > 0 else 0.0
+    bound_report.family_count = count
+    bound_report.passed = d_fwd <= certified + STEP_TOLERANCE
+    return steps_report, bound_report

@@ -17,6 +17,7 @@ from opnet.cli import (
 )
 import opnet
 from opnet.errors import ConfigError
+from opnet.integral_op import DiscretizedOperator
 
 BASE_CONFIG = """\
 [domain]
@@ -156,6 +157,27 @@ def test_verify_reports_are_byte_identical(tmp_path):
     first = open(out, "rb").read()
     main(["verify", cfg, "--output", out])
     assert open(out, "rb").read() == first
+
+
+def test_verify_builds_one_operator_and_draws_the_ball_once(
+        monkeypatch, capsys, tmp_path):
+    calls = {"operator": 0, "sample_ball": 0}
+    init = DiscretizedOperator.__init__
+    draw = opnet.verify.sample_ball
+
+    def counting_init(self, *args, **kwargs):
+        calls["operator"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_draw(*args, **kwargs):
+        calls["sample_ball"] += 1
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(DiscretizedOperator, "__init__", counting_init)
+    monkeypatch.setattr(opnet.verify, "sample_ball", counting_draw)
+    assert main(["verify", write(tmp_path, BASE_CONFIG)]) == EXIT_OK
+    # one rough and one smooth draw of the ball samples
+    assert calls == {"operator": 1, "sample_ball": 2}
 
 
 def test_verify_forced_failure_exit_code(capsys, tmp_path):

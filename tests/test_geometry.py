@@ -10,14 +10,32 @@ def unit_interval():
     return Domain(np.array([0.0]), np.array([1.0]))
 
 
+def cell_boxes(part):
+    """(lower, upper) corners of every cell, in cell order."""
+    dom = part.domain
+    h = dom.lengths / np.array(part.axis_counts)
+    lower = dom.lower + np.array(list(np.ndindex(*part.axis_counts))) * h
+    return lower, lower + h
+
+
+def cell_diagonal(part):
+    return float(np.linalg.norm(part.domain.lengths / part.axis_counts))
+
+
+def assert_nodes_in_cells(part):
+    lower, upper = cell_boxes(part)
+    lo, hi = lower[part.node_cell], upper[part.node_cell]
+    assert np.all(part.points >= lo - 1e-12) and np.all(part.points <= hi + 1e-12)
+
+
 def test_uniform_split_1d():
     part = build_partition(unit_interval(), 0.5)
     assert part.num_cells == 2
-    assert part.cells[0].lower[0] == 0.0 and part.cells[0].upper[0] == 0.5
-    assert part.cells[1].lower[0] == 0.5 and part.cells[1].upper[0] == 1.0
-    for cell in part.cells:
-        assert cell.measure == pytest.approx(0.5)
-        assert cell.diameter == pytest.approx(0.5)
+    lower, upper = cell_boxes(part)
+    assert lower[:, 0].tolist() == [0.0, 0.5] and upper[:, 0].tolist() == [0.5, 1.0]
+    assert_nodes_in_cells(part)
+    assert part.measures == pytest.approx([0.5, 0.5])
+    assert cell_diagonal(part) == pytest.approx(0.5)
 
 
 def test_square_diagonal_criterion():
@@ -26,17 +44,18 @@ def test_square_diagonal_criterion():
     # per-axis count ceil(sqrt(2)) = 2, so 4 cells with diagonal sqrt(2)/2
     assert part.axis_counts == (2, 2)
     assert part.num_cells == 4
-    for cell in part.cells:
-        assert cell.diameter == pytest.approx(math.sqrt(2) / 2)
-        assert cell.diameter <= 1.0
-        corners = np.linalg.norm(cell.upper - cell.lower)
-        assert corners == pytest.approx(cell.diameter)
+    assert cell_diagonal(part) == pytest.approx(math.sqrt(2) / 2)
+    assert cell_diagonal(part) <= 1.0
+    lower, upper = cell_boxes(part)
+    corners = np.linalg.norm(upper - lower, axis=1)
+    assert corners == pytest.approx([math.sqrt(2) / 2] * 4)
+    assert_nodes_in_cells(part)
 
 
 def test_coarse_delta_single_cell():
     part = build_partition(unit_interval(), 2.0)
     assert part.num_cells == 1
-    assert part.cells[0].diameter == pytest.approx(1.0)
+    assert cell_diagonal(part) == pytest.approx(1.0)
 
 
 def test_invalid_delta():
@@ -48,17 +67,17 @@ def test_invalid_delta():
 
 def test_midpoint_rule():
     part = build_partition(unit_interval(), 2.0, nodes_per_axis=1)
-    cell = part.cells[0]
-    assert cell.quad_points[0, 0] == pytest.approx(0.5)
-    assert cell.quad_weights[0] == pytest.approx(1.0)
+    assert part.points.shape == (1, 1)
+    assert part.points[0, 0] == pytest.approx(0.5)
+    assert part.weights[0] == pytest.approx(1.0)
 
 
 def test_two_point_gauss_nodes():
     part = build_partition(unit_interval(), 2.0, nodes_per_axis=2)
-    cell = part.cells[0]
     expected = sorted([0.5 - 1 / (2 * math.sqrt(3)), 0.5 + 1 / (2 * math.sqrt(3))])
-    assert sorted(cell.quad_points[:, 0]) == pytest.approx(expected)
-    assert cell.quad_weights == pytest.approx([0.5, 0.5])
+    assert part.node_cell.tolist() == [0, 0]
+    assert sorted(part.points[:, 0]) == pytest.approx(expected)
+    assert part.weights == pytest.approx([0.5, 0.5])
     # exact for x and x^2 on [0, 1]
     x = part.points[:, 0]
     assert np.sum(part.weights * x) == pytest.approx(0.5, abs=1e-14)
@@ -69,8 +88,8 @@ def test_two_point_gauss_nodes():
 def test_weights_sum_to_cell_measure(nodes):
     dom = Domain(np.array([-1.0, 0.0]), np.array([2.0, 0.5]))
     part = build_partition(dom, 0.8, nodes_per_axis=nodes)
-    for cell in part.cells:
-        assert cell.quad_weights.sum() == pytest.approx(cell.measure, rel=1e-12)
+    per_cell = np.bincount(part.node_cell, part.weights, minlength=part.num_cells)
+    assert per_cell == pytest.approx(part.measures, rel=1e-12)
     assert part.weights.sum() == pytest.approx(dom.measure, rel=1e-12)
 
 
@@ -101,8 +120,8 @@ def test_random_boxes_partition_invariants():
         measures = part.measures
         assert np.all(measures > 0)
         assert measures.sum() == pytest.approx(dom.measure, rel=1e-12)
-        for cell in part.cells:
-            assert cell.diameter <= delta * (1 + 1e-9)
+        assert cell_diagonal(part) <= delta * (1 + 1e-9)
+        assert_nodes_in_cells(part)
 
 
 def test_refinement_monotonicity():

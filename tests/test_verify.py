@@ -9,8 +9,7 @@ from opnet.verify import (
     _lq_norms,
     directed_distance,
     hausdorff_distance,
-    verify_bound,
-    verify_steps,
+    verify_run,
 )
 
 
@@ -132,8 +131,8 @@ def test_directed_distance_empty_sets():
 def test_verify_steps_zero_kernel():
     dom = unit_domain()
     kern = builtin_kernel("constant", dom, value=0.0)
-    rep = verify_steps(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0,
-                       delta=0.5, sigma=0.5, samples=50, seed=0)
+    rep = verify_run(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0,
+                     delta=0.5, sigma=0.5, samples=50, seed=0)[0]
     assert rep.passed
     for step in rep.steps:
         assert step.observed_max == 0.0
@@ -142,8 +141,8 @@ def test_verify_steps_zero_kernel():
 def test_verify_steps_constant_kernel_clip_bound():
     dom = unit_domain()
     kern = builtin_kernel("constant", dom, value=1.0)
-    rep = verify_steps(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0,
-                       delta=0.1, sigma=0.1, samples=200, seed=1)
+    rep = verify_run(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0,
+                     delta=0.1, sigma=0.1, samples=200, seed=1)[0]
     assert rep.passed
     by_name = {s.step: s for s in rep.steps}
     # clip bound 2 r^p M mu^(1/q) / gamma^(p-1) = 2 * 1 / 2 = 1
@@ -161,19 +160,37 @@ def test_verify_steps_constant_kernel_clip_bound():
 def test_verify_steps_smooth_kernels(name, kw):
     dom = unit_domain()
     kern = builtin_kernel(name, dom, **kw)
-    rep = verify_steps(kern, dom, p=2, r=1, gamma=1.5, Delta=0.25,
-                       delta=0.25, sigma=0.4, samples=120, seed=2)
+    rep = verify_run(kern, dom, p=2, r=1, gamma=1.5, Delta=0.25,
+                     delta=0.25, sigma=0.4, samples=120, seed=2)[0]
     assert rep.passed
     for step in rep.steps:
         assert step.observed_max <= step.certified + 1e-8
 
 
+def test_step_bounds_are_the_breakdown_terms():
+    # measure 2.25, so every term carries a power of mu other than 1
+    dom = Domain(np.array([0.0, -1.0]), np.array([1.5, 0.5]))
+    kern = builtin_kernel("gaussian", dom, beta=1.0)
+    steps, bound = verify_run(kern, dom, p=3, r=1.5, gamma=2.0, Delta=1.5,
+                              delta=0.5, sigma=0.9, samples=10, seed=0,
+                              bound_scale=0.7)
+    brk = bound.breakdown
+    certified = {s.step: s.certified for s in steps.steps}
+    assert certified == {
+        "clip": 0.7 * brk["tail_term"],
+        "average": 0.7 * brk["psi"],
+        "round": 0.7 * brk["phi"],
+        "snap": 0.7 * brk["alpha"],
+    }
+    assert bound.certified_total == 0.7 * brk["total"]
+
+
 def test_verify_steps_forced_failure():
     dom = unit_domain()
     kern = builtin_kernel("constant", dom, value=1.0)
-    rep = verify_steps(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0,
-                       delta=0.1, sigma=0.1, samples=200, seed=1,
-                       bound_scale=0.0001)
+    rep = verify_run(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0,
+                     delta=0.1, sigma=0.1, samples=200, seed=1,
+                     bound_scale=0.0001)[0]
     assert not rep.passed
 
 
@@ -184,8 +201,8 @@ def test_verify_steps_forced_failure():
 def test_verify_bound_constant_kernel():
     dom = unit_domain()
     kern = builtin_kernel("constant", dom, value=1.0)
-    rep = verify_bound(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0,
-                       delta=0.25, sigma=0.2, samples=60, seed=3)
+    rep = verify_run(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0,
+                     delta=0.25, sigma=0.2, samples=60, seed=3)[1]
     assert rep.passed
     assert rep.directed_sampled_to_family <= rep.certified_total + 1e-8
     assert 0.0 <= rep.ratio <= 1.0
@@ -198,8 +215,8 @@ def test_verify_bound_sample_mode_and_determinism():
     kern = builtin_kernel("gaussian", dom, beta=1.0)
     kwargs = dict(p=2, r=1, gamma=1.5, Delta=0.5, delta=0.5, sigma=0.7,
                   samples=40, seed=4, family_mode="sample", family_samples=80)
-    a = verify_bound(kern, dom, **kwargs)
-    b = verify_bound(kern, dom, **kwargs)
+    a = verify_run(kern, dom, **kwargs)[1]
+    b = verify_run(kern, dom, **kwargs)[1]
     assert a.to_dict() == b.to_dict()
     assert a.passed
 
@@ -207,17 +224,17 @@ def test_verify_bound_sample_mode_and_determinism():
 def test_verify_bound_forced_failure():
     dom = unit_domain()
     kern = builtin_kernel("constant", dom, value=1.0)
-    rep = verify_bound(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0,
-                       delta=0.25, sigma=0.2, samples=60, seed=3,
-                         bound_scale=0.01)
+    rep = verify_run(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0,
+                     delta=0.25, sigma=0.2, samples=60, seed=3,
+                     bound_scale=0.01)[1]
     assert not rep.passed
 
 
 def test_verify_bound_report_shape():
     dom = unit_domain()
     kern = builtin_kernel("constant", dom, value=1.0)
-    rep = verify_bound(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0,
-                       delta=0.5, sigma=0.5, samples=20, seed=5)
+    rep = verify_run(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0,
+                     delta=0.5, sigma=0.5, samples=20, seed=5)[1]
     d = rep.to_dict()
     assert set(d["breakdown"]) == {
         "lambda", "c_star", "tail_term", "psi", "phi", "alpha", "total",
