@@ -8,7 +8,6 @@ from .family import (
     clip_to_gamma,
     count_family,
     enumerate_family,
-    project_to_net,
     round_magnitude,
     run_pipeline,
     sample_ball,
@@ -22,19 +21,10 @@ from .kernels import (
     Kernel,
     KernelMetrics,
     builtin_kernel,
-    certified_metrics,
-    estimate_metrics,
-    kernel_sup_norm,
     load_tabulated_kernel,
-    modulus_of_continuity,
     save_tabulated_kernel,
 )
 from .sphere import DirectionNet, build_sigma_net, verify_covering
-from .verify import (
-    VerificationReport,
-    directed_distance,
-    hausdorff_distance,
-    verify_run,
-)
+from .verify import VerificationReport, directed_distance, verify_run
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import RefineOmegaError
 from .kernels import KernelMetrics
 
 __all__ = ["BoundBreakdown", "ParameterSelection", "error_bound",
@@ -28,8 +27,6 @@ class BoundBreakdown:
     phi: float
     alpha: float
     total: float
-    metrics_provenance: str
-    omega_flagged: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -40,8 +37,6 @@ class BoundBreakdown:
             "phi": self.phi,
             "alpha": self.alpha,
             "total": self.total,
-            "metrics_provenance": self.metrics_provenance,
-            "omega_flagged": self.omega_flagged,
         }
 
 
@@ -79,7 +74,6 @@ def error_bound(
     delta: float,
     sigma: float,
     metrics: KernelMetrics,
-    strict: bool = False,
 ) -> BoundBreakdown:
     """All five certified terms and their exact float sum."""
     if p <= 1:
@@ -99,17 +93,15 @@ def error_bound(
 
     q = p / (p - 1.0)
     big_m = metrics.sup_norm
-    omega, flagged = metrics.omega(Delta, strict=strict)
+    omega = metrics.omega(Delta)
     c_star = 2.0 * r**p * mu ** (1.0 / q)
     tail = c_star * big_m / gamma ** (p - 1.0)
     psi = 2.0 * r * mu ** (2.0 / q) * omega
     phi = big_m * mu ** (1.0 + 1.0 / q) * delta
     alpha = big_m * mu ** (1.0 + 1.0 / q) * gamma * sigma
     total = lam + tail + psi + phi + alpha
-    return BoundBreakdown(
-        lam=lam, c_star=c_star, tail_term=tail, psi=psi, phi=phi, alpha=alpha,
-        total=total, metrics_provenance=metrics.provenance, omega_flagged=flagged,
-    )
+    return BoundBreakdown(lam=lam, c_star=c_star, tail_term=tail, psi=psi,
+                          phi=phi, alpha=alpha, total=total)
 
 
 def select_parameters(
@@ -149,7 +141,9 @@ def select_parameters(
     sigma = min(sigma, 2.0)  # sphere diameter
 
     omega_target = epsilon / (5.0 * 2.0 * r * mu ** (2.0 / q))
-    Delta = _pick_partition_delta(metrics, omega_target, fallback_delta)
+    # omega(Delta) <= lipschitz * Delta meets the target
+    Delta = (omega_target / metrics.lipschitz if metrics.lipschitz > 0
+             else fallback_delta)
 
     achieved = error_bound(p, r, mu, lam, gamma, Delta, delta, sigma, metrics)
     return ParameterSelection(
@@ -157,16 +151,3 @@ def select_parameters(
         delta=delta, sigma=sigma, achieved=achieved,
     )
 
-
-def _pick_partition_delta(metrics: KernelMetrics, omega_target: float,
-                          fallback: float) -> float:
-    if metrics.lipschitz is not None:
-        if metrics.lipschitz == 0.0:
-            return fallback
-        return omega_target / metrics.lipschitz
-    # conservative table lookup: largest tabulated Delta meeting the target
-    feasible = [d for d, w in metrics.omega_table if w <= omega_target]
-    if not feasible:
-        finest_d, finest_w = metrics.omega_table[0]
-        raise RefineOmegaError(omega_target, finest_d, finest_w)
-    return max(feasible)

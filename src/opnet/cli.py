@@ -24,20 +24,14 @@ from .errors import (
     ConfigError,
     CoverageUnverifiableError,
     FamilyTooLargeError,
-    RefineOmegaError,
 )
 from .family import count_family, enumerate_family, sample_family
 from .geometry import Domain
 from .integral_op import DiscretizedOperator
-from .kernels import (
-    builtin_kernel,
-    certified_metrics,
-    estimate_metrics,
-    load_tabulated_kernel,
-)
+from .kernels import builtin_kernel, load_tabulated_kernel
 from .verify import _setup, verify_run
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 # family members whose images build holds at once while writing images.csv
 IMAGE_BLOCK = 4096
 
@@ -55,7 +49,6 @@ class RunConfig:
     kernel_name: str
     kernel_params: dict = field(default_factory=dict)
     kernel_file: str | None = None
-    matrix_norm: str = "spectral"
     p: float = 2.0
     r: float = 1.0
     gamma: float | None = None
@@ -70,16 +63,13 @@ class RunConfig:
     enum_cap: int = 10_000_000
     family_mode: str = "enumerate"
     family_samples: int = 500
-    strict_metrics: bool = False
-    metrics_resolution: int = 12
     output: str | None = None
     debug_bound_scale: float = 1.0
 
 
 _FLOAT_FIELDS = {"p", "r", "gamma", "Delta", "delta", "sigma", "lam",
                  "epsilon", "debug_bound_scale"}
-_INT_FIELDS = {"quad_nodes", "seed", "samples", "enum_cap", "family_samples",
-               "metrics_resolution"}
+_INT_FIELDS = {"quad_nodes", "seed", "samples", "enum_cap", "family_samples"}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -106,13 +96,10 @@ def parse_config(text: str) -> RunConfig:
 
     kernel_name = opt("kernel", "name", "constant")
     kernel_file = opt("kernel", "file")
-    matrix_norm = opt("kernel", "matrix_norm", "spectral")
-    if matrix_norm not in ("spectral", "frobenius"):
-        raise ConfigError(f"[kernel] matrix_norm: unknown value {matrix_norm!r}")
     kernel_params = {}
     if cp.has_section("kernel"):
         for key, val in cp.items("kernel"):
-            if key in ("name", "file", "matrix_norm"):
+            if key in ("name", "file"):
                 continue
             try:
                 kernel_params[key] = float(val)
@@ -122,7 +109,7 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(
         dim=dim, lower=lower, upper=upper,
         kernel_name=kernel_name, kernel_params=kernel_params,
-        kernel_file=kernel_file, matrix_norm=matrix_norm,
+        kernel_file=kernel_file,
     )
 
     alias = {"lambda": "lam"}
@@ -143,8 +130,6 @@ def parse_config(text: str) -> RunConfig:
                     raise ConfigError(f"[{section}] {key}: not an integer") from None
             elif name in ("family_mode", "output"):
                 setattr(cfg, name, val)
-            elif name == "strict_metrics":
-                setattr(cfg, name, val.lower() in ("1", "true", "yes"))
             else:
                 raise ConfigError(f"[{section}] {key}: unknown field")
 
@@ -175,7 +160,7 @@ def serialize_config(cfg: RunConfig) -> str:
         "lower": " ".join(repr(v) for v in cfg.lower),
         "upper": " ".join(repr(v) for v in cfg.upper),
     }
-    kern = {"name": cfg.kernel_name, "matrix_norm": cfg.matrix_norm}
+    kern = {"name": cfg.kernel_name}
     if cfg.kernel_file:
         kern["file"] = cfg.kernel_file
     for key, val in sorted(cfg.kernel_params.items()):
@@ -195,8 +180,6 @@ def serialize_config(cfg: RunConfig) -> str:
         "enum_cap": str(cfg.enum_cap),
         "family_mode": cfg.family_mode,
         "family_samples": str(cfg.family_samples),
-        "strict_metrics": str(cfg.strict_metrics).lower(),
-        "metrics_resolution": str(cfg.metrics_resolution),
         "debug_bound_scale": repr(cfg.debug_bound_scale),
     }
     if cfg.output:
@@ -216,13 +199,18 @@ def _config_dict(cfg: RunConfig) -> dict:
 
 
 def resolve(cfg: RunConfig):
-    """Build (domain, kernel, metrics) and fill in epsilon-mode parameters."""
+    """Build (domain, kernel) and fill in epsilon-mode parameters."""
     domain = Domain(np.array(cfg.lower), np.array(cfg.upper))
 
     if cfg.kernel_file:
         kernel, file_domain = load_tabulated_kernel(cfg.kernel_file)
         if file_domain.dim != domain.dim:
             raise ConfigError("[kernel] file: domain dimension mismatch")
+        if (np.any(domain.lower < file_domain.lower)
+                or np.any(domain.upper > file_domain.upper)):
+            raise ConfigError(
+                "[domain]: lies outside the kernel file's domain "
+                f"{file_domain.lower.tolist()}..{file_domain.upper.tolist()}")
     elif cfg.kernel_name == "block_diag":
         comps = []
         spec = cfg.kernel_params.get("components", "")
@@ -243,22 +231,10 @@ def resolve(cfg: RunConfig):
     else:
         kernel = builtin_kernel(cfg.kernel_name, domain, **cfg.kernel_params)
 
-    if kernel.analytic is not None:
-        metrics = certified_metrics(kernel)
-    elif cfg.strict_metrics:
-        raise ConfigError(
-            "[run] strict_metrics: kernel has no analytic metrics"
-        )
-    else:
-        deltas = np.geomspace(domain.diameter / 200.0, domain.diameter, 16)
-        metrics = estimate_metrics(
-            kernel, domain, deltas, cfg.metrics_resolution, cfg.matrix_norm
-        )
-
     selection = None
     if cfg.epsilon is not None:
         selection = bounds_mod.select_parameters(
-            cfg.epsilon, cfg.p, cfg.r, domain.measure, metrics,
+            cfg.epsilon, cfg.p, cfg.r, domain.measure, kernel.metrics,
             delta_cap=domain.diameter,
         )
         cfg.gamma = selection.gamma
@@ -266,7 +242,7 @@ def resolve(cfg: RunConfig):
         cfg.delta = selection.delta
         cfg.sigma = selection.sigma
         cfg.lam = selection.lam
-    return domain, kernel, metrics, selection
+    return domain, kernel, selection
 
 
 def _dump_json(obj, path: str | None) -> str:
@@ -283,10 +259,10 @@ def _dump_json(obj, path: str | None) -> str:
 
 
 def cmd_bound(cfg: RunConfig) -> int:
-    domain, kernel, metrics, selection = resolve(cfg)
+    domain, kernel, selection = resolve(cfg)
     breakdown = bounds_mod.error_bound(
         cfg.p, cfg.r, domain.measure, cfg.lam, cfg.gamma, cfg.Delta,
-        cfg.delta, cfg.sigma, metrics,
+        cfg.delta, cfg.sigma, kernel.metrics,
     )
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -300,7 +276,7 @@ def cmd_bound(cfg: RunConfig) -> int:
 
 
 def cmd_build(cfg: RunConfig) -> int:
-    domain, kernel, metrics, _ = resolve(cfg)
+    domain, kernel, _ = resolve(cfg)
     partition, grid, net = _setup(kernel, domain, cfg.gamma, cfg.Delta, cfg.delta,
                                   cfg.sigma, cfg.quad_nodes, cfg.seed)
     count = count_family(partition, grid, net, cfg.p, cfg.r)
@@ -351,10 +327,10 @@ def cmd_build(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    domain, kernel, metrics, selection = resolve(cfg)
+    domain, kernel, _ = resolve(cfg)
     steps_report, bound_report = verify_run(
         kernel, domain, cfg.p, cfg.r, cfg.gamma, cfg.Delta, cfg.delta,
-        cfg.sigma, cfg.samples, cfg.seed, cfg.lam, metrics, cfg.quad_nodes,
+        cfg.sigma, cfg.samples, cfg.seed, cfg.lam, cfg.quad_nodes,
         family_mode=cfg.family_mode, enum_cap=cfg.enum_cap,
         family_samples=cfg.family_samples,
         bound_scale=cfg.debug_bound_scale,
@@ -379,7 +355,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
     if axis not in ("gamma", "Delta", "delta", "sigma", "lam"):
         raise ConfigError(f"sweep axis: unknown parameter {axis!r}")
-    domain, kernel, metrics, _ = resolve(cfg)
+    domain, kernel, _ = resolve(cfg)
     rows = []
     for value in values:
         kwargs = {
@@ -390,7 +366,7 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
         _, report = verify_run(
             kernel, domain, cfg.p, cfg.r, kwargs["gamma"], kwargs["Delta"],
             kwargs["delta"], kwargs["sigma"], cfg.samples, cfg.seed,
-            kwargs["lam"], metrics, cfg.quad_nodes,
+            kwargs["lam"], cfg.quad_nodes,
             family_mode=cfg.family_mode, enum_cap=cfg.enum_cap,
             family_samples=cfg.family_samples,
         )
@@ -449,7 +425,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (BudgetTableTooLargeError, FamilyTooLargeError,
-            CoverageUnverifiableError, RefineOmegaError) as exc:
+            CoverageUnverifiableError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     return EXIT_CONFIG

@@ -30,18 +30,5 @@ class CoverageUnverifiableError(RuntimeError):
         )
 
 
-class RefineOmegaError(RuntimeError):
-    """The modulus-of-continuity table is too coarse for the requested target."""
-
-    def __init__(self, target, finest_delta, finest_omega):
-        self.target = target
-        self.finest_delta = finest_delta
-        self.finest_omega = finest_omega
-        super().__init__(
-            f"omega table cannot reach target {target}: finest entry "
-            f"omega({finest_delta}) = {finest_omega}; re-estimate with smaller deltas"
-        )
-
-
 class ConfigError(ValueError):
     """Invalid run configuration; message names the offending field."""

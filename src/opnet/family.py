@@ -10,8 +10,9 @@ element onto the family with tracked per-step displacement.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,10 +24,8 @@ from .sphere import DirectionNet
 
 __all__ = [
     "MagnitudeGrid",
-    "ProjectionReport",
     "build_magnitude_grid",
     "budget_limit",
-    "budget_used",
     "integer_budget",
     "count_family",
     "enumerate_family",
@@ -38,7 +37,6 @@ __all__ = [
     "snap_direction",
     "run_pipeline",
     "tchebyshev_measure",
-    "project_to_net",
 ]
 
 # absolute slack for the floating budget comparison; reported, never silent
@@ -73,11 +71,6 @@ def build_magnitude_grid(gamma: float, a: int) -> MagnitudeGrid:
 
 def budget_limit(p: float, r: float) -> float:
     return r**p + BUDGET_SLACK * max(1.0, r**p)
-
-
-def budget_used(measures, magnitudes, p: float) -> float:
-    """Compensated sum of mu_i * z_i^p (math.fsum is order-independent)."""
-    return math.fsum(float(m) * float(z) ** p for m, z in zip(measures, magnitudes))
 
 
 def integer_budget(costs: np.ndarray, limit: float) -> tuple[list[list[int]], int]:
@@ -150,6 +143,17 @@ class _BudgetTable:
         return tables[::-1]
 
 
+@functools.lru_cache(maxsize=1)
+def _budget_table(partition: Partition, grid: MagnitudeGrid, p: float,
+                  r: float) -> _BudgetTable:
+    """The table of the last (partition, grid, p, r) asked for, so that a
+    run's count and its enumeration or sample share one build.
+
+    Partitions and grids hash by identity, and neither changes once built.
+    """
+    return _BudgetTable(partition, grid, p, r)
+
+
 def count_family(
     partition: Partition,
     grid: MagnitudeGrid,
@@ -162,7 +166,7 @@ def count_family(
     Zero magnitudes contribute no direction factor (the zero function on a
     cell is direction-free), so each nonzero cell weighs `net.size`.
     """
-    return _BudgetTable(partition, grid, p, r).completions(net.size)[0][0]
+    return _budget_table(partition, grid, p, r).completions(net.size)[0][0]
 
 
 def enumerate_family(
@@ -178,7 +182,7 @@ def enumerate_family(
 
     Zero-magnitude cells carry the canonical direction index 0.
     """
-    table = _BudgetTable(partition, grid, p, r)
+    table = _budget_table(partition, grid, p, r)
     c = net.size
     total = table.completions(c)[0][0]
     if total > cap:
@@ -231,7 +235,7 @@ def sample_family(
     if count < 0:
         raise ValueError("count must be >= 0")
     rng = np.random.default_rng(seed)
-    table = _BudgetTable(partition, grid, p, r)
+    table = _budget_table(partition, grid, p, r)
     completions = table.completions(1)
     probs = {}  # (cell, used budget) -> level probabilities, as visited
     mags = np.zeros((count, partition.num_cells), dtype=int)
@@ -373,51 +377,3 @@ def tchebyshev_measure(x: SampledFn, gamma: float):
     """Measure of the nodes where |x| exceeds gamma (one per member of a stack)."""
     over = np.linalg.norm(x.values, axis=-1) > gamma
     return np.where(over, x.partition.weights, 0.0).sum(axis=-1)
-
-
-@dataclass
-class ProjectionReport:
-    """Input-space displacement of each pipeline stage."""
-
-    steps: dict[str, dict[str, float]] = field(default_factory=dict)
-    tchebyshev_measure: float = 0.0
-    budget_used: float = 0.0
-    budget_limit: float = 0.0
-
-
-def _sup_l1(partition: Partition, a: np.ndarray, b: np.ndarray) -> dict[str, float]:
-    d = np.linalg.norm(a - b, axis=1)
-    return {
-        "sup": float(d.max()) if d.size else 0.0,
-        "l1": float(np.sum(partition.weights * d)),
-    }
-
-
-def project_to_net(
-    x: SampledFn,
-    gamma: float,
-    partition: Partition,
-    grid: MagnitudeGrid,
-    net: DirectionNet,
-    p: float,
-    r: float,
-) -> tuple[PiecewiseConstFn, ProjectionReport]:
-    """Run the full pipeline and verify the result is a family member."""
-    if lp_norm(x, p) > r * (1.0 + 1e-9):
-        raise ValueError("input lies outside the L_p ball of radius r")
-    report = ProjectionReport()
-    stages = [x, *run_pipeline(x, gamma, partition, grid, net)]
-    nodes = [g.to_sampled().values for g in stages]
-    for name, before, after in zip(("clip", "average", "round", "snap"),
-                                   nodes, nodes[1:]):
-        report.steps[name] = _sup_l1(partition, before, after)
-    report.tchebyshev_measure = float(tchebyshev_measure(x, gamma))
-
-    snapped = stages[-1]
-    report.budget_used = budget_used(
-        partition.measures, grid.values[snapped.mag_idx], p
-    )
-    report.budget_limit = budget_limit(p, r)
-    if report.budget_used > report.budget_limit:
-        raise AssertionError("projected function violates the power budget")
-    return snapped, report

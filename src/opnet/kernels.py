@@ -1,9 +1,8 @@
 """Kernel catalogue, tabulated kernels, and the kernel metrics M and omega.
 
-Builtins carry closed-form metrics (an exact or upper-bounding sup norm and a
-Lipschitz constant in the second argument), so bounds computed from them are
-certified.  Grid-sampled metrics are lower estimates of the true suprema and
-are labeled "estimated".
+Every kernel carries certified metrics: an upper bound on its sup norm and a
+Lipschitz constant in the second argument, both in the spectral norm.
+Builtins take them in closed form, tabulated kernels from their node values.
 """
 
 from __future__ import annotations
@@ -14,39 +13,29 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import RefineOmegaError
 from .geometry import Domain
 
 __all__ = [
     "Kernel",
     "KernelMetrics",
-    "AnalyticMetrics",
     "builtin_kernel",
-    "certified_metrics",
-    "estimate_metrics",
-    "kernel_sup_norm",
-    "modulus_of_continuity",
-    "matrix_norm",
     "save_tabulated_kernel",
     "load_tabulated_kernel",
 ]
 
 
-def matrix_norm(mats: np.ndarray, kind: str = "spectral") -> np.ndarray:
-    """Norm of a stack of matrices shaped (..., m, n)."""
-    if kind == "spectral":
-        return np.linalg.norm(mats, ord=2, axis=(-2, -1))
-    if kind == "frobenius":
-        return np.linalg.norm(mats, ord="fro", axis=(-2, -1))
-    raise ValueError(f"unknown matrix norm {kind!r}")
-
-
 @dataclass(frozen=True, eq=False)
-class AnalyticMetrics:
-    """Closed-form sup norm and second-argument Lipschitz constant."""
+class KernelMetrics:
+    """Certified sup norm M and second-argument Lipschitz constant."""
 
     sup_norm: float  # upper bound on sup ||K(xi, s)||
     lipschitz: float  # ||K(xi,s2) - K(xi,s1)|| <= lipschitz * ||s2 - s1||
+
+    def omega(self, delta: float) -> float:
+        """Modulus of continuity in the second argument at `delta`."""
+        if delta <= 0:
+            raise ValueError(f"delta must be positive, got {delta}")
+        return min(self.lipschitz * delta, 2.0 * self.sup_norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +45,7 @@ class Kernel:
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str
     params: dict
-    analytic: AnalyticMetrics | None = None
+    metrics: KernelMetrics
 
     def evaluate(self, xi: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Evaluate at broadcast point pairs; returns shape (..., m, n)."""
@@ -98,7 +87,7 @@ def builtin_kernel(name: str, domain: Domain, **params) -> Kernel:
 
         sup = float(np.linalg.norm(value, ord=2))
         return Kernel(m, n, fn, "constant", {"value": value.tolist()},
-                      AnalyticMetrics(sup_norm=sup, lipschitz=0.0))
+                      KernelMetrics(sup_norm=sup, lipschitz=0.0))
 
     if name == "gaussian":
         beta = float(params.get("beta", 1.0))
@@ -112,7 +101,7 @@ def builtin_kernel(name: str, domain: Domain, **params) -> Kernel:
         # |d/dt exp(-beta t^2)| peaks at t = 1/sqrt(2 beta)
         lip = math.sqrt(2.0 * beta) * math.exp(-0.5)
         return Kernel(1, 1, _scalar(g), "gaussian", {"beta": beta},
-                      AnalyticMetrics(sup_norm=1.0, lipschitz=lip))
+                      KernelMetrics(sup_norm=1.0, lipschitz=lip))
 
     if name == "product":
         radius = _corner_radius(domain)
@@ -121,7 +110,7 @@ def builtin_kernel(name: str, domain: Domain, **params) -> Kernel:
             return np.sum(xi * s, axis=-1)
 
         return Kernel(1, 1, _scalar(prod), "product", {},
-                      AnalyticMetrics(sup_norm=radius**2, lipschitz=radius))
+                      KernelMetrics(sup_norm=radius**2, lipschitz=radius))
 
     if name == "block_diag":
         components = params["components"]
@@ -141,116 +130,13 @@ def builtin_kernel(name: str, domain: Domain, **params) -> Kernel:
             return out
 
         # spectral norm of a diagonal matrix is the max |entry|
-        sup = max(k.analytic.sup_norm for k in kernels)
-        lip = max(k.analytic.lipschitz for k in kernels)
+        sup = max(k.metrics.sup_norm for k in kernels)
+        lip = max(k.metrics.lipschitz for k in kernels)
         return Kernel(d, d, blk, "block_diag",
                       {"components": [k.name for k in kernels]},
-                      AnalyticMetrics(sup_norm=sup, lipschitz=lip))
+                      KernelMetrics(sup_norm=sup, lipschitz=lip))
 
     raise ValueError(f"unknown builtin kernel {name!r}")
-
-
-# --------------------------------------------------------------------------
-# metrics
-
-
-@dataclass(frozen=True, eq=False)
-class KernelMetrics:
-    """Sup norm M and modulus of continuity omega, certified or estimated.
-
-    Certified metrics carry an analytic Lipschitz constant; estimated metrics
-    carry a monotone table of grid-sampled lower estimates.
-    """
-
-    sup_norm: float
-    provenance: str  # "certified" | "estimated"
-    lipschitz: float | None = None
-    omega_table: tuple[tuple[float, float], ...] = ()
-
-    def omega(self, delta: float, strict: bool = False) -> tuple[float, bool]:
-        """omega(delta) and a flag set when the value was taken off-table."""
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
-        if self.lipschitz is not None:
-            return min(self.lipschitz * delta, 2.0 * self.sup_norm), False
-        if not self.omega_table:
-            raise ValueError("no omega information available")
-        for d, w in self.omega_table:
-            if d >= delta:
-                return w, False
-        if strict:
-            raise RefineOmegaError(delta, self.omega_table[-1][0],
-                                   self.omega_table[-1][1])
-        return self.omega_table[-1][1], True
-
-
-def certified_metrics(kernel: Kernel) -> KernelMetrics:
-    if kernel.analytic is None:
-        raise ValueError(f"kernel {kernel.name!r} has no analytic metrics")
-    return KernelMetrics(
-        sup_norm=kernel.analytic.sup_norm,
-        provenance="certified",
-        lipschitz=kernel.analytic.lipschitz,
-    )
-
-
-def _grid_points(domain: Domain, resolution: int) -> np.ndarray:
-    axes = [
-        np.linspace(domain.lower[j], domain.upper[j], resolution)
-        for j in range(domain.dim)
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def kernel_sup_norm(
-    kernel: Kernel, domain: Domain, resolution: int = 12,
-    norm: str = "spectral",
-) -> float:
-    """Max matrix norm over a tensor grid on Omega x Omega (a lower estimate)."""
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    pts = _grid_points(domain, resolution)
-    mats = kernel.evaluate(pts[:, None, :], pts[None, :, :])
-    return float(matrix_norm(mats, norm).max())
-
-
-def modulus_of_continuity(
-    kernel: Kernel, domain: Domain, deltas, resolution: int = 12,
-    norm: str = "spectral",
-) -> tuple[tuple[float, float], ...]:
-    """Monotone table of grid-sampled omega(delta) lower estimates."""
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    deltas = sorted(float(d) for d in deltas)
-    if any(d <= 0 for d in deltas):
-        raise ValueError("deltas must be positive")
-    pts = _grid_points(domain, resolution)
-    mats = kernel.evaluate(pts[:, None, :], pts[None, :, :])  # (X, S, m, n)
-    sdist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)  # (S, S)
-    # variation[a, b] = max over xi of ||K(xi, s_b) - K(xi, s_a)||
-    diff = mats[:, None, :, :, :] - mats[:, :, None, :, :]  # (X, S, S, m, n)
-    variation = matrix_norm(diff, norm).max(axis=0)
-
-    table = []
-    running = 0.0
-    for d in deltas:
-        mask = sdist <= d
-        val = float(variation[mask].max()) if mask.any() else 0.0
-        running = max(running, val)
-        table.append((d, running))
-    return tuple(table)
-
-
-def estimate_metrics(
-    kernel: Kernel, domain: Domain, deltas, resolution: int = 12,
-    norm: str = "spectral",
-) -> KernelMetrics:
-    return KernelMetrics(
-        sup_norm=kernel_sup_norm(kernel, domain, resolution, norm),
-        provenance="estimated",
-        omega_table=modulus_of_continuity(kernel, domain, deltas, resolution, norm),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -300,8 +186,36 @@ def save_tabulated_kernel(path, kernel: Kernel, domain: Domain,
             fh.write("\n")
 
 
+def _node_metrics(vals: np.ndarray, axes) -> KernelMetrics:
+    """Certified metrics of the multilinear interpolant of node values `vals`
+    shaped (xi grid, s grid, m, n) on the k axes `axes`.
+
+    In each cell the interpolant is a convex combination of node values, so
+    the largest node norm bounds ||K||.  Its partial derivative along s-axis
+    j is a convex combination of node differences along that axis over the
+    spacing, so its norm is at most L_j, the largest difference norm over
+    the smallest spacing; Cauchy-Schwarz then gives
+    ||K(xi, s2) - K(xi, s1)|| <= ||(L_1, ..., L_k)||_2 ||s2 - s1||.
+    """
+    k = len(axes)
+
+    def largest_norm(mats):
+        # for one row or one column the spectral norm is the Frobenius norm,
+        # which needs no SVD per node
+        kind = "fro" if min(mats.shape[-2:]) == 1 else 2
+        return float(np.linalg.norm(mats, ord=kind, axis=(-2, -1)).max())
+
+    lips = [largest_norm(np.diff(vals, axis=k + j)) / np.diff(ax).min()
+            for j, ax in enumerate(axes)]
+    return KernelMetrics(sup_norm=largest_norm(vals),
+                         lipschitz=float(np.linalg.norm(lips)))
+
+
 def load_tabulated_kernel(path) -> tuple[Kernel, Domain]:
-    """Read a tabulated kernel; evaluation is multilinear interpolation."""
+    """Read a tabulated kernel; evaluation is multilinear interpolation.
+
+    Evaluating outside the file's domain raises ValueError.
+    """
     # imported here: scipy.interpolate is most of the package's import time,
     # and only tabulated kernels use it
     from scipy.interpolate import RegularGridInterpolator
@@ -333,7 +247,7 @@ def load_tabulated_kernel(path) -> tuple[Kernel, Domain]:
     axes = [np.linspace(lower[j], upper[j], grid_shape[j]) for j in range(k)]
     interp = RegularGridInterpolator(
         tuple(axes) + tuple(axes), vals.reshape(grid_shape + grid_shape + (m * n,)),
-        method="linear", bounds_error=False, fill_value=None,
+        method="linear", bounds_error=True,
     )
 
     def fn(xi, s):
@@ -343,5 +257,6 @@ def load_tabulated_kernel(path) -> tuple[Kernel, Domain]:
         out = interp(np.concatenate([xi_b, s_b], axis=1))
         return out.reshape(shape + (m, n))
 
-    kernel = Kernel(m, n, fn, "tabulated", {"path": str(path)})
+    kernel = Kernel(m, n, fn, "tabulated", {"path": str(path)},
+                    _node_metrics(vals, axes))
     return kernel, domain

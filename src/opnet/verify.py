@@ -26,14 +26,13 @@ from .family import (
 from .functions import SampledFn, lp_norm
 from .geometry import Domain, build_partition
 from .integral_op import DiscretizedOperator
-from .kernels import Kernel, KernelMetrics, certified_metrics
+from .kernels import Kernel
 from .sphere import build_sigma_net
 
 __all__ = [
     "StepRecord",
     "VerificationReport",
     "directed_distance",
-    "hausdorff_distance",
     "verify_run",
 ]
 
@@ -163,13 +162,6 @@ def directed_distance(from_fns: SampledFn, to_fns: SampledFn, q: float) -> float
     return float(best.max())
 
 
-def hausdorff_distance(u_fns, v_fns, q: float) -> float:
-    if not u_fns or not v_fns:
-        raise ValueError("both sets must be nonempty")
-    return max(directed_distance(u_fns, v_fns, q),
-               directed_distance(v_fns, u_fns, q))
-
-
 # --------------------------------------------------------------------------
 # reports
 
@@ -283,7 +275,6 @@ def verify_run(
     samples: int,
     seed: int = 0,
     lam: float = 0.0,
-    metrics: KernelMetrics | None = None,
     nodes_per_axis: int = 3,
     family_mode: str = "enumerate",
     enum_cap: int = 10_000_000,
@@ -301,20 +292,18 @@ def verify_run(
         raise ValueError("samples must be >= 1")
     if family_mode not in ("enumerate", "sample"):
         raise ValueError(f"unknown family mode {family_mode!r}")
-    if metrics is None:
-        metrics = certified_metrics(kernel)
     partition, grid, net = _setup(
         kernel, domain, gamma, Delta, delta, sigma, nodes_per_axis, seed
     )
     q = p / (p - 1.0)
     breakdown = error_bound(
-        p, r, domain.measure, lam, gamma, Delta, grid.delta_step, sigma, metrics
+        p, r, domain.measure, lam, gamma, Delta, grid.delta_step, sigma,
+        kernel.metrics,
     )
     config = {
         "kernel": kernel.name, "p": p, "r": r, "gamma": gamma,
         "Delta": Delta, "delta": grid.delta_step, "sigma": sigma,
         "samples": samples, "nodes_per_axis": nodes_per_axis,
-        "metrics_provenance": metrics.provenance,
     }
 
     op = DiscretizedOperator(kernel, partition)

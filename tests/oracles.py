@@ -2,6 +2,9 @@
 
 import itertools
 import math
+from typing import NamedTuple
+
+import numpy as np
 
 from opnet.family import budget_limit
 
@@ -47,3 +50,73 @@ def square_budget_count(n_cells, levels, budget, net_size):
                 nxt[s + j * j] += n * (net_size if j else 1)
         ways = nxt
     return sum(ways)
+
+
+# --------------------------------------------------------------------------
+# grid-sampled kernel metrics: lower estimates of the true suprema, which the
+# certified metrics must never fall below
+
+
+class EstimatedMetrics(NamedTuple):
+    sup_norm: float
+    omega_table: tuple  # monotone ((delta, omega lower estimate), ...)
+
+
+def matrix_norm(mats, kind="spectral"):
+    """Norm of a stack of matrices shaped (..., m, n)."""
+    if kind == "spectral":
+        return np.linalg.norm(mats, ord=2, axis=(-2, -1))
+    if kind == "frobenius":
+        return np.linalg.norm(mats, ord="fro", axis=(-2, -1))
+    raise ValueError(f"unknown matrix norm {kind!r}")
+
+
+def _grid_points(domain, resolution):
+    axes = [
+        np.linspace(domain.lower[j], domain.upper[j], resolution)
+        for j in range(domain.dim)
+    ]
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def kernel_sup_norm(kernel, domain, resolution=12, norm="spectral"):
+    """Max matrix norm over a tensor grid on Omega x Omega (a lower estimate)."""
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2")
+    pts = _grid_points(domain, resolution)
+    mats = kernel.evaluate(pts[:, None, :], pts[None, :, :])
+    return float(matrix_norm(mats, norm).max())
+
+
+def modulus_of_continuity(kernel, domain, deltas, resolution=12,
+                          norm="spectral"):
+    """Monotone table of grid-sampled omega(delta) lower estimates."""
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2")
+    deltas = sorted(float(d) for d in deltas)
+    if any(d <= 0 for d in deltas):
+        raise ValueError("deltas must be positive")
+    pts = _grid_points(domain, resolution)
+    mats = kernel.evaluate(pts[:, None, :], pts[None, :, :])  # (X, S, m, n)
+    sdist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)  # (S, S)
+    # variation[a, b] = max over xi of ||K(xi, s_b) - K(xi, s_a)||
+    diff = mats[:, None, :, :, :] - mats[:, :, None, :, :]  # (X, S, S, m, n)
+    variation = matrix_norm(diff, norm).max(axis=0)
+
+    table = []
+    running = 0.0
+    for d in deltas:
+        mask = sdist <= d
+        val = float(variation[mask].max()) if mask.any() else 0.0
+        running = max(running, val)
+        table.append((d, running))
+    return tuple(table)
+
+
+def estimate_metrics(kernel, domain, deltas, resolution=12, norm="spectral"):
+    return EstimatedMetrics(
+        sup_norm=kernel_sup_norm(kernel, domain, resolution, norm),
+        omega_table=modulus_of_continuity(kernel, domain, deltas, resolution,
+                                          norm),
+    )

@@ -26,11 +26,11 @@ from opnet.family import (
 from opnet.functions import SampledFn, lp_norm
 from opnet.geometry import Domain, build_partition
 from opnet.integral_op import DiscretizedOperator
-from opnet.kernels import builtin_kernel, certified_metrics, estimate_metrics
+from opnet.kernels import builtin_kernel
 from opnet.sphere import DirectionNet, build_sigma_net
 from opnet.verify import verify_run
 
-from oracles import brute_force_count
+from oracles import brute_force_count, estimate_metrics
 
 
 def report(num, ok, detail):
@@ -114,7 +114,7 @@ def test_criterion_3_counting_equivalence():
 
 
 def test_criterion_4_selection_closure():
-    metrics = certified_metrics(builtin_kernel("gaussian", unit_domain(), beta=1.0))
+    metrics = builtin_kernel("gaussian", unit_domain(), beta=1.0).metrics
     worst = 0.0
     ok = True
     for eps in (0.5, 0.2, 0.1):
@@ -160,7 +160,7 @@ def test_criterion_6_monotonicity():
         est = estimate_metrics(kern, dom, [0.05, 0.1, 0.2, 0.4], resolution=15)
         omegas = [w for _, w in est.omega_table]
         ok = ok and omegas == sorted(omegas)
-        metrics = certified_metrics(kern)
+        metrics = kern.metrics
         totals = []
         Delta, delta, sigma = 0.4, 0.4, 0.8
         for _ in range(3):

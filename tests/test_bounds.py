@@ -1,12 +1,11 @@
 import pytest
 
 from opnet.bounds import error_bound, select_parameters
-from opnet.errors import RefineOmegaError
 from opnet.kernels import KernelMetrics
 
 
-def const_metrics(M, L=0.0, provenance="certified"):
-    return KernelMetrics(sup_norm=M, provenance=provenance, lipschitz=L)
+def const_metrics(M, L=0.0):
+    return KernelMetrics(sup_norm=M, lipschitz=L)
 
 
 def test_worked_example():
@@ -20,8 +19,6 @@ def test_worked_example():
     assert b.phi == pytest.approx(0.1)
     assert b.alpha == pytest.approx(0.2)
     assert b.total == pytest.approx(1.3)
-    assert b.metrics_provenance == "certified"
-    assert not b.omega_flagged
 
 
 def test_total_is_exact_five_term_sum():
@@ -119,22 +116,3 @@ def test_selection_clamps_delta_and_sigma():
     assert sel.delta <= sel.gamma
     assert sel.sigma <= 2.0
     assert sel.achieved.total <= 1e6 + 1e-12
-
-
-def test_table_metrics_selection_and_refine_error():
-    table = KernelMetrics(sup_norm=1.0, provenance="estimated",
-                          omega_table=((0.05, 0.01), (0.1, 0.03), (0.2, 0.08)))
-    sel = select_parameters(1.0, 2.0, 1.0, 1.0, table)
-    # omega target is 0.1; the coarsest feasible tabulated Delta is 0.2
-    assert sel.delta_partition == 0.2
-    with pytest.raises(RefineOmegaError):
-        select_parameters(0.04, 2.0, 1.0, 1.0, table)
-
-
-def test_off_table_omega_is_flagged():
-    table = KernelMetrics(sup_norm=1.0, provenance="estimated",
-                          omega_table=((0.1, 0.02),))
-    b = error_bound(2, 1, 1, 0.0, 2.0, 0.5, 0.1, 0.1, table)
-    assert b.omega_flagged
-    with pytest.raises(RefineOmegaError):
-        error_bound(2, 1, 1, 0.0, 2.0, 0.5, 0.1, 0.1, table, strict=True)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from opnet.cli import (
@@ -17,7 +18,10 @@ from opnet.cli import (
 )
 import opnet
 from opnet.errors import ConfigError
+from opnet.family import _BudgetTable
+from opnet.geometry import Domain
 from opnet.integral_op import DiscretizedOperator
+from opnet.kernels import builtin_kernel, save_tabulated_kernel
 
 BASE_CONFIG = """\
 [domain]
@@ -134,7 +138,7 @@ def test_bound_command(capsys, tmp_path):
     path = write(tmp_path, BASE_CONFIG)
     assert main(["bound", path]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     # constant kernel, p = 2: 0 + 2/2 + 0 + 0.25 + 2 * 0.2 = 1.65
     assert payload["breakdown"]["total"] == pytest.approx(1.65)
 
@@ -178,6 +182,73 @@ def test_verify_builds_one_operator_and_draws_the_ball_once(
     assert main(["verify", write(tmp_path, BASE_CONFIG)]) == EXIT_OK
     # one rough and one smooth draw of the ball samples
     assert calls == {"operator": 1, "sample_ball": 2}
+
+
+@pytest.mark.parametrize("command,mode", [
+    ("verify", "enumerate"), ("verify", "sample"),
+    ("build", "enumerate"), ("build", "sample"),
+])
+def test_one_budget_table_per_run(monkeypatch, capsys, tmp_path, command, mode):
+    builds = []
+    init = _BudgetTable.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_BudgetTable, "__init__", counting_init)
+    cfg = write(tmp_path, BASE_CONFIG + f"family_mode = {mode}\n")
+    assert main([command, cfg, "--output", str(tmp_path / "out")]) == EXIT_OK
+    # the count and the family come from one table
+    assert len(builds) == 1
+
+
+def tabulated_config(tmp_path, lower, upper, file_upper):
+    """BASE_CONFIG on the box [lower, upper] with a tabulated gaussian whose
+    file covers [lower, file_upper]; returns the config text."""
+    dim = len(lower)
+    file_dom = Domain(np.array(lower), np.array(file_upper))
+    path = tmp_path / "kernel.bin"
+    save_tabulated_kernel(path, builtin_kernel("gaussian", file_dom, beta=1.0),
+                          file_dom, [4] * dim, binary=True)
+    text = BASE_CONFIG.replace(
+        "dim = 1\nlower = 0.0\nupper = 1.0",
+        f"dim = {dim}\nlower = {' '.join(map(str, lower))}\n"
+        f"upper = {' '.join(map(str, upper))}",
+    ).replace("name = constant\nvalue = 1.0", f"file = {path}")
+    return text
+
+
+def test_domain_outside_the_kernel_file_is_config_error(monkeypatch, capsys,
+                                                        tmp_path):
+    def no_partition(*args, **kwargs):
+        raise AssertionError("a partition was built")
+
+    monkeypatch.setattr(opnet.verify, "build_partition", no_partition)
+    cfg = write(tmp_path, tabulated_config(tmp_path, [0.0], [5.0], [1.0]))
+    assert main(["verify", cfg]) == EXIT_CONFIG
+    assert "outside the kernel file's domain" in capsys.readouterr().err
+
+
+def test_tabulated_3d_verify_fits_in_3_gb(tmp_path):
+    # the certified metrics come from the file's 4^3 nodes; a grid estimate
+    # at 12 points per axis would need an array of about 41 GB
+    text = tabulated_config(tmp_path, [0.0] * 3, [1.0] * 3, [1.0] * 3)
+    # 8 cells x 3 magnitude levels
+    cfg = write(tmp_path, text.replace("delta = 0.25", "delta = 1.0"))
+    src = os.path.dirname(os.path.dirname(opnet.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "from opnet.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    out = subprocess.run(
+        [sys.executable, "-c", code, "verify", cfg,
+         "--output", str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == EXIT_OK, out.stderr
+    assert "PASS" in out.stdout
 
 
 def test_verify_forced_failure_exit_code(capsys, tmp_path):

@@ -8,19 +8,18 @@ import pytest
 from opnet.errors import FamilyTooLargeError
 from opnet.family import (
     budget_limit,
-    budget_used,
     build_magnitude_grid,
     cell_average,
     clip_to_gamma,
     count_family,
     enumerate_family,
     integer_budget,
-    project_to_net,
     round_magnitude,
     run_pipeline,
     sample_ball,
     sample_family,
     snap_direction,
+    tchebyshev_measure,
 )
 from opnet.functions import PiecewiseConstFn, SampledFn, lp_norm
 from opnet.geometry import Domain, build_partition
@@ -36,6 +35,22 @@ def interval_partition(delta=2.0, nodes=3):
 
 def sign_net():
     return build_sigma_net(1, 0.5)
+
+
+def within_budget(part, grid, p, r, mag_idx):
+    """The integer budget test: true exactly when the fsum of mu_i z_i^p is
+    at most budget_limit(p, r)."""
+    costs, threshold = integer_budget(
+        part.measures[:, None] * grid.values[None, :] ** p, budget_limit(p, r))
+    return sum(row[j] for row, j in zip(costs, mag_idx)) <= threshold
+
+
+def stage_displacements(x, stages):
+    """Largest node displacement of each pipeline stage, by stage name."""
+    nodes = [g.to_sampled().values for g in (x, *stages)]
+    return {name: float(np.linalg.norm(after - before, axis=1).max())
+            for name, before, after in zip(("clip", "average", "round", "snap"),
+                                           nodes, nodes[1:])}
 
 
 def angle_net(c):
@@ -187,10 +202,8 @@ def test_enumerate_respects_budget_and_count():
     net = sign_net()
     fam = list(enumerate_family(part, grid, net, 1.0, 1.0))
     assert len(fam) == 9 == count_family(part, grid, net, 1.0, 1.0)
-    limit = budget_limit(1.0, 1.0)
     for f in fam:
-        used = budget_used(part.measures, grid.values[f.mag_idx], 1.0)
-        assert used <= limit
+        assert within_budget(part, grid, 1.0, 1.0, f.mag_idx)
 
 
 def test_enumerate_cap():
@@ -259,9 +272,8 @@ def test_sample_family_empty_and_budget():
     grid = build_magnitude_grid(1.0, 3)
     net = angle_net(3)
     assert len(sample_family(part, grid, net, 2, 1.0, 0, seed=1)) == 0
-    limit = budget_limit(2, 1.0)
     for f in sample_family(part, grid, net, 2, 1.0, 50, seed=1):
-        assert budget_used(part.measures, grid.values[f.mag_idx], 2) <= limit
+        assert within_budget(part, grid, 2, 1.0, f.mag_idx)
 
 
 def test_sample_family_draws_are_pinned():
@@ -470,17 +482,17 @@ def test_project_fixed_point():
     net = sign_net()
     member = list(enumerate_family(part, grid, net, 2, 1.0))[3]
     x = member.to_sampled()
-    out, report = project_to_net(x, 1.0, part, grid, net, 2, 1.0)
-    assert np.array_equal(out.values, member.values)
-    for step in report.steps.values():
-        assert step["sup"] == 0.0
+    stages = run_pipeline(x, 1.0, part, grid, net)
+    assert np.array_equal(stages[-1].values, member.values)
+    for step in stage_displacements(x, stages).values():
+        assert step == 0.0
 
 
 def test_project_zero_function():
     part = interval_partition(delta=0.5)
     grid = build_magnitude_grid(1.0, 2)
     x = SampledFn(part, np.zeros((part.points.shape[0], 1)))
-    out, _ = project_to_net(x, 1.0, part, grid, sign_net(), 2, 1.0)
+    out = run_pipeline(x, 1.0, part, grid, sign_net())[-1]
     assert np.all(out.values == 0.0)
 
 
@@ -490,11 +502,12 @@ def test_project_random_budget_and_displacements():
     net = angle_net(8)
     gamma, p, r = 2.0, 2.0, 1.0
     for seed, x in enumerate(sample_ball(part, 2, p, r, 25, seed=16)):
-        out, report = project_to_net(x, gamma, part, grid, net, p, r)
-        assert report.budget_used <= report.budget_limit
-        assert report.steps["round"]["sup"] <= grid.delta_step + 1e-12
-        assert report.steps["snap"]["sup"] <= gamma * net.sigma + 1e-12
-        assert report.tchebyshev_measure <= r**p / gamma**p + 1e-10
+        stages = run_pipeline(x, gamma, part, grid, net)
+        steps = stage_displacements(x, stages)
+        assert within_budget(part, grid, p, r, stages[-1].mag_idx)
+        assert steps["round"] <= grid.delta_step + 1e-12
+        assert steps["snap"] <= gamma * net.sigma + 1e-12
+        assert tchebyshev_measure(x, gamma) <= r**p / gamma**p + 1e-10
 
 
 def test_pipeline_norm_monotone():

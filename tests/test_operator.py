@@ -8,14 +8,17 @@ from opnet.geometry import Domain, build_partition
 from opnet.integral_op import DiscretizedOperator
 from opnet.kernels import (
     Kernel,
+    KernelMetrics,
     builtin_kernel,
-    certified_metrics,
+    load_tabulated_kernel,
+    save_tabulated_kernel,
+)
+
+from oracles import (
     estimate_metrics,
     kernel_sup_norm,
-    load_tabulated_kernel,
     matrix_norm,
     modulus_of_continuity,
-    save_tabulated_kernel,
 )
 
 
@@ -23,9 +26,9 @@ def unit_domain():
     return Domain(np.array([0.0]), np.array([1.0]))
 
 
-def scalar_kernel(fn, name="custom"):
+def scalar_kernel(fn, metrics, name="custom"):
     return Kernel(1, 1, lambda xi, s: np.asarray(fn(xi, s))[..., None, None],
-                  name, {})
+                  name, {}, metrics)
 
 
 # --------------------------------------------------------------------------
@@ -190,7 +193,8 @@ def test_modulus_examples_and_monotonicity():
     table = modulus_of_continuity(const, dom, [0.05, 0.1, 0.5], resolution=8)
     assert all(w == 0.0 for _, w in table)
 
-    second_arg = scalar_kernel(lambda xi, s: s[..., 0])  # Lipschitz 1 in s
+    second_arg = scalar_kernel(lambda xi, s: s[..., 0],  # Lipschitz 1 in s
+                               KernelMetrics(sup_norm=1.0, lipschitz=1.0))
     table = modulus_of_continuity(second_arg, dom, [0.1, 0.25], resolution=21)
     assert dict(table)[0.1] == pytest.approx(0.1, abs=1e-12)
     assert dict(table)[0.25] == pytest.approx(0.25, abs=1e-12)
@@ -205,24 +209,11 @@ def test_certified_metrics_upper_bound_estimated():
     dom = unit_domain()
     for name, kw in [("gaussian", {"beta": 2.0}), ("product", {})]:
         kern = builtin_kernel(name, dom, **kw)
-        cert = certified_metrics(kern)
+        cert = kern.metrics
         est = estimate_metrics(kern, dom, [0.05, 0.1, 0.2], resolution=15)
         assert cert.sup_norm >= est.sup_norm - 1e-12
         for d, w in est.omega_table:
-            assert cert.omega(d)[0] >= w - 1e-12
-
-
-def test_omega_table_lookup_and_flag():
-    from opnet.errors import RefineOmegaError
-    from opnet.kernels import KernelMetrics
-
-    metrics = KernelMetrics(sup_norm=1.0, provenance="estimated",
-                            omega_table=((0.1, 0.02), (0.2, 0.05)))
-    assert metrics.omega(0.05) == (0.02, False)  # conservative upward lookup
-    assert metrics.omega(0.15) == (0.05, False)
-    assert metrics.omega(0.5) == (0.05, True)  # off-table, flagged
-    with pytest.raises(RefineOmegaError):
-        metrics.omega(0.5, strict=True)
+            assert cert.omega(d) >= w - 1e-12
 
 
 def test_block_diag_kernel():
@@ -234,7 +225,7 @@ def test_block_diag_kernel():
     assert (kern.m, kern.n) == (2, 2)
     val = kern.evaluate(np.array([[0.1]]), np.array([[0.1]]))
     assert val[0] == pytest.approx(np.diag([1.0, 0.5]))
-    assert kern.analytic.sup_norm == 1.0
+    assert kern.metrics.sup_norm == 1.0
 
 
 # --------------------------------------------------------------------------
@@ -262,3 +253,43 @@ def test_tabulated_rejects_garbage(tmp_path):
     path.write_text("not a kernel\n")
     with pytest.raises(ValueError):
         load_tabulated_kernel(path)
+
+
+def asymmetric_kernel(dom):
+    # steeper in s than in xi, so metrics taken along xi fall short
+    return scalar_kernel(lambda xi, s: xi[..., 0] * np.sin(3.0 * s[..., 0]),
+                         KernelMetrics(sup_norm=1.0, lipschitz=3.0))
+
+
+@pytest.mark.parametrize("lower,upper,make,grid", [
+    ([0.0], [1.0], lambda d: builtin_kernel("gaussian", d, beta=2.0), [9]),
+    ([0.0, -1.0], [2.0, 1.0], lambda d: builtin_kernel("gaussian", d, beta=2.0),
+     [6, 5]),
+    ([0.0, -1.0], [2.0, 1.0], lambda d: builtin_kernel(
+        "block_diag", d,
+        components=[("gaussian", {"beta": 2.0}), ("product", {})]), [5, 7]),
+    ([0.0], [1.0], asymmetric_kernel, [9]),
+], ids=["gaussian-1d", "gaussian-2d", "block-diag-2d", "asymmetric-1d"])
+def test_tabulated_metrics_bound_the_interpolant(tmp_path, lower, upper, make,
+                                                 grid):
+    dom = Domain(np.array(lower), np.array(upper))
+    path = tmp_path / "k.bin"
+    save_tabulated_kernel(path, make(dom), dom, grid, binary=True)
+    kern, _ = load_tabulated_kernel(path)
+    metrics = kern.metrics
+    rng = np.random.default_rng(sum(grid))
+    xi, s1, s2 = rng.uniform(dom.lower, dom.upper, (3, 20_000, dom.dim))
+    # half the pairs are short steps, within one cell or across one face
+    s2[::2] = np.clip(s1[::2] + rng.normal(0.0, 0.02, s1[::2].shape),
+                      dom.lower, dom.upper)
+    k1 = kern.evaluate(xi, s1)
+    k2 = kern.evaluate(xi, s2)
+    assert matrix_norm(k1).max() <= metrics.sup_norm * (1 + 1e-12)
+    step = np.linalg.norm(s2 - s1, axis=-1)
+    assert np.all(matrix_norm(k2 - k1) <= metrics.lipschitz * step + 1e-12)
+
+    est = estimate_metrics(kern, dom, [0.05, 0.1, 0.2, 0.4],
+                           resolution=15 if dom.dim == 1 else 7)
+    assert metrics.sup_norm >= est.sup_norm
+    for d, w in est.omega_table:
+        assert metrics.omega(d) >= w
