@@ -198,9 +198,21 @@ def _config_dict(cfg: RunConfig) -> dict:
     return d
 
 
+# the [kernel] keys each builtin reads besides `name`; a `file` kernel reads none
+_KERNEL_KEYS = {"constant": {"value"}, "gaussian": {"beta"}, "product": set(),
+                "block_diag": {"components"}}
+
+
 def resolve(cfg: RunConfig):
     """Build (domain, kernel) and fill in epsilon-mode parameters."""
     domain = Domain(np.array(cfg.lower), np.array(cfg.upper))
+
+    if not cfg.kernel_file and cfg.kernel_name not in _KERNEL_KEYS:
+        raise ConfigError(f"[kernel] name: unknown kernel {cfg.kernel_name!r}")
+    allowed = set() if cfg.kernel_file else _KERNEL_KEYS[cfg.kernel_name]
+    unknown = sorted(set(cfg.kernel_params) - allowed)
+    if unknown:
+        raise ConfigError(f"[kernel] {', '.join(unknown)}: unknown field")
 
     if cfg.kernel_file:
         kernel, file_domain = load_tabulated_kernel(cfg.kernel_file)

@@ -147,7 +147,9 @@ class _BudgetTable:
 def _budget_table(partition: Partition, grid: MagnitudeGrid, p: float,
                   r: float) -> _BudgetTable:
     """The table of the last (partition, grid, p, r) asked for, so that a
-    run's count and its enumeration or sample share one build.
+    run's count and its enumeration or sample share one build.  Enumerating
+    or sampling, a run's last use of the table, empties the cache, so that
+    a sweep holds one table at a time.
 
     Partitions and grids hash by identity, and neither changes once built.
     """
@@ -183,6 +185,7 @@ def enumerate_family(
     Zero-magnitude cells carry the canonical direction index 0.
     """
     table = _budget_table(partition, grid, p, r)
+    _budget_table.cache_clear()
     c = net.size
     total = table.completions(c)[0][0]
     if total > cap:
@@ -236,6 +239,7 @@ def sample_family(
         raise ValueError("count must be >= 0")
     rng = np.random.default_rng(seed)
     table = _budget_table(partition, grid, p, r)
+    _budget_table.cache_clear()
     completions = table.completions(1)
     probs = {}  # (cell, used budget) -> level probabilities, as visited
     mags = np.zeros((count, partition.num_cells), dtype=int)

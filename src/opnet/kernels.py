@@ -200,10 +200,7 @@ def _node_metrics(vals: np.ndarray, axes) -> KernelMetrics:
     k = len(axes)
 
     def largest_norm(mats):
-        # for one row or one column the spectral norm is the Frobenius norm,
-        # which needs no SVD per node
-        kind = "fro" if min(mats.shape[-2:]) == 1 else 2
-        return float(np.linalg.norm(mats, ord=kind, axis=(-2, -1)).max())
+        return float(np.linalg.norm(mats, ord=2, axis=(-2, -1)).max())
 
     lips = [largest_norm(np.diff(vals, axis=k + j)) / np.diff(ax).min()
             for j, ax in enumerate(axes)]

@@ -62,13 +62,9 @@ class EstimatedMetrics(NamedTuple):
     omega_table: tuple  # monotone ((delta, omega lower estimate), ...)
 
 
-def matrix_norm(mats, kind="spectral"):
-    """Norm of a stack of matrices shaped (..., m, n)."""
-    if kind == "spectral":
-        return np.linalg.norm(mats, ord=2, axis=(-2, -1))
-    if kind == "frobenius":
-        return np.linalg.norm(mats, ord="fro", axis=(-2, -1))
-    raise ValueError(f"unknown matrix norm {kind!r}")
+def matrix_norm(mats):
+    """Spectral norm of a stack of matrices shaped (..., m, n)."""
+    return np.linalg.norm(mats, ord=2, axis=(-2, -1))
 
 
 def _grid_points(domain, resolution):
@@ -80,17 +76,16 @@ def _grid_points(domain, resolution):
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def kernel_sup_norm(kernel, domain, resolution=12, norm="spectral"):
+def kernel_sup_norm(kernel, domain, resolution=12):
     """Max matrix norm over a tensor grid on Omega x Omega (a lower estimate)."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     pts = _grid_points(domain, resolution)
     mats = kernel.evaluate(pts[:, None, :], pts[None, :, :])
-    return float(matrix_norm(mats, norm).max())
+    return float(matrix_norm(mats).max())
 
 
-def modulus_of_continuity(kernel, domain, deltas, resolution=12,
-                          norm="spectral"):
+def modulus_of_continuity(kernel, domain, deltas, resolution=12):
     """Monotone table of grid-sampled omega(delta) lower estimates."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
@@ -102,7 +97,7 @@ def modulus_of_continuity(kernel, domain, deltas, resolution=12,
     sdist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)  # (S, S)
     # variation[a, b] = max over xi of ||K(xi, s_b) - K(xi, s_a)||
     diff = mats[:, None, :, :, :] - mats[:, :, None, :, :]  # (X, S, S, m, n)
-    variation = matrix_norm(diff, norm).max(axis=0)
+    variation = matrix_norm(diff).max(axis=0)
 
     table = []
     running = 0.0
@@ -114,9 +109,8 @@ def modulus_of_continuity(kernel, domain, deltas, resolution=12,
     return tuple(table)
 
 
-def estimate_metrics(kernel, domain, deltas, resolution=12, norm="spectral"):
+def estimate_metrics(kernel, domain, deltas, resolution=12):
     return EstimatedMetrics(
-        sup_norm=kernel_sup_norm(kernel, domain, resolution, norm),
-        omega_table=modulus_of_continuity(kernel, domain, deltas, resolution,
-                                          norm),
+        sup_norm=kernel_sup_norm(kernel, domain, resolution),
+        omega_table=modulus_of_continuity(kernel, domain, deltas, resolution),
     )

@@ -230,6 +230,23 @@ def test_domain_outside_the_kernel_file_is_config_error(monkeypatch, capsys,
     assert "outside the kernel file's domain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tabulated", [False, True])
+def test_unread_kernel_key_is_config_error(capsys, tmp_path, tabulated):
+    text = (tabulated_config(tmp_path, [0.0], [1.0], [1.0]) if tabulated
+            else BASE_CONFIG.replace("value = 1.0", "value = 1.0\nbta = 9.0"))
+    text = text.replace("[kernel]\n", "[kernel]\nmatrix_norm = frobenius\n")
+    cfg = write(tmp_path, text)
+    assert main(["bound", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "matrix_norm" in err and ("bta" in err) != tabulated
+
+
+def test_unknown_kernel_name_is_config_error(capsys, tmp_path):
+    cfg = write(tmp_path, BASE_CONFIG.replace("name = constant", "name = gausian"))
+    assert main(["bound", cfg]) == EXIT_CONFIG
+    assert "unknown kernel 'gausian'" in capsys.readouterr().err
+
+
 def test_tabulated_3d_verify_fits_in_3_gb(tmp_path):
     # the certified metrics come from the file's 4^3 nodes; a grid estimate
     # at 12 points per axis would need an array of about 41 GB
