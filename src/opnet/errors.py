@@ -25,8 +25,9 @@ class CoverageUnverifiableError(RuntimeError):
         self.required_pool = required_pool
         self.cap = cap
         super().__init__(
-            f"cannot certify a {sigma}-covering: requires a candidate pool of about "
-            f"{required_pool} points (cap {cap}); increase pool_cap or sigma"
+            f"cannot certify a sigma = {sigma} covering of the direction sphere: "
+            f"it needs a candidate pool of about {required_pool} points, over "
+            f"the cap of {cap}; increase sigma"
         )
 
 

@@ -43,6 +43,8 @@ __all__ = [
 BUDGET_SLACK = 1e-12
 # budget states the completion table may hold before the family is refused
 STATE_CAP = 200_000
+# share of `sample_ball` draws rescaled to norm exactly r; the rest fall inside
+EXACT_FRACTION = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,13 +268,12 @@ def sample_ball(
     count: int,
     seed: int = 0,
     smoothness: str = "rough",
-    exact_fraction: float = 0.5,
 ) -> SampledFn:
     """A stack of random elements of the closed L_p ball of radius r.
 
     Rough mode draws a random vector per cell; smooth mode a short random
     cosine series.  Each draw is rescaled so its quadrature L_p norm is
-    exactly r for the first `exact_fraction` of draws and uniformly in (0, r]
+    exactly r for the first `EXACT_FRACTION` of draws and uniformly in (0, r]
     for the rest.
     """
     if smoothness not in ("rough", "smooth"):
@@ -282,7 +283,7 @@ def sample_ball(
     pts = partition.points
     vals = np.zeros((count, pts.shape[0], n))
     targets = np.full(count, float(r))
-    n_exact = int(round(exact_fraction * count))
+    n_exact = int(round(EXACT_FRACTION * count))
     for idx in range(count):
         if smoothness == "rough":
             cell_vals = rng.standard_normal((partition.num_cells, n))

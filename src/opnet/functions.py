@@ -91,6 +91,15 @@ class PiecewiseConstFn(_Functions):
         return np.linalg.norm(self.values, axis=-1)
 
 
+def weighted_lp(values: np.ndarray, weights: np.ndarray, p: float):
+    """(sum_k weights_k |values_k|^p)^(1/p), k the second-last axis.
+
+    |.| is the Euclidean norm of the last axis.  The sum is numpy's per-row
+    reduction, not BLAS, so a row's value does not depend on the other rows.
+    """
+    return (np.linalg.norm(values, axis=-1) ** p * weights).sum(axis=-1) ** (1.0 / p)
+
+
 def lp_norm(f: SampledFn | PiecewiseConstFn, p: float):
     """Quadrature L_p norm; exact closed form for piecewise-constant inputs.
 
@@ -98,9 +107,7 @@ def lp_norm(f: SampledFn | PiecewiseConstFn, p: float):
     """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
-    if isinstance(f, PiecewiseConstFn):
-        weights, norms = f.partition.measures, f.cell_norms()
-    else:
-        weights, norms = f.partition.weights, np.linalg.norm(f.values, axis=-1)
-    out = np.sum(weights * norms**p, axis=-1) ** (1.0 / p)
+    part = f.partition
+    weights = part.measures if isinstance(f, PiecewiseConstFn) else part.weights
+    out = weighted_lp(f.values, weights, p)
     return out if f.stacked else float(out)

@@ -62,12 +62,7 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def build_sigma_net(
-    n: int,
-    sigma: float,
-    seed: int = 0,
-    pool_cap: int = DEFAULT_POOL_CAP,
-) -> DirectionNet:
+def build_sigma_net(n: int, sigma: float, seed: int = 0) -> DirectionNet:
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
     if sigma <= 0:
@@ -90,8 +85,8 @@ def build_sigma_net(
     gap = GREEDY_MARGIN * sigma
     required = math.ceil(40.0 * (2.0 / gap) ** (n - 1))
     pool_size = max(_MIN_POOL, required)
-    if pool_size > pool_cap:
-        raise CoverageUnverifiableError(sigma, pool_size, pool_cap)
+    if pool_size > DEFAULT_POOL_CAP:
+        raise CoverageUnverifiableError(sigma, pool_size, DEFAULT_POOL_CAP)
 
     rng = np.random.default_rng(seed)
     pool = _unit_rows(rng.standard_normal((pool_size, n)))

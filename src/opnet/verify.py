@@ -9,7 +9,7 @@ compared against the certified total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .family import (
     sample_family,
     tchebyshev_measure,
 )
-from .functions import SampledFn, lp_norm
+from .functions import SampledFn, lp_norm, weighted_lp as _lq_norms
 from .geometry import Domain, build_partition
 from .integral_op import DiscretizedOperator
 from .kernels import Kernel
@@ -39,51 +39,13 @@ __all__ = [
 STEP_TOLERANCE = 1e-8
 TCHEBYSHEV_TOLERANCE = 1e-10
 _BLOCK = 1 << 15  # elements per temporary of the distance computations
-_CHUNK = 64  # targets per step of the pruned scan; larger steps prune less
-# c in the q = 2 screen tolerance c (dim + 4) eps (|a| + |b|)^2; see `_screen`
+# c in the screen tolerance c (dim + 4) eps (|a| + |b|)^2; see `_lq_bounds`
 _SCREEN_SAFETY = 4.0
-
-
-def _lq_norms(values: np.ndarray, w: np.ndarray, q: float):
-    """Weighted L_q norm of one sampled function, or of each in a stack.
-
-    The node sum is numpy's per-row reduction, not a BLAS product, so a row's
-    value does not depend on which other rows share the call.
-    """
-    return (np.linalg.norm(values, axis=-1) ** q * w).sum(axis=-1) ** (1.0 / q)
 
 
 def _rows(values: np.ndarray) -> int:
     """How many functions of a stack fit one block."""
     return max(1, _BLOCK // values[0].size)
-
-
-def _pruned_scan(fv, tv, w, q) -> float:
-    """Directed distance for any q, one `from` element at a time.
-
-    Prunes the scan with the triangle inequality on the norms.
-    """
-    step = _rows(tv)
-    tnorms = np.concatenate([_lq_norms(tv[s:s + step], w, q)
-                             for s in range(0, len(tv), step)])
-
-    def min_dist(u, global_best):
-        lb = np.abs(_lq_norms(u, w, q) - tnorms)
-        order = np.argsort(lb)
-        best = math.inf
-        for start in range(0, order.size, _CHUNK):
-            idx = order[start : start + _CHUNK]
-            if best <= lb[idx[0]]:
-                break  # remaining lower bounds can only be larger
-            if best <= global_best:
-                break  # this element cannot raise the max
-            best = min(best, float(_lq_norms(tv[idx] - u, w, q).min()))
-        return best
-
-    result = 0.0
-    for u in fv:
-        result = max(result, min_dist(u, result))
-    return result
 
 
 def _screen(fv, rows, tv, w, tsq):
@@ -94,12 +56,9 @@ def _screen(fv, rows, tv, w, tsq):
     folded into the `from` side only, so that the targets enter the product
     as views; `tsq` holds the squared weighted norms |b|^2, and adding a
     row's |a|^2 completes its squared distances.  Counting roundings of
-    eps / 2 each to first order, with N = |a| + |b| in the weighted norm, a
-    completed entry is within (dim + 3) N^2 eps / 2 of the exact squared
-    distance, and the exact expression `_lq_norms(t - u, w, 2) ** 2` is
-    within (dim + 6) N^2 eps / 2 of it: (dim + 4.5) eps N^2 in all, which
-    the tolerance in `directed_distance` covers from `_SCREEN_SAFETY` = 1.1
-    up.  Every temporary holds at most `_BLOCK` elements.
+    u = eps / 2 each to first order, with N = |a| + |b| in the weighted
+    norm, a completed entry is within (dim + 3) u N^2 of the exact squared
+    distance.  Every temporary holds at most `_BLOCK` elements.
     """
     dim = fv[0].size
     rf = min(len(rows), _rows(fv))
@@ -112,14 +71,53 @@ def _screen(fv, rows, tv, w, tsq):
             yield fs, ts, block
 
 
+def _nearest(fv, rows, tv, w, tsq):
+    """Index of the screened nearest target of each of fv[rows]."""
+    near, best = np.zeros(len(rows), dtype=np.intp), np.full(len(rows), np.inf)
+    for fs, ts, block in _screen(fv, rows, tv, w, tsq):
+        j = block.argmin(axis=1)
+        value = block[np.arange(len(block)), j]
+        r = np.flatnonzero(value < best[fs:fs + len(block)])
+        best[fs + r], near[fs + r] = value[r], ts + j[r]
+    return near
+
+
+def _lq_bounds(w, n, q):
+    """(c, C, alpha): c N_2 <= N_q <= C N_2, and the underflow slack of E.
+
+    N_2 and N_q are exact weighted norms of a function on the P nodes, and
+    {c, C} = {mu^(1/q - 1/2), (min w)^(1/q - 1/2)}, mu = sum w (Hoelder on
+    one side; no node weighs less than min w on the other).  The computed
+    E = `_lq_norms` is within (n / 2 + P + 6) u N_q of N_q, counting
+    roundings of u = eps / 2 to first order for q > 1: (n + 4) u / 2 in a
+    node's norm (difference, squares, n - 1 sums, root), which the power q
+    multiplies by q; the power, the weight and P - 1 sums add (P + 2) u,
+    and the root 1/q divides by q and adds 2 u.  The computed c and C add
+    (P + 3) u / 2, each filter of `directed_distance` 3.5 u, second-order
+    terms u / 2: on the scale of squared L_2 distances, at most N^2 (see
+    `_screen`), that is (n + 3 P + 23) u N^2.  With the screen's
+    (dim + 3) u N^2 the tolerance covers it for `_SCREEN_SAFETY` >=
+    (dim + n + 3 P + 26) / (2 dim + 8), which is 3.1 at n = P = 1 and less
+    beyond.  alpha bounds the absolute underflow errors: n tiny / 2 in a
+    node's squared norm moves N_q by mu^(1/q) sqrt(n tiny), and a node's
+    term gains (w_k + 1) tiny, tiny being the smallest subnormal.
+    """
+    tiny = np.finfo(float).smallest_subnormal
+    mu = float(w.sum())
+    c, C = sorted((mu ** (1.0 / q - 0.5), float(w.min()) ** (1.0 / q - 0.5)))
+    alpha = (mu ** (1.0 / q) * math.sqrt(n * tiny)
+             + ((mu + len(w)) * tiny) ** (1.0 / q))
+    return c, C, alpha
+
+
 def directed_distance(from_fns: SampledFn, to_fns: SampledFn, q: float) -> float:
     """max over `from` of min over `to` of the weighted L_q distance.
 
     Both sets are stacks of sampled functions on one partition.  The result
     is `_lq_norms(t - u, w, q)` of the maximizing pair, exactly as an
-    all-pairs scan gives it.  For q = 2 a blocked matrix-product screen
-    keeps the pairs that can attain it, and only those are computed exactly;
-    other q use a pruned scan.
+    all-pairs scan gives it.  A blocked matrix-product screen of squared
+    L_2 distances, turned into L_q bounds by `_lq_bounds`, keeps the pairs
+    that can attain it, and only those are computed exactly.
     """
     if not to_fns:
         raise ValueError("target set must be nonempty")
@@ -128,8 +126,6 @@ def directed_distance(from_fns: SampledFn, to_fns: SampledFn, q: float) -> float
     w = from_fns.partition.weights
     fv = from_fns.values
     tv = to_fns.values
-    if q != 2:
-        return _pruned_scan(fv, tv, w, q)
 
     fsq = np.einsum("ipk,ipk,p->i", fv, fv, w)
     tsq = np.einsum("ipk,ipk,p->i", tv, tv, w)
@@ -137,25 +133,35 @@ def directed_distance(from_fns: SampledFn, to_fns: SampledFn, q: float) -> float
     tol = _SCREEN_SAFETY * (fv[0].size + 4) * (
         f64.eps * (math.sqrt(fsq.max()) + math.sqrt(tsq.max())) ** 2
         + f64.smallest_subnormal)  # underflow errors are absolute
+    c_lo, c_hi, alpha = _lq_bounds(w, fv.shape[-1], q)
 
-    # Each screened squared distance is within tol of the exact one.  So a
-    # row's exact minimum is within tol of its screened minimum, the
-    # maximizing row is within 2 tol of the largest screened minimum, and a
-    # row's minimizing target is within 2 tol of the row's screened minimum.
+    # A screened squared distance S is within tol of the exact one, so the
+    # computed distance E has c sqrt(S - tol) - alpha <= E <= C sqrt(S + tol)
+    # + alpha.  The largest lower bound of a row minimum bounds the result
+    # from below; rows whose upper bound falls short of it cannot attain it.
     approx = np.full(len(fv), np.inf)
     for fs, _, block in _screen(fv, np.arange(len(fv)), tv, w, tsq):
         part = approx[fs:fs + len(block)]
         np.minimum(part, block.min(axis=1), out=part)
     approx += fsq  # adding a row constant commutes with the rounded min
-    rows = np.flatnonzero(approx >= approx.max() - 2.0 * tol)
-    limit = approx[rows] + 2.0 * tol
-    best = np.full(len(rows), np.inf)
+    lower = c_lo * math.sqrt(max(approx.max() - tol, 0.0)) - alpha
+    rows = np.flatnonzero(c_hi * np.sqrt(approx + tol) + alpha >= lower)
+    # E to a row's screened nearest target bounds the row minimum from
+    # above; the minimizing target's lower bound cannot exceed it.
+    near = _nearest(fv, rows, tv, w, tsq)
     chunk = _rows(tv)
+    best = np.concatenate([
+        _lq_norms(tv[near[s:s + chunk]] - fv[rows[s:s + chunk]], w, q)
+        for s in range(0, len(rows), chunk)])
+    keep = best >= lower
+    rows, near, best = rows[keep], near[keep], best[keep]
+    limit = ((best + alpha) / c_lo) ** 2 + tol
     for fs, ts, block in _screen(fv, rows, tv, w, tsq):
         block += fsq[rows[fs:fs + len(block)], None]
         i, j = np.nonzero(block <= limit[fs:fs + len(block), None])
         i += fs
         j += ts
+        i, j = i[j != near[i]], j[j != near[i]]
         for s in range(0, len(i), chunk):
             ii, jj = i[s:s + chunk], j[s:s + chunk]
             np.minimum.at(best, ii, _lq_norms(tv[jj] - fv[rows[ii]], w, q))
@@ -173,15 +179,6 @@ class StepRecord:
     observed_max: float
     samples: int
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "certified": self.certified,
-            "observed_max": self.observed_max,
-            "samples": self.samples,
-            "passed": self.passed,
-        }
 
 
 @dataclass
@@ -201,22 +198,10 @@ class VerificationReport:
     passed: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "steps": [s.to_dict() for s in self.steps],
-            "tchebyshev_bound": self.tchebyshev_bound,
-            "tchebyshev_observed": self.tchebyshev_observed,
-            "breakdown": self.breakdown,
-            "certified_total": self.certified_total,
-            "directed_sampled_to_family": self.directed_sampled_to_family,
-            "directed_family_to_sampled": self.directed_family_to_sampled,
-            "ratio": self.ratio,
-            "family_count": str(self.family_count)
-            if self.family_count is not None else None,
-            "passed": self.passed,
-        }
+        out = asdict(self)
+        if self.family_count is not None:
+            out["family_count"] = str(self.family_count)
+        return out
 
 
 def _setup(kernel, domain, gamma, Delta, delta, sigma, nodes_per_axis, seed):

@@ -304,6 +304,18 @@ def test_oversized_budget_table_is_resource_exit(capsys, tmp_path):
     assert "18 cells x 201 magnitude levels" in err
 
 
+def test_uncoverable_sigma_is_resource_exit_naming_sigma(capsys, tmp_path):
+    # n = 4 at sigma = 0.3 needs a candidate pool of about 9.5e7 points
+    text = BASE_CONFIG.replace(
+        "name = constant\nvalue = 1.0",
+        "name = block_diag\ncomponents = " + "|".join(["constant:value=1.0"] * 4),
+    ).replace("sigma = 0.2", "sigma = 0.3")
+    assert main(["verify", write(tmp_path, text)]) == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert "increase sigma" in err
+    assert "pool_cap" not in err
+
+
 def test_build_command(capsys, tmp_path):
     cfg = write(tmp_path, BASE_CONFIG)
     out = str(tmp_path / "family")

@@ -1,15 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
-from opnet.functions import SampledFn
+from opnet.cli import EXIT_OK, main
+from opnet.functions import SampledFn, weighted_lp
 from opnet.geometry import Domain, build_partition
 from opnet.kernels import builtin_kernel
 from opnet import verify
-from opnet.verify import (
-    _lq_norms,
-    directed_distance,
-    verify_run,
-)
+from opnet.verify import directed_distance, verify_run
 
 
 def unit_domain():
@@ -58,9 +57,9 @@ def test_directed_distance_symmetric_inputs():
 
 
 def brute_force(from_fns, to_fns, q):
-    """max over `from` of the min over every target of `_lq_norms`."""
+    """max over `from` of the min over every target of `weighted_lp`."""
     w = from_fns.partition.weights
-    return max(float(_lq_norms(to_fns.values - u, w, q).min())
+    return max(float(weighted_lp(to_fns.values - u, w, q).min())
                for u in from_fns.values)
 
 
@@ -85,34 +84,76 @@ def stacks(kind, rng, part, n_from, n_to, n):
     return SampledFn(part, fv), SampledFn(part, tv)
 
 
-@pytest.mark.parametrize("kind", ["random", "duplicates", "ties", "near"])
+@pytest.mark.parametrize("q,kind", [
+    # q = 2 cases carry the bare kind as their id
+    pytest.param(q, kind, id=kind if q == 2 else f"{kind}-q{q}")
+    for q in (2, 1.5, 3.0)
+    for kind in ("random", "duplicates", "ties", "near")
+])
 @pytest.mark.parametrize("block,n_from,n_to", [
     (50, 13, 57),      # 2 rows by 25 targets per block, ragged on both axes
     (97, 41, 9),       # 4 rows by 24 targets, one target block
     (None, 1400, 60),  # the real block: 1365 rows by 24 targets
 ])
-def test_directed_distance_q2_equals_brute_force(monkeypatch, kind, block,
+def test_directed_distance_q2_equals_brute_force(monkeypatch, q, kind, block,
                                                  n_from, n_to):
+    """Every q, both directions, bit for bit against the all-pairs scan."""
     if block is not None:
         monkeypatch.setattr(verify, "_BLOCK", block)
     part = build_partition(unit_domain(), 0.25)  # 12 nodes, 24 values
     rng = np.random.default_rng(n_from)
     fns, targets = stacks(kind, rng, part, n_from, n_to, 2)
     for a, b in ((fns, targets), (targets, fns)):
-        assert directed_distance(a, b, 2) == brute_force(a, b, 2)
-    if kind == "duplicates":
-        assert directed_distance(fns, targets, 2) == 0.0
-
-
-@pytest.mark.parametrize("q", [1.5, 3.0])
-@pytest.mark.parametrize("kind", ["random", "ties"])
-def test_directed_distance_other_q_equals_brute_force(monkeypatch, q, kind):
-    monkeypatch.setattr(verify, "_CHUNK", 4)  # so that pruning can stop early
-    part = build_partition(unit_domain(), 0.25)
-    rng = np.random.default_rng(int(q * 10))
-    fns, targets = stacks(kind, rng, part, 23, 31, 2)
-    for a, b in ((fns, targets), (targets, fns)):
         assert directed_distance(a, b, q) == brute_force(a, b, q)
+    if kind == "duplicates":
+        assert directed_distance(fns, targets, q) == 0.0
+
+
+B102K_P3_CONFIG = """\
+[domain]
+dim = 2
+lower = 0.0 0.0
+upper = 1.0 1.0
+
+[kernel]
+name = block_diag
+components = gaussian:beta=1.0|constant:value=0.5
+
+[parameters]
+p = 3
+r = 1
+gamma = 2.0
+Delta = 1.0
+delta = 0.5
+sigma = 0.9
+
+[run]
+seed = 7
+samples = 200
+quad_nodes = 3
+"""
+
+
+def test_other_q_recomputes_few_pairs(monkeypatch, capsys, tmp_path):
+    # the baseline config at p = 3: q = 1.5, 200 ball samples, 64,961 members
+    recomputed = 0
+    lq_norms = verify._lq_norms
+
+    def counting(values, w, q):
+        nonlocal recomputed
+        if values.ndim == 3:
+            recomputed += len(values)
+        return lq_norms(values, w, q)
+
+    monkeypatch.setattr(verify, "_lq_norms", counting)
+    cfg = tmp_path / "b102k.ini"
+    cfg.write_text(B102K_P3_CONFIG)
+    out = tmp_path / "report.json"
+    assert main(["verify", str(cfg), "--output", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.strip().endswith("PASS")
+    report = json.loads(out.read_text())
+    pairs = 200 * int(report["bound_report"]["family_count"])
+    assert recomputed < 0.01 * pairs
 
 
 def test_directed_distance_empty_sets():
