@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -12,16 +13,19 @@ from opnet.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_VERIFY_FAIL,
+    _write_csv,
     main,
     parse_config,
+    resolve,
     serialize_config,
 )
 import opnet
 from opnet.errors import ConfigError
-from opnet.family import _BudgetTable
+from opnet.family import _BudgetTable, sample_family
 from opnet.geometry import Domain
 from opnet.integral_op import DiscretizedOperator
 from opnet.kernels import builtin_kernel, save_tabulated_kernel
+from opnet.verify import _setup
 
 BASE_CONFIG = """\
 [domain]
@@ -329,6 +333,83 @@ def test_build_command(capsys, tmp_path):
     assert len(images) == count + 1
 
 
+# 2-D block_diag kernel, 101 sampled members; a 1-row apply (numpy's
+# matrix-vector path) gives the last of them other last bits than a
+# whole-stack apply
+BLOCK_DIAG_CONFIG = """\
+[domain]
+dim = 2
+lower = 0.0 0.0
+upper = 1.0 1.0
+
+[kernel]
+name = block_diag
+components = gaussian:beta=1.0|constant:value=0.5
+
+[parameters]
+p = 2
+r = 1
+gamma = 2.0
+Delta = 1.0
+delta = 1.0
+sigma = 1.9
+
+[run]
+seed = 7
+quad_nodes = 2
+family_mode = sample
+family_samples = 101
+"""
+
+
+def test_build_images_do_not_depend_on_block_boundaries(monkeypatch, capsys,
+                                                        tmp_path):
+    cfg = parse_config(BLOCK_DIAG_CONFIG)
+    domain, kernel, _ = resolve(cfg)
+    partition, grid, net = _setup(kernel, domain, cfg.gamma, cfg.Delta,
+                                  cfg.delta, cfg.sigma, cfg.quad_nodes, cfg.seed)
+    family = sample_family(partition, grid, net, cfg.p, cfg.r,
+                           cfg.family_samples, cfg.seed)
+    n = len(family)
+    want = DiscretizedOperator(kernel, partition).apply(family).values
+    # blocks of `size` rows leave a 1-row tail: n = k * size + 1
+    size = next(b for b in range(2, n) if (n - 1) % b == 0)
+    monkeypatch.setattr(opnet.cli, "IMAGE_BLOCK", size)
+    out = tmp_path / "family"
+    assert main(["build", write(tmp_path, BLOCK_DIAG_CONFIG),
+                 "--output", str(out)]) == EXIT_OK
+    lines = (out / "images.csv").read_text().splitlines()[1:]
+    got = np.array([[float(v) for v in line.split(",")] for line in lines])
+    assert got.view(np.int64).tolist() == \
+        want.reshape(n, -1).view(np.int64).tolist()
+
+
+def test_write_csv_writes_the_repr_of_every_float(tmp_path):
+    rng = np.random.default_rng(0)
+    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324,
+               np.finfo(float).smallest_normal / 3, 1e16, 1e-5, 0.1]
+    # random bit patterns (NaN payloads among them) drawn from a small pool,
+    # so that blocks repeat values; every row holds every special value
+    pool = rng.integers(-2**63, 2**63, size=40, dtype=np.int64, endpoint=False)
+    rows = rng.choice(pool, size=(50, 12)).view(np.float64)
+    for row in rows:
+        row[rng.permutation(12)[:len(special)]] = special
+    path = tmp_path / "rows.csv"
+    _write_csv(str(path), ["a", "b"], [rows[s:s + 8] for s in range(0, 50, 8)])
+    assert path.read_text() == "a,b\n" + "".join(
+        ",".join(map(repr, r)) + "\n" for r in rows.tolist())
+
+
+def test_write_csv_writes_integers_as_savetxt_does(tmp_path):
+    rows = np.random.default_rng(1).integers(-10**12, 10**12, size=(30, 5))
+    rows[::4, 1] = 0
+    path = tmp_path / "rows.csv"
+    _write_csv(str(path), ["i"], [rows[:7], rows[7:8], rows[8:]])
+    buf = io.StringIO()
+    np.savetxt(buf, rows, fmt="%d", delimiter=",")
+    assert path.read_text() == "i\n" + buf.getvalue()
+
+
 def test_build_cap_is_resource_exit(capsys, tmp_path):
     text = BASE_CONFIG.replace("samples = 40", "samples = 40\nenum_cap = 2")
     cfg = write(tmp_path, text)
@@ -350,6 +431,15 @@ def test_sweep_sigma_monotone(capsys, tmp_path):
     assert lines[0].startswith("sigma,certified_total")
     totals = [float(row.split(",")[1]) for row in lines[1:]]
     assert totals == sorted(totals, reverse=True)
+
+
+def test_sweep_skips_the_step_check(monkeypatch, capsys, tmp_path):
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("sweep ran the step check")
+
+    monkeypatch.setattr(opnet.verify, "run_pipeline", no_pipeline)
+    cfg = write(tmp_path, BASE_CONFIG)
+    assert main(["sweep", cfg, "--axis", "sigma", "--values", "0.8,0.4"]) == EXIT_OK
 
 
 def test_sweep_unknown_axis(capsys, tmp_path):

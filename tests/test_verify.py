@@ -272,6 +272,16 @@ def test_verify_bound_forced_failure():
     assert not rep.passed
 
 
+def test_verify_bound_report_without_the_step_check():
+    dom = unit_domain()
+    kern = builtin_kernel("gaussian", dom, beta=1.0)
+    kwargs = dict(p=2, r=1, gamma=1.5, Delta=0.5, delta=0.5, sigma=0.7,
+                  samples=40, seed=4)
+    steps, bound = verify_run(kern, dom, **kwargs, check_steps=False)
+    assert steps is None
+    assert bound.to_dict() == verify_run(kern, dom, **kwargs)[1].to_dict()
+
+
 def test_verify_bound_report_shape():
     dom = unit_domain()
     kern = builtin_kernel("constant", dom, value=1.0)
