@@ -9,7 +9,6 @@ element onto the family with tracked per-step displacement.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -99,50 +98,73 @@ def integer_budget(costs: np.ndarray, limit: float) -> tuple[list[list[int]], in
 
 class _BudgetTable:
     """Every budget state (cell, budget used by the cells before it) that a
-    feasible member passes through.
-
-    `layers[i]` maps each used budget before cell i to its index; the last
-    layer holds the budgets of whole members.
+    feasible member passes through: `layers[i]` is the sorted array of the
+    budgets used before cell i, so `np.searchsorted` finds a state's index.
+    Budgets are exact: int64 while sums stay below 2**62, else Python ints.
     """
 
     def __init__(self, partition: Partition, grid: MagnitudeGrid, p: float, r: float):
         # the budget only needs p >= 1; the p > 1 restriction is for norms
         if p < 1 or r <= 0:
             raise ValueError("need p >= 1 and r > 0")
-        self.costs, self.threshold = integer_budget(
-            partition.measures[:, None] * grid.values[None, :] ** p,
-            budget_limit(p, r))
-        self.layers = [{0: 0}]
-        states = 1
-        for row in self.costs:
-            nxt: dict[int, int] = {}
-            for used in self.layers[-1]:
-                for c in self.feasible(row, used):
-                    nxt.setdefault(used + c, len(nxt))
-                # checked per state, so a layer never grows far past the cap
-                if states + len(nxt) > STATE_CAP:
+        # a cost over the limit never fits, so 2 * limit serves for them all
+        limit = budget_limit(p, r)
+        rows, self.threshold = integer_budget(np.minimum(
+            partition.measures[:, None] * grid.values[None, :] ** p, 2 * limit), limit)
+        top = self.threshold + max(row[-1] for row in rows)  # largest sum formed
+        shift = max(0, top.bit_length() - 62)
+        self.costs = np.array(rows, dtype=object if shift else np.int64)
+        self.layers = [np.zeros(1, dtype=self.costs.dtype)]
+        self.counted: dict[int, list[np.ndarray]] = {}
+        for i in range(len(rows)):
+            nxt = self.layers[-1][:0]
+            for *_, budget in self.pairs(i, self.layers[-1]):
+                nxt = np.concatenate([nxt, budget])
+                if shift:  # an int64 sort by the top 62 bits, then an exact one
+                    nxt = nxt[np.argsort((nxt >> shift).astype(np.int64))]
+                nxt = np.sort(nxt, kind="stable" if shift else None)
+                nxt = nxt[np.concatenate([[True], nxt[1:] != nxt[:-1]])]
+                # checked per block, so a layer never grows far past the cap
+                if sum(map(len, self.layers)) + len(nxt) > STATE_CAP:
                     raise BudgetTableTooLargeError(
                         f"family too large: its budget table needs more than "
                         f"{STATE_CAP} states ({partition.num_cells} cells x "
                         f"{grid.a + 1} magnitude levels); increase Delta or delta")
-            states += len(nxt)
             self.layers.append(nxt)
 
-    def feasible(self, row: list[int], used: int) -> list[int]:
-        """Costs of the levels 0, 1, ... a cell may take after `used`
-        (costs increase with the level)."""
-        return row[:bisect.bisect_right(row, self.threshold - used)]
+    def pairs(self, i: int, used: np.ndarray):
+        """The (owner, level) pairs that fit the budget after `used[owner]`
+        at cell i, owner by owner with levels ascending (costs increase with
+        the level), as blocks (owner, level, budget used after the pair).
 
-    def completions(self, factor: int) -> list[dict[int, int]]:
-        """Per layer, used budget -> weighted number of feasible completions;
-        a nonzero magnitude weighs `factor`, zero weighs 1."""
-        tables = [dict.fromkeys(self.layers[-1], 1)]
-        for row, layer in zip(reversed(self.costs), reversed(self.layers[:-1])):
-            nxt = tables[-1]
-            tables.append({used: nxt[used] + factor * sum(
-                nxt[used + c] for c in self.feasible(row, used)[1:])
-                for used in layer})
+        A block holds the owners whose pairs end in one run of STATE_CAP
+        pairs, so it has fewer than STATE_CAP pairs besides its first owner's."""
+        k = np.searchsorted(self.costs[i], self.threshold - used, side="right")
+        runs = np.cumsum(k) // STATE_CAP
+        for owners in np.split(np.arange(len(used)), np.flatnonzero(np.diff(runs)) + 1):
+            owner = np.repeat(owners, k[owners])
+            level = np.arange(owner.size) - np.searchsorted(owner, owner)
+            yield owner, level, used[owner] + self.costs[i][level]
+
+    def completions(self, factor: int) -> list[np.ndarray]:
+        """Per layer, each state's number of feasible completions (exact, as
+        object arrays); a nonzero magnitude weighs `factor`, zero weighs 1."""
+        tables = [np.ones(len(self.layers[-1]), dtype=object)]
+        for i in reversed(range(len(self.costs))):
+            table = np.empty(len(self.layers[i]), dtype=object)
+            for owner, level, budget in self.pairs(i, self.layers[i]):
+                w = tables[-1][np.searchsorted(self.layers[i + 1], budget)]
+                w[level > 0] *= factor
+                starts = np.flatnonzero(level == 0)
+                table[owner[starts]] = np.add.reduceat(w, starts)
+            tables.append(table)
         return tables[::-1]
+
+    def counts(self, factor: int) -> list[np.ndarray]:
+        """`completions(factor)`, computed once per factor."""
+        if factor not in self.counted:
+            self.counted[factor] = self.completions(factor)
+        return self.counted[factor]
 
 
 @functools.lru_cache(maxsize=1)
@@ -170,7 +192,7 @@ def count_family(
     Zero magnitudes contribute no direction factor (the zero function on a
     cell is direction-free), so each nonzero cell weighs `net.size`.
     """
-    return _budget_table(partition, grid, p, r).completions(net.size)[0][0]
+    return _budget_table(partition, grid, p, r).counts(net.size)[0][0]
 
 
 def enumerate_family(
@@ -189,29 +211,27 @@ def enumerate_family(
     table = _budget_table(partition, grid, p, r)
     _budget_table.cache_clear()
     c = net.size
-    total = table.completions(c)[0][0]
+    total = table.counts(c)[0][0]
     if total > cap:
         raise FamilyTooLargeError(total, cap)
 
     # rows are the feasible prefixes in order, each with its budget state;
-    # cell i extends a row by magnitude 0 (direction 0), then by each
-    # feasible magnitude j >= 1 with each direction
+    # cell i extends a row by each feasible magnitude in turn: magnitude 0
+    # with direction 0, a magnitude j >= 1 with each direction
     mag = np.zeros((1, 0), dtype=int)
     dirs = np.zeros((1, 0), dtype=int)
     state = np.zeros(1, dtype=int)
-    for row, layer, nxt in zip(table.costs, table.layers, table.layers[1:]):
-        # the next state of each feasible level, state by state
-        succ = [[nxt[used + cj] for cj in table.feasible(row, used)] for used in layer]
-        levels = np.array([len(s) for s in succ])
-        children = 1 + c * (levels[state] - 1)
-        parent = np.repeat(np.arange(mag.shape[0]), children)
-        # position of each child under its parent; position 0 is magnitude 0
-        first = np.repeat(np.cumsum(children) - children, children)
-        rank = np.arange(parent.size) - first
-        j = 1 + (rank - 1) // c
-        state = np.concatenate(succ)[(np.cumsum(levels) - levels)[state[parent]] + j]
-        mag = np.hstack([mag[parent], j[:, None]])
-        dirs = np.hstack([dirs[parent], np.where(rank > 0, (rank - 1) % c, 0)[:, None]])
+    for i, (layer, nxt) in enumerate(zip(table.layers, table.layers[1:])):
+        blocks = []
+        for row, j, budget in table.pairs(i, layer[state]):
+            pair = np.repeat(np.arange(j.size), np.where(j > 0, c, 1))
+            rank = np.arange(pair.size) - np.searchsorted(pair, pair)
+            row = row[pair]
+            blocks.append((np.hstack([mag[row], j[pair, None]]),
+                           np.hstack([dirs[row], rank[:, None]]),
+                           np.searchsorted(nxt, budget)[pair]))
+        mag, dirs, state = (np.concatenate(x) for x in zip(*blocks))
+    del blocks, row, j, rank, pair  # freed before the values are built
     return _from_indices(partition, grid, net, mag, dirs)
 
 
@@ -235,28 +255,31 @@ def sample_family(
 
     Magnitude profiles are sampled uniformly over the feasible set (counts of
     feasible completions drive the per-cell choice); directions are uniform
-    per nonzero cell.  Deterministic for a fixed seed.
+    per nonzero cell.  Cell by cell, one uniform u per member picks the first
+    level whose cumulative completion count over the state's total (a
+    correctly rounded ratio of exact ints) exceeds u; then all directions are
+    drawn at once.  Deterministic for a fixed seed.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     rng = np.random.default_rng(seed)
     table = _budget_table(partition, grid, p, r)
     _budget_table.cache_clear()
-    completions = table.completions(1)
-    probs = {}  # (cell, used budget) -> level probabilities, as visited
+    completions = table.counts(1)
     mags = np.zeros((count, partition.num_cells), dtype=int)
-    dirs = np.zeros_like(mags)
-    for k in range(count):
-        used = 0
-        for i, row in enumerate(table.costs):
-            if (i, used) not in probs:
-                w = np.zeros(grid.a + 1)
-                feasible = table.feasible(row, used)
-                w[:len(feasible)] = [completions[i + 1][used + c] for c in feasible]
-                probs[i, used] = w / w.sum()
-            mags[k, i] = rng.choice(grid.a + 1, p=probs[i, used])
-            used += row[mags[k, i]]
-        dirs[k] = [rng.integers(net.size) if j > 0 else 0 for j in mags[k]]
+    state = np.zeros(count, dtype=int)
+    for i, (layer, nxt) in enumerate(zip(table.layers, table.layers[1:])):
+        u, total = rng.random(count), completions[i][state]
+        for draw, level, budget in table.pairs(i, layer[state]):
+            succ = np.searchsorted(nxt, budget)
+            w, starts = completions[i + 1][succ], np.flatnonzero(level == 0)
+            cum = np.cumsum(w)
+            cum -= (cum[starts] - w[starts])[np.cumsum(level == 0) - 1]
+            below = cum / total[draw] <= u[draw]
+            owner = draw[starts]
+            mags[owner, i] = np.add.reduceat(below, starts, dtype=int)
+            state[owner] = succ[starts + mags[owner, i]]
+    dirs = np.where(mags > 0, rng.integers(net.size, size=mags.shape), 0)
     return _from_indices(partition, grid, net, mags, dirs)
 
 

@@ -207,6 +207,22 @@ def test_one_budget_table_per_run(monkeypatch, capsys, tmp_path, command, mode):
     assert len(builds) == 1
 
 
+def test_enumeration_reuses_the_count(monkeypatch, capsys, tmp_path):
+    calls = []
+    completions = _BudgetTable.completions
+
+    def counting_completions(self, factor):
+        calls.append(factor)
+        return completions(self, factor)
+
+    monkeypatch.setattr(_BudgetTable, "completions", counting_completions)
+    cfg = write(tmp_path, BASE_CONFIG.replace("Delta = 1.0", "Delta = 0.25")
+                + "family_mode = enumerate\n")
+    assert main(["verify", cfg, "--output", str(tmp_path / "out")]) == EXIT_OK
+    # the enumeration checks its cap against the count's completion table
+    assert len(calls) == 1
+
+
 def tabulated_config(tmp_path, lower, upper, file_upper):
     """BASE_CONFIG on the box [lower, upper] with a tabulated gaussian whose
     file covers [lower, file_upper]; returns the config text."""

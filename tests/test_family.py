@@ -1,12 +1,20 @@
+import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
-from opnet.errors import FamilyTooLargeError
+import opnet
+from opnet import family
+from opnet.errors import BudgetTableTooLargeError, FamilyTooLargeError
 from opnet.family import (
+    _BudgetTable,
     budget_limit,
     build_magnitude_grid,
     cell_average,
@@ -129,6 +137,22 @@ def test_integer_budget_rounds_ties_like_fsum():
 # counting
 
 
+@pytest.mark.parametrize("n_cells,a,p,r,dtype", [
+    (4, 3, 2.0, 0.6, np.int64),
+    (3, 10, 3.0, 0.7, object),
+    (2, 30, 2.0, 0.5, object),
+])
+def test_budgets_are_int64_while_sums_fit(n_cells, a, p, r, dtype):
+    part = interval_partition(delta=1.0 / n_cells, nodes=1)
+    grid = build_magnitude_grid(1.0, a)
+    table = _BudgetTable(part, grid, p, r)
+    assert table.costs.dtype == dtype
+    top = table.threshold + int(table.costs.max())
+    assert (top < 2**62) == (dtype is np.int64)
+    assert count_family(part, grid, angle_net(3), p, r) == brute_force_count(
+        part.measures, grid.values, 3, p, r)
+
+
 def test_count_single_cell():
     part = interval_partition()
     grid = build_magnitude_grid(1.0, 2)  # {0, 0.5, 1}
@@ -225,9 +249,13 @@ def test_enumerate_is_a_set():
         assert np.all(f.dir_idx[f.mag_idx == 0] == 0)
 
 
+# the last two configs hold their budgets as Python ints (see
+# test_budgets_are_int64_while_sums_fit)
 @pytest.mark.parametrize("n_cells,a,c,p,r", [
     (3, 3, 3, 2.0, 0.8),
     (4, 2, 2, 1.5, 1.0),
+    (3, 10, 2, 3.0, 0.7),
+    (2, 30, 2, 2.0, 0.5),
 ])
 def test_enumerate_order_and_content_match_brute_force(n_cells, a, c, p, r):
     # a member reads (m_0, d_0, m_1, d_1, ...); walking each cell's choices in
@@ -283,15 +311,145 @@ def test_sample_family_draws_are_pinned():
     grid = build_magnitude_grid(1.0, 3)
     fam = sample_family(part, grid, angle_net(3), 2.0, 0.6, 12, seed=5)
     assert fam.mag_idx.tolist() == [
-        [2, 2, 1, 0], [1, 0, 0, 3], [0, 1, 3, 1], [1, 1, 2, 0],
-        [2, 0, 2, 2], [2, 2, 0, 2], [1, 0, 1, 3], [0, 2, 1, 2],
-        [2, 1, 1, 0], [3, 0, 1, 0], [1, 3, 1, 0], [1, 1, 0, 2],
+        [2, 1, 1, 2], [2, 2, 2, 0], [1, 3, 0, 0], [0, 2, 2, 2],
+        [0, 1, 3, 0], [1, 1, 0, 3], [1, 1, 2, 0], [0, 0, 0, 1],
+        [0, 1, 1, 3], [3, 0, 0, 1], [1, 2, 0, 1], [0, 0, 1, 0],
     ]
     assert fam.dir_idx.tolist() == [
-        [2, 0, 0, 0], [1, 0, 0, 0], [0, 1, 2, 2], [2, 1, 2, 0],
-        [0, 0, 1, 0], [2, 0, 0, 0], [1, 0, 0, 0], [0, 2, 0, 0],
-        [0, 2, 0, 0], [2, 0, 2, 0], [0, 2, 0, 0], [2, 1, 0, 0],
+        [2, 0, 0, 2], [2, 0, 2, 0], [1, 1, 0, 0], [0, 1, 0, 2],
+        [0, 1, 2, 0], [0, 2, 0, 2], [2, 2, 1, 0], [0, 0, 0, 1],
+        [0, 0, 0, 2], [2, 0, 0, 1], [0, 2, 0, 0], [0, 0, 0, 0],
     ]
+
+
+def loop_sample(part, grid, net, p, r, count, seed):
+    """sample_family one member and one level at a time: cell by cell, each
+    member's u against the exact ratios cum_j / total of its state's
+    completion counts, then every direction."""
+    costs, threshold = integer_budget(
+        part.measures[:, None] * grid.values[None, :] ** p, budget_limit(p, r))
+
+    @functools.lru_cache(maxsize=None)
+    def completions(i, used):
+        if i == len(costs):
+            return 1
+        return sum(completions(i + 1, used + c) for c in costs[i]
+                   if used + c <= threshold)
+
+    rng = np.random.default_rng(seed)
+    mags = np.zeros((count, len(costs)), dtype=int)
+    used = [0] * count
+    for i, row in enumerate(costs):
+        for k, u in enumerate(rng.random(count).tolist()):
+            total, cum = completions(i, used[k]), 0
+            for j, c in enumerate(row):
+                if used[k] + c > threshold:
+                    break
+                cum += completions(i + 1, used[k] + c)
+                mags[k, i] += cum / total <= u
+            used[k] += row[mags[k, i]]
+    return mags, np.where(mags > 0, rng.integers(net.size, size=mags.shape), 0)
+
+
+@pytest.mark.parametrize("n_cells,a,c,p,r,seed", [
+    (4, 3, 3, 2.0, 0.6, 5),
+    (3, 5, 2, 1.5, 0.9, 6),
+    (5, 4, 4, 3.0, 0.8, 7),
+    (3, 10, 2, 3.0, 0.7, 8),
+])
+def test_sample_family_matches_a_loop_over_members(n_cells, a, c, p, r, seed):
+    part = interval_partition(delta=1.0 / n_cells, nodes=1)
+    grid = build_magnitude_grid(1.0, a)
+    fam = sample_family(part, grid, angle_net(c), p, r, 300, seed=seed)
+    mags, dirs = loop_sample(part, grid, angle_net(c), p, r, 300, seed)
+    assert np.array_equal(fam.mag_idx, mags)
+    assert np.array_equal(fam.dir_idx, dirs)
+
+
+def test_sample_family_is_uniform_over_profiles():
+    # the pinned config again: sum j^2 <= 12 over 4 cells of 3 levels
+    part = interval_partition(delta=0.25, nodes=1)
+    grid = build_magnitude_grid(1.0, 3)
+    profiles = [m for m in itertools.product(range(4), repeat=4)
+                if sum(j * j for j in m) <= 12]
+    assert len(profiles) == 108
+    index = {m: k for k, m in enumerate(profiles)}
+    fam = sample_family(part, grid, angle_net(3), 2.0, 0.6, 20_000, seed=23)
+    # a KeyError here is an infeasible draw
+    drawn = [index[tuple(m)] for m in fam.mag_idx.tolist()]
+    assert chisquare(np.bincount(drawn, minlength=108)).pvalue > 1e-3
+    nonzero = fam.mag_idx > 0
+    assert np.all(fam.dir_idx[~nonzero] == 0)
+    directions = np.bincount(fam.dir_idx[nonzero], minlength=3)
+    assert np.all(np.abs(directions / directions.sum() - 1 / 3) < 0.01)
+
+
+def test_counts_above_2_to_the_64_are_exact():
+    # 16 cells of measure 1/16, gamma = 2 and 8 steps: mu * (j / 4)^2
+    # summed is at most 1 iff sum j^2 <= 256
+    part = interval_partition(delta=1.0 / 16, nodes=1)
+    assert part.num_cells == 16
+    grid = build_magnitude_grid(2.0, 8)
+    net = angle_net(64)
+    expected = square_budget_count(16, 8, 256, 64)
+    assert expected == 753039082979042119047170672614151500603393
+    assert count_family(part, grid, net, 2, 1.0) == expected
+    fam = sample_family(part, grid, net, 2, 1.0, 500, seed=4)
+    assert all(sum(j * j for j in m) <= 256 for m in fam.mag_idx.tolist())
+
+
+def test_blocks_do_not_change_the_family(monkeypatch):
+    # p = 1 on 4 cells of 16 levels: cost j / 64, and sum j <= 16; 69 states,
+    # and each layer has 153 feasible (state, level) pairs
+    part = interval_partition(delta=0.25, nodes=1)
+    grid = build_magnitude_grid(1.0, 16)
+    net = angle_net(2)
+    args = (part, grid, net, 1.0, 0.25)
+    whole = (count_family(*args), enumerate_family(*args),
+             sample_family(*args, 400, seed=3))
+    assert whole[0] == sum(2 ** sum(j > 0 for j in m)
+                           for m in itertools.product(range(17), repeat=4)
+                           if sum(m) <= 16)
+    # blocks of at most 69 pairs, and 400 draws per cell
+    monkeypatch.setattr(family, "STATE_CAP", 69)
+    blocked = (count_family(*args), enumerate_family(*args),
+               sample_family(*args, 400, seed=3))
+    assert blocked[0] == whole[0]
+    for a, b in zip(whole[1:], blocked[1:]):
+        assert np.array_equal(a.mag_idx, b.mag_idx)
+        assert np.array_equal(a.dir_idx, b.dir_idx)
+    monkeypatch.setattr(family, "STATE_CAP", 68)
+    with pytest.raises(BudgetTableTooLargeError):
+        count_family(*args)
+
+
+def test_refusal_with_many_levels_is_cheap():
+    # 4 cells and 50,000 levels: the second layer alone passes STATE_CAP; a
+    # dense (states, a + 1) layer would need about 20 GB
+    code = (
+        "import resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "import numpy as np\n"
+        "from opnet.errors import BudgetTableTooLargeError\n"
+        "from opnet.family import build_magnitude_grid, count_family\n"
+        "from opnet.geometry import Domain, build_partition\n"
+        "from opnet.sphere import build_sigma_net\n"
+        "part = build_partition(Domain(np.zeros(1), np.ones(1)), 0.25,\n"
+        "                       nodes_per_axis=1)\n"
+        "assert part.num_cells == 4\n"
+        "grid, net = build_magnitude_grid(2.0, 50_000), build_sigma_net(1, 0.5)\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    count_family(part, grid, net, 2.0, 1.0)\n"
+        "except BudgetTableTooLargeError:\n"
+        "    print(time.perf_counter() - start)\n")
+    src = os.path.dirname(os.path.dirname(opnet.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) < 2.0
 
 
 def test_sample_family_deterministic():
