@@ -148,6 +148,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"[parameters] p: must exceed 1, got {cfg.p}")
     if cfg.r <= 0:
         raise ConfigError(f"[parameters] r: must be positive, got {cfg.r}")
+    if cfg.samples < 1:
+        raise ConfigError(f"[run] samples: must be >= 1, got {cfg.samples}")
     if cfg.family_mode not in ("enumerate", "sample"):
         raise ConfigError(f"[run] family_mode: unknown mode {cfg.family_mode!r}")
     return cfg
@@ -237,7 +239,12 @@ def resolve(cfg: RunConfig):
             if args:
                 for kv in args.split(","):
                     key, _, val = kv.partition("=")
-                    params[key.strip()] = float(val)
+                    try:
+                        params[key.strip()] = float(val)
+                    except ValueError:
+                        raise ConfigError(
+                            f"[kernel] components: {kv.strip()!r} is not "
+                            "key=number") from None
             comps.append((name.strip(), params))
         if not comps:
             raise ConfigError("[kernel] components: empty block_diag")
@@ -453,7 +460,12 @@ def main(argv=None) -> int:
             if not args.axis or not args.values:
                 print("sweep needs --axis and --values", file=sys.stderr)
                 return EXIT_CONFIG
-            values = [float(v) for v in args.values.split(",")]
+            try:
+                values = [float(v) for v in args.values.split(",")]
+            except ValueError:
+                raise ConfigError(
+                    f"--values: {args.values!r} is not comma-separated numbers"
+                ) from None
             return cmd_sweep(cfg, args.axis, values)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

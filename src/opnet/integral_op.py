@@ -2,8 +2,10 @@
 
 ``DiscretizedOperator`` evaluates the kernel once on the partition's node
 grid and caches both the weighted node matrix (for sampled inputs) and the
-per-cell integral matrices (for piecewise-constant inputs), so a whole
+per-cell integral matrix (for piecewise-constant inputs), so a whole
 stacked family is applied in one contraction against one kernel evaluation.
+The image of a piecewise-constant stack keeps its cell values and the cell
+matrix, so distances can be screened in that smaller space.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ class DiscretizedOperator:
         self._weighted = kmat * partition.weights[None, :, None, None]
         p_nodes = pts.shape[0]
         qpc = partition.nodes_per_cell
-        self._cell_int = self._weighted.reshape(
+        # the integral of K over each cell, as a (P m, N n) matrix over
+        # flattened values
+        self.cell_matrix = np.ascontiguousarray(self._weighted.reshape(
             p_nodes, partition.num_cells, qpc, kernel.m, kernel.n
-        ).sum(axis=2)  # (P, N, m, n): integral of K over each cell
+        ).sum(axis=2).transpose(0, 2, 1, 3)).reshape(p_nodes * kernel.m, -1)
 
     def apply(self, x: SampledFn | PiecewiseConstFn) -> SampledFn:
         """Image of one function, or of every member of a stack at once."""
@@ -40,7 +44,14 @@ class DiscretizedOperator:
             raise ValueError(
                 f"input dim {x.dim} != kernel input dim {self.kernel.n}"
             )
-        matrix = self._cell_int if isinstance(x, PiecewiseConstFn) else self._weighted
-        # contract the input's (cell or node, component) axes: (..., P, m)
-        y = np.tensordot(x.values, matrix, axes=([-2, -1], [1, 3]))
-        return SampledFn(self.partition, y)
+        if not isinstance(x, PiecewiseConstFn):
+            # contract the input's (node, component) axes: (..., P, m)
+            y = np.tensordot(x.values, self._weighted, axes=([-2, -1], [1, 3]))
+            return SampledFn(self.partition, y)
+        # the same over (cell, component), with A viewed as (P, m, N, n)
+        p_nodes, _, m, _ = self._weighted.shape
+        cell_int = self.cell_matrix.reshape(p_nodes, m, *x.values.shape[-2:])
+        y = np.tensordot(x.values, cell_int, axes=([-2, -1], [2, 3]))
+        return SampledFn(self.partition, y,
+                         coeffs=x.values.reshape(*x.values.shape[:-2], -1),
+                         cell_matrix=self.cell_matrix)

@@ -39,42 +39,138 @@ __all__ = [
 STEP_TOLERANCE = 1e-8
 TCHEBYSHEV_TOLERANCE = 1e-10
 _BLOCK = 1 << 15  # elements per temporary of the distance computations
-# c in the screen tolerance c (dim + 4) eps (|a| + |b|)^2; see `_lq_bounds`
+# c in the screen tolerance c ((dim + 4) eps (|a| + |b|)^2 + slack); see
+# `_lq_bounds`, `_screen_space` and `_slack`
 _SCREEN_SAFETY = 4.0
 
 
-def _rows(values: np.ndarray) -> int:
-    """How many functions of a stack fit one block."""
-    return max(1, _BLOCK // values[0].size)
+def _slack(a, coeffs, x, w):
+    """Bound on the gap of a coefficient-space cross term to the full-space one.
 
-
-def _screen(fv, rows, tv, w, tsq):
-    """Squared L_2 distances of fv[rows] to tv, less |a|^2, block by block.
-
-    Yields (offset into `rows`, offset into `tv`, block).  A block holds
-    |b|^2 - 2 (a w).b for the flattened values a, b, with the weights w
-    folded into the `from` side only, so that the targets enter the product
-    as views; `tsq` holds the squared weighted norms |b|^2, and adding a
-    row's |a|^2 completes its squared distances.  Counting roundings of
-    u = eps / 2 each to first order, with N = |a| + |b| in the weighted
-    norm, a completed entry is within (dim + 3) u N^2 of the exact squared
-    distance.  Every temporary holds at most `_BLOCK` elements.
+    The screen takes the cross term of a node function b and a stored image
+    t = fl(A c) as (-2 (b w) A).c, not -2 (b w).t; `a` is the cell matrix
+    A, (dim, k) = (P m, N n), `coeffs` the rows c, x the largest |b|_w and
+    w the node weights.  Count roundings of u = eps / 2 to first order, with
+    W the weights repeated per component and |z|_w = |W^(1/2) z|.
+    (i) The apply: t = A c + e with |e| <= k u |A| |c| in any summation
+    order, and 2 (|b| w).(|A| |c|) <= 2 |b|_w |W^(1/2) |A||_2 |c|_2 by
+    Cauchy-Schwarz.  (ii) The projection: -2 w is exact, its product with
+    b rounds once and the dim-term sum with A adds dim u, so the computed
+    g = -2 (b w) A is off by at most (dim + 1) u 2 (|b| w) |A| in every
+    entry, which |c| turns into (dim + 1) u 2 |b|_w |W^(1/2) |A||_2 |c|_2.
+    (iii) The k-term product g.c adds k u |g|.|c|, the same form times k.
+    In all, (2 k + dim + 1) eps |b|_w |W^(1/2) |A||_2 |c|_2.  Underflow adds
+    at most tiny / 2 per product, tiny the smallest subnormal: k tiny / 2
+    per entry of e, which 2 |b| w turns into k tiny (m mu)^(1/2) |b|_w (mu
+    the total weight); tiny / 2 per entry of (b w) and per projection
+    product, which give (dim + |A|_1) tiny |c|_1 / 2 (|A|_1 the largest
+    column sum, |c|_1 <= k^(1/2) |c|_2); and k tiny / 2 in g.c.  The result,
+    (2 k + dim + 2) (eps x y |W^(1/2) |A||_2
+    + tiny (1 + (m mu)^(1/2) x) (1 + |A|_1) (1 + k^(1/2) y)) with y the
+    largest |c|_2, covers both; rounding its norms moves it by second-order
+    terms only.
     """
-    dim = fv[0].size
-    rf = min(len(rows), _rows(fv))
-    rt = max(1, _BLOCK // rf)
+    dim, k = a.shape
+    wrep = np.repeat(w, dim // len(w))
+    y = math.sqrt(float(np.einsum("ij,ij->i", coeffs, coeffs).max()))
+    spectral = float(np.linalg.norm(np.sqrt(wrep)[:, None] * abs(a), 2))
+    col_sum = float(abs(a).sum(axis=0).max())
+    f64 = np.finfo(float)
+    return (2 * k + dim + 2) * (
+        f64.eps * x * y * spectral
+        + f64.smallest_subnormal * (1.0 + math.sqrt(wrep.sum()) * x)
+        * (1.0 + col_sum) * (1.0 + math.sqrt(k) * y))
+
+
+def _screen_space(from_fns, to_fns):
+    """The screen's space for two stacks, their squared norms and its tolerance.
+
+    Returns (space, fsq, tsq, tol).  `space` is (rows_of, width, targets):
+    rows_of(idx) holds a row per member of from_fns[idx], computed from
+    `width`-element rows, and `targets` a row per member of to_fns, such
+    that rows_of(idx) @ targets.T approximates the cross terms -2 (a w).b
+    of the flattened node values a, b and the node weights w.  fsq and tsq
+    hold the squared weighted norms |a|^2 and |b|^2.
+
+    A stack that carries coefficients c (see `SampledFn`) enters as c; the
+    other side's node values, weighted and times -2, are projected by the
+    cell matrix A to its k = N n coefficients, as -2 (b w).(A c) =
+    (-2 (b w) A).c.  The targets' coefficients serve when both sides have
+    them.  With none, the targets enter as their values (views) and the
+    weights join the `from` rows.
+
+    A completed screened entry (see `_screen`) is within (dim + 3) u N^2
+    of the exact squared distance of the stored values in full space, and
+    within that plus `_slack` in coefficient space.  tol is
+    `_SCREEN_SAFETY` ((dim + 4) (eps N^2 + tiny) + slack), so it holds the
+    entry's error that many times over (tiny the smallest subnormal, for
+    the absolute underflow errors).
+    """
+    w = from_fns.partition.weights
+    fv, tv = from_fns.values, to_fns.values
+    fsq = np.einsum("ipk,ipk,p->i", fv, fv, w)
+    tsq = np.einsum("ipk,ipk,p->i", tv, tv, w)
+    norms = (math.sqrt(fsq.max()), math.sqrt(tsq.max()))
+    neg2w = np.repeat(-2.0 * w, from_fns.dim)  # -2 w per flattened value
+
+    def weighted(values):
+        return values.reshape(len(values), -1) * neg2w
+
+    slack = 0.0
+    if to_fns.coeffs is not None:
+        a = to_fns.cell_matrix
+        space = (lambda idx: weighted(fv[idx]) @ a, a.shape[0], to_fns.coeffs)
+        slack = _slack(a, to_fns.coeffs, norms[0], w)
+    elif from_fns.coeffs is not None:
+        a, coeffs = from_fns.cell_matrix, from_fns.coeffs
+        step = max(1, _BLOCK // a.shape[0])
+        targets = np.concatenate([weighted(tv[s:s + step]) @ a
+                                  for s in range(0, len(tv), step)])
+        space = (lambda idx: coeffs[idx], a.shape[1], targets)
+        slack = _slack(a, coeffs, norms[1], w)
+    else:
+        targets = tv.reshape(len(tv), -1)
+        space = (lambda idx: weighted(fv[idx]), targets.shape[1], targets)
+    f64 = np.finfo(float)
+    tol = _SCREEN_SAFETY * ((fv[0].size + 4) * (
+        f64.eps * sum(norms) ** 2 + f64.smallest_subnormal) + slack)
+    return space, fsq, tsq, tol
+
+
+def _screen(space, rows, tsq):
+    """Squared L_2 distances of the `from` rows to every target, less |a|^2.
+
+    Yields (offset into `rows`, offset into `targets`, block), a block
+    holding |b|^2 + rows_of(rows[...]) @ targets[...].T for the `space`
+    (rows_of, width, targets) of `_screen_space`.  `tsq` holds the squared
+    weighted norms |b|^2, and adding a row's |a|^2 completes its squared
+    distances.  In full space, counting roundings of u = eps / 2 each to
+    first order, with N = |a| + |b| in the weighted norm, a completed entry
+    is within (dim + 3) u N^2 of the exact squared distance;
+    `_slack` adds to it in coefficient space.  Few targets, whose
+    rows take at most `_BLOCK` elements, all go in one block; otherwise a
+    block takes as many rows as a temporary of `width`-element rows holds.
+    Every temporary holds at most `_BLOCK` elements.
+    """
+    rows_of, width, targets = space
+    n = len(targets)
+    rf = min(len(rows), max(1, _BLOCK // width))
+    if n * targets.shape[1] <= _BLOCK:
+        rf, rt = min(rf, max(1, _BLOCK // n)), n
+    else:
+        rt = max(1, _BLOCK // rf)
     for fs in range(0, len(rows), rf):
-        a = (fv[rows[fs:fs + rf]] * (-2.0 * w)[:, None]).reshape(-1, dim)
-        for ts in range(0, len(tv), rt):
-            block = a @ tv[ts:ts + rt].reshape(-1, dim).T
+        a = rows_of(rows[fs:fs + rf])
+        for ts in range(0, n, rt):
+            block = a @ targets[ts:ts + rt].T
             block += tsq[ts:ts + rt]
             yield fs, ts, block
 
 
-def _nearest(fv, rows, tv, w, tsq):
-    """Index of the screened nearest target of each of fv[rows]."""
+def _nearest(space, rows, tsq):
+    """Index of the screened nearest target of each of the `from` rows."""
     near, best = np.zeros(len(rows), dtype=np.intp), np.full(len(rows), np.inf)
-    for fs, ts, block in _screen(fv, rows, tv, w, tsq):
+    for fs, ts, block in _screen(space, rows, tsq):
         j = block.argmin(axis=1)
         value = block[np.arange(len(block)), j]
         r = np.flatnonzero(value < best[fs:fs + len(block)])
@@ -96,7 +192,8 @@ def _lq_bounds(w, n, q):
     (P + 3) u / 2, each filter of `directed_distance` 3.5 u, second-order
     terms u / 2: on the scale of squared L_2 distances, at most N^2 (see
     `_screen`), that is (n + 3 P + 23) u N^2.  With the screen's
-    (dim + 3) u N^2 the tolerance covers it for `_SCREEN_SAFETY` >=
+    (dim + 3) u N^2 + `_slack`, the tolerance, which takes the slack
+    `_SCREEN_SAFETY` times, covers it for `_SCREEN_SAFETY` >=
     (dim + n + 3 P + 26) / (2 dim + 8), which is 3.1 at n = P = 1 and less
     beyond.  alpha bounds the absolute underflow errors: n tiny / 2 in a
     node's squared norm moves N_q by mu^(1/q) sqrt(n tiny), and a node's
@@ -116,23 +213,18 @@ def directed_distance(from_fns: SampledFn, to_fns: SampledFn, q: float) -> float
     Both sets are stacks of sampled functions on one partition.  The result
     is `_lq_norms(t - u, w, q)` of the maximizing pair, exactly as an
     all-pairs scan gives it.  A blocked matrix-product screen of squared
-    L_2 distances, turned into L_q bounds by `_lq_bounds`, keeps the pairs
-    that can attain it, and only those are computed exactly.
+    L_2 distances, run in the coefficient space of a family image stack
+    (`_screen_space`) and turned into L_q bounds by `_lq_bounds`, keeps the
+    pairs that can attain it, and only those are computed exactly from the
+    stored values.
     """
     if not to_fns:
         raise ValueError("target set must be nonempty")
     if not from_fns:
         return 0.0
     w = from_fns.partition.weights
-    fv = from_fns.values
-    tv = to_fns.values
-
-    fsq = np.einsum("ipk,ipk,p->i", fv, fv, w)
-    tsq = np.einsum("ipk,ipk,p->i", tv, tv, w)
-    f64 = np.finfo(float)
-    tol = _SCREEN_SAFETY * (fv[0].size + 4) * (
-        f64.eps * (math.sqrt(fsq.max()) + math.sqrt(tsq.max())) ** 2
-        + f64.smallest_subnormal)  # underflow errors are absolute
+    fv, tv = from_fns.values, to_fns.values
+    space, fsq, tsq, tol = _screen_space(from_fns, to_fns)
     c_lo, c_hi, alpha = _lq_bounds(w, fv.shape[-1], q)
 
     # A screened squared distance S is within tol of the exact one, so the
@@ -140,7 +232,7 @@ def directed_distance(from_fns: SampledFn, to_fns: SampledFn, q: float) -> float
     # + alpha.  The largest lower bound of a row minimum bounds the result
     # from below; rows whose upper bound falls short of it cannot attain it.
     approx = np.full(len(fv), np.inf)
-    for fs, _, block in _screen(fv, np.arange(len(fv)), tv, w, tsq):
+    for fs, _, block in _screen(space, np.arange(len(fv)), tsq):
         part = approx[fs:fs + len(block)]
         np.minimum(part, block.min(axis=1), out=part)
     approx += fsq  # adding a row constant commutes with the rounded min
@@ -148,15 +240,15 @@ def directed_distance(from_fns: SampledFn, to_fns: SampledFn, q: float) -> float
     rows = np.flatnonzero(c_hi * np.sqrt(approx + tol) + alpha >= lower)
     # E to a row's screened nearest target bounds the row minimum from
     # above; the minimizing target's lower bound cannot exceed it.
-    near = _nearest(fv, rows, tv, w, tsq)
-    chunk = _rows(tv)
+    near = _nearest(space, rows, tsq)
+    chunk = max(1, _BLOCK // tv[0].size)
     best = np.concatenate([
         _lq_norms(tv[near[s:s + chunk]] - fv[rows[s:s + chunk]], w, q)
         for s in range(0, len(rows), chunk)])
     keep = best >= lower
     rows, near, best = rows[keep], near[keep], best[keep]
     limit = ((best + alpha) / c_lo) ** 2 + tol
-    for fs, ts, block in _screen(fv, rows, tv, w, tsq):
+    for fs, ts, block in _screen(space, rows, tsq):
         block += fsq[rows[fs:fs + len(block)], None]
         i, j = np.nonzero(block <= limit[fs:fs + len(block), None])
         i += fs

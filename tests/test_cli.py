@@ -463,6 +463,27 @@ def test_sweep_unknown_axis(capsys, tmp_path):
     assert main(["sweep", cfg, "--axis", "bogus", "--values", "1"]) == EXIT_CONFIG
 
 
+def test_sweep_non_numeric_value_is_config_error(capsys, tmp_path):
+    cfg = write(tmp_path, BASE_CONFIG)
+    assert main(["sweep", cfg, "--axis", "sigma",
+                 "--values", "1.2,abc"]) == EXIT_CONFIG
+    assert "config error: --values" in capsys.readouterr().err
+
+
+def test_non_numeric_component_parameter_is_config_error(capsys, tmp_path):
+    cfg = write(tmp_path, BASE_CONFIG.replace(
+        "name = constant\nvalue = 1.0",
+        "name = block_diag\ncomponents = gaussian:beta=abc"))
+    assert main(["verify", cfg]) == EXIT_CONFIG
+    assert "config error: [kernel] components" in capsys.readouterr().err
+
+
+def test_zero_samples_is_config_error(capsys, tmp_path):
+    cfg = write(tmp_path, BASE_CONFIG.replace("samples = 40", "samples = 0"))
+    assert main(["verify", cfg]) == EXIT_CONFIG
+    assert "config error: [run] samples" in capsys.readouterr().err
+
+
 def test_cli_import_leaves_scipy_interpolate_out():
     # only tabulated kernels need it, and it is most of the import time
     src = os.path.dirname(os.path.dirname(opnet.__file__))

@@ -1,11 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from opnet.cli import EXIT_OK, main
-from opnet.functions import SampledFn, weighted_lp
+from opnet.functions import PiecewiseConstFn, SampledFn, weighted_lp
 from opnet.geometry import Domain, build_partition
+from opnet.integral_op import DiscretizedOperator
 from opnet.kernels import builtin_kernel
 from opnet import verify
 from opnet.verify import directed_distance, verify_run
@@ -93,7 +95,7 @@ def stacks(kind, rng, part, n_from, n_to, n):
 @pytest.mark.parametrize("block,n_from,n_to", [
     (50, 13, 57),      # 2 rows by 25 targets per block, ragged on both axes
     (97, 41, 9),       # 4 rows by 24 targets, one target block
-    (None, 1400, 60),  # the real block: 1365 rows by 24 targets
+    (None, 1400, 60),  # the real block: 546 rows by all 60 targets
 ])
 def test_directed_distance_q2_equals_brute_force(monkeypatch, q, kind, block,
                                                  n_from, n_to):
@@ -109,7 +111,75 @@ def test_directed_distance_q2_equals_brute_force(monkeypatch, q, kind, block,
         assert directed_distance(fns, targets, q) == 0.0
 
 
-B102K_P3_CONFIG = """\
+def family_stacks(kind, rng, n_other, n_family):
+    """(other, family): node values, and operator images of cell values.
+
+    The family is `DiscretizedOperator.apply` of a random piecewise-constant
+    stack, so it carries its coefficients; `other` carries none.  In the
+    "cancel" kind the coefficients are large multiples of the cell matrix's
+    smallest right singular vector, which alternates in sign, so that
+    |A| |c| is about 4e5 times |A c|.
+    """
+    dom = unit_domain()
+    part = build_partition(dom, 0.25)  # 4 cells, 12 nodes
+    kern = builtin_kernel("block_diag", dom, components=[
+        ("gaussian", {"beta": 1.0}), ("constant", {"value": 0.5})])
+    op = DiscretizedOperator(kern, part)
+    shape = (part.num_cells, kern.n)
+
+    def coeffs(count):
+        if kind == "random":  # norms over two decades, so pruning bites
+            return rng.standard_normal((count,) + shape) \
+                * np.exp(rng.uniform(-2.5, 2.5, (count, 1, 1)))
+        null = np.linalg.svd(op.cell_matrix)[2][-1].reshape(shape)
+        sign = rng.choice([-1.0, 1.0], (count, 1, 1))
+        return 1e6 * sign * null + rng.standard_normal((count,) + shape)
+
+    family = op.apply(PiecewiseConstFn(part, coeffs(n_family)))
+    near = op.apply(PiecewiseConstFn(part, coeffs(n_other))).values
+    other = SampledFn(part, near + 0.1 * rng.standard_normal(near.shape))
+    return other, family
+
+
+@pytest.mark.parametrize("q", [2, 1.5, 3.0])
+@pytest.mark.parametrize("kind", ["random", "cancel"])
+@pytest.mark.parametrize("block,n_other,n_family", [
+    (50, 13, 57),      # 2 rows by 25 family targets; 6 rows by 8 others
+    (97, 41, 9),       # 4 rows by all 9 family targets; 9 rows by 10 others
+    (None, 1400, 60),  # the real block: all targets in one block both ways
+])
+def test_directed_distance_on_family_images_equals_brute_force(
+        monkeypatch, q, kind, block, n_other, n_family):
+    """Coefficient-space screens, both directions, against the all-pairs scan."""
+    if block is not None:
+        monkeypatch.setattr(verify, "_BLOCK", block)
+    rng = np.random.default_rng(n_other)
+    other, family = family_stacks(kind, rng, n_other, n_family)
+    assert family.coeffs is not None and other.coeffs is None
+    for a, b in ((other, family), (family, other), (family[3:], family)):
+        assert directed_distance(a, b, q) == brute_force(a, b, q)
+
+
+@pytest.mark.parametrize("kind", ["random", "cancel"])
+def test_screened_entries_are_within_the_tolerance(monkeypatch, kind):
+    """Every screened squared distance against an fsum of the stored values."""
+    monkeypatch.setattr(verify, "_BLOCK", 97)
+    other, family = family_stacks(kind, np.random.default_rng(5), 41, 9)
+    w = np.repeat(other.partition.weights, other.dim)
+    for a, b in ((other, family), (family, other), (family[3:], family),
+                 (other, other)):
+        space, fsq, tsq, tol = verify._screen_space(a, b)
+        av = a.values.reshape(len(a), -1)
+        bv = b.values.reshape(len(b), -1)
+        for fs, ts, block in verify._screen(space, np.arange(len(a)), tsq):
+            for i, row in enumerate(block + fsq[fs:fs + len(block), None]):
+                for j, screened in enumerate(row):
+                    d = av[fs + i] - bv[ts + j]
+                    exact = math.fsum(w * d * d)
+                    assert abs(screened - exact) <= tol / verify._SCREEN_SAFETY
+
+
+B102K_CONFIG = """\
 [domain]
 dim = 2
 lower = 0.0 0.0
@@ -120,7 +190,7 @@ name = block_diag
 components = gaussian:beta=1.0|constant:value=0.5
 
 [parameters]
-p = 3
+p = {p}
 r = 1
 gamma = 2.0
 Delta = 1.0
@@ -134,8 +204,11 @@ quad_nodes = 3
 """
 
 
-def test_other_q_recomputes_few_pairs(monkeypatch, capsys, tmp_path):
-    # the baseline config at p = 3: q = 1.5, 200 ball samples, 64,961 members
+@pytest.mark.parametrize("p", [2, 3])
+def test_other_q_recomputes_few_pairs(monkeypatch, capsys, tmp_path, p):
+    # the baseline config: q = 2 and 102,621 members at p = 2, q = 1.5 and
+    # 64,961 at p = 3; 200 ball samples.  The screen's tolerance must stay
+    # tight enough to prune all but a few pairs.
     recomputed = 0
     lq_norms = verify._lq_norms
 
@@ -147,7 +220,7 @@ def test_other_q_recomputes_few_pairs(monkeypatch, capsys, tmp_path):
 
     monkeypatch.setattr(verify, "_lq_norms", counting)
     cfg = tmp_path / "b102k.ini"
-    cfg.write_text(B102K_P3_CONFIG)
+    cfg.write_text(B102K_CONFIG.format(p=p))
     out = tmp_path / "report.json"
     assert main(["verify", str(cfg), "--output", str(out)]) == EXIT_OK
     assert capsys.readouterr().out.strip().endswith("PASS")
