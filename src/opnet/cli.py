@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -155,53 +154,6 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical INI form; parse(serialize(parse(x))) == parse(x)."""
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
-    cp["domain"] = {
-        "dim": str(cfg.dim),
-        "lower": " ".join(repr(v) for v in cfg.lower),
-        "upper": " ".join(repr(v) for v in cfg.upper),
-    }
-    kern = {"name": cfg.kernel_name}
-    if cfg.kernel_file:
-        kern["file"] = cfg.kernel_file
-    for key, val in sorted(cfg.kernel_params.items()):
-        kern[key] = repr(val) if isinstance(val, float) else str(val)
-    cp["kernel"] = kern
-    params = {"p": repr(cfg.p), "r": repr(cfg.r), "lambda": repr(cfg.lam)}
-    if cfg.epsilon is not None:
-        params["epsilon"] = repr(cfg.epsilon)
-    else:
-        for key in ("gamma", "Delta", "delta", "sigma"):
-            params[key] = repr(getattr(cfg, key))
-    cp["parameters"] = params
-    run = {
-        "quad_nodes": str(cfg.quad_nodes),
-        "seed": str(cfg.seed),
-        "samples": str(cfg.samples),
-        "enum_cap": str(cfg.enum_cap),
-        "family_mode": cfg.family_mode,
-        "family_samples": str(cfg.family_samples),
-        "debug_bound_scale": repr(cfg.debug_bound_scale),
-    }
-    if cfg.output:
-        run["output"] = cfg.output
-    cp["run"] = run
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
-
-
-def _config_dict(cfg: RunConfig) -> dict:
-    d = dict(cfg.__dict__)
-    d["kernel_params"] = dict(cfg.kernel_params)
-    d["lower"] = list(cfg.lower)
-    d["upper"] = list(cfg.upper)
-    return d
-
-
 # the [kernel] keys each builtin reads besides `name`; a `file` kernel reads none
 _KERNEL_KEYS = {"constant": {"value"}, "gaussian": {"beta"}, "product": set(),
                 "block_diag": {"components"}}
@@ -266,13 +218,16 @@ def resolve(cfg: RunConfig):
     return domain, kernel, selection
 
 
-def _dump_json(obj, path: str | None) -> str:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _write_text(text: str, path: str | None) -> str:
     if path:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w") as fh:
             fh.write(text)
     return text
+
+
+def _dump_json(obj, path: str | None) -> str:
+    return _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
 
 
 def _write_csv(path: str, cols: list[str], blocks) -> None:
@@ -306,7 +261,7 @@ def cmd_bound(cfg: RunConfig) -> int:
     )
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "breakdown": breakdown.to_dict(),
     }
     if selection is not None:
@@ -323,7 +278,7 @@ def cmd_build(cfg: RunConfig) -> int:
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "family_count": str(count),
         "cells": partition.num_cells,
         "net_size": net.size,
@@ -367,19 +322,24 @@ def cmd_build(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    domain, kernel, _ = resolve(cfg)
-    steps_report, bound_report = verify_run(
+def _verify(cfg: RunConfig, domain, kernel, check_steps: bool = True):
+    """`verify_run` on the resolved run `cfg`."""
+    return verify_run(
         kernel, domain, cfg.p, cfg.r, cfg.gamma, cfg.Delta, cfg.delta,
         cfg.sigma, cfg.samples, cfg.seed, cfg.lam, cfg.quad_nodes,
         family_mode=cfg.family_mode, enum_cap=cfg.enum_cap,
         family_samples=cfg.family_samples,
-        bound_scale=cfg.debug_bound_scale,
+        bound_scale=cfg.debug_bound_scale, check_steps=check_steps,
     )
+
+
+def cmd_verify(cfg: RunConfig) -> int:
+    domain, kernel, _ = resolve(cfg)
+    steps_report, bound_report = _verify(cfg, domain, kernel)
     passed = steps_report.passed and bound_report.passed
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "steps_report": steps_report.to_dict(),
         "bound_report": bound_report.to_dict(),
         "passed": passed,
@@ -397,34 +357,16 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
     if axis not in ("gamma", "Delta", "delta", "sigma", "lam"):
         raise ConfigError(f"sweep axis: unknown parameter {axis!r}")
     domain, kernel, _ = resolve(cfg)
-    rows = []
-    for value in values:
-        kwargs = {
-            "gamma": cfg.gamma, "Delta": cfg.Delta, "delta": cfg.delta,
-            "sigma": cfg.sigma, "lam": cfg.lam,
-        }
-        kwargs[axis] = value
-        _, report = verify_run(
-            kernel, domain, cfg.p, cfg.r, kwargs["gamma"], kwargs["Delta"],
-            kwargs["delta"], kwargs["sigma"], cfg.samples, cfg.seed,
-            kwargs["lam"], cfg.quad_nodes,
-            family_mode=cfg.family_mode, enum_cap=cfg.enum_cap,
-            family_samples=cfg.family_samples, check_steps=False,
-        )
-        rows.append((value, report.breakdown, report.certified_total,
-                     report.directed_sampled_to_family))
     lines = [f"{axis},certified_total,tail_term,psi,phi,alpha,observed_distance"]
-    for value, brk, total, observed in rows:
+    for value in values:
+        _, report = _verify(replace(cfg, **{axis: value}),
+                            domain, kernel, check_steps=False)
+        brk = report.breakdown
         lines.append(",".join(repr(float(v)) for v in (
-            value, total, brk["tail_term"], brk["psi"], brk["phi"],
-            brk["alpha"], observed,
+            value, report.certified_total, brk["tail_term"], brk["psi"],
+            brk["phi"], brk["alpha"], report.directed_sampled_to_family,
         )))
-    text = "\n".join(lines) + "\n"
-    if cfg.output:
-        os.makedirs(os.path.dirname(cfg.output) or ".", exist_ok=True)
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
-    print(text, end="")
+    print(_write_text("\n".join(lines) + "\n", cfg.output), end="")
     return EXIT_OK
 
 

@@ -44,7 +44,6 @@ class Kernel:
     n: int
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str
-    params: dict
     metrics: KernelMetrics
 
     def evaluate(self, xi: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -86,7 +85,7 @@ def builtin_kernel(name: str, domain: Domain, **params) -> Kernel:
             return np.broadcast_to(value, shape + (m, n)).copy()
 
         sup = float(np.linalg.norm(value, ord=2))
-        return Kernel(m, n, fn, "constant", {"value": value.tolist()},
+        return Kernel(m, n, fn, "constant",
                       KernelMetrics(sup_norm=sup, lipschitz=0.0))
 
     if name == "gaussian":
@@ -100,7 +99,7 @@ def builtin_kernel(name: str, domain: Domain, **params) -> Kernel:
 
         # |d/dt exp(-beta t^2)| peaks at t = 1/sqrt(2 beta)
         lip = math.sqrt(2.0 * beta) * math.exp(-0.5)
-        return Kernel(1, 1, _scalar(g), "gaussian", {"beta": beta},
+        return Kernel(1, 1, _scalar(g), "gaussian",
                       KernelMetrics(sup_norm=1.0, lipschitz=lip))
 
     if name == "product":
@@ -109,7 +108,7 @@ def builtin_kernel(name: str, domain: Domain, **params) -> Kernel:
         def prod(xi, s):
             return np.sum(xi * s, axis=-1)
 
-        return Kernel(1, 1, _scalar(prod), "product", {},
+        return Kernel(1, 1, _scalar(prod), "product",
                       KernelMetrics(sup_norm=radius**2, lipschitz=radius))
 
     if name == "block_diag":
@@ -133,7 +132,6 @@ def builtin_kernel(name: str, domain: Domain, **params) -> Kernel:
         sup = max(k.metrics.sup_norm for k in kernels)
         lip = max(k.metrics.lipschitz for k in kernels)
         return Kernel(d, d, blk, "block_diag",
-                      {"components": [k.name for k in kernels]},
                       KernelMetrics(sup_norm=sup, lipschitz=lip))
 
     raise ValueError(f"unknown builtin kernel {name!r}")
@@ -254,6 +252,5 @@ def load_tabulated_kernel(path) -> tuple[Kernel, Domain]:
         out = interp(np.concatenate([xi_b, s_b], axis=1))
         return out.reshape(shape + (m, n))
 
-    kernel = Kernel(m, n, fn, "tabulated", {"path": str(path)},
-                    _node_metrics(vals, axes))
+    kernel = Kernel(m, n, fn, "tabulated", _node_metrics(vals, axes))
     return kernel, domain

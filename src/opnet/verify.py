@@ -315,8 +315,9 @@ def _check_steps(op, ball, ball_images, breakdown, gamma, grid, net, q,
                  bound_scale):
     """Per-stage image displacement of the ball samples against its bound term.
 
-    Returns the step records and the Tchebyshev observation; the stage
-    images are released on return.
+    Returns the step records and the Tchebyshev observation.  Each stage's
+    image is differenced against the one before and then replaces it, so at
+    most two stage images are alive at once.
     """
     partition = op.partition
     bounds = {
@@ -325,11 +326,12 @@ def _check_steps(op, ball, ball_images, breakdown, gamma, grid, net, q,
         "round": bound_scale * breakdown.phi,
         "snap": bound_scale * breakdown.alpha,
     }
-    images = [ball_images.values] + [
-        op.apply(g).values for g in run_pipeline(ball, gamma, partition, grid, net)]
+    before = ball_images.values
     steps = []
-    for name, before, after in zip(bounds, images, images[1:]):
+    for name, stage in zip(bounds, run_pipeline(ball, gamma, partition, grid, net)):
+        after = op.apply(stage).values
         observed = float(lp_norm(SampledFn(partition, before - after), q).max())
+        before = after
         steps.append(StepRecord(
             step=name,
             certified=bounds[name],

@@ -17,7 +17,6 @@ from opnet.cli import (
     main,
     parse_config,
     resolve,
-    serialize_config,
 )
 import opnet
 from opnet.errors import ConfigError
@@ -83,19 +82,10 @@ def write(tmp_path, text, name="run.ini"):
 # config parsing
 
 
-def test_parse_round_trip():
+def test_parse_distinguishes_Delta_from_delta():
     cfg = parse_config(BASE_CONFIG)
     assert cfg.gamma == 2.0 and cfg.Delta == 1.0 and cfg.delta == 0.25
     assert cfg.seed == 7
-    again = parse_config(serialize_config(cfg))
-    assert again == cfg
-    # serialization is canonical: a second round trip is byte-identical
-    assert serialize_config(again) == serialize_config(cfg)
-
-
-def test_parse_distinguishes_Delta_from_delta():
-    cfg = parse_config(BASE_CONFIG)
-    assert cfg.Delta != cfg.delta
 
 
 def test_parse_lambda_alias():
@@ -156,6 +146,21 @@ def test_verify_pass_and_report(capsys, tmp_path):
     assert report["passed"] is True
     assert report["steps_report"]["passed"] is True
     assert report["bound_report"]["passed"] is True
+
+
+def test_verify_report_config_holds_every_run_field(capsys, tmp_path):
+    out = str(tmp_path / "report.json")
+    assert main(["verify", write(tmp_path, BASE_CONFIG), "--output", out]) == EXIT_OK
+    assert json.loads(open(out).read())["config"] == {
+        "dim": 1, "lower": [0.0], "upper": [1.0],
+        "kernel_name": "constant", "kernel_params": {"value": 1.0},
+        "kernel_file": None,
+        "p": 2.0, "r": 1.0, "gamma": 2.0, "Delta": 1.0, "delta": 0.25,
+        "sigma": 0.2, "lam": 0.0, "epsilon": None,
+        "quad_nodes": 3, "seed": 7, "samples": 40, "enum_cap": 10_000_000,
+        "family_mode": "enumerate", "family_samples": 500,
+        "output": out, "debug_bound_scale": 1.0,
+    }
 
 
 def test_verify_reports_are_byte_identical(tmp_path):
@@ -449,6 +454,21 @@ def test_sweep_sigma_monotone(capsys, tmp_path):
     assert totals == sorted(totals, reverse=True)
 
 
+def test_sweep_row_matches_verify_under_a_bound_scale(capsys, tmp_path):
+    cfg = write(tmp_path, BASE_CONFIG + "debug_bound_scale = 0.5\n")
+    report_path, sweep_path = str(tmp_path / "report.json"), str(tmp_path / "s.csv")
+    main(["verify", cfg, "--output", report_path])
+    assert main(["sweep", cfg, "--axis", "sigma", "--values", "0.2",
+                 "--output", sweep_path]) == EXIT_OK
+    report = json.loads(open(report_path).read())["bound_report"]
+    header, row = open(sweep_path).read().splitlines()
+    got = dict(zip(header.split(","), map(float, row.split(","))))
+    assert got["certified_total"] == report["certified_total"]
+    assert got["observed_distance"] == report["directed_sampled_to_family"]
+    for term in ("tail_term", "psi", "phi", "alpha"):
+        assert got[term] == report["breakdown"][term]
+
+
 def test_sweep_skips_the_step_check(monkeypatch, capsys, tmp_path):
     def no_pipeline(*args, **kwargs):
         raise AssertionError("sweep ran the step check")
@@ -493,3 +513,15 @@ def test_cli_import_leaves_scipy_interpolate_out():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_readme_example_config_runs(capsys, tmp_path):
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    text = open(readme).read()
+    block = text[text.index("Example config:"):]
+    block = block[block.index("```ini\n") + len("```ini\n"):]
+    cfg = write(tmp_path, block[:block.index("```")])
+    for argv in (["bound", cfg], ["verify", cfg],
+                 ["build", cfg, "--output", str(tmp_path / "family")],
+                 ["sweep", cfg, "--axis", "sigma", "--values", "0.8,0.4"]):
+        assert main(argv) == EXIT_OK, (argv, capsys.readouterr().err)

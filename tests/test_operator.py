@@ -28,7 +28,7 @@ def unit_domain():
 
 def scalar_kernel(fn, metrics, name="custom"):
     return Kernel(1, 1, lambda xi, s: np.asarray(fn(xi, s))[..., None, None],
-                  name, {}, metrics)
+                  name, metrics)
 
 
 # --------------------------------------------------------------------------
