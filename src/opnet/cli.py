@@ -71,10 +71,11 @@ class RunConfig:
 _FLOAT_FIELDS = {"p", "r", "gamma", "Delta", "delta", "sigma", "lam",
                  "epsilon", "debug_bound_scale"}
 _INT_FIELDS = {"quad_nodes", "seed", "samples", "enum_cap", "family_samples"}
+_ALIASES = {"lambda": "lam"}  # config key -> RunConfig field
 
 
 def parse_config(text: str) -> RunConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     cp.optionxform = str  # Delta (partition) and delta (grid step) both occur
     cp.read_string(text)
 
@@ -113,12 +114,11 @@ def parse_config(text: str) -> RunConfig:
         kernel_file=kernel_file,
     )
 
-    alias = {"lambda": "lam"}
     for section in ("parameters", "run"):
         if not cp.has_section(section):
             continue
         for key, val in cp.items(section):
-            name = alias.get(key, key)
+            name = _ALIASES.get(key, key)
             if name in _FLOAT_FIELDS:
                 try:
                     setattr(cfg, name, float(val))
@@ -354,12 +354,13 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
-    if axis not in ("gamma", "Delta", "delta", "sigma", "lam"):
+    name = _ALIASES.get(axis, axis)
+    if name not in ("gamma", "Delta", "delta", "sigma", "lam"):
         raise ConfigError(f"sweep axis: unknown parameter {axis!r}")
     domain, kernel, _ = resolve(cfg)
     lines = [f"{axis},certified_total,tail_term,psi,phi,alpha,observed_distance"]
     for value in values:
-        _, report = _verify(replace(cfg, **{axis: value}),
+        _, report = _verify(replace(cfg, **{name: value}),
                             domain, kernel, check_steps=False)
         brk = report.breakdown
         lines.append(",".join(repr(float(v)) for v in (

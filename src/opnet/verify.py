@@ -49,8 +49,8 @@ def _slack(a, coeffs, x, w):
 
     The screen takes the cross term of a node function b and a stored image
     t = fl(A c) as (-2 (b w) A).c, not -2 (b w).t; `a` is the cell matrix
-    A, (dim, k) = (P m, N n), `coeffs` the rows c, x the largest |b|_w and
-    w the node weights.  Count roundings of u = eps / 2 to first order, with
+    A, (dim, k) = (P m, N n), or I, `coeffs` the rows c, x the largest
+    |b|_w and w the node weights; the count holds for any A.  Count roundings of u = eps / 2 to first order, with
     W the weights repeated per component and |z|_w = |W^(1/2) z|.
     (i) The apply: t = A c + e with |e| <= k u |A| |c| in any summation
     order, and 2 (|b| w).(|A| |c|) <= 2 |b|_w |W^(1/2) |A||_2 |c|_2 by
@@ -82,100 +82,66 @@ def _slack(a, coeffs, x, w):
         * (1.0 + col_sum) * (1.0 + math.sqrt(k) * y))
 
 
-def _screen_space(from_fns, to_fns):
-    """The screen's space for two stacks, their squared norms and its tolerance.
+def _screen_space(x, y):
+    """(gx, c, xsq, ysq, tol): the screen's rows, squared norms and tolerance.
 
-    Returns (space, fsq, tsq, tol).  `space` is (rows_of, width, targets):
-    rows_of(idx) holds a row per member of from_fns[idx], computed from
-    `width`-element rows, and `targets` a row per member of to_fns, such
-    that rows_of(idx) @ targets.T approximates the cross terms -2 (a w).b
-    of the flattened node values a, b and the node weights w.  fsq and tsq
-    hold the squared weighted norms |a|^2 and |b|^2.
-
-    A stack that carries coefficients c (see `SampledFn`) enters as c; the
-    other side's node values, weighted and times -2, are projected by the
-    cell matrix A to its k = N n coefficients, as -2 (b w).(A c) =
-    (-2 (b w) A).c.  The targets' coefficients serve when both sides have
-    them.  With none, the targets enter as their values (views) and the
-    weights join the `from` rows.
-
-    A completed screened entry (see `_screen`) is within (dim + 3) u N^2
-    of the exact squared distance of the stored values in full space, and
-    within that plus `_slack` in coefficient space.  tol is
-    `_SCREEN_SAFETY` ((dim + 4) (eps N^2 + tiny) + slack), so it holds the
-    entry's error that many times over (tiny the smallest subnormal, for
-    the absolute underflow errors).
+    c holds y's coefficients, whose computed products A c with its cell
+    matrix A are y's node values (see `SampledFn`), or for a stack without
+    them its flattened values, with A = I, whose product is exact.  gx holds
+    -2 (a w) A for x's flattened node values a and the node weights w, so
+    gx @ c.T holds the cross terms -2 (a w).(A c).  xsq and ysq hold the
+    squared weighted norms |a|^2 and |b|^2.  A completed entry is within
+    (dim + 3) u N^2 + `_slack` of the exact squared distance of the stored
+    values (see `_screen`), and tol, `_SCREEN_SAFETY` ((dim + 4) (eps N^2 +
+    tiny) + slack), holds that error that many times over (tiny the
+    smallest subnormal, for the absolute underflow errors).
     """
-    w = from_fns.partition.weights
-    fv, tv = from_fns.values, to_fns.values
-    fsq = np.einsum("ipk,ipk,p->i", fv, fv, w)
-    tsq = np.einsum("ipk,ipk,p->i", tv, tv, w)
-    norms = (math.sqrt(fsq.max()), math.sqrt(tsq.max()))
-    neg2w = np.repeat(-2.0 * w, from_fns.dim)  # -2 w per flattened value
-
-    def weighted(values):
-        return values.reshape(len(values), -1) * neg2w
-
-    slack = 0.0
-    if to_fns.coeffs is not None:
-        a = to_fns.cell_matrix
-        space = (lambda idx: weighted(fv[idx]) @ a, a.shape[0], to_fns.coeffs)
-        slack = _slack(a, to_fns.coeffs, norms[0], w)
-    elif from_fns.coeffs is not None:
-        a, coeffs = from_fns.cell_matrix, from_fns.coeffs
-        step = max(1, _BLOCK // a.shape[0])
-        targets = np.concatenate([weighted(tv[s:s + step]) @ a
-                                  for s in range(0, len(tv), step)])
-        space = (lambda idx: coeffs[idx], a.shape[1], targets)
-        slack = _slack(a, coeffs, norms[1], w)
+    w = x.partition.weights
+    xsq = np.einsum("ipk,ipk,p->i", x.values, x.values, w)
+    ysq = np.einsum("ipk,ipk,p->i", y.values, y.values, w)
+    xv = x.values.reshape(len(x), -1)
+    if y.coeffs is None:
+        c, a = y.values.reshape(len(y), -1), np.eye(xv.shape[1])
     else:
-        targets = tv.reshape(len(tv), -1)
-        space = (lambda idx: weighted(fv[idx]), targets.shape[1], targets)
+        c, a = y.coeffs, y.cell_matrix
+    neg2w = np.repeat(-2.0 * w, x.dim)  # -2 w per flattened value
+    step = max(1, _BLOCK // max(a.shape))
+    gx = np.concatenate([(xv[s:s + step] * neg2w) @ a
+                         for s in range(0, len(xv), step)])
+    norms = (math.sqrt(xsq.max()), math.sqrt(ysq.max()))
     f64 = np.finfo(float)
-    tol = _SCREEN_SAFETY * ((fv[0].size + 4) * (
-        f64.eps * sum(norms) ** 2 + f64.smallest_subnormal) + slack)
-    return space, fsq, tsq, tol
+    tol = _SCREEN_SAFETY * ((xv.shape[1] + 4) * (
+        f64.eps * sum(norms) ** 2 + f64.smallest_subnormal)
+        + _slack(a, c, norms[0], w))
+    return gx, c, xsq, ysq, tol
 
 
-def _screen(space, rows, tsq):
-    """Squared L_2 distances of the `from` rows to every target, less |a|^2.
+def _screen(a, rows, b):
+    """Blocks of the cross terms a[rows] @ b.T of two (rows, k) arrays.
 
-    Yields (offset into `rows`, offset into `targets`, block), a block
-    holding |b|^2 + rows_of(rows[...]) @ targets[...].T for the `space`
-    (rows_of, width, targets) of `_screen_space`.  `tsq` holds the squared
-    weighted norms |b|^2, and adding a row's |a|^2 completes its squared
-    distances.  In full space, counting roundings of u = eps / 2 each to
-    first order, with N = |a| + |b| in the weighted norm, a completed entry
-    is within (dim + 3) u N^2 of the exact squared distance;
-    `_slack` adds to it in coefficient space.  Few targets, whose
-    rows take at most `_BLOCK` elements, all go in one block; otherwise a
-    block takes as many rows as a temporary of `width`-element rows holds.
-    Every temporary holds at most `_BLOCK` elements.
+    Yields (offset into `rows`, offset into b, block).  Adding |a|^2 and
+    |b|^2 to an entry, in either order, completes a screened squared
+    distance.  Counting roundings of u = eps / 2 each to first order, with
+    N = |a| + |b| in the weighted norm, it is within (dim + 3) u N^2 of the
+    exact one in full space (A = I); `_slack` adds to it for a cell matrix.
+    A block takes as many of `rows` as a temporary of k-element rows holds,
+    and as many rows of b as keep it within `_BLOCK` elements.  Every
+    temporary holds at most `_BLOCK` elements.
     """
-    rows_of, width, targets = space
-    n = len(targets)
-    rf = min(len(rows), max(1, _BLOCK // width))
-    if n * targets.shape[1] <= _BLOCK:
-        rf, rt = min(rf, max(1, _BLOCK // n)), n
-    else:
-        rt = max(1, _BLOCK // rf)
+    rf = min(len(rows), max(1, _BLOCK // b.shape[1]))
+    rt = max(1, _BLOCK // rf)
     for fs in range(0, len(rows), rf):
-        a = rows_of(rows[fs:fs + rf])
-        for ts in range(0, n, rt):
-            block = a @ targets[ts:ts + rt].T
-            block += tsq[ts:ts + rt]
-            yield fs, ts, block
+        part = a[rows[fs:fs + rf]]
+        for ts in range(0, len(b), rt):
+            yield fs, ts, part @ b[ts:ts + rt].T
 
 
-def _nearest(space, rows, tsq):
-    """Index of the screened nearest target of each of the `from` rows."""
-    near, best = np.zeros(len(rows), dtype=np.intp), np.full(len(rows), np.inf)
-    for fs, ts, block in _screen(space, rows, tsq):
-        j = block.argmin(axis=1)
-        value = block[np.arange(len(block)), j]
-        r = np.flatnonzero(value < best[fs:fs + len(block)])
-        best[fs + r], near[fs + r] = value[r], ts + j[r]
-    return near
+def _fold_minima(block, best, near, offset):
+    """Where a block row's minimum is below best, take it and its column."""
+    j = block.argmin(axis=1)
+    value = block[np.arange(len(block)), j]
+    r = value < best
+    best[r], near[r] = value[r], offset + j[r]
 
 
 def _lq_bounds(w, n, q):
@@ -189,7 +155,7 @@ def _lq_bounds(w, n, q):
     node's norm (difference, squares, n - 1 sums, root), which the power q
     multiplies by q; the power, the weight and P - 1 sums add (P + 2) u,
     and the root 1/q divides by q and adds 2 u.  The computed c and C add
-    (P + 3) u / 2, each filter of `directed_distance` 3.5 u, second-order
+    (P + 3) u / 2, each filter of `_directed` 3.5 u, second-order
     terms u / 2: on the scale of squared L_2 distances, at most N^2 (see
     `_screen`), that is (n + 3 P + 23) u N^2.  With the screen's
     (dim + 3) u N^2 + `_slack`, the tolerance, which takes the slack
@@ -207,40 +173,25 @@ def _lq_bounds(w, n, q):
     return c, C, alpha
 
 
-def directed_distance(from_fns: SampledFn, to_fns: SampledFn, q: float) -> float:
-    """max over `from` of min over `to` of the weighted L_q distance.
+def _directed(frm, to, tol, w, q):
+    """max over `frm` of min over `to` of the weighted L_q distance.
 
-    Both sets are stacks of sampled functions on one partition.  The result
-    is `_lq_norms(t - u, w, q)` of the maximizing pair, exactly as an
-    all-pairs scan gives it.  A blocked matrix-product screen of squared
-    L_2 distances, run in the coefficient space of a family image stack
-    (`_screen_space`) and turned into L_q bounds by `_lq_bounds`, keeps the
-    pairs that can attain it, and only those are computed exactly from the
-    stored values.
+    Each side is (values, rows in `_screen_space`, squared norms, screened
+    row minima less |a|^2, their indices), the last two from pass 1.
     """
-    if not to_fns:
-        raise ValueError("target set must be nonempty")
-    if not from_fns:
-        return 0.0
-    w = from_fns.partition.weights
-    fv, tv = from_fns.values, to_fns.values
-    space, fsq, tsq, tol = _screen_space(from_fns, to_fns)
+    fv, fspace, fsq, screened, near = frm
+    tv, tspace, tsq = to[:3]
     c_lo, c_hi, alpha = _lq_bounds(w, fv.shape[-1], q)
-
     # A screened squared distance S is within tol of the exact one, so the
     # computed distance E has c sqrt(S - tol) - alpha <= E <= C sqrt(S + tol)
     # + alpha.  The largest lower bound of a row minimum bounds the result
     # from below; rows whose upper bound falls short of it cannot attain it.
-    approx = np.full(len(fv), np.inf)
-    for fs, _, block in _screen(space, np.arange(len(fv)), tsq):
-        part = approx[fs:fs + len(block)]
-        np.minimum(part, block.min(axis=1), out=part)
-    approx += fsq  # adding a row constant commutes with the rounded min
+    approx = screened + fsq  # adding a row constant commutes with the min
     lower = c_lo * math.sqrt(max(approx.max() - tol, 0.0)) - alpha
     rows = np.flatnonzero(c_hi * np.sqrt(approx + tol) + alpha >= lower)
     # E to a row's screened nearest target bounds the row minimum from
     # above; the minimizing target's lower bound cannot exceed it.
-    near = _nearest(space, rows, tsq)
+    near = near[rows]
     chunk = max(1, _BLOCK // tv[0].size)
     best = np.concatenate([
         _lq_norms(tv[near[s:s + chunk]] - fv[rows[s:s + chunk]], w, q)
@@ -248,7 +199,8 @@ def directed_distance(from_fns: SampledFn, to_fns: SampledFn, q: float) -> float
     keep = best >= lower
     rows, near, best = rows[keep], near[keep], best[keep]
     limit = ((best + alpha) / c_lo) ** 2 + tol
-    for fs, ts, block in _screen(space, rows, tsq):
+    for fs, ts, block in _screen(fspace, rows, tspace):
+        block += tsq[ts:ts + block.shape[1]]
         block += fsq[rows[fs:fs + len(block)], None]
         i, j = np.nonzero(block <= limit[fs:fs + len(block), None])
         i += fs
@@ -258,6 +210,34 @@ def directed_distance(from_fns: SampledFn, to_fns: SampledFn, q: float) -> float
             ii, jj = i[s:s + chunk], j[s:s + chunk]
             np.minimum.at(best, ii, _lq_norms(tv[jj] - fv[rows[ii]], w, q))
     return float(best.max())
+
+
+def directed_distance(x: SampledFn, y: SampledFn, q: float) -> tuple[float, float]:
+    """(d(x -> y), d(y -> x)): max over one set of min over the other.
+
+    d is the weighted L_q distance, and x and y are nonempty stacks of
+    sampled functions on one partition.  Each result is `_lq_norms(t - u,
+    w, q)` of its maximizing pair, exactly as an all-pairs scan gives it.
+    One blocked screen of the x-by-y squared L_2 distances (`_screen_space`)
+    keeps each row's and each column's minimum and its index; per direction,
+    `_lq_bounds` turns them into L_q bounds, and only the pairs that can
+    attain the result are computed exactly from the stored values.
+    """
+    if not x or not y:
+        raise ValueError("both sets must be nonempty")
+    gx, c, xsq, ysq, tol = _screen_space(x, y)
+    best_x, near_x = np.full(len(x), np.inf), np.zeros(len(x), np.intp)
+    best_y, near_y = np.full(len(y), np.inf), np.zeros(len(y), np.intp)
+    for fs, ts, block in _screen(gx, np.arange(len(x)), c):
+        rs, cs = slice(fs, fs + len(block)), slice(ts, ts + block.shape[1])
+        _fold_minima((block + xsq[rs, None]).T, best_y[cs], near_y[cs], fs)
+        block += ysq[cs]
+        _fold_minima(block, best_x[rs], near_x[rs], ts)
+    x_side = (x.values, gx, xsq, best_x, near_x)
+    y_side = (y.values, c, ysq, best_y, near_y)
+    w = x.partition.weights
+    return (_directed(x_side, y_side, tol, w, q),
+            _directed(y_side, x_side, tol, w, q))
 
 
 # --------------------------------------------------------------------------
@@ -411,8 +391,7 @@ def verify_run(
     family_images = op.apply(family)
 
     certified = bound_scale * breakdown.total
-    d_fwd = directed_distance(ball_images, family_images, q)
-    d_rev = directed_distance(family_images, ball_images, q)
+    d_fwd, d_rev = directed_distance(ball_images, family_images, q)
 
     bound_report = VerificationReport(
         config={**config, "lambda": lam, "family_mode": family_mode,

@@ -93,6 +93,16 @@ def test_parse_lambda_alias():
     assert cfg.lam == 0.1
 
 
+def test_inline_comments_leave_every_field(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    text = BASE_CONFIG.replace("p = 2", "p = 3 ; comment") \
+        + f"output = {out} ; the report\n"
+    assert parse_config(text).p == 3
+    assert main(["bound", write(tmp_path, text)]) == EXIT_OK
+    assert out.exists()
+    assert sorted(os.listdir(tmp_path)) == ["report.json", "run.ini"]
+
+
 def test_parse_rejects_incomplete_parameters():
     broken = BASE_CONFIG.replace("gamma = 2.0\n", "")
     with pytest.raises(ConfigError, match="gamma"):
@@ -174,9 +184,10 @@ def test_verify_reports_are_byte_identical(tmp_path):
 
 def test_verify_builds_one_operator_and_draws_the_ball_once(
         monkeypatch, capsys, tmp_path):
-    calls = {"operator": 0, "sample_ball": 0}
+    calls = {"operator": 0, "sample_ball": 0, "directed_distance": 0}
     init = DiscretizedOperator.__init__
     draw = opnet.verify.sample_ball
+    distance = opnet.verify.directed_distance
 
     def counting_init(self, *args, **kwargs):
         calls["operator"] += 1
@@ -186,11 +197,17 @@ def test_verify_builds_one_operator_and_draws_the_ball_once(
         calls["sample_ball"] += 1
         return draw(*args, **kwargs)
 
+    def counting_distance(*args, **kwargs):
+        calls["directed_distance"] += 1
+        return distance(*args, **kwargs)
+
     monkeypatch.setattr(DiscretizedOperator, "__init__", counting_init)
     monkeypatch.setattr(opnet.verify, "sample_ball", counting_draw)
+    monkeypatch.setattr(opnet.verify, "directed_distance", counting_distance)
     assert main(["verify", write(tmp_path, BASE_CONFIG)]) == EXIT_OK
-    # one rough and one smooth draw of the ball samples
-    assert calls == {"operator": 1, "sample_ball": 2}
+    # one rough and one smooth draw of the ball samples, and one screen for
+    # both directed distances
+    assert calls == {"operator": 1, "sample_ball": 2, "directed_distance": 1}
 
 
 @pytest.mark.parametrize("command,mode", [
@@ -476,6 +493,18 @@ def test_sweep_skips_the_step_check(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(opnet.verify, "run_pipeline", no_pipeline)
     cfg = write(tmp_path, BASE_CONFIG)
     assert main(["sweep", cfg, "--axis", "sigma", "--values", "0.8,0.4"]) == EXIT_OK
+
+
+def test_sweep_lambda_axis_is_lam(capsys, tmp_path):
+    cfg = write(tmp_path, BASE_CONFIG)
+    rows = {}
+    for axis in ("lambda", "lam"):
+        out = str(tmp_path / f"{axis}.csv")
+        assert main(["sweep", cfg, "--axis", axis, "--values", "0.1",
+                     "--output", out]) == EXIT_OK
+        header, rows[axis] = open(out).read().splitlines()
+        assert header.startswith(f"{axis},certified_total")
+    assert rows["lambda"] == rows["lam"]
 
 
 def test_sweep_unknown_axis(capsys, tmp_path):

@@ -31,8 +31,9 @@ def test_directed_distance_of_subset_is_zero():
     part = build_partition(unit_domain(), 0.5)
     u = consts(part, [0.0, 1.0])
     v = consts(part, [0.0, 0.3, 1.0, 2.0])
-    assert directed_distance(u, v, 2) == 0.0
-    assert directed_distance(v, u, 2) > 0.0
+    d_uv, d_vu = directed_distance(u, v, 2)
+    assert d_uv == 0.0 and d_vu > 0.0
+    assert directed_distance(v, u, 2) == (d_vu, d_uv)
 
 
 def test_directed_distance_constants():
@@ -40,22 +41,21 @@ def test_directed_distance_constants():
     u = consts(part, [0.0])
     v = consts(part, [0.0, 1.0])
     # constants on a measure-1 domain: L_q distance equals |a - b|
-    assert directed_distance(u, v, 2) == 0.0
-    assert directed_distance(v, u, 2) == pytest.approx(1.0)
-    assert max(directed_distance(u, v, 2),
-               directed_distance(v, u, 2)) == pytest.approx(1.0)
+    assert directed_distance(u, v, 2) == (0.0, pytest.approx(1.0))
+    assert directed_distance(v, u, 2) == (pytest.approx(1.0), 0.0)
     w = consts(part, [0.2, 0.7])
-    assert directed_distance(w, v, 2) == pytest.approx(0.3)
+    assert directed_distance(w, v, 2) == (pytest.approx(0.3),
+                                          pytest.approx(0.3))
 
 
 def test_directed_distance_symmetric_inputs():
     part = build_partition(unit_domain(), 0.25)
     rng = np.random.default_rng(0)
     fns = SampledFn(part, rng.standard_normal((8, part.points.shape[0], 1)))
-    assert directed_distance(fns, fns, 2) == 0.0  # both directions alike
-    assert max(directed_distance(fns, fns[:3], 1.5),
-               directed_distance(fns[:3], fns, 1.5)) \
-        == directed_distance(fns, fns[:3], 1.5)
+    assert directed_distance(fns, fns, 2) == (0.0, 0.0)
+    d_all, d_sub = directed_distance(fns, fns[:3], 1.5)
+    assert d_sub == 0.0 and d_all > 0.0
+    assert directed_distance(fns[:3], fns, 1.5) == (d_sub, d_all)
 
 
 def brute_force(from_fns, to_fns, q):
@@ -95,7 +95,7 @@ def stacks(kind, rng, part, n_from, n_to, n):
 @pytest.mark.parametrize("block,n_from,n_to", [
     (50, 13, 57),      # 2 rows by 25 targets per block, ragged on both axes
     (97, 41, 9),       # 4 rows by 24 targets, one target block
-    (None, 1400, 60),  # the real block: 546 rows by all 60 targets
+    (None, 1400, 60),  # the real block: 1365 rows by 24 targets
 ])
 def test_directed_distance_q2_equals_brute_force(monkeypatch, q, kind, block,
                                                  n_from, n_to):
@@ -106,9 +106,10 @@ def test_directed_distance_q2_equals_brute_force(monkeypatch, q, kind, block,
     rng = np.random.default_rng(n_from)
     fns, targets = stacks(kind, rng, part, n_from, n_to, 2)
     for a, b in ((fns, targets), (targets, fns)):
-        assert directed_distance(a, b, q) == brute_force(a, b, q)
+        assert directed_distance(a, b, q) == (brute_force(a, b, q),
+                                              brute_force(b, a, q))
     if kind == "duplicates":
-        assert directed_distance(fns, targets, q) == 0.0
+        assert directed_distance(fns, targets, q)[0] == 0.0
 
 
 def family_stacks(kind, rng, n_other, n_family):
@@ -144,9 +145,9 @@ def family_stacks(kind, rng, n_other, n_family):
 @pytest.mark.parametrize("q", [2, 1.5, 3.0])
 @pytest.mark.parametrize("kind", ["random", "cancel"])
 @pytest.mark.parametrize("block,n_other,n_family", [
-    (50, 13, 57),      # 2 rows by 25 family targets; 6 rows by 8 others
-    (97, 41, 9),       # 4 rows by all 9 family targets; 9 rows by 10 others
-    (None, 1400, 60),  # the real block: all targets in one block both ways
+    (50, 13, 57),      # (other, family): 6 rows by 8 members; reversed 2 by 13
+    (97, 41, 9),       # 12 rows by 8 members; reversed 4 by 24
+    (None, 1400, 60),  # the real block: 1400 rows by 23 members; 60 by 546
 ])
 def test_directed_distance_on_family_images_equals_brute_force(
         monkeypatch, q, kind, block, n_other, n_family):
@@ -157,26 +158,31 @@ def test_directed_distance_on_family_images_equals_brute_force(
     other, family = family_stacks(kind, rng, n_other, n_family)
     assert family.coeffs is not None and other.coeffs is None
     for a, b in ((other, family), (family, other), (family[3:], family)):
-        assert directed_distance(a, b, q) == brute_force(a, b, q)
+        assert directed_distance(a, b, q) == (brute_force(a, b, q),
+                                              brute_force(b, a, q))
 
 
 @pytest.mark.parametrize("kind", ["random", "cancel"])
 def test_screened_entries_are_within_the_tolerance(monkeypatch, kind):
-    """Every screened squared distance against an fsum of the stored values."""
+    """Every pass-1 screened squared distance, completed either way, against
+    an fsum of the stored values."""
     monkeypatch.setattr(verify, "_BLOCK", 97)
     other, family = family_stacks(kind, np.random.default_rng(5), 41, 9)
     w = np.repeat(other.partition.weights, other.dim)
     for a, b in ((other, family), (family, other), (family[3:], family),
                  (other, other)):
-        space, fsq, tsq, tol = verify._screen_space(a, b)
+        gx, c, asq, bsq, tol = verify._screen_space(a, b)
         av = a.values.reshape(len(a), -1)
         bv = b.values.reshape(len(b), -1)
-        for fs, ts, block in verify._screen(space, np.arange(len(a)), tsq):
-            for i, row in enumerate(block + fsq[fs:fs + len(block), None]):
-                for j, screened in enumerate(row):
+        for fs, ts, block in verify._screen(gx, np.arange(len(a)), c):
+            rs, cs = slice(fs, fs + len(block)), slice(ts, ts + block.shape[1])
+            rows = block + bsq[cs] + asq[rs, None]  # each row's completion
+            cols = block + asq[rs, None] + bsq[cs]  # each column's
+            for screened in (rows, cols):
+                for (i, j), value in np.ndenumerate(screened):
                     d = av[fs + i] - bv[ts + j]
                     exact = math.fsum(w * d * d)
-                    assert abs(screened - exact) <= tol / verify._SCREEN_SAFETY
+                    assert abs(value - exact) <= tol / verify._SCREEN_SAFETY
 
 
 B102K_CONFIG = """\
@@ -230,13 +236,12 @@ def test_other_q_recomputes_few_pairs(monkeypatch, capsys, tmp_path, p):
 
 
 def test_directed_distance_empty_sets():
+    # a direction into an empty set is undefined, so either empty side raises
     part = build_partition(unit_domain(), 0.5)
     v = consts(part, [0.0])
-    assert directed_distance([], v, 2) == 0.0
-    with pytest.raises(ValueError):
-        directed_distance(v, [], 2)
-    with pytest.raises(ValueError):
-        max(directed_distance([], v, 2), directed_distance(v, [], 2))
+    for x, y in ((v[:0], v), (v, v[:0]), (v[:0], v[:0])):
+        with pytest.raises(ValueError):
+            directed_distance(x, y, 2)
 
 
 # --------------------------------------------------------------------------
