@@ -147,8 +147,11 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"[parameters] p: must exceed 1, got {cfg.p}")
     if cfg.r <= 0:
         raise ConfigError(f"[parameters] r: must be positive, got {cfg.r}")
-    if cfg.samples < 1:
-        raise ConfigError(f"[run] samples: must be >= 1, got {cfg.samples}")
+    for name, least in (("samples", 1), ("family_samples", 1),
+                        ("quad_nodes", 1), ("seed", 0)):
+        if getattr(cfg, name) < least:
+            raise ConfigError(f"[run] {name}: must be >= {least}, "
+                              f"got {getattr(cfg, name)}")
     if cfg.family_mode not in ("enumerate", "sample"):
         raise ConfigError(f"[run] family_mode: unknown mode {cfg.family_mode!r}")
     return cfg
@@ -304,20 +307,16 @@ def cmd_build(cfg: RunConfig) -> int:
     op = DiscretizedOperator(kernel, partition)
     n_cells = partition.num_cells
     p_nodes = partition.points.shape[0]
-    # numpy applies a 1-row stack as a matrix-vector product, whose last bits
-    # can differ from the same row's in a matrix-matrix product; so a 1-row
-    # tail joins the block before, and every row gets its whole-stack bits
-    stops = list(range(IMAGE_BLOCK, len(family) - 1, IMAGE_BLOCK)) + [len(family)]
-    spans = list(zip([0] + stops[:-1], stops))
     _write_csv(os.path.join(out, "family.csv"),
                [f"mag_{i}" for i in range(n_cells)]
                + [f"dir_{i}" for i in range(n_cells)],
-               (np.hstack([family.mag_idx[s:e], family.dir_idx[s:e]])
-                for s, e in spans))
+               (np.hstack([family.mag_idx[s:s + IMAGE_BLOCK],
+                           family.dir_idx[s:s + IMAGE_BLOCK]])
+                for s in range(0, len(family), IMAGE_BLOCK)))
     _write_csv(os.path.join(out, "images.csv"),
                [f"node{i}_{j}" for i in range(p_nodes) for j in range(kernel.m)],
-               (op.apply(family[s:e]).values.reshape(e - s, -1)
-                for s, e in spans))
+               (images.reshape(len(images), -1)
+                for images in op.apply_blocks(family, IMAGE_BLOCK)))
     print(_dump_json(manifest, None), end="")
     return EXIT_OK
 
@@ -416,6 +415,10 @@ def main(argv=None) -> int:
     except (BudgetTableTooLargeError, FamilyTooLargeError,
             CoverageUnverifiableError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource error: out of memory; set family_mode = sample, or "
+              "a larger Delta or delta", file=sys.stderr)
         return EXIT_RESOURCE
     return EXIT_CONFIG
 

@@ -9,11 +9,6 @@ Either type may hold a whole set of functions as a stack: ``values`` then has
 a leading stack axis, ``(S, P, n)`` or ``(F, N, n)``, and ``mag_idx`` /
 ``dir_idx`` are ``(F, N)``.  A stack has a length, indexes and slices along
 that axis, and iterates as its members.
-
-The image of a piecewise-constant stack under a ``DiscretizedOperator`` is a
-``SampledFn`` that also carries its ``coeffs``, the ``(S, N n)`` flattened
-cell values, and the operator's ``cell_matrix`` ``A``, ``(P m, N n)``: each
-member's flattened values are the computed product ``A c``.
 """
 
 from __future__ import annotations
@@ -69,10 +64,6 @@ class _Functions:
 class SampledFn(_Functions):
     partition: Partition
     values: np.ndarray  # (P, d), or (S, P, d) for a stack
-    coeffs: np.ndarray | None = None  # (N n,) or (S, N n): preimage cell values
-    cell_matrix: np.ndarray | None = None  # (P d, N n): values = A @ coeffs
-
-    _member_fields = ("values", "coeffs")
 
     def __post_init__(self):
         self._check_values(self.partition.points.shape[0], "node")

@@ -4,8 +4,9 @@
 grid and caches both the weighted node matrix (for sampled inputs) and the
 per-cell integral matrix (for piecewise-constant inputs), so a whole
 stacked family is applied in one contraction against one kernel evaluation.
-The image of a piecewise-constant stack keeps its cell values and the cell
-matrix, so distances can be screened in that smaller space.
+The image of a piecewise-constant member is its computed product ``A c``
+with ``cell_matrix`` ``A``; ``apply_rows`` and ``apply_blocks`` give a
+stack's images a part at a time, with the bits of the whole-stack apply.
 """
 
 from __future__ import annotations
@@ -52,6 +53,25 @@ class DiscretizedOperator:
         p_nodes, _, m, _ = self._weighted.shape
         cell_int = self.cell_matrix.reshape(p_nodes, m, *x.values.shape[-2:])
         y = np.tensordot(x.values, cell_int, axes=([-2, -1], [2, 3]))
-        return SampledFn(self.partition, y,
-                         coeffs=x.values.reshape(*x.values.shape[:-2], -1),
-                         cell_matrix=self.cell_matrix)
+        return SampledFn(self.partition, y)
+
+    def apply_rows(self, x: PiecewiseConstFn, rows) -> np.ndarray:
+        """(len(rows), P, m) images of the stack members x[rows].
+
+        numpy applies a 1-row stack as a matrix-vector product, whose last
+        bits can differ from the same row's in a matrix-matrix product; so a
+        lone row is applied twice, and every row gets its whole-stack bits.
+        """
+        rows = np.asarray(rows)
+        gathered = x.values[np.resize(rows, max(2, len(rows)))]
+        return self.apply(PiecewiseConstFn(x.partition, gathered)).values[:len(rows)]
+
+    def apply_blocks(self, x: PiecewiseConstFn, size: int):
+        """The images of x in consecutive blocks of `size` members.
+
+        A 1-row tail joins the block before, so that only a 1-member stack
+        takes `apply_rows`' padding.
+        """
+        stops = list(range(size, len(x) - 1, size)) + [len(x)]
+        for start, stop in zip([0] + stops[:-1], stops):
+            yield self.apply_rows(x, np.arange(start, stop))

@@ -8,6 +8,7 @@ compared against the certified total.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -23,7 +24,8 @@ from .family import (
     sample_family,
     tchebyshev_measure,
 )
-from .functions import SampledFn, lp_norm, weighted_lp as _lq_norms
+from .functions import PiecewiseConstFn, SampledFn, lp_norm
+from .functions import weighted_lp as _lq_norms
 from .geometry import Domain, build_partition
 from .integral_op import DiscretizedOperator
 from .kernels import Kernel
@@ -47,7 +49,7 @@ _SCREEN_SAFETY = 4.0
 def _slack(a, coeffs, x, w):
     """Bound on the gap of a coefficient-space cross term to the full-space one.
 
-    The screen takes the cross term of a node function b and a stored image
+    The screen takes the cross term of a node function b and a computed image
     t = fl(A c) as (-2 (b w) A).c, not -2 (b w).t; `a` is the cell matrix
     A, (dim, k) = (P m, N n), or I, `coeffs` the rows c, x the largest
     |b|_w and w the node weights; the count holds for any A.  Count roundings of u = eps / 2 to first order, with
@@ -82,28 +84,36 @@ def _slack(a, coeffs, x, w):
         * (1.0 + col_sum) * (1.0 + math.sqrt(k) * y))
 
 
-def _screen_space(x, y):
-    """(gx, c, xsq, ysq, tol): the screen's rows, squared norms and tolerance.
+def _screen_space(x, y, op):
+    """(gx, c, xsq, ysq, tol, y_rows): the screen's rows, norms and tolerance.
 
-    c holds y's coefficients, whose computed products A c with its cell
-    matrix A are y's node values (see `SampledFn`), or for a stack without
-    them its flattened values, with A = I, whose product is exact.  gx holds
-    -2 (a w) A for x's flattened node values a and the node weights w, so
-    gx @ c.T holds the cross terms -2 (a w).(A c).  xsq and ysq hold the
-    squared weighted norms |a|^2 and |b|^2.  A completed entry is within
-    (dim + 3) u N^2 + `_slack` of the exact squared distance of the stored
-    values (see `_screen`), and tol, `_SCREEN_SAFETY` ((dim + 4) (eps N^2 +
-    tiny) + slack), holds that error that many times over (tiny the
-    smallest subnormal, for the absolute underflow errors).
+    With `op`, y is a piecewise-constant stack standing for its images under
+    op, which are never stored whole: c holds its flattened cell values and
+    A is op's cell matrix, whose computed products A c are y's node values.
+    Without it, y is a stack of sampled functions, c holds its flattened
+    values and A = I, whose product is exact.  gx holds -2 (a w) A for x's
+    flattened node values a and the node weights w, so gx @ c.T holds the
+    cross terms -2 (a w).(A c).  xsq and ysq hold the squared weighted norms
+    |a|^2 and |b|^2, and y_rows(idx) gives y's node values at rows idx.  A
+    completed entry is within (dim + 3) u N^2 + `_slack` of the exact
+    squared distance of the node values (see `_screen`), and tol,
+    `_SCREEN_SAFETY` ((dim + 4) (eps N^2 + tiny) + slack), holds that error
+    that many times over (tiny the smallest subnormal, for the absolute
+    underflow errors).
     """
     w = x.partition.weights
-    xsq = np.einsum("ipk,ipk,p->i", x.values, x.values, w)
-    ysq = np.einsum("ipk,ipk,p->i", y.values, y.values, w)
-    xv = x.values.reshape(len(x), -1)
-    if y.coeffs is None:
-        c, a = y.values.reshape(len(y), -1), np.eye(xv.shape[1])
+
+    def sq(v):
+        return np.einsum("ipk,ipk,p->i", v, v, w)
+
+    xsq, xv = sq(x.values), x.values.reshape(len(x), -1)
+    c = y.values.reshape(len(y), -1)
+    if op is None:
+        a, ysq, y_rows = np.eye(xv.shape[1]), sq(y.values), y.values.__getitem__
     else:
-        c, a = y.coeffs, y.cell_matrix
+        a, y_rows = op.cell_matrix, functools.partial(op.apply_rows, y)
+        ysq = np.concatenate([sq(t) for t in op.apply_blocks(
+            y, max(1, _BLOCK // xv.shape[1]))])
     neg2w = np.repeat(-2.0 * w, x.dim)  # -2 w per flattened value
     step = max(1, _BLOCK // max(a.shape))
     gx = np.concatenate([(xv[s:s + step] * neg2w) @ a
@@ -113,7 +123,7 @@ def _screen_space(x, y):
     tol = _SCREEN_SAFETY * ((xv.shape[1] + 4) * (
         f64.eps * sum(norms) ** 2 + f64.smallest_subnormal)
         + _slack(a, c, norms[0], w))
-    return gx, c, xsq, ysq, tol
+    return gx, c, xsq, ysq, tol, y_rows
 
 
 def _screen(a, rows, b):
@@ -173,15 +183,16 @@ def _lq_bounds(w, n, q):
     return c, C, alpha
 
 
-def _directed(frm, to, tol, w, q):
+def _directed(frm, to, tol, w, q, n):
     """max over `frm` of min over `to` of the weighted L_q distance.
 
-    Each side is (values, rows in `_screen_space`, squared norms, screened
-    row minima less |a|^2, their indices), the last two from pass 1.
+    Each side is (node values by row index, rows in `_screen_space`, squared
+    norms, screened row minima less |a|^2, their indices), the last two from
+    pass 1; n is the number of components of a node value.
     """
-    fv, fspace, fsq, screened, near = frm
-    tv, tspace, tsq = to[:3]
-    c_lo, c_hi, alpha = _lq_bounds(w, fv.shape[-1], q)
+    f_rows, fspace, fsq, screened, near = frm
+    t_rows, tspace, tsq = to[:3]
+    c_lo, c_hi, alpha = _lq_bounds(w, n, q)
     # A screened squared distance S is within tol of the exact one, so the
     # computed distance E has c sqrt(S - tol) - alpha <= E <= C sqrt(S + tol)
     # + alpha.  The largest lower bound of a row minimum bounds the result
@@ -192,9 +203,9 @@ def _directed(frm, to, tol, w, q):
     # E to a row's screened nearest target bounds the row minimum from
     # above; the minimizing target's lower bound cannot exceed it.
     near = near[rows]
-    chunk = max(1, _BLOCK // tv[0].size)
+    chunk = max(1, _BLOCK // (len(w) * n))
     best = np.concatenate([
-        _lq_norms(tv[near[s:s + chunk]] - fv[rows[s:s + chunk]], w, q)
+        _lq_norms(t_rows(near[s:s + chunk]) - f_rows(rows[s:s + chunk]), w, q)
         for s in range(0, len(rows), chunk)])
     keep = best >= lower
     rows, near, best = rows[keep], near[keep], best[keep]
@@ -208,24 +219,28 @@ def _directed(frm, to, tol, w, q):
         i, j = i[j != near[i]], j[j != near[i]]
         for s in range(0, len(i), chunk):
             ii, jj = i[s:s + chunk], j[s:s + chunk]
-            np.minimum.at(best, ii, _lq_norms(tv[jj] - fv[rows[ii]], w, q))
+            np.minimum.at(best, ii,
+                          _lq_norms(t_rows(jj) - f_rows(rows[ii]), w, q))
     return float(best.max())
 
 
-def directed_distance(x: SampledFn, y: SampledFn, q: float) -> tuple[float, float]:
+def directed_distance(x: SampledFn, y: SampledFn | PiecewiseConstFn, q: float,
+                      op: DiscretizedOperator | None = None) -> tuple[float, float]:
     """(d(x -> y), d(y -> x)): max over one set of min over the other.
 
     d is the weighted L_q distance, and x and y are nonempty stacks of
-    sampled functions on one partition.  Each result is `_lq_norms(t - u,
-    w, q)` of its maximizing pair, exactly as an all-pairs scan gives it.
-    One blocked screen of the x-by-y squared L_2 distances (`_screen_space`)
-    keeps each row's and each column's minimum and its index; per direction,
-    `_lq_bounds` turns them into L_q bounds, and only the pairs that can
-    attain the result are computed exactly from the stored values.
+    sampled functions on one partition; with `op`, y is a piecewise-constant
+    stack standing for its images under op, which are applied a block or a
+    few rows at a time with the bits of `op.apply(y)`.  Each result is
+    `_lq_norms(t - u, w, q)` of its maximizing pair, exactly as an all-pairs
+    scan gives it.  One blocked screen of the x-by-y squared L_2 distances
+    (`_screen_space`) keeps each row's and each column's minimum and its
+    index; per direction, `_lq_bounds` turns them into L_q bounds, and only
+    the pairs that can attain the result are computed exactly.
     """
     if not x or not y:
         raise ValueError("both sets must be nonempty")
-    gx, c, xsq, ysq, tol = _screen_space(x, y)
+    gx, c, xsq, ysq, tol, y_rows = _screen_space(x, y, op)
     best_x, near_x = np.full(len(x), np.inf), np.zeros(len(x), np.intp)
     best_y, near_y = np.full(len(y), np.inf), np.zeros(len(y), np.intp)
     for fs, ts, block in _screen(gx, np.arange(len(x)), c):
@@ -233,11 +248,11 @@ def directed_distance(x: SampledFn, y: SampledFn, q: float) -> tuple[float, floa
         _fold_minima((block + xsq[rs, None]).T, best_y[cs], near_y[cs], fs)
         block += ysq[cs]
         _fold_minima(block, best_x[rs], near_x[rs], ts)
-    x_side = (x.values, gx, xsq, best_x, near_x)
-    y_side = (y.values, c, ysq, best_y, near_y)
+    x_side = (x.values.__getitem__, gx, xsq, best_x, near_x)
+    y_side = (y_rows, c, ysq, best_y, near_y)
     w = x.partition.weights
-    return (_directed(x_side, y_side, tol, w, q),
-            _directed(y_side, x_side, tol, w, q))
+    return (_directed(x_side, y_side, tol, w, q, x.dim),
+            _directed(y_side, x_side, tol, w, q, x.dim))
 
 
 # --------------------------------------------------------------------------
@@ -388,10 +403,9 @@ def verify_run(
         family = enumerate_family(partition, grid, net, p, r, cap=enum_cap)
     else:
         family = sample_family(partition, grid, net, p, r, family_samples, seed)
-    family_images = op.apply(family)
 
     certified = bound_scale * breakdown.total
-    d_fwd, d_rev = directed_distance(ball_images, family_images, q)
+    d_fwd, d_rev = directed_distance(ball_images, family, q, op)
 
     bound_report = VerificationReport(
         config={**config, "lambda": lam, "family_mode": family_mode,

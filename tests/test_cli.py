@@ -289,25 +289,65 @@ def test_unknown_kernel_name_is_config_error(capsys, tmp_path):
     assert "unknown kernel 'gausian'" in capsys.readouterr().err
 
 
+def run_limited(argv, limit):
+    """`opnet` on argv in a child process whose address space is `limit`."""
+    src = os.path.dirname(os.path.dirname(opnet.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from opnet.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 def test_tabulated_3d_verify_fits_in_3_gb(tmp_path):
     # the certified metrics come from the file's 4^3 nodes; a grid estimate
     # at 12 points per axis would need an array of about 41 GB
     text = tabulated_config(tmp_path, [0.0] * 3, [1.0] * 3, [1.0] * 3)
     # 8 cells x 3 magnitude levels
     cfg = write(tmp_path, text.replace("delta = 0.25", "delta = 1.0"))
-    src = os.path.dirname(os.path.dirname(opnet.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
-            "from opnet.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n")
-    out = subprocess.run(
-        [sys.executable, "-c", code, "verify", cfg,
-         "--output", str(tmp_path / "report.json")],
-        env=env, capture_output=True, text=True, timeout=300)
+    out = run_limited(["verify", cfg, "--output", str(tmp_path / "report.json")],
+                      3 << 30)
     assert out.returncode == EXIT_OK, out.stderr
     assert "PASS" in out.stdout
+
+
+B102K_CONFIG = """\
+[domain]
+dim = 2
+lower = 0.0 0.0
+upper = 1.0 1.0
+
+[kernel]
+name = block_diag
+components = gaussian:beta=1.0|constant:value=0.5
+
+[parameters]
+p = 2
+r = 1
+gamma = 2.0
+Delta = 1.0
+delta = 0.5
+sigma = 0.9
+
+[run]
+seed = 7
+samples = 200
+"""
+
+
+def test_out_of_memory_is_resource_exit(tmp_path):
+    # 6,874,645 members at sigma = 0.3, whose enumeration does not fit in
+    # 1 GiB
+    cfg = write(tmp_path, B102K_CONFIG.replace("sigma = 0.9", "sigma = 0.3"))
+    out = run_limited(["verify", cfg, "--output", str(tmp_path / "report.json")],
+                      1 << 30)
+    assert out.returncode == EXIT_RESOURCE, out.stderr
+    assert "Traceback" not in out.stderr
+    assert "resource error:" in out.stderr
+    assert "family_mode = sample" in out.stderr
 
 
 def test_verify_forced_failure_exit_code(capsys, tmp_path):
@@ -531,6 +571,28 @@ def test_zero_samples_is_config_error(capsys, tmp_path):
     cfg = write(tmp_path, BASE_CONFIG.replace("samples = 40", "samples = 0"))
     assert main(["verify", cfg]) == EXIT_CONFIG
     assert "config error: [run] samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [0, -3])
+def test_nonpositive_family_samples_is_config_error(capsys, tmp_path, value):
+    cfg = write(tmp_path, BASE_CONFIG + "family_mode = sample\n"
+                f"family_samples = {value}\n")
+    for command in ("verify", "build"):
+        assert main([command, cfg, "--output", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        assert "config error: [run] family_samples" in capsys.readouterr().err
+
+
+def test_zero_quad_nodes_is_config_error(capsys, tmp_path):
+    cfg = write(tmp_path, BASE_CONFIG + "quad_nodes = 0\n")
+    assert main(["verify", cfg]) == EXIT_CONFIG
+    assert "config error: [run] quad_nodes" in capsys.readouterr().err
+
+
+def test_negative_seed_is_config_error(capsys, tmp_path):
+    cfg = write(tmp_path, BASE_CONFIG.replace("seed = 7", "seed = -1"))
+    assert main(["verify", cfg]) == EXIT_CONFIG
+    assert "config error: [run] seed" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_interpolate_out():

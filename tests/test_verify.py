@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,13 +114,13 @@ def test_directed_distance_q2_equals_brute_force(monkeypatch, q, kind, block,
 
 
 def family_stacks(kind, rng, n_other, n_family):
-    """(other, family): node values, and operator images of cell values.
+    """(other, family, op): node values, and a piecewise-constant stack.
 
-    The family is `DiscretizedOperator.apply` of a random piecewise-constant
-    stack, so it carries its coefficients; `other` carries none.  In the
-    "cancel" kind the coefficients are large multiples of the cell matrix's
-    smallest right singular vector, which alternates in sign, so that
-    |A| |c| is about 4e5 times |A c|.
+    `other` holds operator images of random cell values plus noise; the
+    family's images are `op.apply(family)`.  In the "cancel" kind the cell
+    values are large multiples of the cell matrix's smallest right singular
+    vector, which alternates in sign, so that |A| |c| is about 4e5 times
+    |A c|.
     """
     dom = unit_domain()
     part = build_partition(dom, 0.25)  # 4 cells, 12 nodes
@@ -136,10 +137,18 @@ def family_stacks(kind, rng, n_other, n_family):
         sign = rng.choice([-1.0, 1.0], (count, 1, 1))
         return 1e6 * sign * null + rng.standard_normal((count,) + shape)
 
-    family = op.apply(PiecewiseConstFn(part, coeffs(n_family)))
+    family = PiecewiseConstFn(part, coeffs(n_family))
     near = op.apply(PiecewiseConstFn(part, coeffs(n_other))).values
     other = SampledFn(part, near + 0.1 * rng.standard_normal(near.shape))
-    return other, family
+    return other, family, op
+
+
+def family_cases(other, family, op):
+    """(x, y, op or None, y's node values) for each screen space."""
+    images = op.apply(family)
+    return ((other, family, op, images),    # coefficient space
+            (images, other, None, other),   # a stack of node values, A = I
+            (images[3:], family, op, images))
 
 
 @pytest.mark.parametrize("q", [2, 1.5, 3.0])
@@ -155,25 +164,43 @@ def test_directed_distance_on_family_images_equals_brute_force(
     if block is not None:
         monkeypatch.setattr(verify, "_BLOCK", block)
     rng = np.random.default_rng(n_other)
-    other, family = family_stacks(kind, rng, n_other, n_family)
-    assert family.coeffs is not None and other.coeffs is None
-    for a, b in ((other, family), (family, other), (family[3:], family)):
-        assert directed_distance(a, b, q) == (brute_force(a, b, q),
-                                              brute_force(b, a, q))
+    for x, y, op, yv in family_cases(*family_stacks(kind, rng, n_other,
+                                                    n_family)):
+        assert directed_distance(x, y, q, op) == (brute_force(x, yv, q),
+                                                  brute_force(yv, x, q))
+
+
+@pytest.mark.parametrize("q", [2, 1.5, 3.0])
+@pytest.mark.parametrize("kind", ["random", "cancel"])
+@pytest.mark.parametrize("block,n_family", [
+    (47, 57),  # one member per norms block and per exact chunk, so each
+               # applied row but the last two is a padded lone row
+    (97, 9),   # norms blocks of 4 and 5 members, exact chunks of 4
+])
+def test_streamed_family_equals_the_materialized_stack(
+        monkeypatch, q, kind, block, n_family):
+    """Family images applied on demand give the stored images' distances."""
+    monkeypatch.setattr(verify, "_BLOCK", block)
+    other, family, op = family_stacks(kind, np.random.default_rng(block), 41,
+                                      n_family)
+    images = op.apply(family)
+    assert directed_distance(other, family, q, op) == \
+        directed_distance(other, images, q)
 
 
 @pytest.mark.parametrize("kind", ["random", "cancel"])
 def test_screened_entries_are_within_the_tolerance(monkeypatch, kind):
     """Every pass-1 screened squared distance, completed either way, against
-    an fsum of the stored values."""
+    an fsum of the node values."""
     monkeypatch.setattr(verify, "_BLOCK", 97)
-    other, family = family_stacks(kind, np.random.default_rng(5), 41, 9)
+    other, family, op = family_stacks(kind, np.random.default_rng(5), 41, 9)
     w = np.repeat(other.partition.weights, other.dim)
-    for a, b in ((other, family), (family, other), (family[3:], family),
-                 (other, other)):
-        gx, c, asq, bsq, tol = verify._screen_space(a, b)
+    cases = family_cases(other, family, op) + ((other, other, None, other),)
+    for a, b, by, bvals in cases:
+        gx, c, asq, bsq, tol, b_rows = verify._screen_space(a, b, by)
         av = a.values.reshape(len(a), -1)
-        bv = b.values.reshape(len(b), -1)
+        bv = bvals.values.reshape(len(b), -1)
+        assert b_rows(np.arange(len(b))).tobytes() == bvals.values.tobytes()
         for fs, ts, block in verify._screen(gx, np.arange(len(a)), c):
             rs, cs = slice(fs, fs + len(block)), slice(ts, ts + block.shape[1])
             rows = block + bsq[cs] + asq[rs, None]  # each row's completion
@@ -183,6 +210,31 @@ def test_screened_entries_are_within_the_tolerance(monkeypatch, kind):
                     d = av[fs + i] - bv[ts + j]
                     exact = math.fsum(w * d * d)
                     assert abs(value - exact) <= tol / verify._SCREEN_SAFETY
+
+
+def b102k_kernel():
+    """The baseline's domain and 2 x 2 kernel (4 cells and 36 nodes)."""
+    dom = Domain(np.zeros(2), np.ones(2))
+    return dom, builtin_kernel("block_diag", dom, components=[
+        ("gaussian", {"beta": 1.0}), ("constant", {"value": 0.5})])
+
+
+def test_applied_rows_have_whole_stack_bits():
+    """Rows applied from a gathered sub-stack, or in blocks, equal the rows
+    of the whole-stack apply bit for bit; a lone row is padded to two."""
+    dom, kern = b102k_kernel()
+    op = DiscretizedOperator(kern, build_partition(dom, 1.0))
+    rng = np.random.default_rng(3)
+    family = PiecewiseConstFn(op.partition, rng.standard_normal((4097, 4, 2)))
+    whole = op.apply(family).values
+    for size in (1, 2, 3, 5, 39, 97, 455):
+        for _ in range(8):  # random order, with duplicates
+            rows = rng.integers(0, len(family), size)
+            assert op.apply_rows(family, rows).tobytes() == whole[rows].tobytes()
+    for size in (455, 2048, 4096):  # tails of 2, 1 and 1 rows
+        blocks = list(op.apply_blocks(family, size))
+        assert min(map(len, blocks)) >= 2
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
 
 B102K_CONFIG = """\
@@ -233,6 +285,20 @@ def test_other_q_recomputes_few_pairs(monkeypatch, capsys, tmp_path, p):
     report = json.loads(out.read_text())
     pairs = 200 * int(report["bound_report"]["family_count"])
     assert recomputed < 0.01 * pairs
+
+
+def test_verify_run_never_holds_the_family_images():
+    # the baseline's 102,621 members: their (F, P, m) images alone would be
+    # 56 MiB, and with them the traced peak was 75 MiB
+    dom, kern = b102k_kernel()
+    tracemalloc.start()
+    try:
+        verify_run(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0, delta=0.5,
+                   sigma=0.9, samples=200, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 << 20
 
 
 def test_directed_distance_empty_sets():
