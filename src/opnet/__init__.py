@@ -2,6 +2,7 @@
 
 from .bounds import BoundBreakdown, ParameterSelection, error_bound, select_parameters
 from .family import (
+    BudgetTable,
     MagnitudeGrid,
     build_magnitude_grid,
     cell_average,

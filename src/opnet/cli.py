@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -24,11 +25,10 @@ from .errors import (
     CoverageUnverifiableError,
     FamilyTooLargeError,
 )
-from .family import count_family, enumerate_family, sample_family
 from .geometry import Domain
 from .integral_op import DiscretizedOperator
 from .kernels import builtin_kernel, load_tabulated_kernel
-from .verify import _setup, verify_run
+from .verify import _family, _levels, _setup, verify_run
 
 SCHEMA_VERSION = 2
 # family members that build applies the operator to, and writes, at once;
@@ -72,6 +72,27 @@ _FLOAT_FIELDS = {"p", "r", "gamma", "Delta", "delta", "sigma", "lam",
                  "epsilon", "debug_bound_scale"}
 _INT_FIELDS = {"quad_nodes", "seed", "samples", "enum_cap", "family_samples"}
 _ALIASES = {"lambda": "lam"}  # config key -> RunConfig field
+# each float field's range, checked when it is given; all must be finite
+_RANGES = (("p", lambda v, g: v > 1, "exceed 1"),
+           *((name, lambda v, g: v > 0, "be positive")
+             for name in ("r", "epsilon", "gamma", "Delta")),
+           ("delta", lambda v, g: 0 < v <= g, "lie in (0, gamma]"),
+           ("sigma", lambda v, g: 0 < v <= 2, "lie in (0, 2]"),
+           ("lam", lambda v, g: v >= 0, "be >= 0"),
+           ("debug_bound_scale", lambda v, g: True, "be finite"))
+
+
+def _check_ranges(cfg: RunConfig) -> None:
+    """Refuse a non-finite number, or a parameter outside its range."""
+    for name, ok, want in _RANGES:
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value):
+            want = "be finite"
+        elif value is None or ok(value, cfg.gamma or math.inf):
+            continue
+        section = "run" if name == "debug_bound_scale" else "parameters"
+        key = "lambda" if name == "lam" else name
+        raise ConfigError(f"[{section}] {key}: must {want}, got {value}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -95,6 +116,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"[domain]: {exc}") from None
     if len(lower) != dim or len(upper) != dim:
         raise ConfigError("[domain] lower/upper must have `dim` entries")
+    if not all(map(math.isfinite, lower + upper)):
+        raise ConfigError("[domain] lower/upper: must be finite")
 
     kernel_name = opt("kernel", "name", "constant")
     kernel_file = opt("kernel", "file")
@@ -143,10 +166,7 @@ def parse_config(text: str) -> RunConfig:
         )
     if cfg.epsilon is not None and explicit:
         raise ConfigError("[parameters]: epsilon and explicit parameters conflict")
-    if cfg.p <= 1:
-        raise ConfigError(f"[parameters] p: must exceed 1, got {cfg.p}")
-    if cfg.r <= 0:
-        raise ConfigError(f"[parameters] r: must be positive, got {cfg.r}")
+    _check_ranges(cfg)
     for name, least in (("samples", 1), ("family_samples", 1),
                         ("quad_nodes", 1), ("seed", 0)):
         if getattr(cfg, name) < least:
@@ -162,9 +182,36 @@ _KERNEL_KEYS = {"constant": {"value"}, "gaussian": {"beta"}, "product": set(),
                 "block_diag": {"components"}}
 
 
+def _components(spec) -> list:
+    """The (name, params) components of a block_diag `components` value."""
+    comps = []
+    for part in str(spec).split("|"):
+        part = part.strip()
+        if not part:
+            continue
+        name, _, args = part.partition(":")
+        params = {}
+        if args:
+            for kv in args.split(","):
+                key, _, val = kv.partition("=")
+                try:
+                    params[key.strip()] = float(val)
+                except ValueError:
+                    raise ConfigError(
+                        f"[kernel] components: {kv.strip()!r} is not "
+                        "key=number") from None
+        comps.append((name.strip(), params))
+    if not comps:
+        raise ConfigError("[kernel] components: empty block_diag")
+    return comps
+
+
 def resolve(cfg: RunConfig):
     """Build (domain, kernel) and fill in epsilon-mode parameters."""
-    domain = Domain(np.array(cfg.lower), np.array(cfg.upper))
+    try:
+        domain = Domain(np.array(cfg.lower), np.array(cfg.upper))
+    except ValueError as exc:
+        raise ConfigError(f"[domain]: {exc}") from None
 
     if not cfg.kernel_file and cfg.kernel_name not in _KERNEL_KEYS:
         raise ConfigError(f"[kernel] name: unknown kernel {cfg.kernel_name!r}")
@@ -182,30 +229,14 @@ def resolve(cfg: RunConfig):
             raise ConfigError(
                 "[domain]: lies outside the kernel file's domain "
                 f"{file_domain.lower.tolist()}..{file_domain.upper.tolist()}")
-    elif cfg.kernel_name == "block_diag":
-        comps = []
-        spec = cfg.kernel_params.get("components", "")
-        for part in str(spec).split("|"):
-            part = part.strip()
-            if not part:
-                continue
-            name, _, args = part.partition(":")
-            params = {}
-            if args:
-                for kv in args.split(","):
-                    key, _, val = kv.partition("=")
-                    try:
-                        params[key.strip()] = float(val)
-                    except ValueError:
-                        raise ConfigError(
-                            f"[kernel] components: {kv.strip()!r} is not "
-                            "key=number") from None
-            comps.append((name.strip(), params))
-        if not comps:
-            raise ConfigError("[kernel] components: empty block_diag")
-        kernel = builtin_kernel("block_diag", domain, components=comps)
     else:
-        kernel = builtin_kernel(cfg.kernel_name, domain, **cfg.kernel_params)
+        params = cfg.kernel_params
+        if cfg.kernel_name == "block_diag":
+            params = {"components": _components(params.get("components", ""))}
+        try:
+            kernel = builtin_kernel(cfg.kernel_name, domain, **params)
+        except ValueError as exc:
+            raise ConfigError(f"[kernel]: {exc}") from None
 
     selection = None
     if cfg.epsilon is not None:
@@ -260,7 +291,7 @@ def cmd_bound(cfg: RunConfig) -> int:
     domain, kernel, selection = resolve(cfg)
     breakdown = bounds_mod.error_bound(
         cfg.p, cfg.r, domain.measure, cfg.lam, cfg.gamma, cfg.Delta,
-        cfg.delta, cfg.sigma, kernel.metrics,
+        cfg.gamma / _levels(cfg.gamma, cfg.delta), cfg.sigma, kernel.metrics,
     )
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -277,8 +308,8 @@ def cmd_build(cfg: RunConfig) -> int:
     domain, kernel, _ = resolve(cfg)
     partition, grid, net = _setup(kernel, domain, cfg.gamma, cfg.Delta, cfg.delta,
                                   cfg.sigma, cfg.quad_nodes, cfg.seed)
-    count = count_family(partition, grid, net, cfg.p, cfg.r)
-
+    count, family = _family(partition, grid, net, cfg.p, cfg.r, cfg.family_mode,
+                            cfg.enum_cap, cfg.family_samples, cfg.seed)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(cfg),
@@ -289,21 +320,6 @@ def cmd_build(cfg: RunConfig) -> int:
     }
     out = cfg.output or "family"
     os.makedirs(out, exist_ok=True)
-    _dump_json(manifest, os.path.join(out, "manifest.json"))
-
-    if cfg.family_mode == "enumerate" and count > cfg.enum_cap:
-        print(_dump_json(manifest, None), end="")
-        print(f"family too large to enumerate ({count} > cap {cfg.enum_cap}); "
-              "set family_mode = sample", file=sys.stderr)
-        return EXIT_RESOURCE
-
-    if cfg.family_mode == "enumerate":
-        family = enumerate_family(partition, grid, net, cfg.p, cfg.r,
-                                  cap=cfg.enum_cap)
-    else:
-        family = sample_family(partition, grid, net, cfg.p, cfg.r,
-                               cfg.family_samples, cfg.seed)
-
     op = DiscretizedOperator(kernel, partition)
     n_cells = partition.num_cells
     p_nodes = partition.points.shape[0]
@@ -317,7 +333,7 @@ def cmd_build(cfg: RunConfig) -> int:
                [f"node{i}_{j}" for i in range(p_nodes) for j in range(kernel.m)],
                (images.reshape(len(images), -1)
                 for images in op.apply_blocks(family, IMAGE_BLOCK)))
-    print(_dump_json(manifest, None), end="")
+    print(_dump_json(manifest, os.path.join(out, "manifest.json")), end="")
     return EXIT_OK
 
 
@@ -357,10 +373,12 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
     if name not in ("gamma", "Delta", "delta", "sigma", "lam"):
         raise ConfigError(f"sweep axis: unknown parameter {axis!r}")
     domain, kernel, _ = resolve(cfg)
+    runs = [replace(cfg, **{name: value}) for value in values]
+    for run in runs:
+        _check_ranges(run)
     lines = [f"{axis},certified_total,tail_term,psi,phi,alpha,observed_distance"]
-    for value in values:
-        _, report = _verify(replace(cfg, **{name: value}),
-                            domain, kernel, check_steps=False)
+    for value, run in zip(values, runs):
+        _, report = _verify(run, domain, kernel, check_steps=False)
         brk = report.breakdown
         lines.append(",".join(repr(float(v)) for v in (
             value, report.certified_total, brk["tail_term"], brk["psi"],

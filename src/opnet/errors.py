@@ -5,12 +5,10 @@ class FamilyTooLargeError(RuntimeError):
     """Enumeration would exceed the configured cap; use sampling mode."""
 
     def __init__(self, count, cap):
-        self.count = count
-        self.cap = cap
+        self.count, self.cap = count, cap
         super().__init__(
-            f"family has {count} members, exceeding the enumeration cap {cap}; "
-            "use sampling mode"
-        )
+            f"family too large to enumerate ({count} > cap {cap}); "
+            "set family_mode = sample")
 
 
 class BudgetTableTooLargeError(RuntimeError):

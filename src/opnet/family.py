@@ -9,19 +9,19 @@ element onto the family with tracked per-step displacement.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetTableTooLargeError, FamilyTooLargeError
+from .errors import BudgetTableTooLargeError
 from .functions import PiecewiseConstFn, SampledFn, lp_norm
 from .geometry import Partition
 from .sphere import DirectionNet
 
 __all__ = [
+    "BudgetTable",
     "MagnitudeGrid",
     "build_magnitude_grid",
     "budget_limit",
@@ -96,7 +96,7 @@ def integer_budget(costs: np.ndarray, limit: float) -> tuple[list[list[int]], in
 # the completion table: counting / enumeration / sampling
 
 
-class _BudgetTable:
+class BudgetTable:
     """Every budget state (cell, budget used by the cells before it) that a
     feasible member passes through: `layers[i]` is the sorted array of the
     budgets used before cell i, so `np.searchsorted` finds a state's index.
@@ -107,6 +107,7 @@ class _BudgetTable:
         # the budget only needs p >= 1; the p > 1 restriction is for norms
         if p < 1 or r <= 0:
             raise ValueError("need p >= 1 and r > 0")
+        self.partition, self.grid = partition, grid
         # a cost over the limit never fits, so 2 * limit serves for them all
         limit = budget_limit(p, r)
         rows, self.threshold = integer_budget(np.minimum(
@@ -115,7 +116,6 @@ class _BudgetTable:
         shift = max(0, top.bit_length() - 62)
         self.costs = np.array(rows, dtype=object if shift else np.int64)
         self.layers = [np.zeros(1, dtype=self.costs.dtype)]
-        self.counted: dict[int, list[np.ndarray]] = {}
         for i in range(len(rows)):
             nxt = self.layers[-1][:0]
             for *_, budget in self.pairs(i, self.layers[-1]):
@@ -160,61 +160,22 @@ class _BudgetTable:
             tables.append(table)
         return tables[::-1]
 
-    def counts(self, factor: int) -> list[np.ndarray]:
-        """`completions(factor)`, computed once per factor."""
-        if factor not in self.counted:
-            self.counted[factor] = self.completions(factor)
-        return self.counted[factor]
 
-
-@functools.lru_cache(maxsize=1)
-def _budget_table(partition: Partition, grid: MagnitudeGrid, p: float,
-                  r: float) -> _BudgetTable:
-    """The table of the last (partition, grid, p, r) asked for, so that a
-    run's count and its enumeration or sample share one build.  Enumerating
-    or sampling, a run's last use of the table, empties the cache, so that
-    a sweep holds one table at a time.
-
-    Partitions and grids hash by identity, and neither changes once built.
-    """
-    return _BudgetTable(partition, grid, p, r)
-
-
-def count_family(
-    partition: Partition,
-    grid: MagnitudeGrid,
-    net: DirectionNet,
-    p: float,
-    r: float,
-) -> int:
+def count_family(table: BudgetTable, net: DirectionNet) -> int:
     """Exact cardinality of the finite family.
 
     Zero magnitudes contribute no direction factor (the zero function on a
     cell is direction-free), so each nonzero cell weighs `net.size`.
     """
-    return _budget_table(partition, grid, p, r).counts(net.size)[0][0]
+    return table.completions(net.size)[0][0]
 
 
-def enumerate_family(
-    partition: Partition,
-    grid: MagnitudeGrid,
-    net: DirectionNet,
-    p: float,
-    r: float,
-    cap: int = 10_000_000,
-) -> PiecewiseConstFn:
+def enumerate_family(table: BudgetTable, net: DirectionNet) -> PiecewiseConstFn:
     """Every family member once, as one stack in lexicographic
     (cell, magnitude, direction) order.
 
     Zero-magnitude cells carry the canonical direction index 0.
     """
-    table = _budget_table(partition, grid, p, r)
-    _budget_table.cache_clear()
-    c = net.size
-    total = table.counts(c)[0][0]
-    if total > cap:
-        raise FamilyTooLargeError(total, cap)
-
     # rows are the feasible prefixes in order, each with its budget state;
     # cell i extends a row by each feasible magnitude in turn: magnitude 0
     # with direction 0, a magnitude j >= 1 with each direction
@@ -224,7 +185,7 @@ def enumerate_family(
     for i, (layer, nxt) in enumerate(zip(table.layers, table.layers[1:])):
         blocks = []
         for row, j, budget in table.pairs(i, layer[state]):
-            pair = np.repeat(np.arange(j.size), np.where(j > 0, c, 1))
+            pair = np.repeat(np.arange(j.size), np.where(j > 0, net.size, 1))
             rank = np.arange(pair.size) - np.searchsorted(pair, pair)
             row = row[pair]
             blocks.append((np.hstack([mag[row], j[pair, None]]),
@@ -232,24 +193,17 @@ def enumerate_family(
                            np.searchsorted(nxt, budget)[pair]))
         mag, dirs, state = (np.concatenate(x) for x in zip(*blocks))
     del blocks, row, j, rank, pair  # freed before the values are built
-    return _from_indices(partition, grid, net, mag, dirs)
+    return _from_indices(table, net, mag, dirs)
 
 
-def _from_indices(partition, grid, net, mag, dirs) -> PiecewiseConstFn:
+def _from_indices(table, net, mag, dirs) -> PiecewiseConstFn:
     """The stack of members with (F, N) magnitude and direction indices."""
-    values = grid.values[mag][..., None] * net.points[dirs]
-    return PiecewiseConstFn(partition, values, mag_idx=mag, dir_idx=dirs)
+    values = table.grid.values[mag][..., None] * net.points[dirs]
+    return PiecewiseConstFn(table.partition, values, mag_idx=mag, dir_idx=dirs)
 
 
-def sample_family(
-    partition: Partition,
-    grid: MagnitudeGrid,
-    net: DirectionNet,
-    p: float,
-    r: float,
-    count: int,
-    seed: int = 0,
-) -> PiecewiseConstFn:
+def sample_family(table: BudgetTable, net: DirectionNet, count: int,
+                  seed: int = 0) -> PiecewiseConstFn:
     """Draw a stack of members with uniform magnitude profiles via the
     completion table.
 
@@ -263,10 +217,8 @@ def sample_family(
     if count < 0:
         raise ValueError("count must be >= 0")
     rng = np.random.default_rng(seed)
-    table = _budget_table(partition, grid, p, r)
-    _budget_table.cache_clear()
-    completions = table.counts(1)
-    mags = np.zeros((count, partition.num_cells), dtype=int)
+    completions = table.completions(1)
+    mags = np.zeros((count, len(table.costs)), dtype=int)
     state = np.zeros(count, dtype=int)
     for i, (layer, nxt) in enumerate(zip(table.layers, table.layers[1:])):
         u, total = rng.random(count), completions[i][state]
@@ -280,7 +232,7 @@ def sample_family(
             mags[owner, i] = np.add.reduceat(below, starts, dtype=int)
             state[owner] = succ[starts + mags[owner, i]]
     dirs = np.where(mags > 0, rng.integers(net.size, size=mags.shape), 0)
-    return _from_indices(partition, grid, net, mags, dirs)
+    return _from_indices(table, net, mags, dirs)
 
 
 def sample_ball(

@@ -15,7 +15,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .bounds import error_bound
+from .errors import FamilyTooLargeError
 from .family import (
+    BudgetTable,
     build_magnitude_grid,
     count_family,
     enumerate_family,
@@ -291,12 +293,30 @@ class VerificationReport:
         return out
 
 
+def _levels(gamma, delta):
+    """a, the steps of the magnitude grid for a requested `delta`: its step
+    gamma / a, not `delta`, is the delta that a run certifies."""
+    return max(1, math.ceil(gamma / delta * (1.0 - 1e-12)))
+
+
 def _setup(kernel, domain, gamma, Delta, delta, sigma, nodes_per_axis, seed):
     partition = build_partition(domain, Delta, nodes_per_axis=nodes_per_axis)
-    a = max(1, math.ceil(gamma / delta * (1.0 - 1e-12)))
-    grid = build_magnitude_grid(gamma, a)
+    grid = build_magnitude_grid(gamma, _levels(gamma, delta))
     net = build_sigma_net(kernel.n, sigma, seed=seed)
     return partition, grid, net
+
+
+def _family(partition, grid, net, p, r, family_mode, enum_cap, family_samples,
+            seed):
+    """(count, family) from one budget table: every member, or `family_samples`
+    drawn ones; more than `enum_cap` members are refused, not enumerated."""
+    table = BudgetTable(partition, grid, p, r)
+    count = count_family(table, net)
+    if family_mode == "sample":
+        return count, sample_family(table, net, family_samples, seed)
+    if count > enum_cap:
+        raise FamilyTooLargeError(count, enum_cap)
+    return count, enumerate_family(table, net)
 
 
 def _mixed_ball_samples(partition, n, p, r, samples, seed) -> SampledFn:
@@ -369,9 +389,8 @@ def verify_run(
         raise ValueError("samples must be >= 1")
     if family_mode not in ("enumerate", "sample"):
         raise ValueError(f"unknown family mode {family_mode!r}")
-    partition, grid, net = _setup(
-        kernel, domain, gamma, Delta, delta, sigma, nodes_per_axis, seed
-    )
+    partition, grid, net = _setup(kernel, domain, gamma, Delta, delta, sigma,
+                                  nodes_per_axis, seed)
     q = p / (p - 1.0)
     breakdown = error_bound(
         p, r, domain.measure, lam, gamma, Delta, grid.delta_step, sigma,
@@ -398,25 +417,17 @@ def verify_run(
         steps_report.passed = tcheby_ok and all(s.passed for s in steps)
     del ball  # only its images are used from here on
 
-    count = count_family(partition, grid, net, p, r)
-    if family_mode == "enumerate":
-        family = enumerate_family(partition, grid, net, p, r, cap=enum_cap)
-    else:
-        family = sample_family(partition, grid, net, p, r, family_samples, seed)
-
+    count, family = _family(partition, grid, net, p, r, family_mode, enum_cap,
+                            family_samples, seed)
     certified = bound_scale * breakdown.total
     d_fwd, d_rev = directed_distance(ball_images, family, q, op)
 
     bound_report = VerificationReport(
         config={**config, "lambda": lam, "family_mode": family_mode,
                 "bound_scale": bound_scale},
-        seed=seed,
-    )
-    bound_report.breakdown = breakdown.to_dict()
-    bound_report.certified_total = certified
-    bound_report.directed_sampled_to_family = d_fwd
-    bound_report.directed_family_to_sampled = d_rev  # diagnostic only
-    bound_report.ratio = d_fwd / certified if certified > 0 else 0.0
-    bound_report.family_count = count
-    bound_report.passed = d_fwd <= certified + STEP_TOLERANCE
+        seed=seed, breakdown=breakdown.to_dict(), certified_total=certified,
+        directed_sampled_to_family=d_fwd,
+        directed_family_to_sampled=d_rev,  # diagnostic only
+        ratio=d_fwd / certified if certified > 0 else 0.0,
+        family_count=count, passed=d_fwd <= certified + STEP_TOLERANCE)
     return steps_report, bound_report

@@ -14,6 +14,7 @@ import numpy as np
 from opnet.bounds import error_bound, select_parameters
 from opnet.cli import main
 from opnet.family import (
+    BudgetTable,
     build_magnitude_grid,
     cell_average,
     clip_to_gamma,
@@ -57,7 +58,7 @@ def test_criterion_1_constant_kernel_oracle():
     op = DiscretizedOperator(kern, part)
     family_values = sorted(
         float(op.apply(f).values[0, 0])
-        for f in enumerate_family(part, grid, net, 2, 1.0)
+        for f in enumerate_family(BudgetTable(part, grid, 2, 1.0), net)
     )
     targets = np.linspace(-1.0, 1.0, 401)
     gaps = np.abs(targets[:, None] - np.array(family_values)[None, :]).min(axis=1)
@@ -104,7 +105,7 @@ def test_criterion_3_counting_equivalence():
         net = DirectionNet(dim=2, sigma=2.0,
                            points=np.stack([np.cos(ang), np.sin(ang)], axis=1),
                            construction="explicit")
-        got = count_family(part, grid, net, p, 1.0)
+        got = count_family(BudgetTable(part, grid, p, 1.0), net)
         want = brute_force_count(part.measures, grid.values, c, p, 1.0)
         ok = ok and got == want
         checked += 1

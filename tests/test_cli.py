@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -20,7 +21,7 @@ from opnet.cli import (
 )
 import opnet
 from opnet.errors import ConfigError
-from opnet.family import _BudgetTable, sample_family
+from opnet.family import BudgetTable, sample_family
 from opnet.geometry import Domain
 from opnet.integral_op import DiscretizedOperator
 from opnet.kernels import builtin_kernel, save_tabulated_kernel
@@ -147,6 +148,69 @@ def test_bound_command(capsys, tmp_path):
     assert payload["breakdown"]["total"] == pytest.approx(1.65)
 
 
+GAUSSIAN_CONFIG = BASE_CONFIG.replace("name = constant\nvalue = 1.0",
+                                     "name = gaussian\nbeta = 1.0")
+
+
+@pytest.mark.parametrize("text", [
+    # gamma / delta = 6.67, so the grid step is 2 / 7, not 0.3
+    GAUSSIAN_CONFIG.replace("delta = 0.25", "delta = 0.3"),
+    EPSILON_CONFIG,
+])
+def test_bound_certifies_the_grid_step_that_verify_does(capsys, tmp_path, text):
+    cfg = write(tmp_path, text)
+    assert main(["bound", cfg]) == EXIT_OK
+    total = json.loads(capsys.readouterr().out)["breakdown"]["total"]
+    out = str(tmp_path / "report.json")
+    assert main(["verify", cfg, "--output", out]) == EXIT_OK
+    assert total == json.loads(open(out).read())["bound_report"]["certified_total"]
+
+
+def set_key(text, key, value):
+    """`text` with its `key = ...` line set to `value`, or with that line
+    added to [parameters]."""
+    text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    assert n <= 1
+    return text if n else text.replace("[parameters]\n",
+                                       f"[parameters]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("command", ["bound", "verify", "build"])
+@pytest.mark.parametrize("key,value", [
+    ("sigma", "3"), ("delta", "5"), ("delta", "-1"), ("lambda", "-1"),
+    ("gamma", "0"), ("gamma", "-1"), ("Delta", "0"), ("beta", "-1"),
+    ("upper", "nan"), ("gamma", "inf"), ("r", "inf"), ("p", "nan"),
+    ("r", "nan"), ("epsilon", "0"), ("epsilon", "-1"), ("epsilon", "inf"),
+])
+def test_out_of_range_parameters_are_config_errors(capsys, tmp_path, command,
+                                                   key, value):
+    base = EPSILON_CONFIG if key == "epsilon" else GAUSSIAN_CONFIG
+    cfg = write(tmp_path, set_key(base, key, value))
+    assert main([command, cfg, "--output", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("axis,value", [
+    ("sigma", "3"), ("delta", "5"), ("lambda", "-1"), ("gamma", "nan"),
+])
+def test_out_of_range_sweep_values_are_config_errors(capsys, tmp_path, axis,
+                                                     value):
+    cfg = write(tmp_path, GAUSSIAN_CONFIG)
+    assert main(["sweep", cfg, "--axis", axis,
+                 "--values", f"0.5,{value}"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert captured.out == ""
+
+
+def test_range_errors_name_the_config_key():
+    with pytest.raises(ConfigError, match=r"\[parameters\] lambda: must be >= 0"):
+        parse_config(BASE_CONFIG + "lambda = -1\n")
+
+
 def test_verify_pass_and_report(capsys, tmp_path):
     cfg = write(tmp_path, BASE_CONFIG)
     out = str(tmp_path / "report.json")
@@ -216,13 +280,13 @@ def test_verify_builds_one_operator_and_draws_the_ball_once(
 ])
 def test_one_budget_table_per_run(monkeypatch, capsys, tmp_path, command, mode):
     builds = []
-    init = _BudgetTable.__init__
+    init = BudgetTable.__init__
 
     def counting_init(self, *args, **kwargs):
         builds.append(args)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(_BudgetTable, "__init__", counting_init)
+    monkeypatch.setattr(BudgetTable, "__init__", counting_init)
     cfg = write(tmp_path, BASE_CONFIG + f"family_mode = {mode}\n")
     assert main([command, cfg, "--output", str(tmp_path / "out")]) == EXIT_OK
     # the count and the family come from one table
@@ -231,13 +295,13 @@ def test_one_budget_table_per_run(monkeypatch, capsys, tmp_path, command, mode):
 
 def test_enumeration_reuses_the_count(monkeypatch, capsys, tmp_path):
     calls = []
-    completions = _BudgetTable.completions
+    completions = BudgetTable.completions
 
     def counting_completions(self, factor):
         calls.append(factor)
         return completions(self, factor)
 
-    monkeypatch.setattr(_BudgetTable, "completions", counting_completions)
+    monkeypatch.setattr(BudgetTable, "completions", counting_completions)
     cfg = write(tmp_path, BASE_CONFIG.replace("Delta = 1.0", "Delta = 0.25")
                 + "family_mode = enumerate\n")
     assert main(["verify", cfg, "--output", str(tmp_path / "out")]) == EXIT_OK
@@ -446,7 +510,7 @@ def test_build_images_do_not_depend_on_block_boundaries(monkeypatch, capsys,
     domain, kernel, _ = resolve(cfg)
     partition, grid, net = _setup(kernel, domain, cfg.gamma, cfg.Delta,
                                   cfg.delta, cfg.sigma, cfg.quad_nodes, cfg.seed)
-    family = sample_family(partition, grid, net, cfg.p, cfg.r,
+    family = sample_family(BudgetTable(partition, grid, cfg.p, cfg.r), net,
                            cfg.family_samples, cfg.seed)
     n = len(family)
     want = DiscretizedOperator(kernel, partition).apply(family).values
@@ -493,6 +557,25 @@ def test_build_cap_is_resource_exit(capsys, tmp_path):
     cfg = write(tmp_path, text)
     assert main(["build", cfg, "--output", str(tmp_path / "fam")]) == EXIT_RESOURCE
     assert "family too large" in capsys.readouterr().err
+
+
+def test_enum_cap_refuses_verify_and_build_alike(monkeypatch, capsys, tmp_path):
+    def refuse(*args):
+        raise AssertionError("enumerated past the cap")
+
+    monkeypatch.setattr(opnet.verify, "enumerate_family", refuse)
+    cfg = write(tmp_path, BASE_CONFIG + "enum_cap = 2\n")
+    errs = []
+    for command in ("verify", "build"):
+        out = tmp_path / command
+        assert main([command, cfg, "--output", str(out)]) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not out.exists()
+        errs.append(captured.err)
+    assert errs[0] == errs[1]
+    assert re.fullmatch(r"resource error: family too large to enumerate "
+                        r"\(\d+ > cap 2\); set family_mode = sample\n", errs[0])
 
 
 def test_sweep_requires_axis(capsys, tmp_path):

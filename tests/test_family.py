@@ -14,7 +14,7 @@ import opnet
 from opnet import family
 from opnet.errors import BudgetTableTooLargeError, FamilyTooLargeError
 from opnet.family import (
-    _BudgetTable,
+    BudgetTable,
     budget_limit,
     build_magnitude_grid,
     cell_average,
@@ -32,6 +32,7 @@ from opnet.family import (
 from opnet.functions import PiecewiseConstFn, SampledFn, lp_norm
 from opnet.geometry import Domain, build_partition
 from opnet.sphere import DirectionNet, build_sigma_net
+from opnet.verify import _family
 
 from oracles import brute_force_count, square_budget_count
 
@@ -145,31 +146,31 @@ def test_integer_budget_rounds_ties_like_fsum():
 def test_budgets_are_int64_while_sums_fit(n_cells, a, p, r, dtype):
     part = interval_partition(delta=1.0 / n_cells, nodes=1)
     grid = build_magnitude_grid(1.0, a)
-    table = _BudgetTable(part, grid, p, r)
+    table = BudgetTable(part, grid, p, r)
     assert table.costs.dtype == dtype
     top = table.threshold + int(table.costs.max())
     assert (top < 2**62) == (dtype is np.int64)
-    assert count_family(part, grid, angle_net(3), p, r) == brute_force_count(
+    assert count_family(table, angle_net(3)) == brute_force_count(
         part.measures, grid.values, 3, p, r)
 
 
 def test_count_single_cell():
     part = interval_partition()
     grid = build_magnitude_grid(1.0, 2)  # {0, 0.5, 1}
-    assert count_family(part, grid, sign_net(), 2, 1.0) == 5
+    assert count_family(BudgetTable(part, grid, 2, 1.0), sign_net()) == 5
 
 
 def test_count_two_cells_p1():
     part = interval_partition(delta=0.5)
     grid = build_magnitude_grid(1.0, 1)  # {0, 1}
     # (0,0) -> 1, (1,0)/(0,1) -> 2 each, (1,1) -> 4
-    assert count_family(part, grid, sign_net(), 1.0, 1.0) == 9
+    assert count_family(BudgetTable(part, grid, 1.0, 1.0), sign_net()) == 9
 
 
 def test_count_tiny_radius_only_zero():
     part = interval_partition()
     grid = build_magnitude_grid(1.0, 2)
-    assert count_family(part, grid, sign_net(), 2, 1e-6) == 1
+    assert count_family(BudgetTable(part, grid, 2, 1e-6), sign_net()) == 1
 
 
 def test_count_matches_brute_force_random_configs():
@@ -185,7 +186,7 @@ def test_count_matches_brute_force_random_configs():
         grid = build_magnitude_grid(gamma, a)
         net = angle_net(c)
         expected = brute_force_count(part.measures, grid.values, c, p, r)
-        assert count_family(part, grid, net, p, r) == expected
+        assert count_family(BudgetTable(part, grid, p, r), net) == expected
 
 
 def test_count_epsilon_one_family_is_fast_and_exact():
@@ -197,7 +198,7 @@ def test_count_epsilon_one_family_is_fast_and_exact():
     expected = square_budget_count(9, 50, 225, 2)
     assert expected == 128_236_319_951
     start = time.perf_counter()
-    assert count_family(part, grid, sign_net(), 2, 1.0) == expected
+    assert count_family(BudgetTable(part, grid, 2, 1.0), sign_net()) == expected
     assert time.perf_counter() - start < 5.0
 
 
@@ -208,7 +209,7 @@ def test_count_epsilon_one_family_is_fast_and_exact():
 def test_enumerate_single_cell():
     part = interval_partition()
     grid = build_magnitude_grid(1.0, 2)
-    fam = list(enumerate_family(part, grid, sign_net(), 2, 1.0))
+    fam = list(enumerate_family(BudgetTable(part, grid, 2, 1.0), sign_net()))
     assert len(fam) == 5
     assert np.all(fam[0].values == 0.0)  # zero function first
 
@@ -216,7 +217,7 @@ def test_enumerate_single_cell():
 def test_enumerate_infeasible_smallest_magnitude():
     part = interval_partition()
     grid = build_magnitude_grid(1.0, 2)
-    fam = list(enumerate_family(part, grid, sign_net(), 2, 1e-6))
+    fam = list(enumerate_family(BudgetTable(part, grid, 2, 1e-6), sign_net()))
     assert len(fam) == 1
 
 
@@ -224,24 +225,35 @@ def test_enumerate_respects_budget_and_count():
     part = interval_partition(delta=0.5)
     grid = build_magnitude_grid(1.0, 1)
     net = sign_net()
-    fam = list(enumerate_family(part, grid, net, 1.0, 1.0))
-    assert len(fam) == 9 == count_family(part, grid, net, 1.0, 1.0)
+    fam = list(enumerate_family(BudgetTable(part, grid, 1.0, 1.0), net))
+    assert len(fam) == 9 == count_family(BudgetTable(part, grid, 1.0, 1.0), net)
     for f in fam:
         assert within_budget(part, grid, 1.0, 1.0, f.mag_idx)
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
     part = interval_partition(delta=0.25)
     grid = build_magnitude_grid(1.0, 4)
-    with pytest.raises(FamilyTooLargeError):
-        list(enumerate_family(part, grid, angle_net(4), 2, 1.0, cap=10))
+    net = angle_net(4)
+    count = count_family(BudgetTable(part, grid, 2, 1.0), net)
+
+    def refuse(*args):
+        raise AssertionError("enumerated past the cap")
+
+    # the family step refuses a family past the cap before enumerating it
+    monkeypatch.setattr(opnet.verify, "enumerate_family", refuse)
+    with pytest.raises(FamilyTooLargeError) as exc:
+        _family(part, grid, net, 2, 1.0, "enumerate", count - 1, 0, 0)
+    assert (exc.value.count, exc.value.cap) == (count, count - 1)
+    monkeypatch.undo()
+    assert _family(part, grid, net, 2, 1.0, "enumerate", count, 0, 0)[0] == count
 
 
 def test_enumerate_is_a_set():
     part = interval_partition(delta=0.5)
     grid = build_magnitude_grid(1.0, 2)
     net = angle_net(3)
-    fam = list(enumerate_family(part, grid, net, 2, 1.0))
+    fam = list(enumerate_family(BudgetTable(part, grid, 2, 1.0), net))
     keys = {(tuple(f.mag_idx), tuple(f.dir_idx)) for f in fam}
     assert len(keys) == len(fam)
     # zero magnitude cells are canonicalized to direction 0
@@ -270,7 +282,7 @@ def test_enumerate_order_and_content_match_brute_force(n_cells, a, c, p, r):
         if math.fsum(part.measures[i] * grid.values[j] ** p
                      for i, (j, _) in enumerate(combo)) <= limit
     ]
-    fam = enumerate_family(part, grid, net, p, r)
+    fam = enumerate_family(BudgetTable(part, grid, p, r), net)
     got = [tuple(zip(m, d))
            for m, d in zip(fam.mag_idx.tolist(), fam.dir_idx.tolist())]
     assert got == want
@@ -289,9 +301,9 @@ def test_sample_family_members_are_enumerable():
     net = sign_net()
     fam_keys = {
         (tuple(f.mag_idx), tuple(f.dir_idx))
-        for f in enumerate_family(part, grid, net, 2, 1.0)
+        for f in enumerate_family(BudgetTable(part, grid, 2, 1.0), net)
     }
-    for f in sample_family(part, grid, net, 2, 1.0, 100, seed=8):
+    for f in sample_family(BudgetTable(part, grid, 2, 1.0), net, 100, seed=8):
         assert (tuple(f.mag_idx), tuple(f.dir_idx)) in fam_keys
 
 
@@ -299,8 +311,8 @@ def test_sample_family_empty_and_budget():
     part = interval_partition(delta=0.5)
     grid = build_magnitude_grid(1.0, 3)
     net = angle_net(3)
-    assert len(sample_family(part, grid, net, 2, 1.0, 0, seed=1)) == 0
-    for f in sample_family(part, grid, net, 2, 1.0, 50, seed=1):
+    assert len(sample_family(BudgetTable(part, grid, 2, 1.0), net, 0, seed=1)) == 0
+    for f in sample_family(BudgetTable(part, grid, 2, 1.0), net, 50, seed=1):
         assert within_budget(part, grid, 2, 1.0, f.mag_idx)
 
 
@@ -309,7 +321,7 @@ def test_sample_family_draws_are_pinned():
     # sequence, and so to every seed's sample, fails here
     part = interval_partition(delta=0.25, nodes=1)
     grid = build_magnitude_grid(1.0, 3)
-    fam = sample_family(part, grid, angle_net(3), 2.0, 0.6, 12, seed=5)
+    fam = sample_family(BudgetTable(part, grid, 2.0, 0.6), angle_net(3), 12, seed=5)
     assert fam.mag_idx.tolist() == [
         [2, 1, 1, 2], [2, 2, 2, 0], [1, 3, 0, 0], [0, 2, 2, 2],
         [0, 1, 3, 0], [1, 1, 0, 3], [1, 1, 2, 0], [0, 0, 0, 1],
@@ -360,7 +372,7 @@ def loop_sample(part, grid, net, p, r, count, seed):
 def test_sample_family_matches_a_loop_over_members(n_cells, a, c, p, r, seed):
     part = interval_partition(delta=1.0 / n_cells, nodes=1)
     grid = build_magnitude_grid(1.0, a)
-    fam = sample_family(part, grid, angle_net(c), p, r, 300, seed=seed)
+    fam = sample_family(BudgetTable(part, grid, p, r), angle_net(c), 300, seed=seed)
     mags, dirs = loop_sample(part, grid, angle_net(c), p, r, 300, seed)
     assert np.array_equal(fam.mag_idx, mags)
     assert np.array_equal(fam.dir_idx, dirs)
@@ -374,7 +386,8 @@ def test_sample_family_is_uniform_over_profiles():
                 if sum(j * j for j in m) <= 12]
     assert len(profiles) == 108
     index = {m: k for k, m in enumerate(profiles)}
-    fam = sample_family(part, grid, angle_net(3), 2.0, 0.6, 20_000, seed=23)
+    fam = sample_family(BudgetTable(part, grid, 2.0, 0.6), angle_net(3), 20_000,
+                        seed=23)
     # a KeyError here is an infeasible draw
     drawn = [index[tuple(m)] for m in fam.mag_idx.tolist()]
     assert chisquare(np.bincount(drawn, minlength=108)).pvalue > 1e-3
@@ -393,8 +406,8 @@ def test_counts_above_2_to_the_64_are_exact():
     net = angle_net(64)
     expected = square_budget_count(16, 8, 256, 64)
     assert expected == 753039082979042119047170672614151500603393
-    assert count_family(part, grid, net, 2, 1.0) == expected
-    fam = sample_family(part, grid, net, 2, 1.0, 500, seed=4)
+    assert count_family(BudgetTable(part, grid, 2, 1.0), net) == expected
+    fam = sample_family(BudgetTable(part, grid, 2, 1.0), net, 500, seed=4)
     assert all(sum(j * j for j in m) <= 256 for m in fam.mag_idx.tolist())
 
 
@@ -404,23 +417,24 @@ def test_blocks_do_not_change_the_family(monkeypatch):
     part = interval_partition(delta=0.25, nodes=1)
     grid = build_magnitude_grid(1.0, 16)
     net = angle_net(2)
-    args = (part, grid, net, 1.0, 0.25)
-    whole = (count_family(*args), enumerate_family(*args),
-             sample_family(*args, 400, seed=3))
+    table = BudgetTable(part, grid, 1.0, 0.25)
+    whole = (count_family(table, net), enumerate_family(table, net),
+             sample_family(table, net, 400, seed=3))
     assert whole[0] == sum(2 ** sum(j > 0 for j in m)
                            for m in itertools.product(range(17), repeat=4)
                            if sum(m) <= 16)
     # blocks of at most 69 pairs, and 400 draws per cell
     monkeypatch.setattr(family, "STATE_CAP", 69)
-    blocked = (count_family(*args), enumerate_family(*args),
-               sample_family(*args, 400, seed=3))
+    table = BudgetTable(part, grid, 1.0, 0.25)
+    blocked = (count_family(table, net), enumerate_family(table, net),
+               sample_family(table, net, 400, seed=3))
     assert blocked[0] == whole[0]
     for a, b in zip(whole[1:], blocked[1:]):
         assert np.array_equal(a.mag_idx, b.mag_idx)
         assert np.array_equal(a.dir_idx, b.dir_idx)
     monkeypatch.setattr(family, "STATE_CAP", 68)
     with pytest.raises(BudgetTableTooLargeError):
-        count_family(*args)
+        BudgetTable(part, grid, 1.0, 0.25)
 
 
 def test_refusal_with_many_levels_is_cheap():
@@ -431,16 +445,15 @@ def test_refusal_with_many_levels_is_cheap():
         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
         "import numpy as np\n"
         "from opnet.errors import BudgetTableTooLargeError\n"
-        "from opnet.family import build_magnitude_grid, count_family\n"
+        "from opnet.family import BudgetTable, build_magnitude_grid\n"
         "from opnet.geometry import Domain, build_partition\n"
-        "from opnet.sphere import build_sigma_net\n"
         "part = build_partition(Domain(np.zeros(1), np.ones(1)), 0.25,\n"
         "                       nodes_per_axis=1)\n"
         "assert part.num_cells == 4\n"
-        "grid, net = build_magnitude_grid(2.0, 50_000), build_sigma_net(1, 0.5)\n"
+        "grid = build_magnitude_grid(2.0, 50_000)\n"
         "start = time.perf_counter()\n"
         "try:\n"
-        "    count_family(part, grid, net, 2.0, 1.0)\n"
+        "    BudgetTable(part, grid, 2.0, 1.0)\n"
         "except BudgetTableTooLargeError:\n"
         "    print(time.perf_counter() - start)\n")
     src = os.path.dirname(os.path.dirname(opnet.__file__))
@@ -456,8 +469,8 @@ def test_sample_family_deterministic():
     part = interval_partition(delta=0.5)
     grid = build_magnitude_grid(1.0, 2)
     net = sign_net()
-    a = sample_family(part, grid, net, 2, 1.0, 20, seed=9)
-    b = sample_family(part, grid, net, 2, 1.0, 20, seed=9)
+    a = sample_family(BudgetTable(part, grid, 2, 1.0), net, 20, seed=9)
+    b = sample_family(BudgetTable(part, grid, 2, 1.0), net, 20, seed=9)
     for fa, fb in zip(a, b):
         assert np.array_equal(fa.values, fb.values)
 
@@ -638,7 +651,7 @@ def test_project_fixed_point():
     part = interval_partition(delta=0.5, nodes=1)
     grid = build_magnitude_grid(1.0, 2)
     net = sign_net()
-    member = list(enumerate_family(part, grid, net, 2, 1.0))[3]
+    member = list(enumerate_family(BudgetTable(part, grid, 2, 1.0), net))[3]
     x = member.to_sampled()
     stages = run_pipeline(x, 1.0, part, grid, net)
     assert np.array_equal(stages[-1].values, member.values)
