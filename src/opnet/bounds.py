@@ -10,7 +10,7 @@ selection targets epsilon by giving each term an epsilon/5 share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .kernels import KernelMetrics
 
@@ -29,15 +29,7 @@ class BoundBreakdown:
     total: float
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "c_star": self.c_star,
-            "tail_term": self.tail_term,
-            "psi": self.psi,
-            "phi": self.phi,
-            "alpha": self.alpha,
-            "total": self.total,
-        }
+        return {"lambda" if k == "lam" else k: v for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -52,16 +44,9 @@ class ParameterSelection:
     degenerate: bool = False  # zero kernel shortcut
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "lambda": self.lam,
-            "gamma": self.gamma,
-            "Delta": self.delta_partition,
-            "delta": self.delta,
-            "sigma": self.sigma,
-            "degenerate": self.degenerate,
-            "achieved": self.achieved.to_dict(),
-        }
+        names = {"lam": "lambda", "delta_partition": "Delta"}
+        return {**{names.get(k, k): v for k, v in asdict(self).items()},
+                "achieved": self.achieved.to_dict()}
 
 
 def error_bound(

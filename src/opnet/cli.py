@@ -130,6 +130,9 @@ def parse_config(text: str) -> RunConfig:
                 kernel_params[key] = float(val)
             except ValueError:
                 kernel_params[key] = val
+    for key, value in kernel_params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"[kernel] {key}: must be finite, got {value}")
 
     cfg = RunConfig(
         dim=dim, lower=lower, upper=upper,
@@ -200,6 +203,9 @@ def _components(spec) -> list:
                     raise ConfigError(
                         f"[kernel] components: {kv.strip()!r} is not "
                         "key=number") from None
+                if not math.isfinite(params[key.strip()]):
+                    raise ConfigError(f"[kernel] components {key.strip()}: must be "
+                                      f"finite, got {val.strip()}")
         comps.append((name.strip(), params))
     if not comps:
         raise ConfigError("[kernel] components: empty block_diag")
@@ -307,7 +313,7 @@ def cmd_bound(cfg: RunConfig) -> int:
 def cmd_build(cfg: RunConfig) -> int:
     domain, kernel, _ = resolve(cfg)
     partition, grid, net = _setup(kernel, domain, cfg.gamma, cfg.Delta, cfg.delta,
-                                  cfg.sigma, cfg.quad_nodes, cfg.seed)
+                                  cfg.sigma, cfg.quad_nodes, cfg.seed, cfg.p, cfg.r)
     count, family = _family(partition, grid, net, cfg.p, cfg.r, cfg.family_mode,
                             cfg.enum_cap, cfg.family_samples, cfg.seed)
     manifest = {

@@ -44,6 +44,7 @@ BUDGET_SLACK = 1e-12
 STATE_CAP = 200_000
 # share of `sample_ball` draws rescaled to norm exactly r; the rest fall inside
 EXACT_FRACTION = 0.5
+_BLOCK = 1 << 15  # elements per block of the family values
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,33 +173,43 @@ def count_family(table: BudgetTable, net: DirectionNet) -> int:
 
 def enumerate_family(table: BudgetTable, net: DirectionNet) -> PiecewiseConstFn:
     """Every family member once, as one stack in lexicographic
-    (cell, magnitude, direction) order.
-
-    Zero-magnitude cells carry the canonical direction index 0.
+    (cell, magnitude, direction) order, with indices in the smallest unsigned
+    dtypes that hold them.  Zero-magnitude cells carry direction index 0.
     """
-    # rows are the feasible prefixes in order, each with its budget state;
-    # cell i extends a row by each feasible magnitude in turn: magnitude 0
-    # with direction 0, a magnitude j >= 1 with each direction
-    mag = np.zeros((1, 0), dtype=int)
-    dirs = np.zeros((1, 0), dtype=int)
-    state = np.zeros(1, dtype=int)
+    # cell i extends each feasible prefix row by each feasible magnitude in
+    # turn: magnitude 0 with direction 0, a magnitude j >= 1 with each
+    # direction; a new row keeps only a link: its parent row, magnitude and
+    # direction, and the indices are gathered along the links from the end
+    mag_t, dir_t = np.min_scalar_type(table.grid.a), np.min_scalar_type(net.size - 1)
+    links, state = [], np.zeros(1, dtype=int)
     for i, (layer, nxt) in enumerate(zip(table.layers, table.layers[1:])):
         blocks = []
         for row, j, budget in table.pairs(i, layer[state]):
             pair = np.repeat(np.arange(j.size), np.where(j > 0, net.size, 1))
             rank = np.arange(pair.size) - np.searchsorted(pair, pair)
-            row = row[pair]
-            blocks.append((np.hstack([mag[row], j[pair, None]]),
-                           np.hstack([dirs[row], rank[:, None]]),
-                           np.searchsorted(nxt, budget)[pair]))
-        mag, dirs, state = (np.concatenate(x) for x in zip(*blocks))
-    del blocks, row, j, rank, pair  # freed before the values are built
+            blocks.append((row[pair].astype(np.int32), j[pair].astype(mag_t),
+                           rank.astype(dir_t), pair[:0] if i == len(table.costs) - 1
+                           else np.searchsorted(nxt, budget)[pair]))
+        *link, state = map(np.concatenate, zip(*blocks))
+        links.append(link)
+    mag, dirs = (np.empty((len(link[0]), len(links)), t) for t in (mag_t, dir_t))
+    rows = slice(None)
+    while links:
+        parent, j, d = links.pop()
+        mag[:, len(links)], dirs[:, len(links)] = j[rows], d[rows]
+        rows = parent[rows]
+    del blocks, link, row, rank, pair, rows  # freed before the values are built
     return _from_indices(table, net, mag, dirs)
 
 
 def _from_indices(table, net, mag, dirs) -> PiecewiseConstFn:
-    """The stack of members with (F, N) magnitude and direction indices."""
-    values = table.grid.values[mag][..., None] * net.points[dirs]
+    """The stack of members with (F, N) magnitude and direction indices, its
+    values built `_BLOCK` elements at a time."""
+    values = np.empty((*mag.shape, net.points.shape[1]))
+    step = max(1, _BLOCK // (values.shape[1] * values.shape[2]))
+    for s in range(0, len(values), step):
+        np.multiply(table.grid.values[mag[s:s + step]][..., None],
+                    net.points[dirs[s:s + step]], out=values[s:s + step])
     return PiecewiseConstFn(table.partition, values, mag_idx=mag, dir_idx=dirs)
 
 

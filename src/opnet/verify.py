@@ -15,8 +15,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .bounds import error_bound
-from .errors import FamilyTooLargeError
+from .errors import BudgetTableTooLargeError, ConfigError, FamilyTooLargeError
 from .family import (
+    STATE_CAP,
     BudgetTable,
     build_magnitude_grid,
     count_family,
@@ -296,12 +297,22 @@ class VerificationReport:
 def _levels(gamma, delta):
     """a, the steps of the magnitude grid for a requested `delta`: its step
     gamma / a, not `delta`, is the delta that a run certifies."""
+    if gamma / delta == math.inf:
+        raise ConfigError(f"[parameters] delta: gamma / delta overflows, got {delta}")
     return max(1, math.ceil(gamma / delta * (1.0 - 1e-12)))
 
 
-def _setup(kernel, domain, gamma, Delta, delta, sigma, nodes_per_axis, seed):
+def _setup(kernel, domain, gamma, Delta, delta, sigma, nodes_per_axis, seed,
+           p=2.0, r=math.inf):
     partition = build_partition(domain, Delta, nodes_per_axis=nodes_per_axis)
-    grid = build_magnitude_grid(gamma, _levels(gamma, delta))
+    a, mu = _levels(gamma, delta), float(partition.measures.min())
+    # a budget table holds a state for each level that one cell can take
+    # within the budget r^p, so it would refuse more than STATE_CAP of them
+    if a * min(1.0, r / gamma * mu ** (-1 / p)) >= STATE_CAP:
+        raise BudgetTableTooLargeError(
+            f"family too large: one cell can take more than {STATE_CAP} of its "
+            f"{a + 1} magnitude levels within the budget; increase delta")
+    grid = build_magnitude_grid(gamma, a)
     net = build_sigma_net(kernel.n, sigma, seed=seed)
     return partition, grid, net
 
@@ -390,7 +401,7 @@ def verify_run(
     if family_mode not in ("enumerate", "sample"):
         raise ValueError(f"unknown family mode {family_mode!r}")
     partition, grid, net = _setup(kernel, domain, gamma, Delta, delta, sigma,
-                                  nodes_per_axis, seed)
+                                  nodes_per_axis, seed, p, r)
     q = p / (p - 1.0)
     breakdown = error_bound(
         p, r, domain.measure, lam, gamma, Delta, grid.delta_step, sigma,

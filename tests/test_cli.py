@@ -403,15 +403,74 @@ samples = 200
 
 
 def test_out_of_memory_is_resource_exit(tmp_path):
-    # 6,874,645 members at sigma = 0.3, whose enumeration does not fit in
-    # 1 GiB
+    # 6,874,645 members at sigma = 0.3: their stack of values alone is
+    # 420 MiB, so the run verifies in 1 GiB (about 0.9 GB at its peak) but
+    # does not fit in 512 MiB
     cfg = write(tmp_path, B102K_CONFIG.replace("sigma = 0.9", "sigma = 0.3"))
     out = run_limited(["verify", cfg, "--output", str(tmp_path / "report.json")],
-                      1 << 30)
+                      512 << 20)
     assert out.returncode == EXIT_RESOURCE, out.stderr
     assert "Traceback" not in out.stderr
     assert "resource error:" in out.stderr
     assert "family_mode = sample" in out.stderr
+
+
+@pytest.mark.parametrize("command", ["bound", "verify", "build"])
+def test_subnormal_delta_is_config_error(capsys, tmp_path, command):
+    # gamma / delta overflows to inf
+    cfg = write(tmp_path, GAUSSIAN_CONFIG.replace("delta = 0.25", "delta = 1e-320"))
+    assert main([command, cfg, "--output", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [parameters] delta:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "build"])
+def test_levels_past_the_state_cap_are_refused_before_the_grid(
+        monkeypatch, capsys, tmp_path, command):
+    # 2e9 levels, all within the budget of a cell: the grid alone would be
+    # 16 GB, and a budget table would hold a state for each level
+    def no_grid(*args):
+        raise AssertionError("a magnitude grid was built")
+
+    monkeypatch.setattr(opnet.verify, "build_magnitude_grid", no_grid)
+    cfg = write(tmp_path, GAUSSIAN_CONFIG.replace("delta = 0.25", "delta = 1e-9"))
+    assert main([command, cfg, "--output", str(tmp_path / "out")]) == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: family too large")
+    assert "2000000001 magnitude levels" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_many_levels_within_a_small_budget_are_not_refused(capsys, tmp_path):
+    # 200,000 levels, of which the one cell can take 1,001 within r = 0.01
+    text = GAUSSIAN_CONFIG.replace("delta = 0.25", "delta = 1e-5")
+    cfg = write(tmp_path, set_key(text, "r", "0.01"))
+    out = tmp_path / "report.json"
+    assert main(["verify", cfg, "--output", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["bound_report"]["family_count"] == "2001"
+
+
+@pytest.mark.parametrize("command", ["bound", "verify", "build"])
+@pytest.mark.parametrize("kernel,key", [
+    ("name = gaussian\nbeta = inf", "beta"),
+    ("name = gaussian\nbeta = nan", "beta"),
+    ("name = constant\nvalue = nan", "value"),
+    ("name = constant\nvalue = -inf", "value"),
+    ("name = block_diag\ncomponents = gaussian:beta=inf|constant:value=0.5",
+     "components beta"),
+    ("name = block_diag\ncomponents = gaussian:beta=1.0|constant:value=nan",
+     "components value"),
+])
+def test_non_finite_kernel_numbers_are_config_errors(capsys, tmp_path, command,
+                                                     kernel, key):
+    cfg = write(tmp_path, BASE_CONFIG.replace("name = constant\nvalue = 1.0", kernel))
+    assert main([command, cfg, "--output", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [kernel] {key}: must be finite")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_forced_failure_exit_code(capsys, tmp_path):
@@ -550,6 +609,19 @@ def test_write_csv_writes_integers_as_savetxt_does(tmp_path):
     buf = io.StringIO()
     np.savetxt(buf, rows, fmt="%d", delimiter=",")
     assert path.read_text() == "i\n" + buf.getvalue()
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32])
+def test_write_csv_rows_do_not_depend_on_the_index_dtype(tmp_path, dtype):
+    # family indices come in the smallest unsigned dtype that holds them;
+    # their item-size view puts 128..255 and 32768.. at negative keys
+    top = np.iinfo(dtype).max if dtype != np.int32 else 70_000
+    rows = np.random.default_rng(2).integers(0, top, size=(40, 6), endpoint=True)
+    rows[::3, 2] = top
+    paths = [tmp_path / "narrow.csv", tmp_path / "wide.csv"]
+    for path, block in zip(paths, (rows.astype(dtype), rows)):
+        _write_csv(str(path), ["i"], [block[:16], block[16:]])
+    assert paths[0].read_text() == paths[1].read_text()
 
 
 def test_build_cap_is_resource_exit(capsys, tmp_path):

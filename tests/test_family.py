@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from opnet.family import (
 from opnet.functions import PiecewiseConstFn, SampledFn, lp_norm
 from opnet.geometry import Domain, build_partition
 from opnet.sphere import DirectionNet, build_sigma_net
-from opnet.verify import _family
+from opnet.verify import _family, _setup
 
 from oracles import brute_force_count, square_budget_count
 
@@ -289,6 +290,64 @@ def test_enumerate_order_and_content_match_brute_force(n_cells, a, c, p, r):
     for f in fam:
         assert np.array_equal(f.values,
                               grid.values[f.mag_idx][:, None] * net.points[f.dir_idx])
+
+
+def b102k_table_and_net():
+    """The 2-D baseline's budget table and net: 4 cells, 5 levels, 7 points."""
+    part = build_partition(Domain(np.zeros(2), np.ones(2)), 1.0, nodes_per_axis=3)
+    return (BudgetTable(part, build_magnitude_grid(2.0, 4), 2.0, 1.0),
+            build_sigma_net(2, 0.9, seed=7))
+
+
+def test_enumerate_peak_is_close_to_the_stack_it_returns():
+    # only per-cell links are held besides the stack, and the values are
+    # built a block at a time
+    table, net = b102k_table_and_net()
+    enumerate_family(table, net)  # numpy's one-time allocations happen here
+    tracemalloc.start()
+    try:
+        fam = enumerate_family(table, net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fam) == 102_621
+    stack = fam.values.nbytes + fam.mag_idx.nbytes + fam.dir_idx.nbytes
+    assert peak <= 1.5 * stack
+
+
+def test_enumerate_indices_take_the_smallest_unsigned_dtypes():
+    table, net = b102k_table_and_net()
+    fam = enumerate_family(table, net)
+    assert (fam.mag_idx.dtype, fam.dir_idx.dtype) == (np.uint8, np.uint8)
+    # two cells of measure 1/2 and r^2 = 0.36: a cell takes level 0 or 1
+    part = interval_partition(delta=0.5, nodes=1)
+    grid = build_magnitude_grid(1.0, 2)
+    net = angle_net(257)
+    fam = enumerate_family(BudgetTable(part, grid, 2.0, 0.6), net)
+    assert len(fam) == 1 + 2 * 257 + 257**2
+    assert (fam.mag_idx.dtype, fam.dir_idx.dtype) == (np.uint8, np.uint16)
+    assert fam.dir_idx.max() == 256
+    want = grid.values[fam.mag_idx][..., None] * net.points[fam.dir_idx]
+    assert fam.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("r", [0.02, 0.05, 0.3, 1.0])
+@pytest.mark.parametrize("a", [24, 25, 48, 49, 50, 99, 100])
+def test_levels_refused_before_the_grid_are_refused_by_the_table(monkeypatch, r, a):
+    # a family that `_setup` refuses for its grid alone has a budget table
+    # that is refused too; a cap of 50 states keeps the tables small
+    monkeypatch.setattr(family, "STATE_CAP", 50)
+    monkeypatch.setattr(opnet.verify, "STATE_CAP", 50)
+    domain = Domain(np.zeros(1), np.ones(1))
+    kernel = opnet.builtin_kernel("gaussian", domain)
+    try:
+        part, grid, _ = _setup(kernel, domain, 1.0, 0.25, 1.0 / a, 1.0, 1, 0, 2.0, r)
+    except BudgetTableTooLargeError:
+        part = build_partition(domain, 0.25, nodes_per_axis=1)
+        with pytest.raises(BudgetTableTooLargeError):
+            BudgetTable(part, build_magnitude_grid(1.0, a), 2.0, r)
+    else:
+        assert grid.a == a
 
 
 # --------------------------------------------------------------------------
