@@ -178,8 +178,9 @@ def enumerate_family(table: BudgetTable, net: DirectionNet) -> PiecewiseConstFn:
     """
     # cell i extends each feasible prefix row by each feasible magnitude in
     # turn: magnitude 0 with direction 0, a magnitude j >= 1 with each
-    # direction; a new row keeps only a link: its parent row, magnitude and
-    # direction, and the indices are gathered along the links from the end
+    # direction.  A new row keeps only a link (its parent row, magnitude and
+    # direction) and, before the last cell, its budget state; the indices are
+    # then gathered along the links from the last cell back
     mag_t, dir_t = np.min_scalar_type(table.grid.a), np.min_scalar_type(net.size - 1)
     links, state = [], np.zeros(1, dtype=int)
     for i, (layer, nxt) in enumerate(zip(table.layers, table.layers[1:])):
