@@ -47,7 +47,7 @@ class RunConfig:
     dim: int
     lower: tuple
     upper: tuple
-    kernel_name: str
+    kernel_name: str = "constant"
     kernel_params: dict = field(default_factory=dict)
     kernel_file: str | None = None
     p: float = 2.0
@@ -68,31 +68,46 @@ class RunConfig:
     debug_bound_scale: float = 1.0
 
 
-_FLOAT_FIELDS = {"p", "r", "gamma", "Delta", "delta", "sigma", "lam",
-                 "epsilon", "debug_bound_scale"}
-_INT_FIELDS = {"quad_nodes", "seed", "samples", "enum_cap", "family_samples"}
-_ALIASES = {"lambda": "lam"}  # config key -> RunConfig field
-# each float field's range, checked when it is given; all must be finite
-_RANGES = (("p", lambda v, g: v > 1, "exceed 1"),
-           *((name, lambda v, g: v > 0, "be positive")
-             for name in ("r", "epsilon", "gamma", "Delta")),
-           ("delta", lambda v, g: 0 < v <= g, "lie in (0, gamma]"),
-           ("sigma", lambda v, g: 0 < v <= 2, "lie in (0, 2]"),
-           ("lam", lambda v, g: v >= 0, "be >= 0"),
-           ("debug_bound_scale", lambda v, g: True, "be finite"))
+_POSITIVE = (lambda v, g: v > 0, "be positive")
+_AT_LEAST_1 = (lambda v, g: v >= 1, "be >= 1")
+_ANY = (lambda v, g: True, "")
+# every key besides [domain]'s and the kernel's own: (section, key) ->
+# (RunConfig field, type, range check on the value and gamma, what the check
+# wants); a float must also be finite
+_KEYS = {
+    ("kernel", "name"): ("kernel_name", str, *_ANY),
+    ("kernel", "file"): ("kernel_file", str, *_ANY),
+    ("parameters", "p"): ("p", float, lambda v, g: v > 1, "exceed 1"),
+    ("parameters", "r"): ("r", float, *_POSITIVE),
+    ("parameters", "epsilon"): ("epsilon", float, *_POSITIVE),
+    ("parameters", "gamma"): ("gamma", float, *_POSITIVE),
+    ("parameters", "Delta"): ("Delta", float, *_POSITIVE),
+    ("parameters", "delta"): ("delta", float, lambda v, g: 0 < v <= g,
+                              "lie in (0, gamma]"),
+    ("parameters", "sigma"): ("sigma", float, lambda v, g: 0 < v <= 2,
+                              "lie in (0, 2]"),
+    ("parameters", "lambda"): ("lam", float, lambda v, g: v >= 0, "be >= 0"),
+    ("run", "quad_nodes"): ("quad_nodes", int, *_AT_LEAST_1),
+    ("run", "seed"): ("seed", int, lambda v, g: v >= 0, "be >= 0"),
+    ("run", "samples"): ("samples", int, *_AT_LEAST_1),
+    ("run", "enum_cap"): ("enum_cap", int, *_AT_LEAST_1),
+    ("run", "family_mode"): ("family_mode", str, lambda v, g: v in (
+        "enumerate", "sample"), "be enumerate or sample"),
+    ("run", "family_samples"): ("family_samples", int, *_AT_LEAST_1),
+    ("run", "output"): ("output", str, *_ANY),
+    ("run", "debug_bound_scale"): ("debug_bound_scale", float, *_ANY),
+}
 
 
 def _check_ranges(cfg: RunConfig) -> None:
-    """Refuse a non-finite number, or a parameter outside its range."""
-    for name, ok, want in _RANGES:
+    """Refuse a non-finite number, or a value outside its key's range."""
+    for (section, key), (name, _, ok, want) in _KEYS.items():
         value = getattr(cfg, name)
-        if value is not None and not math.isfinite(value):
+        if isinstance(value, float) and not math.isfinite(value):
             want = "be finite"
         elif value is None or ok(value, cfg.gamma or math.inf):
             continue
-        section = "run" if name == "debug_bound_scale" else "parameters"
-        key = "lambda" if name == "lam" else name
-        raise ConfigError(f"[{section}] {key}: must {want}, got {value}")
+        raise ConfigError(f"[{section}] {key}: must {want}, got {value!r}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -105,9 +120,6 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"missing [{section}] {key}")
         return cp.get(section, key)
 
-    def opt(section, key, default=None):
-        return cp.get(section, key) if cp.has_option(section, key) else default
-
     try:
         dim = int(need("domain", "dim"))
         lower = tuple(float(v) for v in need("domain", "lower").split())
@@ -119,45 +131,22 @@ def parse_config(text: str) -> RunConfig:
     if not all(map(math.isfinite, lower + upper)):
         raise ConfigError("[domain] lower/upper: must be finite")
 
-    kernel_name = opt("kernel", "name", "constant")
-    kernel_file = opt("kernel", "file")
-    kernel_params = {}
-    if cp.has_section("kernel"):
-        for key, val in cp.items("kernel"):
-            if key in ("name", "file"):
-                continue
-            try:
-                kernel_params[key] = float(val)
-            except ValueError:
-                kernel_params[key] = val
-    for key, value in kernel_params.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"[kernel] {key}: must be finite, got {value}")
-
-    cfg = RunConfig(
-        dim=dim, lower=lower, upper=upper,
-        kernel_name=kernel_name, kernel_params=kernel_params,
-        kernel_file=kernel_file,
-    )
-
-    for section in ("parameters", "run"):
-        if not cp.has_section(section):
-            continue
+    cfg = RunConfig(dim=dim, lower=lower, upper=upper)
+    for section in cp.sections():
         for key, val in cp.items(section):
-            name = _ALIASES.get(key, key)
-            if name in _FLOAT_FIELDS:
+            if (section, key) in _KEYS:
+                name, kind = _KEYS[section, key][:2]
                 try:
-                    setattr(cfg, name, float(val))
+                    setattr(cfg, name, kind(val))
                 except ValueError:
-                    raise ConfigError(f"[{section}] {key}: not a number") from None
-            elif name in _INT_FIELDS:
+                    what = "a number" if kind is float else "an integer"
+                    raise ConfigError(f"[{section}] {key}: not {what}") from None
+            elif section == "kernel":  # the kernel checks which keys it reads
                 try:
-                    setattr(cfg, name, int(val))
+                    cfg.kernel_params[key] = float(val)
                 except ValueError:
-                    raise ConfigError(f"[{section}] {key}: not an integer") from None
-            elif name in ("family_mode", "output"):
-                setattr(cfg, name, val)
-            else:
+                    cfg.kernel_params[key] = val
+            elif section != "domain" or key not in ("dim", "lower", "upper"):
                 raise ConfigError(f"[{section}] {key}: unknown field")
 
     explicit = all(
@@ -170,19 +159,7 @@ def parse_config(text: str) -> RunConfig:
     if cfg.epsilon is not None and explicit:
         raise ConfigError("[parameters]: epsilon and explicit parameters conflict")
     _check_ranges(cfg)
-    for name, least in (("samples", 1), ("family_samples", 1),
-                        ("quad_nodes", 1), ("seed", 0)):
-        if getattr(cfg, name) < least:
-            raise ConfigError(f"[run] {name}: must be >= {least}, "
-                              f"got {getattr(cfg, name)}")
-    if cfg.family_mode not in ("enumerate", "sample"):
-        raise ConfigError(f"[run] family_mode: unknown mode {cfg.family_mode!r}")
     return cfg
-
-
-# the [kernel] keys each builtin reads besides `name`; a `file` kernel reads none
-_KERNEL_KEYS = {"constant": {"value"}, "gaussian": {"beta"}, "product": set(),
-                "block_diag": {"components"}}
 
 
 def _components(spec) -> list:
@@ -203,12 +180,7 @@ def _components(spec) -> list:
                     raise ConfigError(
                         f"[kernel] components: {kv.strip()!r} is not "
                         "key=number") from None
-                if not math.isfinite(params[key.strip()]):
-                    raise ConfigError(f"[kernel] components {key.strip()}: must be "
-                                      f"finite, got {val.strip()}")
         comps.append((name.strip(), params))
-    if not comps:
-        raise ConfigError("[kernel] components: empty block_diag")
     return comps
 
 
@@ -219,15 +191,14 @@ def resolve(cfg: RunConfig):
     except ValueError as exc:
         raise ConfigError(f"[domain]: {exc}") from None
 
-    if not cfg.kernel_file and cfg.kernel_name not in _KERNEL_KEYS:
-        raise ConfigError(f"[kernel] name: unknown kernel {cfg.kernel_name!r}")
-    allowed = set() if cfg.kernel_file else _KERNEL_KEYS[cfg.kernel_name]
-    unknown = sorted(set(cfg.kernel_params) - allowed)
-    if unknown:
-        raise ConfigError(f"[kernel] {', '.join(unknown)}: unknown field")
-
     if cfg.kernel_file:
-        kernel, file_domain = load_tabulated_kernel(cfg.kernel_file)
+        if cfg.kernel_params:  # a tabulated kernel reads only `file`
+            raise ConfigError(
+                f"[kernel] {', '.join(sorted(cfg.kernel_params))}: unknown field")
+        try:
+            kernel, file_domain = load_tabulated_kernel(cfg.kernel_file)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"[kernel] file: {exc}") from None
         if file_domain.dim != domain.dim:
             raise ConfigError("[kernel] file: domain dimension mismatch")
         if (np.any(domain.lower < file_domain.lower)
@@ -236,13 +207,13 @@ def resolve(cfg: RunConfig):
                 "[domain]: lies outside the kernel file's domain "
                 f"{file_domain.lower.tolist()}..{file_domain.upper.tolist()}")
     else:
-        params = cfg.kernel_params
+        params = dict(cfg.kernel_params)
         if cfg.kernel_name == "block_diag":
-            params = {"components": _components(params.get("components", ""))}
+            params["components"] = _components(params.get("components", ""))
         try:
             kernel = builtin_kernel(cfg.kernel_name, domain, **params)
         except ValueError as exc:
-            raise ConfigError(f"[kernel]: {exc}") from None
+            raise ConfigError(f"[kernel] {exc}") from None
 
     selection = None
     if cfg.epsilon is not None:
@@ -375,7 +346,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
-    name = _ALIASES.get(axis, axis)
+    name = _KEYS.get(("parameters", axis), (axis,))[0]
     if name not in ("gamma", "Delta", "delta", "sigma", "lam"):
         raise ConfigError(f"sweep axis: unknown parameter {axis!r}")
     domain, kernel, _ = resolve(cfg)

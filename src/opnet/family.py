@@ -49,7 +49,8 @@ _BLOCK = 1 << 15  # elements per block of the family values
 
 @dataclass(frozen=True, eq=False)
 class MagnitudeGrid:
-    """Uniform grid {0 = z_0 < z_1 < ... < z_a = gamma}."""
+    """Uniform grid {0 = z_0 < z_1 < ... < z_a = gamma}, of which `values`
+    stores the levels up to some z_top."""
 
     gamma: float
     a: int
@@ -57,12 +58,17 @@ class MagnitudeGrid:
     delta_step: float
 
 
-def build_magnitude_grid(gamma: float, a: int) -> MagnitudeGrid:
+def build_magnitude_grid(gamma: float, a: int, top: int | None = None) -> MagnitudeGrid:
+    """The grid of `a` steps, storing its levels 0..`top` (default: all);
+    each is bit for bit its value in `np.linspace(0, gamma, a + 1)`."""
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     if a < 1:
         raise ValueError(f"subinterval count must be >= 1, got {a}")
-    values = np.linspace(0.0, gamma, a + 1)
+    top = a if top is None else top
+    values = np.arange(top + 1) * (gamma / a)
+    if top == a:
+        values[-1] = gamma
     return MagnitudeGrid(gamma=float(gamma), a=int(a), values=values,
                          delta_step=float(gamma) / a)
 
@@ -318,15 +324,17 @@ def cell_average(x: SampledFn, partition: Partition) -> PiecewiseConstFn:
 
 
 def round_magnitude(f: PiecewiseConstFn, grid: MagnitudeGrid) -> PiecewiseConstFn:
-    """Floor each cell magnitude to the grid; 0 and gamma are kept exactly."""
+    """Floor each cell magnitude to the grid, and clip it to the last stored
+    level; 0 and gamma are kept exactly."""
     norms = f.cell_norms()
     if np.any(norms > grid.gamma * (1.0 + 1e-12)):
         raise ValueError("cell magnitude exceeds gamma; clip first")
     # nudge norms up by a few ulps so a magnitude that already sits on a grid
     # point (up to rounding noise) is not floored a whole step down
     j = np.searchsorted(grid.values, norms * (1.0 + 1e-13), side="right") - 1
-    j = np.clip(j, 0, grid.a)
-    j[norms >= grid.gamma] = grid.a
+    last = len(grid.values) - 1
+    j = np.clip(j, 0, last)
+    j[norms >= grid.gamma] = last
     z = grid.values[j]
     scale = np.where(norms > 0, z / np.where(norms > 0, norms, 1.0), 0.0)
     return PiecewiseConstFn(f.partition, f.values * scale[..., None], mag_idx=j)

@@ -67,11 +67,7 @@ class DiscretizedOperator:
         return self.apply(PiecewiseConstFn(x.partition, gathered)).values[:len(rows)]
 
     def apply_blocks(self, x: PiecewiseConstFn, size: int):
-        """The images of x in consecutive blocks of `size` members.
-
-        A 1-row tail joins the block before, so that only a 1-member stack
-        takes `apply_rows`' padding.
-        """
-        stops = list(range(size, len(x) - 1, size)) + [len(x)]
-        for start, stop in zip([0] + stops[:-1], stops):
-            yield self.apply_rows(x, np.arange(start, stop))
+        """The images of x in consecutive blocks of `size` members, through
+        `apply_rows`."""
+        for start in range(0, len(x), size):
+            yield self.apply_rows(x, np.arange(start, min(start + size, len(x))))

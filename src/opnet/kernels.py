@@ -71,11 +71,26 @@ def _corner_radius(domain: Domain) -> float:
     return float(np.linalg.norm(corners.max(axis=0)))
 
 
+# the keyword parameters each catalogue kernel reads
+_PARAMS = {"constant": {"value"}, "gaussian": {"beta"}, "product": set(),
+           "block_diag": {"components"}}
+
+
 def builtin_kernel(name: str, domain: Domain, **params) -> Kernel:
     """Construct a catalogue kernel with certified analytic metrics.
 
-    Names: constant, gaussian, product, block_diag.
+    Names: constant, gaussian, product, block_diag.  A bad name or parameter
+    raises ValueError naming its key (`components <key>` in a component).
     """
+    if name not in _PARAMS:
+        raise ValueError(f"name: unknown kernel {name!r}")
+    unknown = sorted(set(params) - _PARAMS[name])
+    if unknown:
+        raise ValueError(f"{', '.join(unknown)}: unknown field")
+    for key, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key}: must be finite, got {value}")
+
     if name == "constant":
         value = np.atleast_2d(np.asarray(params.get("value", 1.0), dtype=float))
         m, n = value.shape
@@ -91,7 +106,7 @@ def builtin_kernel(name: str, domain: Domain, **params) -> Kernel:
     if name == "gaussian":
         beta = float(params.get("beta", 1.0))
         if beta <= 0:
-            raise ValueError("gaussian kernel needs beta > 0")
+            raise ValueError(f"beta: must be positive, got {beta}")
 
         def g(xi, s):
             d2 = np.sum((xi - s) ** 2, axis=-1)
@@ -112,13 +127,17 @@ def builtin_kernel(name: str, domain: Domain, **params) -> Kernel:
                       KernelMetrics(sup_norm=radius**2, lipschitz=radius))
 
     if name == "block_diag":
-        components = params["components"]
-        kernels = [
-            c if isinstance(c, Kernel) else builtin_kernel(c[0], domain, **c[1])
-            for c in components
-        ]
+        try:
+            kernels = [
+                c if isinstance(c, Kernel) else builtin_kernel(c[0], domain, **c[1])
+                for c in params.get("components", ())
+            ]
+        except ValueError as exc:
+            raise ValueError(f"components {exc}") from None
+        if not kernels:
+            raise ValueError("components: empty block_diag")
         if any(k.m != 1 or k.n != 1 for k in kernels):
-            raise ValueError("block_diag takes scalar components")
+            raise ValueError("components: block_diag takes scalar components")
         d = len(kernels)
 
         def blk(xi, s):
@@ -133,8 +152,6 @@ def builtin_kernel(name: str, domain: Domain, **params) -> Kernel:
         lip = max(k.metrics.lipschitz for k in kernels)
         return Kernel(d, d, blk, "block_diag",
                       KernelMetrics(sup_norm=sup, lipschitz=lip))
-
-    raise ValueError(f"unknown builtin kernel {name!r}")
 
 
 # --------------------------------------------------------------------------
@@ -209,7 +226,8 @@ def _node_metrics(vals: np.ndarray, axes) -> KernelMetrics:
 def load_tabulated_kernel(path) -> tuple[Kernel, Domain]:
     """Read a tabulated kernel; evaluation is multilinear interpolation.
 
-    Evaluating outside the file's domain raises ValueError.
+    A malformed file raises ValueError, and so does evaluating outside the
+    file's domain.
     """
     # imported here: scipy.interpolate is most of the package's import time,
     # and only tabulated kernels use it
@@ -221,10 +239,14 @@ def load_tabulated_kernel(path) -> tuple[Kernel, Domain]:
     if not head.decode("ascii", "replace").startswith(_MAGIC):
         raise ValueError(f"{path}: not a tabulated kernel file")
     lines = raw.split(b"\n", 6)
+    if len(lines) < 7:
+        raise ValueError(f"{path}: header shorter than 6 lines")
     m, n, k = (int(v) for v in lines[1].split())
     lower = np.array([float(v) for v in lines[2].split()])
     upper = np.array([float(v) for v in lines[3].split()])
     grid_shape = tuple(int(v) for v in lines[4].split())
+    if not len(lower) == len(upper) == len(grid_shape) == k:
+        raise ValueError(f"{path}: header does not give {k} entries per axis line")
     mode = lines[5].decode("ascii").strip()
     payload = lines[6]
     count = int(np.prod(grid_shape)) ** 2 * m * n
@@ -236,6 +258,8 @@ def load_tabulated_kernel(path) -> tuple[Kernel, Domain]:
         raise ValueError(f"{path}: unknown payload mode {mode!r}")
     if vals.size != count:
         raise ValueError(f"{path}: expected {count} values, found {vals.size}")
+    if not np.isfinite(vals).all():
+        raise ValueError(f"{path}: values must be finite")
     vals = vals.reshape(grid_shape + grid_shape + (m, n))
 
     domain = Domain(lower, upper)

@@ -306,13 +306,16 @@ def _setup(kernel, domain, gamma, Delta, delta, sigma, nodes_per_axis, seed,
            p=2.0, r=math.inf):
     partition = build_partition(domain, Delta, nodes_per_axis=nodes_per_axis)
     a, mu = _levels(gamma, delta), float(partition.measures.min())
-    # a budget table holds a state for each level that one cell can take
-    # within the budget r^p, so it would refuse more than STATE_CAP of them
-    if a * min(1.0, r / gamma * mu ** (-1 / p)) >= STATE_CAP:
+    # no cell affords a level past a r mu^(-1/p) / gamma within the budget
+    # r^p; the grid stores one level more, so that rounding a ball sample
+    # never needs a level that is not stored.  A budget table holds a state
+    # for each level one cell can take, so it would refuse STATE_CAP of them
+    top = min(a, math.floor(a * min(1.0, r / gamma * mu ** (-1 / p))) + 1)
+    if top >= STATE_CAP:
         raise BudgetTableTooLargeError(
             f"family too large: one cell can take more than {STATE_CAP} of its "
             f"{a + 1} magnitude levels within the budget; increase delta")
-    grid = build_magnitude_grid(gamma, a)
+    grid = build_magnitude_grid(gamma, a, top)
     net = build_sigma_net(kernel.n, sigma, seed=seed)
     return partition, grid, net
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -14,6 +15,8 @@ from opnet.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_VERIFY_FAIL,
+    RunConfig,
+    _KEYS,
     _write_csv,
     main,
     parse_config,
@@ -208,7 +211,39 @@ def test_out_of_range_sweep_values_are_config_errors(capsys, tmp_path, axis,
 
 def test_range_errors_name_the_config_key():
     with pytest.raises(ConfigError, match=r"\[parameters\] lambda: must be >= 0"):
-        parse_config(BASE_CONFIG + "lambda = -1\n")
+        parse_config(BASE_CONFIG.replace("[run]", "lambda = -1\n\n[run]"))
+
+
+def test_every_run_field_has_one_config_key():
+    fields = [f.name for f in dataclasses.fields(RunConfig)
+              if f.name not in ("dim", "lower", "upper")
+              and not f.name.startswith("kernel_")]
+    names = [name for name, *_ in _KEYS.values()]
+    assert set(names) <= {f.name for f in dataclasses.fields(RunConfig)}
+    assert sorted(name for name in names if name in fields) == sorted(fields)
+
+
+@pytest.mark.parametrize("command", ["bound", "verify", "build"])
+@pytest.mark.parametrize("text,named", [
+    (BASE_CONFIG.replace("[run]", "seed = 3\n\n[run]"), "[parameters] seed"),
+    (BASE_CONFIG + "gamma = 3.0\n", "[run] gamma"),
+    (BASE_CONFIG.replace("dim = 1", "dim = 1\ndimm = 2"), "[domain] dimm"),
+    (BASE_CONFIG + "\n[extra]\nseed = 3\n", "[extra] seed"),
+    (BASE_CONFIG.replace("name = constant\nvalue = 1.0", "name = block_diag\n"
+                         "components = gaussian:bta=9.0|constant:value=0.5"),
+     "[kernel] components bta"),
+    (BASE_CONFIG + "enum_cap = -5\n", "[run] enum_cap"),
+], ids=["seed-in-parameters", "gamma-in-run", "domain-key", "extra-section",
+        "component-key", "enum-cap"])
+def test_misplaced_and_unknown_keys_are_config_errors(capsys, tmp_path, command,
+                                                     text, named):
+    cfg = write(tmp_path, text)
+    assert main([command, cfg, "--output", str(tmp_path / "out")]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {named}:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_pass_and_report(capsys, tmp_path):
@@ -347,6 +382,41 @@ def test_unread_kernel_key_is_config_error(capsys, tmp_path, tabulated):
     assert "matrix_norm" in err and ("bta" in err) != tabulated
 
 
+def bad_kernel_file(path, case):
+    """Break the text kernel file at `path` as `case` says."""
+    lines = path.read_text().splitlines(keepends=True)
+    if case == "missing":
+        path.unlink()
+    elif case == "short-header":
+        path.write_text("".join(lines[:3]))
+    elif case == "bad-magic":
+        path.write_text("".join(lines).replace("OPNET-KERNEL", "OPNET-KERNAL"))
+    elif case == "value-count":
+        path.write_text("".join(lines[:-1]))
+    elif case == "dimension":
+        path.write_text("".join([lines[0], "1 1 2\n"] + lines[2:]))
+    else:
+        path.write_text("".join(lines[:-1]) + "nan\n")
+
+
+@pytest.mark.parametrize("command", ["bound", "verify", "build"])
+@pytest.mark.parametrize("case", ["missing", "short-header", "bad-magic",
+                                  "value-count", "dimension", "nan"])
+def test_bad_kernel_file_is_config_error(capsys, tmp_path, command, case):
+    dom = Domain(np.zeros(1), np.ones(1))
+    path = tmp_path / "kernel.txt"
+    save_tabulated_kernel(path, builtin_kernel("gaussian", dom), dom, [4])
+    bad_kernel_file(path, case)
+    cfg = write(tmp_path, BASE_CONFIG.replace("name = constant\nvalue = 1.0",
+                                              f"file = {path}"))
+    assert main([command, cfg, "--output", str(tmp_path / "out")]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: [kernel] file:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_kernel_name_is_config_error(capsys, tmp_path):
     cfg = write(tmp_path, BASE_CONFIG.replace("name = constant", "name = gausian"))
     assert main(["bound", cfg]) == EXIT_CONFIG
@@ -413,6 +483,20 @@ def test_out_of_memory_is_resource_exit(tmp_path):
     assert "Traceback" not in out.stderr
     assert "resource error:" in out.stderr
     assert "family_mode = sample" in out.stderr
+
+
+def test_levels_past_the_budget_are_not_stored(tmp_path):
+    # 2e9 levels, of which a cell can afford about 1,000 within r = 1e-6: the
+    # whole grid would be 16 GB, so only the affordable levels are stored,
+    # and the budget table of 4 such cells is refused
+    text = set_key(B102K_CONFIG.replace("delta = 0.5", "delta = 1e-9"), "r", "1e-6")
+    cfg = write(tmp_path, text)
+    out = run_limited(["verify", cfg, "--output", str(tmp_path / "report.json")],
+                      1 << 30)
+    assert out.returncode == EXIT_RESOURCE, out.stderr
+    assert "Traceback" not in out.stderr
+    assert "budget table needs more than 200000 states" in out.stderr
+    assert "out of memory" not in out.stderr
 
 
 @pytest.mark.parametrize("command", ["bound", "verify", "build"])

@@ -94,6 +94,11 @@ def test_stacked_apply_matches_member_by_member():
         assert len(images) == 7
         for y, f in zip(images, stack):
             assert y.values == pytest.approx(op.apply(f).values, abs=1e-12)
+    # blocks of 2, 3 and 6 members leave a 1-member tail (7 = k * size + 1)
+    whole = op.apply(stacks[1]).values
+    for size in (2, 3, 6):
+        blocks = np.concatenate(list(op.apply_blocks(stacks[1], size)))
+        assert blocks.tobytes() == whole.tobytes()
 
 
 def test_linearity():
