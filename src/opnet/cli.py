@@ -19,12 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import bounds as bounds_mod
-from .errors import (
-    BudgetTableTooLargeError,
-    ConfigError,
-    CoverageUnverifiableError,
-    FamilyTooLargeError,
-)
+from .errors import ConfigError, ResourceError
 from .geometry import Domain
 from .integral_op import DiscretizedOperator
 from .kernels import builtin_kernel, load_tabulated_kernel
@@ -148,6 +143,10 @@ def parse_config(text: str) -> RunConfig:
                     cfg.kernel_params[key] = val
             elif section != "domain" or key not in ("dim", "lower", "upper"):
                 raise ConfigError(f"[{section}] {key}: unknown field")
+    if cfg.kernel_file:  # a tabulated kernel reads only `file`
+        extra = sorted(set(cp.options("kernel")) - {"file"})
+        if extra:
+            raise ConfigError(f"[kernel] {', '.join(extra)}: unknown field")
 
     explicit = all(
         getattr(cfg, k) is not None for k in ("gamma", "Delta", "delta", "sigma")
@@ -192,9 +191,6 @@ def resolve(cfg: RunConfig):
         raise ConfigError(f"[domain]: {exc}") from None
 
     if cfg.kernel_file:
-        if cfg.kernel_params:  # a tabulated kernel reads only `file`
-            raise ConfigError(
-                f"[kernel] {', '.join(sorted(cfg.kernel_params))}: unknown field")
         try:
             kernel, file_domain = load_tabulated_kernel(cfg.kernel_file)
         except (OSError, ValueError) as exc:
@@ -407,8 +403,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BudgetTableTooLargeError, FamilyTooLargeError,
-            CoverageUnverifiableError) as exc:
+    except ResourceError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except MemoryError:

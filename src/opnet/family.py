@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetTableTooLargeError
+from .errors import ResourceError
 from .functions import PiecewiseConstFn, SampledFn, lp_norm
 from .geometry import Partition
 from .sphere import DirectionNet
@@ -133,7 +133,7 @@ class BudgetTable:
                 nxt = nxt[np.concatenate([[True], nxt[1:] != nxt[:-1]])]
                 # checked per block, so a layer never grows far past the cap
                 if sum(map(len, self.layers)) + len(nxt) > STATE_CAP:
-                    raise BudgetTableTooLargeError(
+                    raise ResourceError(
                         f"family too large: its budget table needs more than "
                         f"{STATE_CAP} states ({partition.num_cells} cells x "
                         f"{grid.a + 1} magnitude levels); increase Delta or delta")

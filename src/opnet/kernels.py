@@ -88,6 +88,8 @@ def builtin_kernel(name: str, domain: Domain, **params) -> Kernel:
     if unknown:
         raise ValueError(f"{', '.join(unknown)}: unknown field")
     for key, value in params.items():
+        if isinstance(value, str) and key != "components":
+            raise ValueError(f"{key}: not a number")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{key}: must be finite, got {value}")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageUnverifiableError
+from .errors import ResourceError
 
 __all__ = ["DirectionNet", "build_sigma_net", "verify_covering"]
 
@@ -86,7 +86,10 @@ def build_sigma_net(n: int, sigma: float, seed: int = 0) -> DirectionNet:
     required = math.ceil(40.0 * (2.0 / gap) ** (n - 1))
     pool_size = max(_MIN_POOL, required)
     if pool_size > DEFAULT_POOL_CAP:
-        raise CoverageUnverifiableError(sigma, pool_size, DEFAULT_POOL_CAP)
+        raise ResourceError(
+            f"cannot certify a sigma = {sigma} covering of the direction sphere: "
+            f"it needs a candidate pool of about {pool_size} points, over "
+            f"the cap of {DEFAULT_POOL_CAP}; increase sigma")
 
     rng = np.random.default_rng(seed)
     pool = _unit_rows(rng.standard_normal((pool_size, n)))

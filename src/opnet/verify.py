@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .bounds import error_bound
-from .errors import BudgetTableTooLargeError, ConfigError, FamilyTooLargeError
+from .errors import ConfigError, ResourceError
 from .family import (
     STATE_CAP,
     BudgetTable,
@@ -303,7 +303,7 @@ def _levels(gamma, delta):
 
 
 def _setup(kernel, domain, gamma, Delta, delta, sigma, nodes_per_axis, seed,
-           p=2.0, r=math.inf):
+           p, r):
     partition = build_partition(domain, Delta, nodes_per_axis=nodes_per_axis)
     a, mu = _levels(gamma, delta), float(partition.measures.min())
     # no cell affords a level past a r mu^(-1/p) / gamma within the budget
@@ -312,7 +312,7 @@ def _setup(kernel, domain, gamma, Delta, delta, sigma, nodes_per_axis, seed,
     # for each level one cell can take, so it would refuse STATE_CAP of them
     top = min(a, math.floor(a * min(1.0, r / gamma * mu ** (-1 / p))) + 1)
     if top >= STATE_CAP:
-        raise BudgetTableTooLargeError(
+        raise ResourceError(
             f"family too large: one cell can take more than {STATE_CAP} of its "
             f"{a + 1} magnitude levels within the budget; increase delta")
     grid = build_magnitude_grid(gamma, a, top)
@@ -329,7 +329,8 @@ def _family(partition, grid, net, p, r, family_mode, enum_cap, family_samples,
     if family_mode == "sample":
         return count, sample_family(table, net, family_samples, seed)
     if count > enum_cap:
-        raise FamilyTooLargeError(count, enum_cap)
+        raise ResourceError(f"family too large to enumerate ({count} > cap "
+                            f"{enum_cap}); set family_mode = sample")
     return count, enumerate_family(table, net)
 
 

@@ -233,8 +233,10 @@ def test_every_run_field_has_one_config_key():
                          "components = gaussian:bta=9.0|constant:value=0.5"),
      "[kernel] components bta"),
     (BASE_CONFIG + "enum_cap = -5\n", "[run] enum_cap"),
+    (BASE_CONFIG.replace("name = constant\nvalue = 1.0",
+                         "name = gausian\nfile = k.tab"), "[kernel] name"),
 ], ids=["seed-in-parameters", "gamma-in-run", "domain-key", "extra-section",
-        "component-key", "enum-cap"])
+        "component-key", "enum-cap", "name-with-file"])
 def test_misplaced_and_unknown_keys_are_config_errors(capsys, tmp_path, command,
                                                      text, named):
     cfg = write(tmp_path, text)
@@ -546,13 +548,16 @@ def test_many_levels_within_a_small_budget_are_not_refused(capsys, tmp_path):
      "components beta"),
     ("name = block_diag\ncomponents = gaussian:beta=1.0|constant:value=nan",
      "components value"),
+    ("name = constant\nvalue = abc", "value"),
+    ("name = gaussian\nbeta = abc", "beta"),
 ])
 def test_non_finite_kernel_numbers_are_config_errors(capsys, tmp_path, command,
                                                      kernel, key):
     cfg = write(tmp_path, BASE_CONFIG.replace("name = constant\nvalue = 1.0", kernel))
     assert main([command, cfg, "--output", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: [kernel] {key}: must be finite")
+    want = "not a number" if kernel.endswith("abc") else "must be finite"
+    assert err.startswith(f"config error: [kernel] {key}: {want}")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -652,7 +657,8 @@ def test_build_images_do_not_depend_on_block_boundaries(monkeypatch, capsys,
     cfg = parse_config(BLOCK_DIAG_CONFIG)
     domain, kernel, _ = resolve(cfg)
     partition, grid, net = _setup(kernel, domain, cfg.gamma, cfg.Delta,
-                                  cfg.delta, cfg.sigma, cfg.quad_nodes, cfg.seed)
+                                  cfg.delta, cfg.sigma, cfg.quad_nodes, cfg.seed,
+                                  cfg.p, cfg.r)
     family = sample_family(BudgetTable(partition, grid, cfg.p, cfg.r), net,
                            cfg.family_samples, cfg.seed)
     n = len(family)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from opnet.errors import CoverageUnverifiableError
+from opnet.errors import ResourceError
 from opnet.sphere import DirectionNet, build_sigma_net, verify_covering
 
 
@@ -54,9 +54,9 @@ def test_invalid_sigma():
 
 
 def test_unverifiable_coverage_raises_with_hint():
-    with pytest.raises(CoverageUnverifiableError) as exc:
+    with pytest.raises(ResourceError,
+                       match="over the cap of 500000; increase sigma"):
         build_sigma_net(4, 0.3)
-    assert exc.value.required_pool > exc.value.cap
 
 
 def test_verify_covering_deterministic():
