@@ -304,8 +304,9 @@ def cmd_build(cfg: RunConfig) -> int:
                 for s in range(0, len(family), IMAGE_BLOCK)))
     _write_csv(os.path.join(out, "images.csv"),
                [f"node{i}_{j}" for i in range(p_nodes) for j in range(kernel.m)],
-               (images.reshape(len(images), -1)
-                for images in op.apply_blocks(family, IMAGE_BLOCK)))
+               (op.apply(family[s:s + IMAGE_BLOCK]).values.reshape(
+                   -1, p_nodes * kernel.m)
+                for s in range(0, len(family), IMAGE_BLOCK)))
     print(_dump_json(manifest, os.path.join(out, "manifest.json")), end="")
     return EXIT_OK
 

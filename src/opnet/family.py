@@ -266,7 +266,7 @@ def sample_ball(
 
     Rough mode draws a random vector per cell; smooth mode a short random
     cosine series.  Each draw is rescaled so its quadrature L_p norm is
-    exactly r for the first `EXACT_FRACTION` of draws and uniformly in (0, r]
+    exactly r for the first `EXACT_FRACTION` of draws and uniformly in [0, r)
     for the rest.
     """
     if smoothness not in ("rough", "smooth"):

@@ -253,7 +253,10 @@ def load_tabulated_kernel(path) -> tuple[Kernel, Domain]:
     payload = lines[6]
     count = int(np.prod(grid_shape)) ** 2 * m * n
     if mode == _BINARY_TAG:
-        vals = np.frombuffer(payload[: count * 8], dtype="<f8").astype(float)
+        if len(payload) != count * 8:
+            raise ValueError(f"{path}: expected {count * 8} bytes of values, "
+                             f"found {len(payload)}")
+        vals = np.frombuffer(payload, dtype="<f8").astype(float)
     elif mode == _TEXT_TAG:
         vals = np.array(payload.split(), dtype=float)
     else:

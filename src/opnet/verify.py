@@ -8,7 +8,6 @@ compared against the certified total.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -92,17 +91,17 @@ def _screen_space(x, y, op):
 
     With `op`, y is a piecewise-constant stack standing for its images under
     op, which are never stored whole: c holds its flattened cell values and
-    A is op's cell matrix, whose computed products A c are y's node values.
-    Without it, y is a stack of sampled functions, c holds its flattened
-    values and A = I, whose product is exact.  gx holds -2 (a w) A for x's
-    flattened node values a and the node weights w, so gx @ c.T holds the
-    cross terms -2 (a w).(A c).  xsq and ysq hold the squared weighted norms
-    |a|^2 and |b|^2, and y_rows(idx) gives y's node values at rows idx.  A
-    completed entry is within (dim + 3) u N^2 + `_slack` of the exact
-    squared distance of the node values (see `_screen`), and tol,
-    `_SCREEN_SAFETY` ((dim + 4) (eps N^2 + tiny) + slack), holds that error
-    that many times over (tiny the smallest subnormal, for the absolute
-    underflow errors).
+    A is op's cell matrix, whose computed products A c are y's node values,
+    taken from `op.apply` of a block or of the rows asked for.  Without it,
+    y is a stack of sampled functions, c holds its flattened values and
+    A = I, whose product is exact.  gx holds -2 (a w) A for x's flattened
+    node values a and the node weights w, so gx @ c.T holds the cross terms
+    -2 (a w).(A c).  xsq and ysq hold the squared weighted norms |a|^2 and
+    |b|^2, and y_rows(idx) gives y's node values at rows idx.  A completed
+    entry is within (dim + 3) u N^2 + `_slack` of the exact squared distance
+    of the node values (see `_screen`), and tol, `_SCREEN_SAFETY`
+    ((dim + 4) (eps N^2 + tiny) + slack), holds that error that many times
+    over (tiny the smallest subnormal, for the absolute underflow errors).
     """
     w = x.partition.weights
 
@@ -114,9 +113,10 @@ def _screen_space(x, y, op):
     if op is None:
         a, ysq, y_rows = np.eye(xv.shape[1]), sq(y.values), y.values.__getitem__
     else:
-        a, y_rows = op.cell_matrix, functools.partial(op.apply_rows, y)
-        ysq = np.concatenate([sq(t) for t in op.apply_blocks(
-            y, max(1, _BLOCK // xv.shape[1]))])
+        a, y_rows = op.cell_matrix, lambda idx: op.apply(y[idx]).values
+        size = max(1, _BLOCK // xv.shape[1])
+        ysq = np.concatenate([sq(y_rows(slice(s, s + size)))
+                              for s in range(0, len(y), size)])
     neg2w = np.repeat(-2.0 * w, x.dim)  # -2 w per flattened value
     step = max(1, _BLOCK // max(a.shape))
     gx = np.concatenate([(xv[s:s + step] * neg2w) @ a
@@ -233,13 +233,14 @@ def directed_distance(x: SampledFn, y: SampledFn | PiecewiseConstFn, q: float,
 
     d is the weighted L_q distance, and x and y are nonempty stacks of
     sampled functions on one partition; with `op`, y is a piecewise-constant
-    stack standing for its images under op, which are applied a block or a
-    few rows at a time with the bits of `op.apply(y)`.  Each result is
-    `_lq_norms(t - u, w, q)` of its maximizing pair, exactly as an all-pairs
-    scan gives it.  One blocked screen of the x-by-y squared L_2 distances
-    (`_screen_space`) keeps each row's and each column's minimum and its
-    index; per direction, `_lq_bounds` turns them into L_q bounds, and only
-    the pairs that can attain the result are computed exactly.
+    stack standing for its images under op, which `op.apply` maps a block
+    or a few rows at a time, each row with its bits in `op.apply(y)` (see
+    `integral_op`).  Each result is `_lq_norms(t - u, w, q)` of its
+    maximizing pair, exactly as an all-pairs scan gives it.  One blocked
+    screen of the x-by-y squared L_2 distances (`_screen_space`) keeps each
+    row's and each column's minimum and its index; per direction,
+    `_lq_bounds` turns them into L_q bounds, and only the pairs that can
+    attain the result are computed exactly.
     """
     if not x or not y:
         raise ValueError("both sets must be nonempty")

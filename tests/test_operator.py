@@ -97,8 +97,11 @@ def test_stacked_apply_matches_member_by_member():
     # blocks of 2, 3 and 6 members leave a 1-member tail (7 = k * size + 1)
     whole = op.apply(stacks[1]).values
     for size in (2, 3, 6):
-        blocks = np.concatenate(list(op.apply_blocks(stacks[1], size)))
+        blocks = np.concatenate([op.apply(stacks[1][s:s + size]).values
+                                 for s in range(0, 7, size)])
         assert blocks.tobytes() == whole.tobytes()
+    for stack in stacks:  # an empty stack of either type has no images
+        assert op.apply(stack[:0]).values.shape == (0, part.points.shape[0], 2)
 
 
 def test_linearity():
@@ -257,6 +260,21 @@ def test_tabulated_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a kernel\n")
     with pytest.raises(ValueError):
+        load_tabulated_kernel(path)
+
+
+@pytest.mark.parametrize("binary,extra,message", [
+    (False, b"0.5\n0.5\n", "expected 25 values, found 27"),
+    (True, np.full(3, 0.5).tobytes(), "expected 200 bytes of values, found 224"),
+], ids=["text", "binary"])
+def test_tabulated_refuses_trailing_values(tmp_path, binary, extra, message):
+    dom = unit_domain()
+    path = tmp_path / "k.tab"
+    save_tabulated_kernel(path, builtin_kernel("gaussian", dom), dom, [5],
+                          binary=binary)
+    with open(path, "ab") as fh:
+        fh.write(extra)
+    with pytest.raises(ValueError, match=message):
         load_tabulated_kernel(path)
 
 

@@ -219,23 +219,39 @@ def b102k_kernel():
         ("gaussian", {"beta": 1.0}), ("constant", {"value": 0.5})])
 
 
+def steps3d_kernel():
+    """steps-3d's domain and 3 x 3 kernel (8 cells and 216 nodes)."""
+    dom = Domain(np.zeros(3), np.ones(3))
+    return dom, builtin_kernel("block_diag", dom, components=[
+        ("gaussian", {"beta": 1.0}), ("gaussian", {"beta": 2.0}),
+        ("constant", {"value": 0.5})])
+
+
 def test_applied_rows_have_whole_stack_bits():
-    """Rows applied from a gathered sub-stack, or in blocks, equal the rows
-    of the whole-stack apply bit for bit; a lone row is padded to two."""
-    dom, kern = b102k_kernel()
-    op = DiscretizedOperator(kern, build_partition(dom, 1.0))
+    """Piecewise rows applied as a gathered sub-stack, in blocks or as one
+    function equal the rows of the whole-stack apply bit for bit, on the
+    enum-b102k and steps-3d shapes; an empty stack has no images."""
     rng = np.random.default_rng(3)
-    family = PiecewiseConstFn(op.partition, rng.standard_normal((4097, 4, 2)))
-    whole = op.apply(family).values
-    for size in (1, 2, 3, 5, 39, 97, 455):
-        for _ in range(8):  # random order, with duplicates
-            rows = rng.integers(0, len(family), size)
-            assert op.apply_rows(family, rows).tobytes() == whole[rows].tobytes()
-    for size in (455, 2048, 4096):  # tails of 2, 1 and 1 rows
-        blocks = list(op.apply_blocks(family, size))
-        assert list(map(len, blocks)) == [
-            min(size, len(family) - s) for s in range(0, len(family), size)]
-        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+    for dom, kern in (b102k_kernel(), steps3d_kernel()):
+        op = DiscretizedOperator(kern, build_partition(dom, 1.0))
+        part = op.partition
+        family = PiecewiseConstFn(part, rng.standard_normal(
+            (4097, part.num_cells, kern.n)))
+        whole = op.apply(family).values
+        for size in (1, 2, 3, 5, 39, 97, 455):
+            for _ in range(8):  # random order, with duplicates
+                rows = rng.integers(0, len(family), size)
+                assert op.apply(family[rows]).values.tobytes() == \
+                    whole[rows].tobytes()
+        for size in (455, 2048, 4096):  # tails of 2, 1 and 1 rows
+            blocks = [op.apply(family[s:s + size]).values
+                      for s in range(0, len(family), size)]
+            assert list(map(len, blocks)) == [
+                min(size, len(family) - s) for s in range(0, len(family), size)]
+            assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        for i in (0, 1234, 4096):  # one function, not a stack
+            assert op.apply(family[i]).values.tobytes() == whole[i].tobytes()
+        assert op.apply(family[:0]).values.shape == (0, len(part.points), kern.m)
 
 
 B102K_CONFIG = """\
