@@ -130,10 +130,8 @@ def builtin_kernel(name: str, domain: Domain, **params) -> Kernel:
 
     if name == "block_diag":
         try:
-            kernels = [
-                c if isinstance(c, Kernel) else builtin_kernel(c[0], domain, **c[1])
-                for c in params.get("components", ())
-            ]
+            kernels = [builtin_kernel(c[0], domain, **c[1])
+                       for c in params.get("components", ())]
         except ValueError as exc:
             raise ValueError(f"components {exc}") from None
         if not kernels:

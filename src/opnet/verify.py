@@ -149,14 +149,6 @@ def _screen(a, rows, b):
             yield fs, ts, part @ b[ts:ts + rt].T
 
 
-def _fold_minima(block, best, near, offset):
-    """Where a block row's minimum is below best, take it and its column."""
-    j = block.argmin(axis=1)
-    value = block[np.arange(len(block)), j]
-    r = value < best
-    best[r], near[r] = value[r], offset + j[r]
-
-
 def _lq_bounds(w, n, q):
     """(c, C, alpha): c N_2 <= N_q <= C N_2, and the underflow slack of E.
 
@@ -190,10 +182,11 @@ def _directed(frm, to, tol, w, q, n):
     """max over `frm` of min over `to` of the weighted L_q distance.
 
     Each side is (node values by row index, rows in `_screen_space`, squared
-    norms, screened row minima less |a|^2, their indices), the last two from
-    pass 1; n is the number of components of a node value.
+    norms, screened row minima less |a|^2), the last from pass 1; n is the
+    number of components of a node value.  Two sweeps screen the surviving
+    rows against every target and compute the entries within a limit.
     """
-    f_rows, fspace, fsq, screened, near = frm
+    f_rows, fspace, fsq, screened = frm
     t_rows, tspace, tsq = to[:3]
     c_lo, c_hi, alpha = _lq_bounds(w, n, q)
     # A screened squared distance S is within tol of the exact one, so the
@@ -203,27 +196,27 @@ def _directed(frm, to, tol, w, q, n):
     approx = screened + fsq  # adding a row constant commutes with the min
     lower = c_lo * math.sqrt(max(approx.max() - tol, 0.0)) - alpha
     rows = np.flatnonzero(c_hi * np.sqrt(approx + tol) + alpha >= lower)
-    # E to a row's screened nearest target bounds the row minimum from
-    # above; the minimizing target's lower bound cannot exceed it.
-    near = near[rows]
+    best = np.full(len(rows), np.inf)
     chunk = max(1, _BLOCK // (len(w) * n))
-    best = np.concatenate([
-        _lq_norms(t_rows(near[s:s + chunk]) - f_rows(rows[s:s + chunk]), w, q)
-        for s in range(0, len(rows), chunk)])
-    keep = best >= lower
-    rows, near, best = rows[keep], near[keep], best[keep]
-    limit = ((best + alpha) / c_lo) ** 2 + tol
-    for fs, ts, block in _screen(fspace, rows, tspace):
-        block += tsq[ts:ts + block.shape[1]]
-        block += fsq[rows[fs:fs + len(block)], None]
-        i, j = np.nonzero(block <= limit[fs:fs + len(block), None])
-        i += fs
-        j += ts
-        i, j = i[j != near[i]], j[j != near[i]]
-        for s in range(0, len(i), chunk):
-            ii, jj = i[s:s + chunk], j[s:s + chunk]
-            np.minimum.at(best, ii,
-                          _lq_norms(t_rows(jj) - f_rows(rows[ii]), w, q))
+    # Sweep 1: both screenings of an entry are within tol of its exact value,
+    # so approx + 2 tol admits the row's screened minimum, and best becomes an
+    # upper bound of the row minimum (rows below lower go).  Sweep 2: the
+    # minimizing target's lower bound cannot exceed best.
+    limit = approx[rows] + 2 * tol
+    for _ in range(2):
+        for fs, ts, block in _screen(fspace, rows, tspace):
+            block += tsq[ts:ts + block.shape[1]]
+            block += fsq[rows[fs:fs + len(block)], None]
+            i, j = np.nonzero(block <= limit[fs:fs + len(block), None])
+            i += fs
+            j += ts
+            for s in range(0, len(i), chunk):
+                ii, jj = i[s:s + chunk], j[s:s + chunk]
+                np.minimum.at(best, ii,
+                              _lq_norms(t_rows(jj) - f_rows(rows[ii]), w, q))
+        keep = best >= lower
+        rows, best = rows[keep], best[keep]
+        limit = ((best + alpha) / c_lo) ** 2 + tol
     return float(best.max())
 
 
@@ -237,23 +230,23 @@ def directed_distance(x: SampledFn, y: SampledFn | PiecewiseConstFn, q: float,
     or a few rows at a time, each row with its bits in `op.apply(y)` (see
     `integral_op`).  Each result is `_lq_norms(t - u, w, q)` of its
     maximizing pair, exactly as an all-pairs scan gives it.  One blocked
-    screen of the x-by-y squared L_2 distances (`_screen_space`) keeps each
-    row's and each column's minimum and its index; per direction,
-    `_lq_bounds` turns them into L_q bounds, and only the pairs that can
-    attain the result are computed exactly.
+    screen of the x-by-y squared L_2 distances (`_screen_space`) keeps only
+    each row's and each column's minimum; per direction, `_lq_bounds` turns
+    them into L_q bounds, and only the pairs that can attain the result are
+    computed exactly (see `_directed`).
     """
     if not x or not y:
         raise ValueError("both sets must be nonempty")
     gx, c, xsq, ysq, tol, y_rows = _screen_space(x, y, op)
-    best_x, near_x = np.full(len(x), np.inf), np.zeros(len(x), np.intp)
-    best_y, near_y = np.full(len(y), np.inf), np.zeros(len(y), np.intp)
+    best_x, best_y = np.full(len(x), np.inf), np.full(len(y), np.inf)
     for fs, ts, block in _screen(gx, np.arange(len(x)), c):
         rs, cs = slice(fs, fs + len(block)), slice(ts, ts + block.shape[1])
-        _fold_minima((block + xsq[rs, None]).T, best_y[cs], near_y[cs], fs)
+        np.minimum(best_y[cs], (block + xsq[rs, None]).min(axis=0),
+                   out=best_y[cs])
         block += ysq[cs]
-        _fold_minima(block, best_x[rs], near_x[rs], ts)
-    x_side = (x.values.__getitem__, gx, xsq, best_x, near_x)
-    y_side = (y_rows, c, ysq, best_y, near_y)
+        np.minimum(best_x[rs], block.min(axis=1), out=best_x[rs])
+    x_side = (x.values.__getitem__, gx, xsq, best_x)
+    y_side = (y_rows, c, ysq, best_y)
     w = x.partition.weights
     return (_directed(x_side, y_side, tol, w, q, x.dim),
             _directed(y_side, x_side, tol, w, q, x.dim))

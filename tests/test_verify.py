@@ -66,7 +66,7 @@ def brute_force(from_fns, to_fns, q):
                for u in from_fns.values)
 
 
-def stacks(kind, rng, part, n_from, n_to, n):
+def stacks(kind, rng, part, n_from, n_to, n, q):
     """A (from, to) pair of random stacks of one kind."""
     shape = (part.points.shape[0], n)
     if kind == "random":  # norms over two decades, so pruning bites
@@ -80,10 +80,25 @@ def stacks(kind, rng, part, n_from, n_to, n):
     elif kind == "ties":  # small integers: exactly tied pairs and rows
         tv = rng.integers(-2, 3, (n_to,) + shape).astype(float)
         fv = rng.integers(-2, 3, (n_from,) + shape).astype(float)
-    else:  # near-duplicates at large norm, where the expansion cancels
+    elif kind == "near":  # near-duplicates at large norm, expansion cancels
         tv = 1e6 + rng.standard_normal((n_to,) + shape)
         fv = tv[rng.integers(0, n_to, n_from)] \
             + 1e-6 * rng.standard_normal((n_from,) + shape)
+    else:  # every `from` row has an L_2-nearest target that is not L_q-nearest
+        # a spike of 1 on the lightest node has the L_r norm w_min^(1/r); an
+        # offset of one size s at every node has s at every r (the weights
+        # sum to 1), and s lies between w_min^(1/q) and w_min^(1/2)
+        w, half = part.weights, n_to // 2
+        base = rng.standard_normal((half,) + shape)
+        spike = np.zeros(shape)
+        spike[w.argmin(), 0] = 1.0
+        spread = rng.standard_normal((half,) + shape)
+        size = w.min() ** (0.5 + (1 / q - 0.5) * rng.uniform(.25, .75, half))
+        spread *= size[:, None, None] \
+            / np.linalg.norm(spread, axis=-1, keepdims=True)
+        tv = np.concatenate([base + spike, base + spread,
+                             rng.standard_normal((n_to % 2,) + shape)])
+        fv = base[rng.integers(0, half, n_from)]
     return SampledFn(part, fv), SampledFn(part, tv)
 
 
@@ -91,7 +106,7 @@ def stacks(kind, rng, part, n_from, n_to, n):
     # q = 2 cases carry the bare kind as their id
     pytest.param(q, kind, id=kind if q == 2 else f"{kind}-q{q}")
     for q in (2, 1.5, 3.0)
-    for kind in ("random", "duplicates", "ties", "near")
+    for kind in ("random", "duplicates", "ties", "near", "spike")
 ])
 @pytest.mark.parametrize("block,n_from,n_to", [
     (50, 13, 57),      # 2 rows by 25 targets per block, ragged on both axes
@@ -105,7 +120,7 @@ def test_directed_distance_q2_equals_brute_force(monkeypatch, q, kind, block,
         monkeypatch.setattr(verify, "_BLOCK", block)
     part = build_partition(unit_domain(), 0.25)  # 12 nodes, 24 values
     rng = np.random.default_rng(n_from)
-    fns, targets = stacks(kind, rng, part, n_from, n_to, 2)
+    fns, targets = stacks(kind, rng, part, n_from, n_to, 2, q)
     for a, b in ((fns, targets), (targets, fns)):
         assert directed_distance(a, b, q) == (brute_force(a, b, q),
                                               brute_force(b, a, q))
