@@ -107,7 +107,8 @@ class BudgetTable:
     """Every budget state (cell, budget used by the cells before it) that a
     feasible member passes through: `layers[i]` is the sorted array of the
     budgets used before cell i, so `np.searchsorted` finds a state's index.
-    Budgets are exact: int64 while sums stay below 2**62, else Python ints.
+    Budgets are exact: int64 while sums stay below 2**62, else Python ints;
+    completion counts are uint64 while they provably stay below 2**53.
     """
 
     def __init__(self, partition: Partition, grid: MagnitudeGrid, p: float, r: float):
@@ -149,16 +150,21 @@ class BudgetTable:
         k = np.searchsorted(self.costs[i], self.threshold - used, side="right")
         runs = np.cumsum(k) // STATE_CAP
         for owners in np.split(np.arange(len(used)), np.flatnonzero(np.diff(runs)) + 1):
-            owner = np.repeat(owners, k[owners])
-            level = np.arange(owner.size) - np.searchsorted(owner, owner)
+            c = k[owners]
+            owner = np.repeat(owners, c)
+            level = np.arange(owner.size) - np.repeat(np.cumsum(c) - c, c)
             yield owner, level, used[owner] + self.costs[i][level]
 
     def completions(self, factor: int) -> list[np.ndarray]:
-        """Per layer, each state's number of feasible completions (exact, as
-        object arrays); a nonzero magnitude weighs `factor`, zero weighs 1."""
-        tables = [np.ones(len(self.layers[-1]), dtype=object)]
+        """Per layer, each state's number of feasible completions (exact); a
+        nonzero magnitude weighs `factor`, zero weighs 1.  Every count and
+        block sum is at most (1 + factor * top level) ** cells: uint64 while
+        that is below 2**53 (exact in float64 too), else Python ints."""
+        bound = (1 + factor * (self.costs.shape[1] - 1)) ** len(self.costs)
+        dtype = np.uint64 if bound < 2**53 else object
+        tables = [np.ones(len(self.layers[-1]), dtype=dtype)]
         for i in reversed(range(len(self.costs))):
-            table = np.empty(len(self.layers[i]), dtype=object)
+            table = np.empty(len(self.layers[i]), dtype=dtype)
             for owner, level, budget in self.pairs(i, self.layers[i]):
                 w = tables[-1][np.searchsorted(self.layers[i + 1], budget)]
                 w[level > 0] *= factor
@@ -174,7 +180,7 @@ def count_family(table: BudgetTable, net: DirectionNet) -> int:
     Zero magnitudes contribute no direction factor (the zero function on a
     cell is direction-free), so each nonzero cell weighs `net.size`.
     """
-    return table.completions(net.size)[0][0]
+    return int(table.completions(net.size)[0][0])
 
 
 def enumerate_family(table: BudgetTable, net: DirectionNet) -> PiecewiseConstFn:
@@ -192,8 +198,9 @@ def enumerate_family(table: BudgetTable, net: DirectionNet) -> PiecewiseConstFn:
     for i, (layer, nxt) in enumerate(zip(table.layers, table.layers[1:])):
         blocks = []
         for row, j, budget in table.pairs(i, layer[state]):
-            pair = np.repeat(np.arange(j.size), np.where(j > 0, net.size, 1))
-            rank = np.arange(pair.size) - np.searchsorted(pair, pair)
+            c = np.where(j > 0, net.size, 1)
+            pair = np.repeat(np.arange(j.size), c)
+            rank = np.arange(pair.size) - np.repeat(np.cumsum(c) - c, c)
             blocks.append((row[pair].astype(np.int32), j[pair].astype(mag_t),
                            rank.astype(dir_t), pair[:0] if i == len(table.costs) - 1
                            else np.searchsorted(nxt, budget)[pair]))
@@ -229,8 +236,9 @@ def sample_family(table: BudgetTable, net: DirectionNet, count: int,
     feasible completions drive the per-cell choice); directions are uniform
     per nonzero cell.  Cell by cell, one uniform u per member picks the first
     level whose cumulative completion count over the state's total (a
-    correctly rounded ratio of exact ints) exceeds u; then all directions are
-    drawn at once.  Deterministic for a fixed seed.
+    correctly rounded ratio of exact counts: uint64 below 2**53 converts
+    exactly, so float64 division rounds as `int / int` does) exceeds u; then
+    all directions are drawn at once.  Deterministic for a fixed seed.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -243,6 +251,8 @@ def sample_family(table: BudgetTable, net: DirectionNet, count: int,
         for draw, level, budget in table.pairs(i, layer[state]):
             succ = np.searchsorted(nxt, budget)
             w, starts = completions[i + 1][succ], np.flatnonzero(level == 0)
+            # a uint64 cumsum over the block's owners may wrap past 2**64, but
+            # it wraps modulo 2**64, so each owner's cum - offset is exact
             cum = np.cumsum(w)
             cum -= (cum[starts] - w[starts])[np.cumsum(level == 0) - 1]
             below = cum / total[draw] <= u[draw]

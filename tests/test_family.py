@@ -421,19 +421,25 @@ def loop_sample(part, grid, net, p, r, count, seed):
     return mags, np.where(mags > 0, rng.integers(net.size, size=mags.shape), 0)
 
 
-@pytest.mark.parametrize("n_cells,a,c,p,r,seed", [
-    (4, 3, 3, 2.0, 0.6, 5),
-    (3, 5, 2, 1.5, 0.9, 6),
-    (5, 4, 4, 3.0, 0.8, 7),
-    (3, 10, 2, 3.0, 0.7, 8),
+@pytest.mark.parametrize("n_cells,a,c,p,r,seed,draws", [
+    (4, 3, 3, 2.0, 0.6, 5, 300),
+    (3, 5, 2, 1.5, 0.9, 6, 300),
+    (5, 4, 4, 3.0, 0.8, 7, 300),
+    (3, 10, 2, 3.0, 0.7, 8, 300),
+    # no budget binds: 9^16 (about 1.85e15, below 2^53) profiles, so the
+    # sampler's counts are uint64, and cell 0's block sum over 10,000 draws
+    # of 9^16 each passes 2^64
+    (16, 8, 3, 2.0, 100.0, 9, 10_000),
 ])
-def test_sample_family_matches_a_loop_over_members(n_cells, a, c, p, r, seed):
+def test_sample_family_matches_a_loop_over_members(n_cells, a, c, p, r, seed, draws):
     part = interval_partition(delta=1.0 / n_cells, nodes=1)
     grid = build_magnitude_grid(1.0, a)
-    fam = sample_family(BudgetTable(part, grid, p, r), angle_net(c), 300, seed=seed)
-    mags, dirs = loop_sample(part, grid, angle_net(c), p, r, 300, seed)
+    table = BudgetTable(part, grid, p, r)
+    fam = sample_family(table, angle_net(c), draws, seed=seed)
+    mags, dirs = loop_sample(part, grid, angle_net(c), p, r, draws, seed)
     assert np.array_equal(fam.mag_idx, mags)
     assert np.array_equal(fam.dir_idx, dirs)
+    assert type(count_family(table, angle_net(c))) is int
 
 
 def test_sample_family_is_uniform_over_profiles():
@@ -465,6 +471,7 @@ def test_counts_above_2_to_the_64_are_exact():
     expected = square_budget_count(16, 8, 256, 64)
     assert expected == 753039082979042119047170672614151500603393
     assert count_family(BudgetTable(part, grid, 2, 1.0), net) == expected
+    assert type(count_family(BudgetTable(part, grid, 2, 1.0), net)) is int
     fam = sample_family(BudgetTable(part, grid, 2, 1.0), net, 500, seed=4)
     assert all(sum(j * j for j in m) <= 256 for m in fam.mag_idx.tolist())
 
