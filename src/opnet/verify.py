@@ -43,36 +43,43 @@ __all__ = [
 STEP_TOLERANCE = 1e-8
 TCHEBYSHEV_TOLERANCE = 1e-10
 _BLOCK = 1 << 15  # elements per temporary of the distance computations
-# c in the screen tolerance c ((dim + 4) eps (|a| + |b|)^2 + slack); see
-# `_lq_bounds`, `_screen_space` and `_slack`
+# c in the screen tolerance c ((max(dim, k) + 4) eps (|a| + |b|)^2 + slack);
+# see `_lq_bounds`, `_screen_space` and `_slack`
 _SCREEN_SAFETY = 4.0
 
 
 def _slack(a, coeffs, x, w):
-    """Bound on the gap of a coefficient-space cross term to the full-space one.
+    """Bound on the coefficient-space errors of a screened squared distance.
 
     The screen takes the cross term of a node function b and a computed image
-    t = fl(A c) as (-2 (b w) A).c, not -2 (b w).t; `a` is the cell matrix
-    A, (dim, k) = (P m, N n), or I, `coeffs` the rows c, x the largest
-    |b|_w and w the node weights; the count holds for any A.  Count roundings of u = eps / 2 to first order, with
-    W the weights repeated per component and |z|_w = |W^(1/2) z|.
+    t = fl(A c) as (-2 (b w) A).c, not -2 (b w).t, and with `op` |t|_w^2 as
+    c.(G c), G = A^T W A; `a` is the cell matrix A, (dim, k) = (P m, N n),
+    or I, `coeffs` the rows c, x the largest |b|_w and w the node weights;
+    the count holds for any A.  Count roundings of u = eps / 2 to first
+    order, with W the weights repeated per component, |z|_w = |W^(1/2) z|
+    and S = |W^(1/2) |A||_2.
     (i) The apply: t = A c + e with |e| <= k u |A| |c| in any summation
-    order, and 2 (|b| w).(|A| |c|) <= 2 |b|_w |W^(1/2) |A||_2 |c|_2 by
-    Cauchy-Schwarz.  (ii) The projection: -2 w is exact, its product with
-    b rounds once and the dim-term sum with A adds dim u, so the computed
-    g = -2 (b w) A is off by at most (dim + 1) u 2 (|b| w) |A| in every
-    entry, which |c| turns into (dim + 1) u 2 |b|_w |W^(1/2) |A||_2 |c|_2.
-    (iii) The k-term product g.c adds k u |g|.|c|, the same form times k.
-    In all, (2 k + dim + 1) eps |b|_w |W^(1/2) |A||_2 |c|_2.  Underflow adds
-    at most tiny / 2 per product, tiny the smallest subnormal: k tiny / 2
-    per entry of e, which 2 |b| w turns into k tiny (m mu)^(1/2) |b|_w (mu
-    the total weight); tiny / 2 per entry of (b w) and per projection
-    product, which give (dim + |A|_1) tiny |c|_1 / 2 (|A|_1 the largest
-    column sum, |c|_1 <= k^(1/2) |c|_2); and k tiny / 2 in g.c.  The result,
-    (2 k + dim + 2) (eps x y |W^(1/2) |A||_2
-    + tiny (1 + (m mu)^(1/2) x) (1 + |A|_1) (1 + k^(1/2) y)) with y the
-    largest |c|_2, covers both; rounding its norms moves it by second-order
-    terms only.
+    order, and 2 (|b| w).(|A| |c|) <= 2 |b|_w S |c|_2 by Cauchy-Schwarz.
+    (ii) The projection: -2 w is exact, its product with b rounds once and
+    the dim-term sum with A adds dim u, so the computed g = -2 (b w) A is
+    off by at most (dim + 1) u 2 (|b| w) |A| in every entry, which |c|
+    turns into (dim + 1) u 2 |b|_w S |c|_2.  (iii) g.c is k terms of
+    `_screen`'s (k + 2)-term product, which adds (k + 2) u |g|.|c|.  In
+    all, (2 k + dim + 3) eps |b|_w S |c|_2.  (iv) The norms: |t|_w^2 is off
+    |A c|_w^2 by 2 k u |W^(1/2) |A| |c||^2 (i), fl(G) is off G by
+    (dim + 1) u |A|^T W |A| in every entry, and c G and its product with c
+    add k u |c|.(|A|^T W |A| |c|) each: (4 k + dim + 1) u S^2 |c|_2^2.
+    Underflow adds at most tiny / 2 per product, tiny the smallest
+    subnormal: k tiny / 2 per entry of e, which 2 |b| w turns into
+    k tiny (m mu)^(1/2) |b|_w (mu the total weight); tiny / 2 per entry of
+    (b w) and per projection product, which give (dim + |A|_1) tiny |c|_1 / 2
+    (|A|_1 the largest column sum, |c|_1 <= k^(1/2) |c|_2); k tiny / 2 in
+    g.c; and in (iv) at most (4 k + dim + 1) tiny (1 + |A|_1)
+    (1 + (m mu)^(1/2) S) (1 + k^(1/2) |c|_2)^2.  The result, with y the
+    largest |c|_2, (2 k + dim + 4) (eps x y S + tiny (1 + (m mu)^(1/2) x)
+    (1 + |A|_1) (1 + k^(1/2) y)) plus (4 k + dim + 2) times (iv)'s two
+    terms at y, covers all; rounding its norms moves it by second-order
+    terms only.  With A = I, (iv) only loosens it.
     """
     dim, k = a.shape
     wrep = np.repeat(w, dim // len(w))
@@ -80,10 +87,13 @@ def _slack(a, coeffs, x, w):
     spectral = float(np.linalg.norm(np.sqrt(wrep)[:, None] * abs(a), 2))
     col_sum = float(abs(a).sum(axis=0).max())
     f64 = np.finfo(float)
-    return (2 * k + dim + 2) * (
-        f64.eps * x * y * spectral
-        + f64.smallest_subnormal * (1.0 + math.sqrt(wrep.sum()) * x)
-        * (1.0 + col_sum) * (1.0 + math.sqrt(k) * y))
+    tiny, mass = f64.smallest_subnormal, math.sqrt(wrep.sum())
+    grow = (1.0 + col_sum) * (1.0 + math.sqrt(k) * y)
+    return ((2 * k + dim + 4) * (f64.eps * x * y * spectral
+                                 + tiny * (1.0 + mass * x) * grow)
+            + (4 * k + dim + 2) * (f64.eps / 2 * (spectral * y) ** 2
+                                   + tiny * (1.0 + mass * spectral) * grow
+                                   * (1.0 + math.sqrt(k) * y)))
 
 
 def _screen_space(x, y, op):
@@ -92,16 +102,18 @@ def _screen_space(x, y, op):
     With `op`, y is a piecewise-constant stack standing for its images under
     op, which are never stored whole: c holds its flattened cell values and
     A is op's cell matrix, whose computed products A c are y's node values,
-    taken from `op.apply` of a block or of the rows asked for.  Without it,
+    taken from `op.apply` of the rows asked for.  Without it,
     y is a stack of sampled functions, c holds its flattened values and
     A = I, whose product is exact.  gx holds -2 (a w) A for x's flattened
     node values a and the node weights w, so gx @ c.T holds the cross terms
     -2 (a w).(A c).  xsq and ysq hold the squared weighted norms |a|^2 and
-    |b|^2, and y_rows(idx) gives y's node values at rows idx.  A completed
-    entry is within (dim + 3) u N^2 + `_slack` of the exact squared distance
-    of the node values (see `_screen`), and tol, `_SCREEN_SAFETY`
-    ((dim + 4) (eps N^2 + tiny) + slack), holds that error that many times
-    over (tiny the smallest subnormal, for the absolute underflow errors).
+    |b|^2; with `op`, ysq is c.(G c), G = A^T W A a k x k matrix, so that
+    no image is applied for it.  y_rows(idx) gives y's node values at rows
+    idx.  A `_screen` entry is within (dim + k + 3) u N^2 + `_slack` of the
+    exact squared distance of the node values, and tol, `_SCREEN_SAFETY`
+    ((max(dim, k) + 4) (eps N^2 + tiny) + slack), holds that error that many
+    times over (tiny the smallest subnormal, for the absolute underflow
+    errors).
     """
     w = x.partition.weights
 
@@ -109,44 +121,58 @@ def _screen_space(x, y, op):
         return np.einsum("ipk,ipk,p->i", v, v, w)
 
     xsq, xv = sq(x.values), x.values.reshape(len(x), -1)
-    c = y.values.reshape(len(y), -1)
+    c, wrep = y.values.reshape(len(y), -1), np.repeat(w, x.dim)
     if op is None:
         a, ysq, y_rows = np.eye(xv.shape[1]), sq(y.values), y.values.__getitem__
     else:
         a, y_rows = op.cell_matrix, lambda idx: op.apply(y[idx]).values
-        size = max(1, _BLOCK // xv.shape[1])
-        ysq = np.concatenate([sq(y_rows(slice(s, s + size)))
-                              for s in range(0, len(y), size)])
-    neg2w = np.repeat(-2.0 * w, x.dim)  # -2 w per flattened value
+        gram = a.T @ (wrep[:, None] * a)
+        size, ysq = max(1, _BLOCK // len(gram)), np.empty(len(c))
+        for s in range(0, len(c), size):
+            np.einsum("ij,ij->i", c[s:s + size] @ gram, c[s:s + size],
+                      out=ysq[s:s + size])
+    neg2w = -2.0 * wrep  # -2 w per flattened value
     step = max(1, _BLOCK // max(a.shape))
     gx = np.concatenate([(xv[s:s + step] * neg2w) @ a
                          for s in range(0, len(xv), step)])
-    norms = (math.sqrt(xsq.max()), math.sqrt(ysq.max()))
+    norms = (math.sqrt(xsq.max()), math.sqrt(max(ysq.max(), 0.0)))
     f64 = np.finfo(float)
-    tol = _SCREEN_SAFETY * ((xv.shape[1] + 4) * (
+    tol = _SCREEN_SAFETY * ((max(a.shape) + 4) * (
         f64.eps * sum(norms) ** 2 + f64.smallest_subnormal)
         + _slack(a, c, norms[0], w))
     return gx, c, xsq, ysq, tol, y_rows
 
 
-def _screen(a, rows, b):
-    """Blocks of the cross terms a[rows] @ b.T of two (rows, k) arrays.
+def _augment(rows, first, second):
+    """[rows | first | second]: `rows` with two more columns."""
+    out = np.empty((len(rows), rows.shape[1] + 2))
+    out[:, :-2], out[:, -2], out[:, -1] = rows, first, second
+    return out
 
-    Yields (offset into `rows`, offset into b, block).  Adding |a|^2 and
-    |b|^2 to an entry, in either order, completes a screened squared
-    distance.  Counting roundings of u = eps / 2 each to first order, with
-    N = |a| + |b| in the weighted norm, it is within (dim + 3) u N^2 of the
-    exact one in full space (A = I); `_slack` adds to it for a cell matrix.
-    A block takes as many of `rows` as a temporary of k-element rows holds,
-    and as many rows of b as keep it within `_BLOCK` elements.  Every
-    temporary holds at most `_BLOCK` elements.
+
+def _screen(a, asq, rows, b, bsq):
+    """Blocks of screened squared distances of a[rows] to b, two (., k) arrays.
+
+    Yields (offset into `rows`, offset into b, block), each block one
+    product [a | asq | 1] @ [b | 1 | bsq].T, so an entry is a whole
+    screened squared distance asq_i + a_i.b_j + bsq_j.  Counting roundings
+    of u = eps / 2 each to first order, with N = |a| + |b| in the weighted
+    norm, the norms add (dim + 1) u N^2, gx's rounding u N^2 and the
+    (k + 2)-term product (k + 2) u N^2, so an entry is within
+    (dim + k + 3) u N^2 of the exact one in full space (A = I); `_slack`
+    adds to it for a cell matrix.
+    A block takes as many of `rows` as a temporary of (k + 2)-element rows
+    holds, and as many rows of b as keep both the block and b's augmented
+    rows within `_BLOCK` elements: every temporary holds at most `_BLOCK`
+    elements, or one row where a row holds more.
     """
-    rf = min(len(rows), max(1, _BLOCK // b.shape[1]))
-    rt = max(1, _BLOCK // rf)
+    rf = min(len(rows), max(1, _BLOCK // (a.shape[1] + 2)))
+    rt = max(1, _BLOCK // max(rf, a.shape[1] + 2))
     for fs in range(0, len(rows), rf):
-        part = a[rows[fs:fs + rf]]
+        part = _augment(a[rows[fs:fs + rf]], asq[rows[fs:fs + rf]], 1.0)
         for ts in range(0, len(b), rt):
-            yield fs, ts, part @ b[ts:ts + rt].T
+            yield fs, ts, part @ _augment(b[ts:ts + rt], 1.0,
+                                          bsq[ts:ts + rt]).T
 
 
 def _lq_bounds(w, n, q):
@@ -163,10 +189,11 @@ def _lq_bounds(w, n, q):
     (P + 3) u / 2, each filter of `_directed` 3.5 u, second-order
     terms u / 2: on the scale of squared L_2 distances, at most N^2 (see
     `_screen`), that is (n + 3 P + 23) u N^2.  With the screen's
-    (dim + 3) u N^2 + `_slack`, the tolerance, which takes the slack
+    (dim + k + 3) u N^2 + `_slack`, the tolerance, which takes the slack
     `_SCREEN_SAFETY` times, covers it for `_SCREEN_SAFETY` >=
-    (dim + n + 3 P + 26) / (2 dim + 8), which is 3.1 at n = P = 1 and less
-    beyond.  alpha bounds the absolute underflow errors: n tiny / 2 in a
+    (dim + k + n + 3 P + 26) / (2 max(dim, k) + 8), at most
+    (2 n P + n + 3 P + 26) / (2 n P + 8) as dim = n P: 3.2 at n = P = 1 and
+    less beyond.  alpha bounds the absolute underflow errors: n tiny / 2 in a
     node's squared norm moves N_q by mu^(1/q) sqrt(n tiny), and a node's
     term gains (w_k + 1) tiny, tiny being the smallest subnormal.
     """
@@ -182,18 +209,17 @@ def _directed(frm, to, tol, w, q, n):
     """max over `frm` of min over `to` of the weighted L_q distance.
 
     Each side is (node values by row index, rows in `_screen_space`, squared
-    norms, screened row minima less |a|^2), the last from pass 1; n is the
-    number of components of a node value.  Two sweeps screen the surviving
-    rows against every target and compute the entries within a limit.
+    norms, screened row minima), the last from pass 1; n is the number of
+    components of a node value.  Two sweeps screen the surviving rows
+    against every target and compute the entries within a limit.
     """
-    f_rows, fspace, fsq, screened = frm
+    f_rows, fspace, fsq, approx = frm
     t_rows, tspace, tsq = to[:3]
     c_lo, c_hi, alpha = _lq_bounds(w, n, q)
     # A screened squared distance S is within tol of the exact one, so the
     # computed distance E has c sqrt(S - tol) - alpha <= E <= C sqrt(S + tol)
     # + alpha.  The largest lower bound of a row minimum bounds the result
     # from below; rows whose upper bound falls short of it cannot attain it.
-    approx = screened + fsq  # adding a row constant commutes with the min
     lower = c_lo * math.sqrt(max(approx.max() - tol, 0.0)) - alpha
     rows = np.flatnonzero(c_hi * np.sqrt(approx + tol) + alpha >= lower)
     best = np.full(len(rows), np.inf)
@@ -204,9 +230,7 @@ def _directed(frm, to, tol, w, q, n):
     # minimizing target's lower bound cannot exceed best.
     limit = approx[rows] + 2 * tol
     for _ in range(2):
-        for fs, ts, block in _screen(fspace, rows, tspace):
-            block += tsq[ts:ts + block.shape[1]]
-            block += fsq[rows[fs:fs + len(block)], None]
+        for fs, ts, block in _screen(fspace, fsq, rows, tspace, tsq):
             i, j = np.nonzero(block <= limit[fs:fs + len(block), None])
             i += fs
             j += ts
@@ -226,24 +250,23 @@ def directed_distance(x: SampledFn, y: SampledFn | PiecewiseConstFn, q: float,
 
     d is the weighted L_q distance, and x and y are nonempty stacks of
     sampled functions on one partition; with `op`, y is a piecewise-constant
-    stack standing for its images under op, which `op.apply` maps a block
-    or a few rows at a time, each row with its bits in `op.apply(y)` (see
+    stack standing for its images under op, which `op.apply` maps a few
+    rows at a time, each row with its bits in `op.apply(y)` (see
     `integral_op`).  Each result is `_lq_norms(t - u, w, q)` of its
     maximizing pair, exactly as an all-pairs scan gives it.  One blocked
-    screen of the x-by-y squared L_2 distances (`_screen_space`) keeps only
-    each row's and each column's minimum; per direction, `_lq_bounds` turns
-    them into L_q bounds, and only the pairs that can attain the result are
-    computed exactly (see `_directed`).
+    screen of the x-by-y squared L_2 distances (`_screen_space`), each block
+    complete from one product (`_screen`), keeps only each row's and each
+    column's minimum; per direction, `_lq_bounds` turns them into L_q
+    bounds, and only the pairs that can attain the result are computed
+    exactly (see `_directed`).
     """
     if not x or not y:
         raise ValueError("both sets must be nonempty")
     gx, c, xsq, ysq, tol, y_rows = _screen_space(x, y, op)
     best_x, best_y = np.full(len(x), np.inf), np.full(len(y), np.inf)
-    for fs, ts, block in _screen(gx, np.arange(len(x)), c):
+    for fs, ts, block in _screen(gx, xsq, np.arange(len(x)), c, ysq):
         rs, cs = slice(fs, fs + len(block)), slice(ts, ts + block.shape[1])
-        np.minimum(best_y[cs], (block + xsq[rs, None]).min(axis=0),
-                   out=best_y[cs])
-        block += ysq[cs]
+        np.minimum(best_y[cs], block.min(axis=0), out=best_y[cs])
         np.minimum(best_x[rs], block.min(axis=1), out=best_x[rs])
     x_side = (x.values.__getitem__, gx, xsq, best_x)
     y_side = (y_rows, c, ysq, best_y)

@@ -109,9 +109,11 @@ def stacks(kind, rng, part, n_from, n_to, n, q):
     for kind in ("random", "duplicates", "ties", "near", "spike")
 ])
 @pytest.mark.parametrize("block,n_from,n_to", [
-    (50, 13, 57),      # 2 rows by 25 targets per block, ragged on both axes
-    (97, 41, 9),       # 4 rows by 24 targets, one target block
-    (None, 1400, 60),  # the real block: 1365 rows by 24 targets
+    (50, 13, 57),      # 1 row by 1 target per block: a row holds k + 2 = 26
+    (97, 41, 9),       # 3 rows by 3 targets
+    (None, 1400, 60),  # the real block: 1260 rows by 26 targets
+    (150, 13, 57),     # 5 rows by 5 targets, ragged on both axes
+    (7, 13, 57),       # below k + 2: still 1 row by 1 target
 ])
 def test_directed_distance_q2_equals_brute_force(monkeypatch, q, kind, block,
                                                  n_from, n_to):
@@ -128,19 +130,24 @@ def test_directed_distance_q2_equals_brute_force(monkeypatch, q, kind, block,
         assert directed_distance(fns, targets, q)[0] == 0.0
 
 
-def family_stacks(kind, rng, n_other, n_family):
+def family_stacks(kind, rng, n_other, n_family, domain_kernel=None):
     """(other, family, op): node values, and a piecewise-constant stack.
 
     `other` holds operator images of random cell values plus noise; the
     family's images are `op.apply(family)`.  In the "cancel" kind the cell
     values are large multiples of the cell matrix's smallest right singular
     vector, which alternates in sign, so that |A| |c| is about 4e5 times
-    |A c|.
+    |A c| on the 1-D kernel.  `domain_kernel`, a (domain, kernel) pair
+    partitioned into unit cells, replaces the 1-D default.
     """
-    dom = unit_domain()
-    part = build_partition(dom, 0.25)  # 4 cells, 12 nodes
-    kern = builtin_kernel("block_diag", dom, components=[
-        ("gaussian", {"beta": 1.0}), ("constant", {"value": 0.5})])
+    if domain_kernel is None:
+        dom = unit_domain()
+        part = build_partition(dom, 0.25)  # 4 cells, 12 nodes
+        kern = builtin_kernel("block_diag", dom, components=[
+            ("gaussian", {"beta": 1.0}), ("constant", {"value": 0.5})])
+    else:
+        dom, kern = domain_kernel
+        part = build_partition(dom, 1.0)
     op = DiscretizedOperator(kern, part)
     shape = (part.num_cells, kern.n)
 
@@ -169,9 +176,10 @@ def family_cases(other, family, op):
 @pytest.mark.parametrize("q", [2, 1.5, 3.0])
 @pytest.mark.parametrize("kind", ["random", "cancel"])
 @pytest.mark.parametrize("block,n_other,n_family", [
-    (50, 13, 57),      # (other, family): 6 rows by 8 members; reversed 2 by 13
-    (97, 41, 9),       # 12 rows by 8 members; reversed 4 by 24
+    (50, 13, 57),      # (other, family): 5 rows by 5 members; reversed 1 by 1
+    (97, 41, 9),       # 9 rows by 9 members; reversed 3 by 3
     (None, 1400, 60),  # the real block: 1400 rows by 23 members; 60 by 546
+    (7, 13, 57),       # below k + 2 = 10: 1 row by 1 member
 ])
 def test_directed_distance_on_family_images_equals_brute_force(
         monkeypatch, q, kind, block, n_other, n_family):
@@ -188,9 +196,10 @@ def test_directed_distance_on_family_images_equals_brute_force(
 @pytest.mark.parametrize("q", [2, 1.5, 3.0])
 @pytest.mark.parametrize("kind", ["random", "cancel"])
 @pytest.mark.parametrize("block,n_family", [
-    (47, 57),  # one member per norms block and per exact chunk, so each
-               # applied row but the last two is a padded lone row
-    (97, 9),   # norms blocks of 4 and 5 members, exact chunks of 4
+    (47, 57),  # one member per exact chunk, so each applied row is a padded
+               # lone row; norms blocks of 5 members
+    (97, 9),   # one norms block, exact chunks of 4
+    (7, 23),   # below k + 2 = 10: 1-row screen blocks and norms blocks
 ])
 def test_streamed_family_equals_the_materialized_stack(
         monkeypatch, q, kind, block, n_family):
@@ -203,12 +212,20 @@ def test_streamed_family_equals_the_materialized_stack(
         directed_distance(other, images, q)
 
 
-@pytest.mark.parametrize("kind", ["random", "cancel"])
-def test_screened_entries_are_within_the_tolerance(monkeypatch, kind):
-    """Every pass-1 screened squared distance, completed either way, against
-    an fsum of the node values."""
+@pytest.mark.parametrize("kind,domain_kernel", [
+    pytest.param("random", None, id="random"),
+    pytest.param("cancel", None, id="cancel"),
+    # k = 24 coefficients against 648 node values
+    pytest.param("cancel", "steps-3d", id="steps-3d"),
+])
+def test_screened_entries_are_within_the_tolerance(monkeypatch, kind,
+                                                   domain_kernel):
+    """Every screened squared distance, of `_screen`'s blocks in pass 1's
+    order and in the reverse one, against an fsum of the node values."""
     monkeypatch.setattr(verify, "_BLOCK", 97)
-    other, family, op = family_stacks(kind, np.random.default_rng(5), 41, 9)
+    other, family, op = family_stacks(
+        kind, np.random.default_rng(5), 41, 9,
+        steps3d_kernel() if domain_kernel else None)
     w = np.repeat(other.partition.weights, other.dim)
     cases = family_cases(other, family, op) + ((other, other, None, other),)
     for a, b, by, bvals in cases:
@@ -216,13 +233,12 @@ def test_screened_entries_are_within_the_tolerance(monkeypatch, kind):
         av = a.values.reshape(len(a), -1)
         bv = bvals.values.reshape(len(b), -1)
         assert b_rows(np.arange(len(b))).tobytes() == bvals.values.tobytes()
-        for fs, ts, block in verify._screen(gx, np.arange(len(a)), c):
-            rs, cs = slice(fs, fs + len(block)), slice(ts, ts + block.shape[1])
-            rows = block + bsq[cs] + asq[rs, None]  # each row's completion
-            cols = block + asq[rs, None] + bsq[cs]  # each column's
-            for screened in (rows, cols):
-                for (i, j), value in np.ndenumerate(screened):
-                    d = av[fs + i] - bv[ts + j]
+        for fv, tv, screens in (
+                (av, bv, verify._screen(gx, asq, np.arange(len(a)), c, bsq)),
+                (bv, av, verify._screen(c, bsq, np.arange(len(b)), gx, asq))):
+            for fs, ts, block in screens:
+                for (i, j), value in np.ndenumerate(block):
+                    d = fv[fs + i] - tv[ts + j]
                     exact = math.fsum(w * d * d)
                     assert abs(value - exact) <= tol / verify._SCREEN_SAFETY
 
@@ -240,6 +256,28 @@ def steps3d_kernel():
     return dom, builtin_kernel("block_diag", dom, components=[
         ("gaussian", {"beta": 1.0}), ("gaussian", {"beta": 2.0}),
         ("constant", {"value": 0.5})])
+
+
+@pytest.mark.parametrize("kind", ["random", "cancel"])
+@pytest.mark.parametrize("domain_kernel", [
+    pytest.param(None, id="1-d"),
+    pytest.param(b102k_kernel, id="b102k"),
+    pytest.param(steps3d_kernel, id="steps-3d"),
+])
+def test_gram_norms_are_within_the_slack(monkeypatch, kind, domain_kernel):
+    """The family's squared norms c.(G c) against an fsum of its applied
+    images; `_slack` at x = 0 holds the norms' term (iv) and underflow terms
+    only."""
+    monkeypatch.setattr(verify, "_BLOCK", 97)  # several norms blocks
+    other, family, op = family_stacks(kind, np.random.default_rng(9), 3, 50,
+                                      domain_kernel and domain_kernel())
+    ysq = verify._screen_space(other, family, op)[3]
+    w = op.partition.weights
+    bound = verify._slack(op.cell_matrix,
+                          family.values.reshape(len(family), -1), 0.0, w)
+    images = op.apply(family).values
+    for value, t in zip(ysq, images):
+        assert abs(value - math.fsum((w[:, None] * t * t).ravel())) <= bound
 
 
 def test_applied_rows_have_whole_stack_bits():
