@@ -48,16 +48,16 @@ _BLOCK = 1 << 15  # elements per temporary of the distance computations
 _SCREEN_SAFETY = 4.0
 
 
-def _slack(a, coeffs, x, w):
+def _slack(a, y, x, w):
     """Bound on the coefficient-space errors of a screened squared distance.
 
     The screen takes the cross term of a node function b and a computed image
-    t = fl(A c) as (-2 (b w) A).c, not -2 (b w).t, and with `op` |t|_w^2 as
-    c.(G c), G = A^T W A; `a` is the cell matrix A, (dim, k) = (P m, N n),
-    or I, `coeffs` the rows c, x the largest |b|_w and w the node weights;
-    the count holds for any A.  Count roundings of u = eps / 2 to first
-    order, with W the weights repeated per component, |z|_w = |W^(1/2) z|
-    and S = |W^(1/2) |A||_2.
+    t = fl(A c) as (-2 (b w) A).c, not -2 (b w).t, and |t|_w^2 as c.(G c),
+    G = A^T W A; `a` is the cell matrix A, (dim, k) = (P m, N n), or I, y
+    the largest |c|_2 of the rows c, x the largest |b|_w and w the node
+    weights; the count holds for any A.  Count roundings of u = eps / 2 to
+    first order, with W the weights repeated per component,
+    |z|_w = |W^(1/2) z| and S = |W^(1/2) |A||_2.
     (i) The apply: t = A c + e with |e| <= k u |A| |c| in any summation
     order, and 2 (|b| w).(|A| |c|) <= 2 |b|_w S |c|_2 by Cauchy-Schwarz.
     (ii) The projection: -2 w is exact, its product with b rounds once and
@@ -79,11 +79,10 @@ def _slack(a, coeffs, x, w):
     largest |c|_2, (2 k + dim + 4) (eps x y S + tiny (1 + (m mu)^(1/2) x)
     (1 + |A|_1) (1 + k^(1/2) y)) plus (4 k + dim + 2) times (iv)'s two
     terms at y, covers all; rounding its norms moves it by second-order
-    terms only.  With A = I, (iv) only loosens it.
+    terms only.  With A = I, G = W exactly, and (iv) only loosens it.
     """
     dim, k = a.shape
     wrep = np.repeat(w, dim // len(w))
-    y = math.sqrt(float(np.einsum("ij,ij->i", coeffs, coeffs).max()))
     spectral = float(np.linalg.norm(np.sqrt(wrep)[:, None] * abs(a), 2))
     col_sum = float(abs(a).sum(axis=0).max())
     f64 = np.finfo(float)
@@ -107,30 +106,27 @@ def _screen_space(x, y, op):
     A = I, whose product is exact.  gx holds -2 (a w) A for x's flattened
     node values a and the node weights w, so gx @ c.T holds the cross terms
     -2 (a w).(A c).  xsq and ysq hold the squared weighted norms |a|^2 and
-    |b|^2; with `op`, ysq is c.(G c), G = A^T W A a k x k matrix, so that
-    no image is applied for it.  y_rows(idx) gives y's node values at rows
-    idx.  A `_screen` entry is within (dim + k + 3) u N^2 + `_slack` of the
-    exact squared distance of the node values, and tol, `_SCREEN_SAFETY`
+    |b|^2; ysq is c.(G c), G = A^T W A (W with A = I), over blocks that also
+    give `_slack` the largest |c|_2: no image is applied, and no other
+    family-long array made.  y_rows(idx) gives y's node values at rows idx.
+    A `_screen` entry is within (dim + k + 3) u N^2 + `_slack` of the exact
+    squared distance of the node values, and tol, `_SCREEN_SAFETY`
     ((max(dim, k) + 4) (eps N^2 + tiny) + slack), holds that error that many
-    times over (tiny the smallest subnormal, for the absolute underflow
-    errors).
+    times over (tiny the smallest subnormal, for underflow).
     """
-    w = x.partition.weights
-
-    def sq(v):
-        return np.einsum("ipk,ipk,p->i", v, v, w)
-
-    xsq, xv = sq(x.values), x.values.reshape(len(x), -1)
-    c, wrep = y.values.reshape(len(y), -1), np.repeat(w, x.dim)
+    w, v = x.partition.weights, x.values
+    xsq, wrep = np.einsum("ipk,ipk,p->i", v, v, w), np.repeat(w, x.dim)
+    xv, c = v.reshape(len(x), -1), y.values.reshape(len(y), -1)
     if op is None:
-        a, ysq, y_rows = np.eye(xv.shape[1]), sq(y.values), y.values.__getitem__
+        a, y_rows = np.eye(xv.shape[1]), y.values.__getitem__
     else:
         a, y_rows = op.cell_matrix, lambda idx: op.apply(y[idx]).values
-        gram = a.T @ (wrep[:, None] * a)
-        size, ysq = max(1, _BLOCK // len(gram)), np.empty(len(c))
-        for s in range(0, len(c), size):
-            np.einsum("ij,ij->i", c[s:s + size] @ gram, c[s:s + size],
-                      out=ysq[s:s + size])
+    gram = a.T @ (wrep[:, None] * a)
+    size, ysq, cmax = max(1, _BLOCK // len(gram)), np.empty(len(c)), 0.0
+    for s in range(0, len(c), size):
+        blk = c[s:s + size]
+        np.einsum("ij,ij->i", blk @ gram, blk, out=ysq[s:s + size])
+        cmax = max(cmax, float(np.einsum("ij,ij->i", blk, blk).max()))
     neg2w = -2.0 * wrep  # -2 w per flattened value
     step = max(1, _BLOCK // max(a.shape))
     gx = np.concatenate([(xv[s:s + step] * neg2w) @ a
@@ -139,7 +135,7 @@ def _screen_space(x, y, op):
     f64 = np.finfo(float)
     tol = _SCREEN_SAFETY * ((max(a.shape) + 4) * (
         f64.eps * sum(norms) ** 2 + f64.smallest_subnormal)
-        + _slack(a, c, norms[0], w))
+        + _slack(a, math.sqrt(cmax), norms[0], w))
     return gx, c, xsq, ysq, tol, y_rows
 
 
@@ -186,11 +182,15 @@ def _lq_bounds(w, n, q):
     node's norm (difference, squares, n - 1 sums, root), which the power q
     multiplies by q; the power, the weight and P - 1 sums add (P + 2) u,
     and the root 1/q divides by q and adds 2 u.  The computed c and C add
-    (P + 3) u / 2, each filter of `_directed` 3.5 u, second-order
-    terms u / 2: on the scale of squared L_2 distances, at most N^2 (see
-    `_screen`), that is (n + 3 P + 23) u N^2.  With the screen's
-    (dim + k + 3) u N^2 + `_slack`, the tolerance, which takes the slack
-    `_SCREEN_SAFETY` times, covers it for `_SCREEN_SAFETY` >=
+    (P + 3) u / 2 each, lower 3.5 u (a difference on the squared scale, a
+    root, a product, a difference), and the row threshold and the sweep-2
+    limit 3 u past lower or best (a difference or sum, a quotient, a square,
+    tol's on the squared scale).  On the scale of squared L_2 distances, at
+    most N^2 (see `_screen`), best >= lower has the most, with E's, c's,
+    lower's and second-order terms u / 2: (n + 3 P + 23) u N^2; the row
+    filter has (2 P + 20) u N^2, the sweep-2 limit (n + 3 P + 22) u N^2.
+    With the screen's (dim + k + 3) u N^2 + `_slack`, the tolerance, which
+    takes the slack `_SCREEN_SAFETY` times, covers it for `_SCREEN_SAFETY` >=
     (dim + k + n + 3 P + 26) / (2 max(dim, k) + 8), at most
     (2 n P + n + 3 P + 26) / (2 n P + 8) as dim = n P: 3.2 at n = P = 1 and
     less beyond.  alpha bounds the absolute underflow errors: n tiny / 2 in a
@@ -221,7 +221,7 @@ def _directed(frm, to, tol, w, q, n):
     # + alpha.  The largest lower bound of a row minimum bounds the result
     # from below; rows whose upper bound falls short of it cannot attain it.
     lower = c_lo * math.sqrt(max(approx.max() - tol, 0.0)) - alpha
-    rows = np.flatnonzero(c_hi * np.sqrt(approx + tol) + alpha >= lower)
+    rows = np.flatnonzero(approx >= (max(lower - alpha, 0) / c_hi) ** 2 - tol)
     best = np.full(len(rows), np.inf)
     chunk = max(1, _BLOCK // (len(w) * n))
     # Sweep 1: both screenings of an entry are within tol of its exact value,

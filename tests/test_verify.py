@@ -265,19 +265,24 @@ def steps3d_kernel():
     pytest.param(steps3d_kernel, id="steps-3d"),
 ])
 def test_gram_norms_are_within_the_slack(monkeypatch, kind, domain_kernel):
-    """The family's squared norms c.(G c) against an fsum of its applied
-    images; `_slack` at x = 0 holds the norms' term (iv) and underflow terms
-    only."""
+    """The squared norms c.(G c) against an fsum of the node values, of the
+    family in coefficient space and of its images in full space; `_slack` at
+    x = 0 holds the norms' term (iv) and underflow terms only."""
     monkeypatch.setattr(verify, "_BLOCK", 97)  # several norms blocks
     other, family, op = family_stacks(kind, np.random.default_rng(9), 3, 50,
                                       domain_kernel and domain_kernel())
-    ysq = verify._screen_space(other, family, op)[3]
     w = op.partition.weights
-    bound = verify._slack(op.cell_matrix,
-                          family.values.reshape(len(family), -1), 0.0, w)
-    images = op.apply(family).values
-    for value, t in zip(ysq, images):
-        assert abs(value - math.fsum((w[:, None] * t * t).ravel())) <= bound
+    images = op.apply(family)
+    # coefficient space, and full space (A = I, G = W) from two sampled stacks
+    for y, a, by in ((family, op.cell_matrix, op),
+                     (images, np.eye(images.values[0].size), None)):
+        ysq = verify._screen_space(other, y, by)[3]
+        c = y.values.reshape(len(y), -1)
+        largest = math.sqrt(max(map(math.fsum, c * c)))
+        bound = verify._slack(a, largest, 0.0, w)
+        for value, t in zip(ysq, images.values):
+            exact = math.fsum((w[:, None] * t * t).ravel())
+            assert abs(value - exact) <= bound
 
 
 def test_applied_rows_have_whole_stack_bits():
@@ -369,6 +374,27 @@ def test_verify_run_never_holds_the_family_images():
     finally:
         tracemalloc.stop()
     assert peak < 40 << 20
+
+
+def test_directed_distance_allocates_two_family_vectors():
+    # on the baseline's 102,621 members the distance keeps, beside its
+    # inputs, the family's squared norms and screened minima (8 bytes a
+    # member each), a mask, and temporaries of at most _BLOCK elements
+    dom, kern = b102k_kernel()
+    partition, grid, net = verify._setup(kern, dom, 2.0, 1.0, 0.5, 0.9, 3, 7,
+                                         p=2, r=1)
+    op = DiscretizedOperator(kern, partition)
+    images = op.apply(verify._mixed_ball_samples(partition, kern.n, 2, 1, 200,
+                                                 7))
+    family = verify._family(partition, grid, net, 2, 1, "enumerate",
+                            10_000_000, 500, 7)[1]
+    tracemalloc.start()
+    try:
+        directed_distance(images, family, 2.0, op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * len(family) + 4 * 8 * verify._BLOCK
 
 
 def test_directed_distance_empty_sets():
