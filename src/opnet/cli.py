@@ -25,7 +25,7 @@ from .integral_op import DiscretizedOperator
 from .kernels import builtin_kernel, load_tabulated_kernel
 from .verify import _family, _levels, _setup, verify_run
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 # family members that build applies the operator to, and writes, at once;
 # larger blocks format fewer values twice but cost peak RSS (build-30k: 40 MB
 # at 256 rows, 44 MB at 512, 68 MB at 4096 for 20 % less run time)
@@ -56,11 +56,9 @@ class RunConfig:
     quad_nodes: int = 3
     seed: int = 0
     samples: int = 200
-    enum_cap: int = 10_000_000
     family_mode: str = "enumerate"
     family_samples: int = 500
     output: str | None = None
-    debug_bound_scale: float = 1.0
 
 
 _POSITIVE = (lambda v, g: v > 0, "be positive")
@@ -85,12 +83,10 @@ _KEYS = {
     ("run", "quad_nodes"): ("quad_nodes", int, *_AT_LEAST_1),
     ("run", "seed"): ("seed", int, lambda v, g: v >= 0, "be >= 0"),
     ("run", "samples"): ("samples", int, *_AT_LEAST_1),
-    ("run", "enum_cap"): ("enum_cap", int, *_AT_LEAST_1),
     ("run", "family_mode"): ("family_mode", str, lambda v, g: v in (
         "enumerate", "sample"), "be enumerate or sample"),
     ("run", "family_samples"): ("family_samples", int, *_AT_LEAST_1),
     ("run", "output"): ("output", str, *_ANY),
-    ("run", "debug_bound_scale"): ("debug_bound_scale", float, *_ANY),
 }
 
 
@@ -279,17 +275,17 @@ def cmd_bound(cfg: RunConfig) -> int:
 
 def cmd_build(cfg: RunConfig) -> int:
     domain, kernel, _ = resolve(cfg)
-    partition, grid, net = _setup(kernel, domain, cfg.gamma, cfg.Delta, cfg.delta,
-                                  cfg.sigma, cfg.quad_nodes, cfg.seed, cfg.p, cfg.r)
-    count, family = _family(partition, grid, net, cfg.p, cfg.r, cfg.family_mode,
-                            cfg.enum_cap, cfg.family_samples, cfg.seed)
+    partition, net, table, count = _setup(
+        kernel, domain, cfg.gamma, cfg.Delta, cfg.delta, cfg.sigma,
+        cfg.quad_nodes, cfg.seed, cfg.p, cfg.r, cfg.family_mode)
+    family = _family(table, net, cfg.family_mode, cfg.family_samples, cfg.seed)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(cfg),
         "family_count": str(count),
         "cells": partition.num_cells,
         "net_size": net.size,
-        "magnitude_levels": grid.a + 1,
+        "magnitude_levels": table.grid.a + 1,
     }
     out = cfg.output or "family"
     os.makedirs(out, exist_ok=True)
@@ -316,9 +312,8 @@ def _verify(cfg: RunConfig, domain, kernel, check_steps: bool = True):
     return verify_run(
         kernel, domain, cfg.p, cfg.r, cfg.gamma, cfg.Delta, cfg.delta,
         cfg.sigma, cfg.samples, cfg.seed, cfg.lam, cfg.quad_nodes,
-        family_mode=cfg.family_mode, enum_cap=cfg.enum_cap,
-        family_samples=cfg.family_samples,
-        bound_scale=cfg.debug_bound_scale, check_steps=check_steps,
+        family_mode=cfg.family_mode, family_samples=cfg.family_samples,
+        check_steps=check_steps,
     )
 
 

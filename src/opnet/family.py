@@ -322,10 +322,9 @@ def clip_to_gamma(x: SampledFn, gamma: float) -> SampledFn:
     return SampledFn(x.partition, x.values * scale[..., None])
 
 
-def cell_average(x: SampledFn, partition: Partition) -> PiecewiseConstFn:
+def cell_average(x: SampledFn) -> PiecewiseConstFn:
     """Per-cell quadrature mean; preserves cell integrals exactly."""
-    if x.partition is not partition and x.values.shape[-2] != partition.points.shape[0]:
-        raise ValueError("sampled function is not aligned with the partition")
+    partition = x.partition
     qpc = partition.nodes_per_cell
     w = partition.weights.reshape(partition.num_cells, qpc, 1)
     v = x.values.reshape(*x.values.shape[:-2], partition.num_cells, qpc, -1)
@@ -369,7 +368,6 @@ def snap_direction(f: PiecewiseConstFn, net: DirectionNet) -> PiecewiseConstFn:
 def run_pipeline(
     x: SampledFn,
     gamma: float,
-    partition: Partition,
     grid: MagnitudeGrid,
     net: DirectionNet,
 ) -> tuple[SampledFn, PiecewiseConstFn, PiecewiseConstFn, PiecewiseConstFn]:
@@ -378,7 +376,7 @@ def run_pipeline(
     Returns every stage: (clipped, averaged, rounded, snapped).
     """
     clipped = clip_to_gamma(x, gamma)
-    averaged = cell_average(clipped, partition)
+    averaged = cell_average(clipped)
     rounded = round_magnitude(averaged, grid)
     return clipped, averaged, rounded, snap_direction(rounded, net)
 

@@ -46,6 +46,8 @@ _BLOCK = 1 << 15  # elements per temporary of the distance computations
 # c in the screen tolerance c ((max(dim, k) + 4) eps (|a| + |b|)^2 + slack);
 # see `_lq_bounds`, `_screen_space` and `_slack`
 _SCREEN_SAFETY = 4.0
+# members past which `_setup` refuses to enumerate a family
+ENUM_CAP = 10_000_000
 
 
 def _slack(a, y, x, w):
@@ -320,7 +322,10 @@ def _levels(gamma, delta):
 
 
 def _setup(kernel, domain, gamma, Delta, delta, sigma, nodes_per_axis, seed,
-           p, r):
+           p, r, family_mode):
+    """(partition, net, table, count): the run's family as its budget table
+    and exact count.  Every refusal of a run for its size is raised here,
+    before an operator, a ball sample or a member is made."""
     partition = build_partition(domain, Delta, nodes_per_axis=nodes_per_axis)
     a, mu = _levels(gamma, delta), float(partition.measures.min())
     # no cell affords a level past a r mu^(-1/p) / gamma within the budget
@@ -332,23 +337,20 @@ def _setup(kernel, domain, gamma, Delta, delta, sigma, nodes_per_axis, seed,
         raise ResourceError(
             f"family too large: one cell can take more than {STATE_CAP} of its "
             f"{a + 1} magnitude levels within the budget; increase delta")
-    grid = build_magnitude_grid(gamma, a, top)
     net = build_sigma_net(kernel.n, sigma, seed=seed)
-    return partition, grid, net
-
-
-def _family(partition, grid, net, p, r, family_mode, enum_cap, family_samples,
-            seed):
-    """(count, family) from one budget table: every member, or `family_samples`
-    drawn ones; more than `enum_cap` members are refused, not enumerated."""
-    table = BudgetTable(partition, grid, p, r)
+    table = BudgetTable(partition, build_magnitude_grid(gamma, a, top), p, r)
     count = count_family(table, net)
-    if family_mode == "sample":
-        return count, sample_family(table, net, family_samples, seed)
-    if count > enum_cap:
+    if family_mode == "enumerate" and count > ENUM_CAP:
         raise ResourceError(f"family too large to enumerate ({count} > cap "
-                            f"{enum_cap}); set family_mode = sample")
-    return count, enumerate_family(table, net)
+                            f"{ENUM_CAP}); set family_mode = sample")
+    return partition, net, table, count
+
+
+def _family(table, net, family_mode, family_samples, seed):
+    """Every member of the table's family, or `family_samples` drawn ones."""
+    if family_mode == "sample":
+        return sample_family(table, net, family_samples, seed)
+    return enumerate_family(table, net)
 
 
 def _mixed_ball_samples(partition, n, p, r, samples, seed) -> SampledFn:
@@ -358,8 +360,7 @@ def _mixed_ball_samples(partition, n, p, r, samples, seed) -> SampledFn:
     return SampledFn(partition, np.concatenate([rough.values, smooth.values]))
 
 
-def _check_steps(op, ball, ball_images, breakdown, gamma, grid, net, q,
-                 bound_scale):
+def _check_steps(op, ball, ball_images, breakdown, gamma, grid, net, q):
     """Per-stage image displacement of the ball samples against its bound term.
 
     Returns the step records and the Tchebyshev observation.  Each stage's
@@ -367,15 +368,11 @@ def _check_steps(op, ball, ball_images, breakdown, gamma, grid, net, q,
     most two stage images are alive at once.
     """
     partition = op.partition
-    bounds = {
-        "clip": bound_scale * breakdown.tail_term,
-        "average": bound_scale * breakdown.psi,
-        "round": bound_scale * breakdown.phi,
-        "snap": bound_scale * breakdown.alpha,
-    }
+    bounds = {"clip": breakdown.tail_term, "average": breakdown.psi,
+              "round": breakdown.phi, "snap": breakdown.alpha}
     before = ball_images.values
     steps = []
-    for name, stage in zip(bounds, run_pipeline(ball, gamma, partition, grid, net)):
+    for name, stage in zip(bounds, run_pipeline(ball, gamma, grid, net)):
         after = op.apply(stage).values
         observed = float(lp_norm(SampledFn(partition, before - after), q).max())
         before = after
@@ -403,9 +400,7 @@ def verify_run(
     lam: float = 0.0,
     nodes_per_axis: int = 3,
     family_mode: str = "enumerate",
-    enum_cap: int = 10_000_000,
     family_samples: int = 500,
-    bound_scale: float = 1.0,
     check_steps: bool = True,
 ) -> tuple[VerificationReport | None, VerificationReport]:
     """Check the ball samples stage by stage and against the family image.
@@ -421,8 +416,10 @@ def verify_run(
         raise ValueError("samples must be >= 1")
     if family_mode not in ("enumerate", "sample"):
         raise ValueError(f"unknown family mode {family_mode!r}")
-    partition, grid, net = _setup(kernel, domain, gamma, Delta, delta, sigma,
-                                  nodes_per_axis, seed, p, r)
+    partition, net, table, count = _setup(kernel, domain, gamma, Delta, delta,
+                                          sigma, nodes_per_axis, seed, p, r,
+                                          family_mode)
+    grid = table.grid
     q = p / (p - 1.0)
     breakdown = error_bound(
         p, r, domain.measure, lam, gamma, Delta, grid.delta_step, sigma,
@@ -440,7 +437,7 @@ def verify_run(
     steps_report = None
     if check_steps:
         steps, tcheby_obs = _check_steps(op, ball, ball_images, breakdown,
-                                         gamma, grid, net, q, bound_scale)
+                                         gamma, grid, net, q)
         steps_report = VerificationReport(config=config, seed=seed, steps=steps)
         steps_report.tchebyshev_bound = r**p / gamma**p
         steps_report.tchebyshev_observed = tcheby_obs
@@ -449,14 +446,12 @@ def verify_run(
         steps_report.passed = tcheby_ok and all(s.passed for s in steps)
     del ball  # only its images are used from here on
 
-    count, family = _family(partition, grid, net, p, r, family_mode, enum_cap,
-                            family_samples, seed)
-    certified = bound_scale * breakdown.total
+    family = _family(table, net, family_mode, family_samples, seed)
+    certified = breakdown.total
     d_fwd, d_rev = directed_distance(ball_images, family, q, op)
 
     bound_report = VerificationReport(
-        config={**config, "lambda": lam, "family_mode": family_mode,
-                "bound_scale": bound_scale},
+        config={**config, "lambda": lam, "family_mode": family_mode},
         seed=seed, breakdown=breakdown.to_dict(), certified_total=certified,
         directed_sampled_to_family=d_fwd,
         directed_family_to_sampled=d_rev,  # diagnostic only

@@ -139,7 +139,7 @@ def test_criterion_5_pipeline_invariants():
         mode = "rough" if seed % 2 == 0 else "smooth"
         for x in sample_ball(part, 2, p, r, 250, seed=seed, smoothness=mode):
             clipped = clip_to_gamma(x, gamma)
-            averaged = cell_average(clipped, part)
+            averaged = cell_average(clipped)
             ok = ok and lp_norm(averaged, p) <= lp_norm(clipped, p) + 1e-10
             rounded = round_magnitude(averaged, grid)
             snapped = snap_direction(rounded, net)

@@ -30,6 +30,8 @@ from opnet.integral_op import DiscretizedOperator
 from opnet.kernels import builtin_kernel, save_tabulated_kernel
 from opnet.verify import _setup
 
+from test_verify import scale_error_bound
+
 BASE_CONFIG = """\
 [domain]
 dim = 1
@@ -146,7 +148,7 @@ def test_bound_command(capsys, tmp_path):
     path = write(tmp_path, BASE_CONFIG)
     assert main(["bound", path]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     # constant kernel, p = 2: 0 + 2/2 + 0 + 0.25 + 2 * 0.2 = 1.65
     assert payload["breakdown"]["total"] == pytest.approx(1.65)
 
@@ -232,11 +234,12 @@ def test_every_run_field_has_one_config_key():
     (BASE_CONFIG.replace("name = constant\nvalue = 1.0", "name = block_diag\n"
                          "components = gaussian:bta=9.0|constant:value=0.5"),
      "[kernel] components bta"),
-    (BASE_CONFIG + "enum_cap = -5\n", "[run] enum_cap"),
+    (BASE_CONFIG + "enum_cap = 2\n", "[run] enum_cap"),
+    (BASE_CONFIG + "debug_bound_scale = 0.5\n", "[run] debug_bound_scale"),
     (BASE_CONFIG.replace("name = constant\nvalue = 1.0",
                          "name = gausian\nfile = k.tab"), "[kernel] name"),
 ], ids=["seed-in-parameters", "gamma-in-run", "domain-key", "extra-section",
-        "component-key", "enum-cap", "name-with-file"])
+        "component-key", "enum-cap", "debug-bound-scale", "name-with-file"])
 def test_misplaced_and_unknown_keys_are_config_errors(capsys, tmp_path, command,
                                                      text, named):
     cfg = write(tmp_path, text)
@@ -268,9 +271,8 @@ def test_verify_report_config_holds_every_run_field(capsys, tmp_path):
         "kernel_file": None,
         "p": 2.0, "r": 1.0, "gamma": 2.0, "Delta": 1.0, "delta": 0.25,
         "sigma": 0.2, "lam": 0.0, "epsilon": None,
-        "quad_nodes": 3, "seed": 7, "samples": 40, "enum_cap": 10_000_000,
-        "family_mode": "enumerate", "family_samples": 500,
-        "output": out, "debug_bound_scale": 1.0,
+        "quad_nodes": 3, "seed": 7, "samples": 40,
+        "family_mode": "enumerate", "family_samples": 500, "output": out,
     }
 
 
@@ -562,9 +564,9 @@ def test_non_finite_kernel_numbers_are_config_errors(capsys, tmp_path, command,
     assert not (tmp_path / "out").exists()
 
 
-def test_verify_forced_failure_exit_code(capsys, tmp_path):
-    text = BASE_CONFIG + "debug_bound_scale = 0.001\n"
-    cfg = write(tmp_path, text)
+def test_verify_forced_failure_exit_code(monkeypatch, capsys, tmp_path):
+    scale_error_bound(monkeypatch, 0.001)
+    cfg = write(tmp_path, BASE_CONFIG)
     assert main(["verify", cfg]) == EXIT_VERIFY_FAIL
     assert "FAIL" in capsys.readouterr().out
 
@@ -656,11 +658,10 @@ def test_build_images_do_not_depend_on_block_boundaries(monkeypatch, capsys,
                                                         tmp_path):
     cfg = parse_config(BLOCK_DIAG_CONFIG)
     domain, kernel, _ = resolve(cfg)
-    partition, grid, net = _setup(kernel, domain, cfg.gamma, cfg.Delta,
-                                  cfg.delta, cfg.sigma, cfg.quad_nodes, cfg.seed,
-                                  cfg.p, cfg.r)
-    family = sample_family(BudgetTable(partition, grid, cfg.p, cfg.r), net,
-                           cfg.family_samples, cfg.seed)
+    partition, net, table, _ = _setup(
+        kernel, domain, cfg.gamma, cfg.Delta, cfg.delta, cfg.sigma,
+        cfg.quad_nodes, cfg.seed, cfg.p, cfg.r, cfg.family_mode)
+    family = sample_family(table, net, cfg.family_samples, cfg.seed)
     n = len(family)
     want = DiscretizedOperator(kernel, partition).apply(family).values
     # blocks of `size` rows leave a 1-row tail: n = k * size + 1
@@ -714,9 +715,9 @@ def test_write_csv_rows_do_not_depend_on_the_index_dtype(tmp_path, dtype):
     assert paths[0].read_text() == paths[1].read_text()
 
 
-def test_build_cap_is_resource_exit(capsys, tmp_path):
-    text = BASE_CONFIG.replace("samples = 40", "samples = 40\nenum_cap = 2")
-    cfg = write(tmp_path, text)
+def test_build_cap_is_resource_exit(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(opnet.verify, "ENUM_CAP", 2)
+    cfg = write(tmp_path, BASE_CONFIG)
     assert main(["build", cfg, "--output", str(tmp_path / "fam")]) == EXIT_RESOURCE
     assert "family too large" in capsys.readouterr().err
 
@@ -726,7 +727,8 @@ def test_enum_cap_refuses_verify_and_build_alike(monkeypatch, capsys, tmp_path):
         raise AssertionError("enumerated past the cap")
 
     monkeypatch.setattr(opnet.verify, "enumerate_family", refuse)
-    cfg = write(tmp_path, BASE_CONFIG + "enum_cap = 2\n")
+    monkeypatch.setattr(opnet.verify, "ENUM_CAP", 2)
+    cfg = write(tmp_path, BASE_CONFIG)
     errs = []
     for command in ("verify", "build"):
         out = tmp_path / command
@@ -738,6 +740,56 @@ def test_enum_cap_refuses_verify_and_build_alike(monkeypatch, capsys, tmp_path):
     assert errs[0] == errs[1]
     assert re.fullmatch(r"resource error: family too large to enumerate "
                         r"\(\d+ > cap 2\); set family_mode = sample\n", errs[0])
+
+
+# 2,500 cells x 3 magnitude levels: the budget table passes its state cap,
+# and the operator on the 7,500 nodes would take over 1 GiB to build
+REFUSED_TABLE_CONFIG = """\
+[domain]
+dim = 1
+lower = 0.0
+upper = 1.0
+
+[kernel]
+name = gaussian
+beta = 1.0
+
+[parameters]
+p = 2
+r = 1
+gamma = 2.0
+Delta = 0.0004
+delta = 1.0
+sigma = 1.0
+
+[run]
+seed = 7
+samples = 20
+"""
+
+
+@pytest.mark.parametrize("command", ["verify", "build", "sweep"])
+@pytest.mark.parametrize("text,message", [
+    (REFUSED_TABLE_CONFIG, "resource error: family too large: its budget "
+     "table needs more than 200000 states (2500 cells x 3 magnitude levels)"),
+    (BASE_CONFIG, "resource error: family too large to enumerate"),
+], ids=["state-cap", "enum-cap"])
+def test_refusals_come_before_the_operator(monkeypatch, capsys, tmp_path,
+                                           command, text, message):
+    def no_operator(*args, **kwargs):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(DiscretizedOperator, "__init__", no_operator)
+    monkeypatch.setattr(opnet.verify, "ENUM_CAP", 2)
+    argv = [command, write(tmp_path, text), "--output", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--axis", "sigma", "--values", "0.8,0.4"]
+    assert main(argv) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_requires_axis(capsys, tmp_path):
@@ -756,8 +808,8 @@ def test_sweep_sigma_monotone(capsys, tmp_path):
     assert totals == sorted(totals, reverse=True)
 
 
-def test_sweep_row_matches_verify_under_a_bound_scale(capsys, tmp_path):
-    cfg = write(tmp_path, BASE_CONFIG + "debug_bound_scale = 0.5\n")
+def test_sweep_row_matches_verify(capsys, tmp_path):
+    cfg = write(tmp_path, BASE_CONFIG)
     report_path, sweep_path = str(tmp_path / "report.json"), str(tmp_path / "s.csv")
     main(["verify", cfg, "--output", report_path])
     assert main(["sweep", cfg, "--axis", "sigma", "--values", "0.2",

@@ -233,20 +233,25 @@ def test_enumerate_respects_budget_and_count():
 
 
 def test_enumerate_cap(monkeypatch):
-    part = interval_partition(delta=0.25)
-    grid = build_magnitude_grid(1.0, 4)
-    net = angle_net(4)
-    count = count_family(BudgetTable(part, grid, 2, 1.0), net)
+    domain = Domain(np.zeros(1), np.ones(1))
+    kernel = opnet.builtin_kernel("gaussian", domain)
+    run = (kernel, domain, 1.0, 0.25, 0.25, 1.0, 3, 0, 2.0, 1.0)
+    count = _setup(*run, "enumerate")[3]
 
     def refuse(*args):
         raise AssertionError("enumerated past the cap")
 
-    # the family step refuses a family past the cap before enumerating it
+    # the setup step refuses a family past the cap before enumerating it,
+    # and a sampled family is not capped
     monkeypatch.setattr(opnet.verify, "enumerate_family", refuse)
+    monkeypatch.setattr(opnet.verify, "ENUM_CAP", count - 1)
     with pytest.raises(ResourceError, match=rf"\({count} > cap {count - 1}\)"):
-        _family(part, grid, net, 2, 1.0, "enumerate", count - 1, 0, 0)
+        _setup(*run, "enumerate")
+    assert _setup(*run, "sample")[3] == count
     monkeypatch.undo()
-    assert _family(part, grid, net, 2, 1.0, "enumerate", count, 0, 0)[0] == count
+    monkeypatch.setattr(opnet.verify, "ENUM_CAP", count)
+    _, net, table, _ = _setup(*run, "enumerate")
+    assert len(_family(table, net, "enumerate", 0, 0)) == count
 
 
 def test_enumerate_is_a_set():
@@ -333,20 +338,22 @@ def test_enumerate_indices_take_the_smallest_unsigned_dtypes():
 @pytest.mark.parametrize("r", [0.02, 0.05, 0.3, 1.0])
 @pytest.mark.parametrize("a", [24, 25, 48, 49, 50, 99, 100])
 def test_levels_refused_before_the_grid_are_refused_by_the_table(monkeypatch, r, a):
-    # a family that `_setup` refuses for its grid alone has a budget table
-    # that is refused too; a cap of 50 states keeps the tables small
+    # a family that `_setup` refuses, for its grid alone or for its table of
+    # stored levels, has a budget table of the whole grid that is refused
+    # too; a cap of 50 states keeps the tables small
     monkeypatch.setattr(family, "STATE_CAP", 50)
     monkeypatch.setattr(opnet.verify, "STATE_CAP", 50)
     domain = Domain(np.zeros(1), np.ones(1))
     kernel = opnet.builtin_kernel("gaussian", domain)
     try:
-        part, grid, _ = _setup(kernel, domain, 1.0, 0.25, 1.0 / a, 1.0, 1, 0, 2.0, r)
+        table = _setup(kernel, domain, 1.0, 0.25, 1.0 / a, 1.0, 1, 0, 2.0, r,
+                       "sample")[2]
     except ResourceError:
         part = build_partition(domain, 0.25, nodes_per_axis=1)
         with pytest.raises(ResourceError):
             BudgetTable(part, build_magnitude_grid(1.0, a), 2.0, r)
     else:
-        assert grid.a == a
+        assert table.grid.a == a
 
 
 # --------------------------------------------------------------------------
@@ -603,11 +610,11 @@ def test_clip_idempotent_and_norm_monotone():
 def test_cell_average_constant_and_linear():
     part = interval_partition(delta=0.5)
     const = SampledFn(part, np.full((part.points.shape[0], 1), 0.7))
-    avg = cell_average(const, part)
+    avg = cell_average(const)
     assert avg.values[:, 0] == pytest.approx([0.7, 0.7])
 
     linear = SampledFn(part, part.points[:, :1])
-    avg = cell_average(linear, part)
+    avg = cell_average(linear)
     assert avg.values[:, 0] == pytest.approx([0.25, 0.75])
 
 
@@ -616,7 +623,7 @@ def test_cell_average_preserves_integrals_and_norm():
     rng = np.random.default_rng(14)
     for p in (1.5, 2.0, 3.0):
         f = SampledFn(part, rng.standard_normal((part.points.shape[0], 2)))
-        avg = cell_average(f, part)
+        avg = cell_average(f)
         qpc = part.nodes_per_cell
         w = part.weights.reshape(part.num_cells, qpc, 1)
         v = f.values.reshape(part.num_cells, qpc, -1)
@@ -624,19 +631,8 @@ def test_cell_average_preserves_integrals_and_norm():
         expected = avg.values * part.measures[:, None]
         assert cell_ints == pytest.approx(expected, abs=1e-12)
         assert lp_norm(avg, p) <= lp_norm(f, p) + 1e-10
-        again = cell_average(avg.to_sampled(), part)
+        again = cell_average(avg.to_sampled())
         assert again.values == pytest.approx(avg.values, abs=1e-14)
-
-
-def test_cell_average_rejects_misaligned_stack():
-    # as many members as the coarse partition has nodes: only the node axis,
-    # not the stack axis, shows that the functions live on another partition
-    fine = interval_partition(delta=0.25)  # 12 nodes
-    coarse = interval_partition(delta=0.5)  # 6 nodes
-    stack = SampledFn(fine, np.ones((coarse.points.shape[0],
-                                     fine.points.shape[0], 1)))
-    with pytest.raises(ValueError):
-        cell_average(stack, coarse)
 
 
 def test_round_magnitude_examples():
@@ -718,7 +714,7 @@ def test_project_fixed_point():
     net = sign_net()
     member = list(enumerate_family(BudgetTable(part, grid, 2, 1.0), net))[3]
     x = member.to_sampled()
-    stages = run_pipeline(x, 1.0, part, grid, net)
+    stages = run_pipeline(x, 1.0, grid, net)
     assert np.array_equal(stages[-1].values, member.values)
     for step in stage_displacements(x, stages).values():
         assert step == 0.0
@@ -728,7 +724,7 @@ def test_project_zero_function():
     part = interval_partition(delta=0.5)
     grid = build_magnitude_grid(1.0, 2)
     x = SampledFn(part, np.zeros((part.points.shape[0], 1)))
-    out = run_pipeline(x, 1.0, part, grid, sign_net())[-1]
+    out = run_pipeline(x, 1.0, grid, sign_net())[-1]
     assert np.all(out.values == 0.0)
 
 
@@ -738,7 +734,7 @@ def test_project_random_budget_and_displacements():
     net = angle_net(8)
     gamma, p, r = 2.0, 2.0, 1.0
     for seed, x in enumerate(sample_ball(part, 2, p, r, 25, seed=16)):
-        stages = run_pipeline(x, gamma, part, grid, net)
+        stages = run_pipeline(x, gamma, grid, net)
         steps = stage_displacements(x, stages)
         assert within_budget(part, grid, p, r, stages[-1].mag_idx)
         assert steps["round"] <= grid.delta_step + 1e-12
@@ -753,7 +749,7 @@ def test_pipeline_norm_monotone():
     p, r = 2.0, 1.0
     for x in sample_ball(part, 2, p, r, 15, seed=17):
         clipped = clip_to_gamma(x, 1.5)
-        averaged = cell_average(clipped, part)
+        averaged = cell_average(clipped)
         rounded = round_magnitude(averaged, grid)
         snapped = snap_direction(rounded, net)
         norms = [
@@ -769,9 +765,9 @@ def test_pipeline_on_a_stack_matches_member_by_member():
     grid = build_magnitude_grid(1.5, 6)
     net = angle_net(6)
     ball = sample_ball(part, 2, 2.0, 1.0, 12, seed=18)
-    stacked = run_pipeline(ball, 1.5, part, grid, net)
+    stacked = run_pipeline(ball, 1.5, grid, net)
     for k, x in enumerate(ball):
-        single = run_pipeline(x, 1.5, part, grid, net)
+        single = run_pipeline(x, 1.5, grid, net)
         for whole, one in zip(stacked, single):
             assert whole[k].values == pytest.approx(one.values, abs=1e-14)
         assert np.array_equal(stacked[-1].mag_idx[k], single[-1].mag_idx)

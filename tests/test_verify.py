@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -16,6 +17,19 @@ from opnet.verify import directed_distance, verify_run
 
 def unit_domain():
     return Domain(np.array([0.0]), np.array([1.0]))
+
+
+def scale_error_bound(monkeypatch, scale):
+    """Make `verify_run` certify `scale` times every term of `error_bound`."""
+    real = verify.error_bound
+
+    def scaled(*args):
+        brk = real(*args)
+        return dataclasses.replace(brk, **{
+            k: scale * getattr(brk, k)
+            for k in ("lam", "tail_term", "psi", "phi", "alpha", "total")})
+
+    monkeypatch.setattr(verify, "error_bound", scaled)
 
 
 def consts(part, values):
@@ -381,13 +395,12 @@ def test_directed_distance_allocates_two_family_vectors():
     # inputs, the family's squared norms and screened minima (8 bytes a
     # member each), a mask, and temporaries of at most _BLOCK elements
     dom, kern = b102k_kernel()
-    partition, grid, net = verify._setup(kern, dom, 2.0, 1.0, 0.5, 0.9, 3, 7,
-                                         p=2, r=1)
+    partition, net, table, _ = verify._setup(kern, dom, 2.0, 1.0, 0.5, 0.9, 3,
+                                             7, 2, 1, "enumerate")
     op = DiscretizedOperator(kern, partition)
     images = op.apply(verify._mixed_ball_samples(partition, kern.n, 2, 1, 200,
                                                  7))
-    family = verify._family(partition, grid, net, 2, 1, "enumerate",
-                            10_000_000, 500, 7)[1]
+    family = verify._family(table, net, "enumerate", 500, 7)
     tracemalloc.start()
     try:
         directed_distance(images, family, 2.0, op)
@@ -454,25 +467,24 @@ def test_step_bounds_are_the_breakdown_terms():
     dom = Domain(np.array([0.0, -1.0]), np.array([1.5, 0.5]))
     kern = builtin_kernel("gaussian", dom, beta=1.0)
     steps, bound = verify_run(kern, dom, p=3, r=1.5, gamma=2.0, Delta=1.5,
-                              delta=0.5, sigma=0.9, samples=10, seed=0,
-                              bound_scale=0.7)
+                              delta=0.5, sigma=0.9, samples=10, seed=0)
     brk = bound.breakdown
     certified = {s.step: s.certified for s in steps.steps}
     assert certified == {
-        "clip": 0.7 * brk["tail_term"],
-        "average": 0.7 * brk["psi"],
-        "round": 0.7 * brk["phi"],
-        "snap": 0.7 * brk["alpha"],
+        "clip": brk["tail_term"],
+        "average": brk["psi"],
+        "round": brk["phi"],
+        "snap": brk["alpha"],
     }
-    assert bound.certified_total == 0.7 * brk["total"]
+    assert bound.certified_total == brk["total"]
 
 
-def test_verify_steps_forced_failure():
+def test_verify_steps_forced_failure(monkeypatch):
     dom = unit_domain()
     kern = builtin_kernel("constant", dom, value=1.0)
+    scale_error_bound(monkeypatch, 0.0001)
     rep = verify_run(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0,
-                     delta=0.1, sigma=0.1, samples=200, seed=1,
-                     bound_scale=0.0001)[0]
+                     delta=0.1, sigma=0.1, samples=200, seed=1)[0]
     assert not rep.passed
 
 
@@ -503,12 +515,12 @@ def test_verify_bound_sample_mode_and_determinism():
     assert a.passed
 
 
-def test_verify_bound_forced_failure():
+def test_verify_bound_forced_failure(monkeypatch):
     dom = unit_domain()
     kern = builtin_kernel("constant", dom, value=1.0)
+    scale_error_bound(monkeypatch, 0.01)
     rep = verify_run(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0,
-                     delta=0.25, sigma=0.2, samples=60, seed=3,
-                     bound_scale=0.01)[1]
+                     delta=0.25, sigma=0.2, samples=60, seed=3)[1]
     assert not rep.passed
 
 
