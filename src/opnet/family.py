@@ -116,6 +116,8 @@ class BudgetTable:
         if p < 1 or r <= 0:
             raise ValueError("need p >= 1 and r > 0")
         self.partition, self.grid = partition, grid
+        # every layer holds the zero state, so the cells alone can pass the cap
+        self._check_states(partition.num_cells + 1)
         # a cost over the limit never fits, so 2 * limit serves for them all
         limit = budget_limit(p, r)
         rows, self.threshold = integer_budget(np.minimum(
@@ -133,12 +135,15 @@ class BudgetTable:
                 nxt = np.sort(nxt, kind="stable" if shift else None)
                 nxt = nxt[np.concatenate([[True], nxt[1:] != nxt[:-1]])]
                 # checked per block, so a layer never grows far past the cap
-                if sum(map(len, self.layers)) + len(nxt) > STATE_CAP:
-                    raise ResourceError(
-                        f"family too large: its budget table needs more than "
-                        f"{STATE_CAP} states ({partition.num_cells} cells x "
-                        f"{grid.a + 1} magnitude levels); increase Delta or delta")
+                self._check_states(sum(map(len, self.layers)) + len(nxt))
             self.layers.append(nxt)
+
+    def _check_states(self, states: int) -> None:
+        if states > STATE_CAP:
+            raise ResourceError(
+                f"family too large: its budget table needs more than "
+                f"{STATE_CAP} states ({self.partition.num_cells} cells x "
+                f"{self.grid.a + 1} magnitude levels); increase Delta or delta")
 
     def pairs(self, i: int, used: np.ndarray):
         """The (owner, level) pairs that fit the budget after `used[owner]`
@@ -327,7 +332,7 @@ def cell_average(x: SampledFn) -> PiecewiseConstFn:
     partition = x.partition
     qpc = partition.nodes_per_cell
     w = partition.weights.reshape(partition.num_cells, qpc, 1)
-    v = x.values.reshape(*x.values.shape[:-2], partition.num_cells, qpc, -1)
+    v = x.values.reshape(len(x), partition.num_cells, qpc, x.dim)
     means = (w * v).sum(axis=-2) / partition.measures[:, None]
     return PiecewiseConstFn(partition, means)
 
@@ -371,7 +376,7 @@ def run_pipeline(
     grid: MagnitudeGrid,
     net: DirectionNet,
 ) -> tuple[SampledFn, PiecewiseConstFn, PiecewiseConstFn, PiecewiseConstFn]:
-    """Clip, average, round and snap `x` (one function or a stack).
+    """Clip, average, round and snap every member of the stack `x`.
 
     Returns every stage: (clipped, averaged, rounded, snapped).
     """
@@ -382,6 +387,6 @@ def run_pipeline(
 
 
 def tchebyshev_measure(x: SampledFn, gamma: float):
-    """Measure of the nodes where |x| exceeds gamma (one per member of a stack)."""
+    """Measure of the nodes where |x| exceeds gamma, one per member."""
     over = np.linalg.norm(x.values, axis=-1) > gamma
     return np.where(over, x.partition.weights, 0.0).sum(axis=-1)

@@ -1,14 +1,14 @@
-"""Discrete representations of vector-valued functions on a partition.
+"""Stacks of vector-valued functions on a partition, in two discrete forms.
 
 ``SampledFn`` stores values at the partition's quadrature nodes; integrals of
 such functions are always the weighted node sums.  ``PiecewiseConstFn`` stores
 one value per cell, optionally with magnitude/direction indices when the
-function is a member of the finite input family.
+functions are members of the finite input family.
 
-Either type may hold a whole set of functions as a stack: ``values`` then has
-a leading stack axis, ``(S, P, n)`` or ``(F, N, n)``, and ``mag_idx`` /
-``dir_idx`` are ``(F, N)``.  A stack has a length, indexes and slices along
-that axis, and iterates as its members.
+Either type holds a whole set of functions as one stack: ``values`` is
+``(S, P, n)`` or ``(F, N, n)``, and ``mag_idx`` / ``dir_idx`` are ``(F, N)``.
+A stack has a length, and slices and index arrays along its first axis give
+sub-stacks.
 """
 
 from __future__ import annotations
@@ -29,41 +29,30 @@ class _Functions:
 
     def _check_values(self, rows: int, what: str) -> None:
         v = np.asarray(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
         object.__setattr__(self, "values", v)
-        if v.ndim not in (2, 3) or v.shape[-2] != rows:
-            raise ValueError(f"expected {rows} {what} values, got shape {v.shape}")
+        if v.ndim != 3 or v.shape[1] != rows:
+            raise ValueError(f"expected a (stack, {rows}, dim) stack of {what} "
+                             f"values, got shape {v.shape}")
 
     @property
     def dim(self) -> int:
         return self.values.shape[-1]
 
-    @property
-    def stacked(self) -> bool:
-        return self.values.ndim == 3
-
     def __len__(self) -> int:
-        if not self.stacked:
-            raise TypeError("a single function has no length; it is not a stack")
         return self.values.shape[0]
 
     def __getitem__(self, key):
-        """One member for an integer key, a sub-stack for a slice."""
-        len(self)  # single functions are not indexable
+        """The sub-stack at a slice or an index array."""
         return replace(self, **{
             name: getattr(self, name)[key] for name in self._member_fields
             if getattr(self, name) is not None
         })
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
 
 @dataclass(frozen=True, eq=False)
 class SampledFn(_Functions):
     partition: Partition
-    values: np.ndarray  # (P, d), or (S, P, d) for a stack
+    values: np.ndarray  # (S, P, d)
 
     def __post_init__(self):
         self._check_values(self.partition.points.shape[0], "node")
@@ -75,7 +64,7 @@ class SampledFn(_Functions):
 @dataclass(frozen=True, eq=False)
 class PiecewiseConstFn(_Functions):
     partition: Partition
-    values: np.ndarray  # (N, n), one vector per cell; (F, N, n) for a stack
+    values: np.ndarray  # (F, N, n), one vector per cell
     mag_idx: np.ndarray | None = None  # indices into a MagnitudeGrid
     dir_idx: np.ndarray | None = None  # indices into a DirectionNet
 
@@ -85,7 +74,7 @@ class PiecewiseConstFn(_Functions):
         self._check_values(self.partition.num_cells, "cell")
 
     def to_sampled(self) -> SampledFn:
-        return SampledFn(self.partition, self.values[..., self.partition.node_cell, :])
+        return SampledFn(self.partition, self.values[:, self.partition.node_cell, :])
 
     def cell_norms(self) -> np.ndarray:
         return np.linalg.norm(self.values, axis=-1)
@@ -100,14 +89,11 @@ def weighted_lp(values: np.ndarray, weights: np.ndarray, p: float):
     return (np.linalg.norm(values, axis=-1) ** p * weights).sum(axis=-1) ** (1.0 / p)
 
 
-def lp_norm(f: SampledFn | PiecewiseConstFn, p: float):
-    """Quadrature L_p norm; exact closed form for piecewise-constant inputs.
-
-    A float for one function, an array with one norm per member for a stack.
-    """
+def lp_norm(f: SampledFn | PiecewiseConstFn, p: float) -> np.ndarray:
+    """Quadrature L_p norm of each member; exact closed form for
+    piecewise-constant inputs."""
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
     part = f.partition
     weights = part.measures if isinstance(f, PiecewiseConstFn) else part.weights
-    out = weighted_lp(f.values, weights, p)
-    return out if f.stacked else float(out)
+    return weighted_lp(f.values, weights, p)

@@ -3,8 +3,8 @@
 ``DiscretizedOperator`` evaluates the kernel once on the partition's node
 grid and keeps two flat factors: the weighted node matrix for sampled inputs
 and the cell-integral matrix ``cell_matrix`` ``A`` for piecewise-constant
-ones.  ``apply`` maps one function or a whole stack with one product, so the
-image of a piecewise-constant member is its computed ``A c``.
+ones.  ``apply`` maps a whole stack with one product, so the image of a
+piecewise-constant member is its computed ``A c``.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ class DiscretizedOperator:
         ).sum(axis=2).transpose(0, 2, 1, 3)).reshape(p_nodes * m, -1)
 
     def apply(self, x: SampledFn | PiecewiseConstFn) -> SampledFn:
-        """Image of one function, or of every member of a stack at once.
+        """Images of every member of a stack at once.
 
         numpy applies one row as a matrix-vector product, whose last bits can
-        differ from a matrix-matrix product's, so a lone row is applied
-        twice.  A piecewise row then has its whole-stack bits in any
+        differ from a matrix-matrix product's, so a one-member stack is
+        applied twice.  A piecewise row then has its whole-stack bits in any
         sub-stack (tested on the enum-b102k and steps-3d shapes); a sampled
         row's bits can depend on the length of its stack.
         """
@@ -58,4 +58,4 @@ class DiscretizedOperator:
         rows = x.values.reshape(-1, right.shape[0])
         y = np.dot(rows[[0, 0]] if len(rows) == 1 else rows, right)[:len(rows)]
         return SampledFn(self.partition, y.reshape(
-            *x.values.shape[:-2], len(self.partition.points), self.kernel.m))
+            len(x), len(self.partition.points), self.kernel.m))

@@ -48,6 +48,9 @@ _BLOCK = 1 << 15  # elements per temporary of the distance computations
 _SCREEN_SAFETY = 4.0
 # members past which `_setup` refuses to enumerate a family
 ENUM_CAP = 10_000_000
+# bytes of the operator's (P, P, m, n) kernel array past which `_setup`
+# refuses the run: building it takes 3 (builtin) to 16 (tabulated) times that
+OPERATOR_CAP = 1 << 25
 
 
 def _slack(a, y, x, w):
@@ -343,6 +346,11 @@ def _setup(kernel, domain, gamma, Delta, delta, sigma, nodes_per_axis, seed,
     if family_mode == "enumerate" and count > ENUM_CAP:
         raise ResourceError(f"family too large to enumerate ({count} > cap "
                             f"{ENUM_CAP}); set family_mode = sample")
+    size = 8 * kernel.m * kernel.n * len(partition.points) ** 2
+    if size > OPERATOR_CAP:
+        raise ResourceError(f"operator too large ({size} > cap {OPERATOR_CAP} "
+                            "bytes of kernel values); increase Delta or "
+                            "decrease quad_nodes")
     return partition, net, table, count
 
 

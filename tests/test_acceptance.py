@@ -56,9 +56,10 @@ def test_criterion_1_constant_kernel_oracle():
     grid = build_magnitude_grid(2.0, 40)  # step 0.05
     net = build_sigma_net(1, 0.5)
     op = DiscretizedOperator(kern, part)
+    family = enumerate_family(BudgetTable(part, grid, 2, 1.0), net)
     family_values = sorted(
-        float(op.apply(f).values[0, 0])
-        for f in enumerate_family(BudgetTable(part, grid, 2, 1.0), net)
+        float(op.apply(family[k:k + 1]).values[0, 0, 0])
+        for k in range(len(family))
     )
     targets = np.linspace(-1.0, 1.0, 401)
     gaps = np.abs(targets[:, None] - np.array(family_values)[None, :]).min(axis=1)
@@ -137,14 +138,15 @@ def test_criterion_5_pipeline_invariants():
     ok = True
     for seed in range(4):
         mode = "rough" if seed % 2 == 0 else "smooth"
-        for x in sample_ball(part, 2, p, r, 250, seed=seed, smoothness=mode):
-            clipped = clip_to_gamma(x, gamma)
+        ball = sample_ball(part, 2, p, r, 250, seed=seed, smoothness=mode)
+        for k in range(len(ball)):
+            clipped = clip_to_gamma(ball[k:k + 1], gamma)
             averaged = cell_average(clipped)
-            ok = ok and lp_norm(averaged, p) <= lp_norm(clipped, p) + 1e-10
+            ok = ok and lp_norm(averaged, p)[0] <= lp_norm(clipped, p)[0] + 1e-10
             rounded = round_magnitude(averaged, grid)
             snapped = snap_direction(rounded, net)
-            round_disp = np.linalg.norm(rounded.values - averaged.values, axis=1)
-            snap_disp = np.linalg.norm(snapped.values - rounded.values, axis=1)
+            round_disp = np.linalg.norm(rounded.values - averaged.values, axis=-1)
+            snap_disp = np.linalg.norm(snapped.values - rounded.values, axis=-1)
             ok = ok and np.all(round_disp <= grid.delta_step + 1e-12)
             ok = ok and np.all(snap_disp <= gamma * net.sigma + 1e-12)
             runs += 1
@@ -197,7 +199,7 @@ def test_criterion_8_quadrature_sanity():
     part = build_partition(dom, 0.25)
     kern = builtin_kernel("product", dom)
     op = DiscretizedOperator(kern, part)
-    x = SampledFn(part, np.ones((part.points.shape[0], 1)))
+    x = SampledFn(part, np.ones((1, part.points.shape[0], 1)))
     y = op.apply(x)
-    err = float(np.abs(y.values[:, 0] - part.points[:, 0] / 2).max())
+    err = float(np.abs(y.values[0, :, 0] - part.points[:, 0] / 2).max())
     report(8, err <= 1e-10, f"max node error {err:.2e} <= 1e-10")

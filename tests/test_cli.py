@@ -768,12 +768,22 @@ samples = 20
 """
 
 
+# 10,000 cells x 3 nodes: the one-member family passes every family cap, and
+# the gaussian would ask for a 6.71 GiB (30000, 30000, 1) kernel array
+REFUSED_OPERATOR_CONFIG = REFUSED_TABLE_CONFIG.replace(
+    "gamma = 2.0\nDelta = 0.0004\ndelta = 1.0",
+    "gamma = 1000\nDelta = 0.0001\ndelta = 1000")
+
+
 @pytest.mark.parametrize("command", ["verify", "build", "sweep"])
 @pytest.mark.parametrize("text,message", [
     (REFUSED_TABLE_CONFIG, "resource error: family too large: its budget "
      "table needs more than 200000 states (2500 cells x 3 magnitude levels)"),
     (BASE_CONFIG, "resource error: family too large to enumerate"),
-], ids=["state-cap", "enum-cap"])
+    (REFUSED_OPERATOR_CONFIG, "resource error: operator too large (7200000000 "
+     "> cap 33554432 bytes of kernel values); increase Delta or decrease "
+     "quad_nodes"),
+], ids=["state-cap", "enum-cap", "operator-cap"])
 def test_refusals_come_before_the_operator(monkeypatch, capsys, tmp_path,
                                            command, text, message):
     def no_operator(*args, **kwargs):

@@ -55,10 +55,15 @@ def within_budget(part, grid, p, r, mag_idx):
     return sum(row[j] for row, j in zip(costs, mag_idx)) <= threshold
 
 
+def members(stack):
+    """Each member of a stack, as a one-member stack."""
+    return (stack[k:k + 1] for k in range(len(stack)))
+
+
 def stage_displacements(x, stages):
     """Largest node displacement of each pipeline stage, by stage name."""
     nodes = [g.to_sampled().values for g in (x, *stages)]
-    return {name: float(np.linalg.norm(after - before, axis=1).max())
+    return {name: float(np.linalg.norm(after - before, axis=-1).max())
             for name, before, after in zip(("clip", "average", "round", "snap"),
                                            nodes, nodes[1:])}
 
@@ -210,15 +215,15 @@ def test_count_epsilon_one_family_is_fast_and_exact():
 def test_enumerate_single_cell():
     part = interval_partition()
     grid = build_magnitude_grid(1.0, 2)
-    fam = list(enumerate_family(BudgetTable(part, grid, 2, 1.0), sign_net()))
+    fam = enumerate_family(BudgetTable(part, grid, 2, 1.0), sign_net())
     assert len(fam) == 5
-    assert np.all(fam[0].values == 0.0)  # zero function first
+    assert np.all(fam[:1].values == 0.0)  # zero function first
 
 
 def test_enumerate_infeasible_smallest_magnitude():
     part = interval_partition()
     grid = build_magnitude_grid(1.0, 2)
-    fam = list(enumerate_family(BudgetTable(part, grid, 2, 1e-6), sign_net()))
+    fam = enumerate_family(BudgetTable(part, grid, 2, 1e-6), sign_net())
     assert len(fam) == 1
 
 
@@ -226,10 +231,10 @@ def test_enumerate_respects_budget_and_count():
     part = interval_partition(delta=0.5)
     grid = build_magnitude_grid(1.0, 1)
     net = sign_net()
-    fam = list(enumerate_family(BudgetTable(part, grid, 1.0, 1.0), net))
+    fam = enumerate_family(BudgetTable(part, grid, 1.0, 1.0), net)
     assert len(fam) == 9 == count_family(BudgetTable(part, grid, 1.0, 1.0), net)
-    for f in fam:
-        assert within_budget(part, grid, 1.0, 1.0, f.mag_idx)
+    for mag_idx in fam.mag_idx:
+        assert within_budget(part, grid, 1.0, 1.0, mag_idx)
 
 
 def test_enumerate_cap(monkeypatch):
@@ -258,12 +263,12 @@ def test_enumerate_is_a_set():
     part = interval_partition(delta=0.5)
     grid = build_magnitude_grid(1.0, 2)
     net = angle_net(3)
-    fam = list(enumerate_family(BudgetTable(part, grid, 2, 1.0), net))
-    keys = {(tuple(f.mag_idx), tuple(f.dir_idx)) for f in fam}
+    fam = enumerate_family(BudgetTable(part, grid, 2, 1.0), net)
+    keys = {(tuple(m), tuple(d)) for m, d in zip(fam.mag_idx, fam.dir_idx)}
     assert len(keys) == len(fam)
     # zero magnitude cells are canonicalized to direction 0
-    for f in fam:
-        assert np.all(f.dir_idx[f.mag_idx == 0] == 0)
+    for m, d in zip(fam.mag_idx, fam.dir_idx):
+        assert np.all(d[m == 0] == 0)
 
 
 # the last two configs hold their budgets as Python ints (see
@@ -291,9 +296,9 @@ def test_enumerate_order_and_content_match_brute_force(n_cells, a, c, p, r):
     got = [tuple(zip(m, d))
            for m, d in zip(fam.mag_idx.tolist(), fam.dir_idx.tolist())]
     assert got == want
-    for f in fam:
+    for f in members(fam):
         assert np.array_equal(f.values,
-                              grid.values[f.mag_idx][:, None] * net.points[f.dir_idx])
+                              grid.values[f.mag_idx][..., None] * net.points[f.dir_idx])
 
 
 def b102k_table_and_net():
@@ -364,12 +369,11 @@ def test_sample_family_members_are_enumerable():
     part = interval_partition()
     grid = build_magnitude_grid(1.0, 2)
     net = sign_net()
-    fam_keys = {
-        (tuple(f.mag_idx), tuple(f.dir_idx))
-        for f in enumerate_family(BudgetTable(part, grid, 2, 1.0), net)
-    }
-    for f in sample_family(BudgetTable(part, grid, 2, 1.0), net, 100, seed=8):
-        assert (tuple(f.mag_idx), tuple(f.dir_idx)) in fam_keys
+    fam = enumerate_family(BudgetTable(part, grid, 2, 1.0), net)
+    fam_keys = {(tuple(m), tuple(d)) for m, d in zip(fam.mag_idx, fam.dir_idx)}
+    drawn = sample_family(BudgetTable(part, grid, 2, 1.0), net, 100, seed=8)
+    for m, d in zip(drawn.mag_idx, drawn.dir_idx):
+        assert (tuple(m), tuple(d)) in fam_keys
 
 
 def test_sample_family_empty_and_budget():
@@ -377,8 +381,9 @@ def test_sample_family_empty_and_budget():
     grid = build_magnitude_grid(1.0, 3)
     net = angle_net(3)
     assert len(sample_family(BudgetTable(part, grid, 2, 1.0), net, 0, seed=1)) == 0
-    for f in sample_family(BudgetTable(part, grid, 2, 1.0), net, 50, seed=1):
-        assert within_budget(part, grid, 2, 1.0, f.mag_idx)
+    for mag_idx in sample_family(BudgetTable(part, grid, 2, 1.0), net, 50,
+                                 seed=1).mag_idx:
+        assert within_budget(part, grid, 2, 1.0, mag_idx)
 
 
 def test_sample_family_draws_are_pinned():
@@ -509,6 +514,21 @@ def test_blocks_do_not_change_the_family(monkeypatch):
         BudgetTable(part, grid, 1.0, 0.25)
 
 
+def test_too_many_cells_are_refused_before_the_costs(monkeypatch):
+    # every layer holds the zero state, so more cells than the cap refuse
+    # the table before its costs are made exact
+    def no_costs(*args):
+        raise AssertionError("the costs were made exact")
+
+    monkeypatch.setattr(family, "STATE_CAP", 4)
+    monkeypatch.setattr(family, "integer_budget", no_costs)
+    part = interval_partition(delta=0.25, nodes=1)
+    assert part.num_cells == 4
+    with pytest.raises(ResourceError, match=r"budget table needs more than 4 "
+                       r"states \(4 cells x 3 magnitude levels\)"):
+        BudgetTable(part, build_magnitude_grid(1.0, 2), 2, 1.0)
+
+
 def test_refusal_with_many_levels_is_cheap():
     # 4 cells and 50,000 levels: the second layer alone passes STATE_CAP; a
     # dense (states, a + 1) layer would need about 20 GB
@@ -543,8 +563,8 @@ def test_sample_family_deterministic():
     net = sign_net()
     a = sample_family(BudgetTable(part, grid, 2, 1.0), net, 20, seed=9)
     b = sample_family(BudgetTable(part, grid, 2, 1.0), net, 20, seed=9)
-    for fa, fb in zip(a, b):
-        assert np.array_equal(fa.values, fb.values)
+    for fa, fb in zip(a.values, b.values):
+        assert np.array_equal(fa, fb)
 
 
 # --------------------------------------------------------------------------
@@ -555,7 +575,7 @@ def test_sample_family_deterministic():
 def test_sample_ball_norms(mode):
     part = interval_partition(delta=0.25)
     draws = sample_ball(part, 2, 2, 1.0, 30, seed=10, smoothness=mode)
-    norms = [lp_norm(f, 2) for f in draws]
+    norms = lp_norm(draws, 2)
     assert all(n <= 1.0 + 1e-10 for n in norms)
     # the first half is rescaled to the boundary exactly
     assert norms[0] == pytest.approx(1.0, abs=1e-12)
@@ -564,9 +584,9 @@ def test_sample_ball_norms(mode):
 def test_sample_ball_rough_constant_bounded():
     part = interval_partition()  # unit measure, single cell
     draws = sample_ball(part, 1, 2, 1.0, 10, seed=3, smoothness="rough")
-    for f in draws:
+    for values in draws.values:
         # constant on a unit-measure domain: |c| equals the norm, so <= 1
-        assert np.abs(f.values).max() <= 1.0 + 1e-10
+        assert np.abs(values).max() <= 1.0 + 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -575,24 +595,24 @@ def test_sample_ball_rough_constant_bounded():
 
 def test_clip_examples():
     part = interval_partition(nodes=1)
-    x = SampledFn(part, np.array([[0.3]]))
+    x = SampledFn(part, np.array([[[0.3]]]))
     assert np.array_equal(clip_to_gamma(x, 1.0).values, x.values)
 
     part2 = build_partition(Domain(np.zeros(1), np.ones(1)), 2.0, nodes_per_axis=1)
-    v = SampledFn(part2, np.array([[3.0, 4.0]]))
+    v = SampledFn(part2, np.array([[[3.0, 4.0]]]))
     clipped = clip_to_gamma(v, 1.0)
-    assert clipped.values[0] == pytest.approx([0.6, 0.8])
+    assert clipped.values[0, 0] == pytest.approx([0.6, 0.8])
 
 
 def test_clip_tchebyshev_bound():
     part = interval_partition(delta=0.2)
     rng = np.random.default_rng(12)
     for _ in range(20):
-        raw = rng.standard_normal((part.points.shape[0], 1)) * 3
+        raw = rng.standard_normal((1, part.points.shape[0], 1)) * 3
         f = SampledFn(part, raw)
-        r = lp_norm(f, 2)
+        r = lp_norm(f, 2)[0]
         gamma = float(rng.uniform(0.3, 2.0))
-        norms = np.abs(f.values[:, 0])
+        norms = np.abs(f.values[0, :, 0])
         measure = part.weights[norms > gamma].sum()
         assert measure <= r**2 / gamma**2 + 1e-10
 
@@ -600,7 +620,7 @@ def test_clip_tchebyshev_bound():
 def test_clip_idempotent_and_norm_monotone():
     part = interval_partition(delta=0.25)
     rng = np.random.default_rng(13)
-    f = SampledFn(part, rng.standard_normal((part.points.shape[0], 2)) * 2)
+    f = SampledFn(part, rng.standard_normal((1, part.points.shape[0], 2)) * 2)
     once = clip_to_gamma(f, 0.8)
     twice = clip_to_gamma(once, 0.8)
     assert np.array_equal(once.values, twice.values)
@@ -609,26 +629,26 @@ def test_clip_idempotent_and_norm_monotone():
 
 def test_cell_average_constant_and_linear():
     part = interval_partition(delta=0.5)
-    const = SampledFn(part, np.full((part.points.shape[0], 1), 0.7))
+    const = SampledFn(part, np.full((1, part.points.shape[0], 1), 0.7))
     avg = cell_average(const)
-    assert avg.values[:, 0] == pytest.approx([0.7, 0.7])
+    assert avg.values[0, :, 0] == pytest.approx([0.7, 0.7])
 
-    linear = SampledFn(part, part.points[:, :1])
+    linear = SampledFn(part, part.points[None, :, :1])
     avg = cell_average(linear)
-    assert avg.values[:, 0] == pytest.approx([0.25, 0.75])
+    assert avg.values[0, :, 0] == pytest.approx([0.25, 0.75])
 
 
 def test_cell_average_preserves_integrals_and_norm():
     part = interval_partition(delta=0.2)
     rng = np.random.default_rng(14)
     for p in (1.5, 2.0, 3.0):
-        f = SampledFn(part, rng.standard_normal((part.points.shape[0], 2)))
+        f = SampledFn(part, rng.standard_normal((1, part.points.shape[0], 2)))
         avg = cell_average(f)
         qpc = part.nodes_per_cell
         w = part.weights.reshape(part.num_cells, qpc, 1)
         v = f.values.reshape(part.num_cells, qpc, -1)
         cell_ints = (w * v).sum(axis=1)
-        expected = avg.values * part.measures[:, None]
+        expected = avg.values[0] * part.measures[:, None]
         assert cell_ints == pytest.approx(expected, abs=1e-12)
         assert lp_norm(avg, p) <= lp_norm(f, p) + 1e-10
         again = cell_average(avg.to_sampled())
@@ -638,34 +658,34 @@ def test_cell_average_preserves_integrals_and_norm():
 def test_round_magnitude_examples():
     part = interval_partition(nodes=1)
     grid = build_magnitude_grid(1.0, 4)  # {0, .25, .5, .75, 1}
-    f = PiecewiseConstFn(part, np.array([[0.6]]))
+    f = PiecewiseConstFn(part, np.array([[[0.6]]]))
     rounded = round_magnitude(f, grid)
-    assert rounded.values[0, 0] == pytest.approx(0.5)
-    assert rounded.mag_idx[0] == 2
+    assert rounded.values[0, 0, 0] == pytest.approx(0.5)
+    assert rounded.mag_idx[0, 0] == 2
 
-    exact = PiecewiseConstFn(part, np.array([[1.0]]))
-    assert round_magnitude(exact, grid).values[0, 0] == pytest.approx(1.0)
-    zero = PiecewiseConstFn(part, np.array([[0.0]]))
-    assert round_magnitude(zero, grid).values[0, 0] == 0.0
+    exact = PiecewiseConstFn(part, np.array([[[1.0]]]))
+    assert round_magnitude(exact, grid).values[0, 0, 0] == pytest.approx(1.0)
+    zero = PiecewiseConstFn(part, np.array([[[0.0]]]))
+    assert round_magnitude(zero, grid).values[0, 0, 0] == 0.0
 
 
 def test_round_magnitude_rejects_overflow():
     part = interval_partition(nodes=1)
     grid = build_magnitude_grid(1.0, 4)
-    with pytest.raises(ValueError):
-        round_magnitude(PiecewiseConstFn(part, np.array([[1.5]])), grid)
+    with pytest.raises(ValueError, match="exceeds gamma"):
+        round_magnitude(PiecewiseConstFn(part, np.array([[[1.5]]])), grid)
 
 
 def test_round_magnitude_displacement_and_monotone():
     part = interval_partition(delta=0.2, nodes=1)
     grid = build_magnitude_grid(1.3, 7)
     rng = np.random.default_rng(15)
-    raw = rng.uniform(0, 1.3, size=(part.num_cells, 1)) * rng.choice(
-        [-1, 1], size=(part.num_cells, 1)
+    raw = rng.uniform(0, 1.3, size=(1, part.num_cells, 1)) * rng.choice(
+        [-1, 1], size=(1, part.num_cells, 1)
     )
     f = PiecewiseConstFn(part, raw)
     rounded = round_magnitude(f, grid)
-    disp = np.linalg.norm(rounded.values - f.values, axis=1)
+    disp = np.linalg.norm(rounded.values - f.values, axis=-1)
     assert np.all(disp <= grid.delta_step + 1e-12)
     assert np.all(rounded.cell_norms() <= f.cell_norms() + 1e-12)
     again = round_magnitude(rounded, grid)
@@ -675,9 +695,9 @@ def test_round_magnitude_displacement_and_monotone():
 def test_snap_direction_one_dimensional():
     part = interval_partition(nodes=1)
     grid = build_magnitude_grid(1.0, 2)
-    f = round_magnitude(PiecewiseConstFn(part, np.array([[-0.5]])), grid)
+    f = round_magnitude(PiecewiseConstFn(part, np.array([[[-0.5]]])), grid)
     snapped = snap_direction(f, sign_net())
-    assert snapped.values[0, 0] == pytest.approx(-0.5)
+    assert snapped.values[0, 0, 0] == pytest.approx(-0.5)
     assert np.array_equal(snapped.values, f.values)
 
 
@@ -687,10 +707,10 @@ def test_snap_direction_29_degrees():
     theta = math.radians(29.0)
     grid = build_magnitude_grid(1.0, 2)
     f = PiecewiseConstFn(
-        part, 0.5 * np.array([[math.cos(theta), math.sin(theta)]])
+        part, 0.5 * np.array([[[math.cos(theta), math.sin(theta)]]])
     )
     snapped = snap_direction(round_magnitude(f, grid), net)
-    assert snapped.dir_idx[0] == 0  # 29 deg is nearer to 0 than to 60
+    assert snapped.dir_idx[0, 0] == 0  # 29 deg is nearer to 0 than to 60
     disp = np.linalg.norm(snapped.values - f.values)
     assert disp == pytest.approx(0.5 * 2 * math.sin(math.radians(14.5)), abs=1e-12)
 
@@ -698,9 +718,9 @@ def test_snap_direction_29_degrees():
 def test_snap_direction_zero_cell_canonical():
     part = interval_partition(nodes=1)
     grid = build_magnitude_grid(1.0, 2)
-    f = round_magnitude(PiecewiseConstFn(part, np.array([[0.0, 0.0]])), grid)
+    f = round_magnitude(PiecewiseConstFn(part, np.array([[[0.0, 0.0]]])), grid)
     snapped = snap_direction(f, angle_net(4))
-    assert snapped.dir_idx[0] == 0
+    assert snapped.dir_idx[0, 0] == 0
     assert np.all(snapped.values == 0.0)
 
 
@@ -712,7 +732,7 @@ def test_project_fixed_point():
     part = interval_partition(delta=0.5, nodes=1)
     grid = build_magnitude_grid(1.0, 2)
     net = sign_net()
-    member = list(enumerate_family(BudgetTable(part, grid, 2, 1.0), net))[3]
+    member = enumerate_family(BudgetTable(part, grid, 2, 1.0), net)[3:4]
     x = member.to_sampled()
     stages = run_pipeline(x, 1.0, grid, net)
     assert np.array_equal(stages[-1].values, member.values)
@@ -723,7 +743,7 @@ def test_project_fixed_point():
 def test_project_zero_function():
     part = interval_partition(delta=0.5)
     grid = build_magnitude_grid(1.0, 2)
-    x = SampledFn(part, np.zeros((part.points.shape[0], 1)))
+    x = SampledFn(part, np.zeros((1, part.points.shape[0], 1)))
     out = run_pipeline(x, 1.0, grid, sign_net())[-1]
     assert np.all(out.values == 0.0)
 
@@ -733,10 +753,10 @@ def test_project_random_budget_and_displacements():
     grid = build_magnitude_grid(2.0, 8)
     net = angle_net(8)
     gamma, p, r = 2.0, 2.0, 1.0
-    for seed, x in enumerate(sample_ball(part, 2, p, r, 25, seed=16)):
+    for x in members(sample_ball(part, 2, p, r, 25, seed=16)):
         stages = run_pipeline(x, gamma, grid, net)
         steps = stage_displacements(x, stages)
-        assert within_budget(part, grid, p, r, stages[-1].mag_idx)
+        assert within_budget(part, grid, p, r, stages[-1].mag_idx[0])
         assert steps["round"] <= grid.delta_step + 1e-12
         assert steps["snap"] <= gamma * net.sigma + 1e-12
         assert tchebyshev_measure(x, gamma) <= r**p / gamma**p + 1e-10
@@ -747,7 +767,7 @@ def test_pipeline_norm_monotone():
     grid = build_magnitude_grid(1.5, 6)
     net = angle_net(6)
     p, r = 2.0, 1.0
-    for x in sample_ball(part, 2, p, r, 15, seed=17):
+    for x in members(sample_ball(part, 2, p, r, 15, seed=17)):
         clipped = clip_to_gamma(x, 1.5)
         averaged = cell_average(clipped)
         rounded = round_magnitude(averaged, grid)
@@ -766,9 +786,9 @@ def test_pipeline_on_a_stack_matches_member_by_member():
     net = angle_net(6)
     ball = sample_ball(part, 2, 2.0, 1.0, 12, seed=18)
     stacked = run_pipeline(ball, 1.5, grid, net)
-    for k, x in enumerate(ball):
+    for k, x in enumerate(members(ball)):
         single = run_pipeline(x, 1.5, grid, net)
         for whole, one in zip(stacked, single):
-            assert whole[k].values == pytest.approx(one.values, abs=1e-14)
-        assert np.array_equal(stacked[-1].mag_idx[k], single[-1].mag_idx)
-        assert np.array_equal(stacked[-1].dir_idx[k], single[-1].dir_idx)
+            assert whole[k:k + 1].values == pytest.approx(one.values, abs=1e-14)
+        assert np.array_equal(stacked[-1].mag_idx[k:k + 1], single[-1].mag_idx)
+        assert np.array_equal(stacked[-1].dir_idx[k:k + 1], single[-1].dir_idx)

@@ -41,7 +41,7 @@ def test_zero_kernel_maps_everything_to_zero():
     kern = builtin_kernel("constant", dom, value=0.0)
     op = DiscretizedOperator(kern, part)
     x = SampledFn(part, np.random.default_rng(0).standard_normal(
-        (part.points.shape[0], 1)))
+        (1, part.points.shape[0], 1)))
     assert np.all(op.apply(x).values == 0.0)
 
 
@@ -50,8 +50,8 @@ def test_constant_kernel_is_the_mean():
     part = build_partition(dom, 0.5)
     kern = builtin_kernel("constant", dom, value=1.0)
     op = DiscretizedOperator(kern, part)
-    x = SampledFn(part, np.full((part.points.shape[0], 1), 0.37))
-    assert op.apply(x).values[:, 0] == pytest.approx(0.37, abs=1e-13)
+    x = SampledFn(part, np.full((1, part.points.shape[0], 1), 0.37))
+    assert op.apply(x).values[0, :, 0] == pytest.approx(0.37, abs=1e-13)
 
 
 def test_product_kernel_half_xi():
@@ -59,8 +59,8 @@ def test_product_kernel_half_xi():
     part = build_partition(dom, 0.25)
     kern = builtin_kernel("product", dom)
     op = DiscretizedOperator(kern, part)
-    y = op.apply(SampledFn(part, np.ones((part.points.shape[0], 1))))
-    assert y.values[:, 0] == pytest.approx(part.points[:, 0] / 2, abs=1e-12)
+    y = op.apply(SampledFn(part, np.ones((1, part.points.shape[0], 1))))
+    assert y.values[0, :, 0] == pytest.approx(part.points[:, 0] / 2, abs=1e-12)
 
 
 def test_apply_piecewise_matches_sampled():
@@ -70,7 +70,7 @@ def test_apply_piecewise_matches_sampled():
     kern = builtin_kernel("gaussian", dom, beta=2.0)
     op = DiscretizedOperator(kern, part)
     rng = np.random.default_rng(1)
-    f = PiecewiseConstFn(part, rng.standard_normal((part.num_cells, 1)))
+    f = PiecewiseConstFn(part, rng.standard_normal((1, part.num_cells, 1)))
     via_cache = op.apply(f)
     via_nodes = op.apply(f.to_sampled())
     assert via_cache.values == pytest.approx(via_nodes.values, abs=1e-12)
@@ -92,8 +92,9 @@ def test_stacked_apply_matches_member_by_member():
     for stack in stacks:
         images = op.apply(stack)
         assert len(images) == 7
-        for y, f in zip(images, stack):
-            assert y.values == pytest.approx(op.apply(f).values, abs=1e-12)
+        for k in range(len(stack)):
+            assert images[k:k + 1].values == pytest.approx(
+                op.apply(stack[k:k + 1]).values, abs=1e-12)
     # blocks of 2, 3 and 6 members leave a 1-member tail (7 = k * size + 1)
     whole = op.apply(stacks[1]).values
     for size in (2, 3, 6):
@@ -112,8 +113,8 @@ def test_linearity():
     rng = np.random.default_rng(2)
     for _ in range(5):
         a, b = rng.standard_normal(2)
-        x1 = rng.standard_normal((part.points.shape[0], 1))
-        x2 = rng.standard_normal((part.points.shape[0], 1))
+        x1 = rng.standard_normal((1, part.points.shape[0], 1))
+        x2 = rng.standard_normal((1, part.points.shape[0], 1))
         lhs = op.apply(SampledFn(part, a * x1 + b * x2)).values
         rhs = a * op.apply(SampledFn(part, x1)).values \
             + b * op.apply(SampledFn(part, x2)).values
@@ -132,7 +133,7 @@ def test_holder_consistency():
     k_lq = (np.einsum("a,b,ab->", part.weights, part.weights, knorm**q)) ** (1 / q)
     rng = np.random.default_rng(3)
     for _ in range(5):
-        x = SampledFn(part, rng.standard_normal((part.points.shape[0], 1)))
+        x = SampledFn(part, rng.standard_normal((1, part.points.shape[0], 1)))
         assert lp_norm(op.apply(x), q) <= k_lq * lp_norm(x, p) + 1e-10
 
 
@@ -142,8 +143,8 @@ def test_quadrature_convergence():
     norms = []
     for nodes in (2, 3, 6):
         part = build_partition(dom, 0.25, nodes_per_axis=nodes)
-        f = PiecewiseConstFn(part, np.ones((part.num_cells, 1)))
-        norms.append(lp_norm(DiscretizedOperator(kern, part).apply(f), 2))
+        f = PiecewiseConstFn(part, np.ones((1, part.num_cells, 1)))
+        norms.append(lp_norm(DiscretizedOperator(kern, part).apply(f), 2)[0])
     # each node doubling gains several digits against the finest rule
     assert abs(norms[0] - norms[2]) < 1e-4
     assert abs(norms[1] - norms[2]) < 1e-7
@@ -156,7 +157,7 @@ def test_dimension_mismatch():
     kern = builtin_kernel("constant", dom, value=1.0)
     op = DiscretizedOperator(kern, part)
     with pytest.raises(ValueError):
-        op.apply(SampledFn(part, np.ones((part.points.shape[0], 2))))
+        op.apply(SampledFn(part, np.ones((1, part.points.shape[0], 2))))
 
 
 # --------------------------------------------------------------------------
@@ -166,21 +167,35 @@ def test_dimension_mismatch():
 def test_lp_norm_examples():
     dom = unit_domain()
     part = build_partition(dom, 0.5)
-    zero = SampledFn(part, np.zeros((part.points.shape[0], 1)))
+    zero = SampledFn(part, np.zeros((1, part.points.shape[0], 1)))
     assert lp_norm(zero, 2) == 0.0
-    const = SampledFn(part, np.full((part.points.shape[0], 1), -0.4))
+    const = SampledFn(part, np.full((1, part.points.shape[0], 1), -0.4))
     for p in (1.5, 2, 3):
         assert lp_norm(const, p) == pytest.approx(0.4)
-    halfstep = PiecewiseConstFn(part, np.array([[1.0], [0.0]]))
+    halfstep = PiecewiseConstFn(part, np.array([[[1.0], [0.0]]]))
     assert lp_norm(halfstep, 2) == pytest.approx(math.sqrt(0.5))
 
 
 def test_lp_norm_rejects_small_p():
     dom = unit_domain()
     part = build_partition(dom, 0.5)
-    f = SampledFn(part, np.ones((part.points.shape[0], 1)))
+    f = SampledFn(part, np.ones((1, part.points.shape[0], 1)))
     with pytest.raises(ValueError):
         lp_norm(f, 1.0)
+
+
+def test_functions_are_stacks_only():
+    dom = unit_domain()
+    part = build_partition(dom, 0.5)
+    stack = SampledFn(part, np.ones((3, part.points.shape[0], 1)))
+    assert len(stack) == 3 and len(stack[1:]) == 2 and len(stack[[0, 0]]) == 2
+    assert lp_norm(stack, 2).shape == (3,)
+    # one function's values, an integer key and a wrong row count are refused
+    for make in (lambda: SampledFn(part, np.ones((part.points.shape[0], 1))),
+                 lambda: stack[0],
+                 lambda: PiecewiseConstFn(part, np.ones((1, part.num_cells + 1, 1)))):
+        with pytest.raises(ValueError, match="stack of"):
+            make()
 
 
 # --------------------------------------------------------------------------

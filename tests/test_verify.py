@@ -300,9 +300,9 @@ def test_gram_norms_are_within_the_slack(monkeypatch, kind, domain_kernel):
 
 
 def test_applied_rows_have_whole_stack_bits():
-    """Piecewise rows applied as a gathered sub-stack, in blocks or as one
-    function equal the rows of the whole-stack apply bit for bit, on the
-    enum-b102k and steps-3d shapes; an empty stack has no images."""
+    """Piecewise rows applied as a gathered sub-stack, in blocks or as a
+    one-member stack equal the rows of the whole-stack apply bit for bit, on
+    the enum-b102k and steps-3d shapes; an empty stack has no images."""
     rng = np.random.default_rng(3)
     for dom, kern in (b102k_kernel(), steps3d_kernel()):
         op = DiscretizedOperator(kern, build_partition(dom, 1.0))
@@ -321,8 +321,9 @@ def test_applied_rows_have_whole_stack_bits():
             assert list(map(len, blocks)) == [
                 min(size, len(family) - s) for s in range(0, len(family), size)]
             assert np.concatenate(blocks).tobytes() == whole.tobytes()
-        for i in (0, 1234, 4096):  # one function, not a stack
-            assert op.apply(family[i]).values.tobytes() == whole[i].tobytes()
+        for i in (0, 1234, 4096):  # one-member stacks
+            assert op.apply(family[i:i + 1]).values.tobytes() == \
+                whole[i:i + 1].tobytes()
         assert op.apply(family[:0]).values.shape == (0, len(part.points), kern.m)
 
 
