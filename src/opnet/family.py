@@ -126,6 +126,7 @@ class BudgetTable:
         shift = max(0, top.bit_length() - 62)
         self.costs = np.array(rows, dtype=object if shift else np.int64)
         self.layers = [np.zeros(1, dtype=self.costs.dtype)]
+        stored = 1  # states in self.layers
         for i in range(len(rows)):
             nxt = self.layers[-1][:0]
             for *_, budget in self.pairs(i, self.layers[-1]):
@@ -135,8 +136,9 @@ class BudgetTable:
                 nxt = np.sort(nxt, kind="stable" if shift else None)
                 nxt = nxt[np.concatenate([[True], nxt[1:] != nxt[:-1]])]
                 # checked per block, so a layer never grows far past the cap
-                self._check_states(sum(map(len, self.layers)) + len(nxt))
+                self._check_states(stored + len(nxt))
             self.layers.append(nxt)
+            stored += len(nxt)
 
     def _check_states(self, states: int) -> None:
         if states > STATE_CAP:

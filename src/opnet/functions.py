@@ -57,9 +57,6 @@ class SampledFn(_Functions):
     def __post_init__(self):
         self._check_values(self.partition.points.shape[0], "node")
 
-    def to_sampled(self) -> SampledFn:
-        return self
-
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseConstFn(_Functions):
@@ -72,9 +69,6 @@ class PiecewiseConstFn(_Functions):
 
     def __post_init__(self):
         self._check_values(self.partition.num_cells, "cell")
-
-    def to_sampled(self) -> SampledFn:
-        return SampledFn(self.partition, self.values[:, self.partition.node_cell, :])
 
     def cell_norms(self) -> np.ndarray:
         return np.linalg.norm(self.values, axis=-1)

@@ -63,8 +63,6 @@ class Partition:
     """
 
     domain: Domain
-    delta: float
-    axis_counts: tuple[int, ...]
     nodes_per_axis: int
     measures: np.ndarray  # (N,)
     points: np.ndarray  # (P, k)
@@ -122,8 +120,6 @@ def build_partition(domain: Domain, delta: float, nodes_per_axis: int = 3) -> Pa
 
     return Partition(
         domain=domain,
-        delta=float(delta),
-        axis_counts=counts,
         nodes_per_axis=nodes_per_axis,
         measures=measures,
         points=points,

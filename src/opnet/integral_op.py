@@ -1,10 +1,10 @@
 """Quadrature realization of the integral operator x -> ∫ K(., s) x(s) ds.
 
 ``DiscretizedOperator`` evaluates the kernel once on the partition's node
-grid and keeps two flat factors: the weighted node matrix for sampled inputs
-and the cell-integral matrix ``cell_matrix`` ``A`` for piecewise-constant
-ones.  ``apply`` maps a whole stack with one product, so the image of a
-piecewise-constant member is its computed ``A c``.
+grid, in blocks of rows, and keeps two flat factors: the weighted node matrix
+for sampled inputs and the cell-integral matrix ``cell_matrix`` ``A`` for
+piecewise-constant ones.  ``apply`` maps a whole stack with one product, so
+the image of a piecewise-constant member is its computed ``A c``.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .geometry import Partition
 from .kernels import Kernel
 
 __all__ = ["DiscretizedOperator"]
+_BLOCK = 1 << 15  # kernel values per evaluated block of xi rows
 
 
 class DiscretizedOperator:
@@ -24,12 +25,18 @@ class DiscretizedOperator:
     def __init__(self, kernel: Kernel, partition: Partition):
         self.kernel = kernel
         self.partition = partition
-        pts = partition.points
-        kmat = kernel.evaluate(pts[:, None, :], pts[None, :, :])  # (P, P, m, n)
-        if kmat.shape[-2:] != (kernel.m, kernel.n):
-            raise ValueError("kernel evaluator returned wrong matrix shape")
-        kmat = kmat * partition.weights[None, :, None, None]
-        p_nodes, m, n = pts.shape[0], kernel.m, kernel.n
+        pts, m, n = partition.points, kernel.m, kernel.n
+        p_nodes = len(pts)
+        # the weighted (P, P, m, n) kernel, filled in blocks of xi rows of at
+        # most _BLOCK values (or one row): the evaluator's temporaries scale
+        # with a block, not with the whole array
+        kmat = np.empty((p_nodes, p_nodes, m, n))
+        step = max(1, _BLOCK // kmat[0].size)
+        for s in range(0, p_nodes, step):
+            block = kernel.evaluate(pts[s:s + step, None], pts[None])
+            if block.shape != kmat[s:s + step].shape:
+                raise ValueError("kernel evaluator returned wrong matrix shape")
+            np.multiply(block, partition.weights[:, None, None], out=kmat[s:s + step])
         # (P n, P m) over flattened node values; for m = n = 1 it stays a
         # strided view, and a contiguous copy would change the last bits of
         # its products

@@ -2,8 +2,7 @@
 
 Distances are Euclidean chords in the ambient space.  For n = 1 the net is
 exact, for n = 2 it is an equiangular construction with a closed-form covering
-radius, and for n >= 3 a greedy farthest-point pass over a quasi-uniform
-candidate pool is used, certified statistically by ``verify_covering``.
+radius, and for n >= 3 a greedy farthest-point pass covers a random pool.
 """
 
 from __future__ import annotations
@@ -26,10 +25,7 @@ _MIN_POOL = 20_000
 
 @dataclass(frozen=True, eq=False)
 class DirectionNet:
-    dim: int
-    sigma: float
     points: np.ndarray  # (c, n), unit rows
-    construction: str  # exact-1d | angular-2d | greedy-cover | explicit
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -71,13 +67,13 @@ def build_sigma_net(n: int, sigma: float, seed: int = 0) -> DirectionNet:
 
     if n == 1:
         pts = np.array([[1.0], [-1.0]])
-        return DirectionNet(dim=1, sigma=sigma, points=pts, construction="exact-1d")
+        return DirectionNet(pts)
 
     if n == 2:
         m = math.ceil(math.pi / math.asin(sigma / 2.0))
         ang = 2.0 * math.pi * np.arange(m) / m
         pts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        return DirectionNet(dim=2, sigma=sigma, points=pts, construction="angular-2d")
+        return DirectionNet(pts)
 
     # greedy farthest-point over a random quasi-uniform pool
     # the pool must resolve the sphere to the margin share of sigma; the
@@ -106,9 +102,7 @@ def build_sigma_net(n: int, sigma: float, seed: int = 0) -> DirectionNet:
         net.append(pool[i])
         dist = np.minimum(dist, np.linalg.norm(pool - pool[i], axis=1))
 
-    return DirectionNet(
-        dim=n, sigma=sigma, points=np.array(net), construction="greedy-cover"
-    )
+    return DirectionNet(np.array(net))
 
 
 def verify_covering(net: DirectionNet, samples: int, rng_seed: int = 0) -> float:
@@ -124,7 +118,7 @@ def verify_covering(net: DirectionNet, samples: int, rng_seed: int = 0) -> float
     remaining = samples
     while remaining > 0:
         chunk = min(remaining, 50_000)
-        dirs = _unit_rows(rng.standard_normal((chunk, net.dim)))
+        dirs = _unit_rows(rng.standard_normal((chunk, net.points.shape[1])))
         _, dist = net.nearest(dirs)
         max_gap = max(max_gap, float(dist.max()))
         remaining -= chunk

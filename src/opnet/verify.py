@@ -49,7 +49,7 @@ _SCREEN_SAFETY = 4.0
 # members past which `_setup` refuses to enumerate a family
 ENUM_CAP = 10_000_000
 # bytes of the operator's (P, P, m, n) kernel array past which `_setup`
-# refuses the run: building it takes 3 (builtin) to 16 (tabulated) times that
+# refuses the run: building it in row blocks peaks at 1.3 to 2.6 times that
 OPERATOR_CAP = 1 << 25
 
 
@@ -342,15 +342,15 @@ def _setup(kernel, domain, gamma, Delta, delta, sigma, nodes_per_axis, seed,
             f"{a + 1} magnitude levels within the budget; increase delta")
     net = build_sigma_net(kernel.n, sigma, seed=seed)
     table = BudgetTable(partition, build_magnitude_grid(gamma, a, top), p, r)
-    count = count_family(table, net)
-    if family_mode == "enumerate" and count > ENUM_CAP:
-        raise ResourceError(f"family too large to enumerate ({count} > cap "
-                            f"{ENUM_CAP}); set family_mode = sample")
     size = 8 * kernel.m * kernel.n * len(partition.points) ** 2
     if size > OPERATOR_CAP:
         raise ResourceError(f"operator too large ({size} > cap {OPERATOR_CAP} "
                             "bytes of kernel values); increase Delta or "
                             "decrease quad_nodes")
+    count = count_family(table, net)
+    if family_mode == "enumerate" and count > ENUM_CAP:
+        raise ResourceError(f"family too large to enumerate ({count} > cap "
+                            f"{ENUM_CAP}); set family_mode = sample")
     return partition, net, table, count
 
 

@@ -103,9 +103,7 @@ def test_criterion_3_counting_equivalence():
         part = build_partition(unit_domain(), 1.0 / n_cells, nodes_per_axis=1)
         grid = build_magnitude_grid(1.0, a)
         ang = 2 * math.pi * np.arange(c) / c
-        net = DirectionNet(dim=2, sigma=2.0,
-                           points=np.stack([np.cos(ang), np.sin(ang)], axis=1),
-                           construction="explicit")
+        net = DirectionNet(np.stack([np.cos(ang), np.sin(ang)], axis=1))
         got = count_family(BudgetTable(part, grid, p, 1.0), net)
         want = brute_force_count(part.measures, grid.values, c, p, 1.0)
         ok = ok and got == want
@@ -133,7 +131,8 @@ def test_criterion_5_pipeline_invariants():
     part = build_partition(dom, 0.25)
     gamma, p, r = 2.0, 2.0, 1.0
     grid = build_magnitude_grid(gamma, 8)
-    net = build_sigma_net(2, 0.5)
+    sigma = 0.5
+    net = build_sigma_net(2, sigma)
     runs = 0
     ok = True
     for seed in range(4):
@@ -148,7 +147,7 @@ def test_criterion_5_pipeline_invariants():
             round_disp = np.linalg.norm(rounded.values - averaged.values, axis=-1)
             snap_disp = np.linalg.norm(snapped.values - rounded.values, axis=-1)
             ok = ok and np.all(round_disp <= grid.delta_step + 1e-12)
-            ok = ok and np.all(snap_disp <= gamma * net.sigma + 1e-12)
+            ok = ok and np.all(snap_disp <= gamma * sigma + 1e-12)
             runs += 1
     report(5, ok and runs == 1000,
            f"{runs} randomized runs, rounding <= delta, snapping <= gamma sigma, "

@@ -789,8 +789,14 @@ def test_refusals_come_before_the_operator(monkeypatch, capsys, tmp_path,
     def no_operator(*args, **kwargs):
         raise AssertionError("an operator was built")
 
+    def no_count(*args, **kwargs):
+        raise AssertionError("the family was counted")
+
     monkeypatch.setattr(DiscretizedOperator, "__init__", no_operator)
     monkeypatch.setattr(opnet.verify, "ENUM_CAP", 2)
+    if text is REFUSED_OPERATOR_CONFIG:
+        # the operator cap is checked before the count
+        monkeypatch.setattr(opnet.verify, "count_family", no_count)
     argv = [command, write(tmp_path, text), "--output", str(tmp_path / "out")]
     if command == "sweep":
         argv += ["--axis", "sigma", "--values", "0.8,0.4"]

@@ -62,7 +62,8 @@ def members(stack):
 
 def stage_displacements(x, stages):
     """Largest node displacement of each pipeline stage, by stage name."""
-    nodes = [g.to_sampled().values for g in (x, *stages)]
+    nodes = [g.values[:, g.partition.node_cell] if isinstance(g, PiecewiseConstFn)
+             else g.values for g in (x, *stages)]
     return {name: float(np.linalg.norm(after - before, axis=-1).max())
             for name, before, after in zip(("clip", "average", "round", "snap"),
                                            nodes, nodes[1:])}
@@ -70,9 +71,7 @@ def stage_displacements(x, stages):
 
 def angle_net(c):
     ang = 2 * math.pi * np.arange(c) / c
-    return DirectionNet(dim=2, sigma=2.0,
-                        points=np.stack([np.cos(ang), np.sin(ang)], axis=1),
-                        construction="explicit")
+    return DirectionNet(np.stack([np.cos(ang), np.sin(ang)], axis=1))
 
 
 # --------------------------------------------------------------------------
@@ -557,6 +556,18 @@ def test_refusal_with_many_levels_is_cheap():
     assert float(out.stdout) < 2.0
 
 
+def test_table_walk_is_linear_in_the_cells():
+    # 20,000 cells of measure 1/20,000 afford only level 0 of {0, 1000}, so
+    # every layer holds one state; re-summing the stored layers at each cell
+    # made this walk quadratic in the cells, a running count makes it linear
+    part = interval_partition(delta=1.0 / 20_000, nodes=1)
+    assert part.num_cells == 20_000
+    start = time.perf_counter()
+    table = BudgetTable(part, build_magnitude_grid(1000.0, 1), 2, 1.0)
+    assert time.perf_counter() - start < 3.0
+    assert [len(layer) for layer in table.layers] == [1] * 20_001
+
+
 def test_sample_family_deterministic():
     part = interval_partition(delta=0.5)
     grid = build_magnitude_grid(1.0, 2)
@@ -651,7 +662,7 @@ def test_cell_average_preserves_integrals_and_norm():
         expected = avg.values[0] * part.measures[:, None]
         assert cell_ints == pytest.approx(expected, abs=1e-12)
         assert lp_norm(avg, p) <= lp_norm(f, p) + 1e-10
-        again = cell_average(avg.to_sampled())
+        again = cell_average(SampledFn(part, avg.values[:, part.node_cell]))
         assert again.values == pytest.approx(avg.values, abs=1e-14)
 
 
@@ -733,7 +744,7 @@ def test_project_fixed_point():
     grid = build_magnitude_grid(1.0, 2)
     net = sign_net()
     member = enumerate_family(BudgetTable(part, grid, 2, 1.0), net)[3:4]
-    x = member.to_sampled()
+    x = SampledFn(part, member.values[:, part.node_cell])
     stages = run_pipeline(x, 1.0, grid, net)
     assert np.array_equal(stages[-1].values, member.values)
     for step in stage_displacements(x, stages).values():
@@ -758,7 +769,7 @@ def test_project_random_budget_and_displacements():
         steps = stage_displacements(x, stages)
         assert within_budget(part, grid, p, r, stages[-1].mag_idx[0])
         assert steps["round"] <= grid.delta_step + 1e-12
-        assert steps["snap"] <= gamma * net.sigma + 1e-12
+        assert steps["snap"] <= gamma * 2.0 + 1e-12  # angle_net's sigma
         assert tchebyshev_measure(x, gamma) <= r**p / gamma**p + 1e-10
 
 

@@ -1,8 +1,11 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from opnet import integral_op
 from opnet.functions import PiecewiseConstFn, SampledFn, lp_norm
 from opnet.geometry import Domain, build_partition
 from opnet.integral_op import DiscretizedOperator
@@ -72,7 +75,7 @@ def test_apply_piecewise_matches_sampled():
     rng = np.random.default_rng(1)
     f = PiecewiseConstFn(part, rng.standard_normal((1, part.num_cells, 1)))
     via_cache = op.apply(f)
-    via_nodes = op.apply(f.to_sampled())
+    via_nodes = op.apply(SampledFn(part, f.values[:, part.node_cell]))
     assert via_cache.values == pytest.approx(via_nodes.values, abs=1e-12)
 
 
@@ -331,3 +334,70 @@ def test_tabulated_metrics_bound_the_interpolant(tmp_path, lower, upper, make,
     assert metrics.sup_norm >= est.sup_norm
     for d, w in est.omega_table:
         assert metrics.omega(d) >= w
+
+
+# --------------------------------------------------------------------------
+# row-block evaluation
+
+
+def tabulated_gaussian(tmp_path):
+    dom = unit_domain()
+    path = tmp_path / "gaussian-41.bin"
+    save_tabulated_kernel(path, builtin_kernel("gaussian", dom, beta=1.0), dom,
+                          [41], binary=True)
+    return load_tabulated_kernel(path)[0]
+
+
+def test_tabulated_operator_peak_is_a_small_multiple_of_its_kernel(tmp_path):
+    # one whole-grid interpolation peaked at 16 times the kernel array; in
+    # row blocks the array, its cell sums and one block's temporaries remain
+    kern = tabulated_gaussian(tmp_path)
+    part = build_partition(unit_domain(), 1.0 / 200)
+    assert len(part.points) == 600
+    tracemalloc.start()
+    try:
+        DiscretizedOperator(kern, part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * len(part.points) ** 2
+
+
+def block_case(name, tmp_path):
+    """(kernel, partition) of one operator shape, by name."""
+    dom = unit_domain()
+    part = build_partition(dom, 0.1)  # 10 cells x 3 nodes
+    if name == "tabulated":
+        return tabulated_gaussian(tmp_path), part
+    if name == "steps-3d":  # 8 cells x 27 nodes of the 3-D cube
+        dom = Domain(np.zeros(3), np.ones(3))
+        return builtin_kernel("block_diag", dom, components=[
+            ("gaussian", {"beta": 1.0}), ("gaussian", {"beta": 2.0}),
+            ("constant", {"value": 0.5})]), build_partition(dom, 1.0)
+    if name == "gaussian-2d":
+        dom = Domain(np.zeros(2), np.ones(2))
+        return builtin_kernel("gaussian", dom, beta=2.0), build_partition(dom, 0.5)
+    params = {"constant": {"value": 0.5}, "gaussian": {"beta": 2.0}}
+    return builtin_kernel(name, dom, **params.get(name, {})), part
+
+
+@pytest.mark.parametrize("name", ["constant", "gaussian", "gaussian-2d",
+                                  "product", "steps-3d", "tabulated"])
+def test_row_blocks_match_one_whole_grid_evaluation(monkeypatch, tmp_path, name):
+    kern, part = block_case(name, tmp_path)
+    pts = part.points
+    whole = kern.evaluate(pts[:, None], pts[None]) * part.weights[:, None, None]
+    calls, fn = [], kern.fn
+    kern = dataclasses.replace(
+        kern, fn=lambda xi, s: calls.append(len(xi)) or fn(xi, s))
+    # blocks of 7 xi rows, the last one short
+    monkeypatch.setattr(integral_op, "_BLOCK", 7 * whole[0].size)
+    blocked = DiscretizedOperator(kern, part)
+    assert calls == [7] * (len(pts) // 7) + [len(pts) % 7]
+    monkeypatch.setattr(integral_op, "_BLOCK", whole.size)
+    one = DiscretizedOperator(kern, part)
+    assert calls[-1] == len(pts)
+    node_matrix = whole.transpose(1, 3, 0, 2).reshape(len(pts) * kern.n, -1)
+    for op in (blocked, one):
+        assert op._node_matrix.tobytes() == node_matrix.tobytes()
+    assert blocked.cell_matrix.tobytes() == one.cell_matrix.tobytes()

@@ -10,7 +10,6 @@ from opnet.sphere import DirectionNet, build_sigma_net, verify_covering
 def test_one_dimensional_net_is_exact():
     net = build_sigma_net(1, 0.3)
     assert sorted(net.points[:, 0]) == [-1.0, 1.0]
-    assert net.construction == "exact-1d"
     assert verify_covering(net, 1000, rng_seed=0) == 0.0
 
 
@@ -25,9 +24,7 @@ def test_two_dimensional_angular_count():
 
 def test_sigma_equal_diameter():
     # a single point is itself a 2-net: everything is within the diameter
-    single = DirectionNet(dim=3, sigma=2.0,
-                          points=np.array([[0.0, 0.0, 1.0]]),
-                          construction="explicit")
+    single = DirectionNet(np.array([[0.0, 0.0, 1.0]]))
     assert verify_covering(single, 1000, rng_seed=2) <= 2.0
     built = build_sigma_net(3, 2.0, seed=0)
     assert verify_covering(built, 1000, rng_seed=2) <= 2.0
@@ -67,9 +64,7 @@ def test_verify_covering_deterministic():
 
 
 def test_nearest_ties_break_to_lowest_index():
-    net = DirectionNet(dim=2, sigma=2.0,
-                       points=np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                       construction="explicit")
+    net = DirectionNet(np.array([[1.0, 0.0], [-1.0, 0.0]]))
     idx, dist = net.nearest(np.array([[0.0, 1.0]]))
     assert idx[0] == 0
     assert dist[0] == pytest.approx(math.sqrt(2))
