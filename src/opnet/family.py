@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ResourceError
-from .functions import PiecewiseConstFn, SampledFn, lp_norm
+from .functions import PiecewiseConstFn, SampledFn, lp_norm, node_norms
 from .geometry import Partition
 from .sphere import DirectionNet
 
@@ -285,30 +285,49 @@ def sample_ball(
     cosine series.  Each draw is rescaled so its quadrature L_p norm is
     exactly r for the first `EXACT_FRACTION` of draws and uniformly in [0, r)
     for the rest.
+
+    A seed's samples are fixed by the order of the generator calls, draw by
+    draw: rough, a (cells, n) normal; smooth, per term, `integers(0, 3)` and
+    `uniform(0, 2 pi)` per axis, a `standard_normal(n)` direction and a
+    `standard_normal()` amplitude; then, past the exact fraction, the radius.
     """
     if smoothness not in ("rough", "smooth"):
         raise ValueError(f"unknown smoothness mode {smoothness!r}")
     rng = np.random.default_rng(seed)
     dom = partition.domain
-    pts = partition.points
-    vals = np.zeros((count, pts.shape[0], n))
     targets = np.full(count, float(r))
     n_exact = int(round(EXACT_FRACTION * count))
-    for idx in range(count):
-        if smoothness == "rough":
-            cell_vals = rng.standard_normal((partition.num_cells, n))
-            vals[idx] = cell_vals[partition.node_cell]
-        else:
-            u = (pts - dom.lower) / dom.lengths  # (P, k) in [0,1]
-            for _ in range(3):
-                freq = rng.integers(0, 3, size=dom.dim)
-                phase = rng.uniform(0.0, 2.0 * math.pi, size=dom.dim)
-                direction = rng.standard_normal(n)
-                direction /= np.linalg.norm(direction)
-                profile = np.prod(np.cos(math.pi * freq * u + phase), axis=1)
-                vals[idx] += rng.standard_normal() * profile[:, None] * direction
-        if idx >= n_exact:
+    if smoothness == "rough":
+        # the exact draws' normals in one call, which gives the same stream
+        cell_vals = np.empty((count, partition.num_cells, n))
+        cell_vals[:n_exact] = rng.standard_normal((n_exact, *cell_vals.shape[1:]))
+        for idx in range(n_exact, count):
+            cell_vals[idx] = rng.standard_normal(cell_vals.shape[1:])
             targets[idx] = r * rng.uniform(0.0, 1.0)
+        # the gather comes back strided; a stack is C-contiguous everywhere
+        vals = np.ascontiguousarray(cell_vals[:, partition.node_cell])
+    else:
+        freq, phase = np.empty((2, count, 3, dom.dim))
+        direction, amp = np.empty((count, 3, n)), np.empty((count, 3))
+        for idx in range(count):
+            for t in range(3):
+                freq[idx, t] = rng.integers(0, 3, size=dom.dim)
+                phase[idx, t] = rng.uniform(0.0, 2.0 * math.pi, size=dom.dim)
+                d = rng.standard_normal(n)
+                direction[idx, t] = d / np.linalg.norm(d)
+                amp[idx, t] = rng.standard_normal()
+            if idx >= n_exact:
+                targets[idx] = r * rng.uniform(0.0, 1.0)
+        # a term's cosines once per distinct coordinate, gathered onto the nodes
+        u = (partition.points - dom.lower) / dom.lengths  # (P, k) in [0,1]
+        profile = np.ones((count, 3, len(u)))
+        for a in range(dom.dim):
+            coords, at = np.unique(u[:, a], return_inverse=True)
+            profile *= np.cos(math.pi * freq[..., a, None] * coords
+                              + phase[..., a, None])[..., at]
+        # the terms in order onto zero, as one draw at a time added them
+        vals = sum(amp[:, t, None, None] * profile[:, t, :, None]
+                   * direction[:, t, None] for t in range(3))
     norms = lp_norm(SampledFn(partition, vals), p)
     scale = np.where(norms > 0, targets / np.where(norms > 0, norms, 1.0), 1.0)
     return SampledFn(partition, vals * scale[:, None, None])
@@ -322,7 +341,7 @@ def clip_to_gamma(x: SampledFn, gamma: float) -> SampledFn:
     """Radially clip node values to norm <= gamma."""
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    norms = np.linalg.norm(x.values, axis=-1)
+    norms = node_norms(x.values)
     # the relative tolerance makes clipping exactly idempotent in floats
     over = norms > gamma * (1.0 + 1e-12)
     scale = np.where(over, gamma / np.where(norms > 0, norms, 1.0), 1.0)
@@ -342,7 +361,7 @@ def cell_average(x: SampledFn) -> PiecewiseConstFn:
 def round_magnitude(f: PiecewiseConstFn, grid: MagnitudeGrid) -> PiecewiseConstFn:
     """Floor each cell magnitude to the grid, and clip it to the last stored
     level; 0 and gamma are kept exactly."""
-    norms = f.cell_norms()
+    norms = node_norms(f.values)
     if np.any(norms > grid.gamma * (1.0 + 1e-12)):
         raise ValueError("cell magnitude exceeds gamma; clip first")
     # nudge norms up by a few ulps so a magnitude that already sits on a grid
@@ -360,7 +379,7 @@ def snap_direction(f: PiecewiseConstFn, net: DirectionNet) -> PiecewiseConstFn:
     """Replace each nonzero cell direction with its nearest net point."""
     if f.mag_idx is None:
         raise ValueError("snap_direction needs grid magnitudes (run round_magnitude)")
-    norms = f.cell_norms()
+    norms = node_norms(f.values)
     dir_idx = np.zeros(norms.shape, dtype=int)
     values = np.zeros_like(f.values)
     nz = norms > 0
@@ -390,5 +409,5 @@ def run_pipeline(
 
 def tchebyshev_measure(x: SampledFn, gamma: float):
     """Measure of the nodes where |x| exceeds gamma, one per member."""
-    over = np.linalg.norm(x.values, axis=-1) > gamma
+    over = node_norms(x.values) > gamma
     return np.where(over, x.partition.weights, 0.0).sum(axis=-1)

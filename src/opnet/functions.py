@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import Partition
 
-__all__ = ["SampledFn", "PiecewiseConstFn", "lp_norm"]
+__all__ = ["SampledFn", "PiecewiseConstFn", "lp_norm", "node_norms"]
 
 
 class _Functions:
@@ -70,8 +70,16 @@ class PiecewiseConstFn(_Functions):
     def __post_init__(self):
         self._check_values(self.partition.num_cells, "cell")
 
-    def cell_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.values, axis=-1)
+
+def node_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, the squares summed in index order
+    onto zero (the n - 1 sums that `verify._lq_bounds` counts) into a
+    C-contiguous array: the bits do not depend on the layout of `v`, and on
+    C-contiguous stacks with n <= 3 they are `np.linalg.norm(v, axis=-1)`'s."""
+    sq = np.zeros(v.shape[:-1])
+    for i in range(v.shape[-1]):
+        sq += v[..., i] * v[..., i]
+    return np.sqrt(sq)
 
 
 def weighted_lp(values: np.ndarray, weights: np.ndarray, p: float):
@@ -80,7 +88,7 @@ def weighted_lp(values: np.ndarray, weights: np.ndarray, p: float):
     |.| is the Euclidean norm of the last axis.  The sum is numpy's per-row
     reduction, not BLAS, so a row's value does not depend on the other rows.
     """
-    return (np.linalg.norm(values, axis=-1) ** p * weights).sum(axis=-1) ** (1.0 / p)
+    return (node_norms(values) ** p * weights).sum(axis=-1) ** (1.0 / p)
 
 
 def lp_norm(f: SampledFn | PiecewiseConstFn, p: float) -> np.ndarray:

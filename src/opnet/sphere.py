@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceError
+from .functions import node_norms
 
 __all__ = ["DirectionNet", "build_sigma_net", "verify_covering"]
 
@@ -30,7 +31,7 @@ class DirectionNet:
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         object.__setattr__(self, "points", pts)
-        norms = np.linalg.norm(pts, axis=1)
+        norms = node_norms(pts)
         if not np.allclose(norms, 1.0, atol=1e-12):
             raise ValueError("net points must be unit vectors")
 
@@ -52,10 +53,6 @@ class DirectionNet:
         idx = np.argmin(d2, axis=1)
         dist = np.sqrt(np.maximum(d2[np.arange(d.shape[0]), idx], 0.0))
         return idx, dist
-
-
-def _unit_rows(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def build_sigma_net(n: int, sigma: float, seed: int = 0) -> DirectionNet:
@@ -88,19 +85,20 @@ def build_sigma_net(n: int, sigma: float, seed: int = 0) -> DirectionNet:
             f"the cap of {DEFAULT_POOL_CAP}; increase sigma")
 
     rng = np.random.default_rng(seed)
-    pool = _unit_rows(rng.standard_normal((pool_size, n)))
+    pool = rng.standard_normal((pool_size, n))
+    pool /= node_norms(pool)[:, None]
 
     first = np.zeros(n)
     first[0] = 1.0
     net = [first]
-    dist = np.linalg.norm(pool - first, axis=1)
+    dist = node_norms(pool - first)
     threshold = sigma * (1.0 - GREEDY_MARGIN)
     while True:
         i = int(np.argmax(dist))
         if dist[i] <= threshold:
             break
         net.append(pool[i])
-        dist = np.minimum(dist, np.linalg.norm(pool - pool[i], axis=1))
+        dist = np.minimum(dist, node_norms(pool - pool[i]))
 
     return DirectionNet(np.array(net))
 
@@ -118,8 +116,8 @@ def verify_covering(net: DirectionNet, samples: int, rng_seed: int = 0) -> float
     remaining = samples
     while remaining > 0:
         chunk = min(remaining, 50_000)
-        dirs = _unit_rows(rng.standard_normal((chunk, net.points.shape[1])))
-        _, dist = net.nearest(dirs)
+        dirs = rng.standard_normal((chunk, net.points.shape[1]))
+        _, dist = net.nearest(dirs / node_norms(dirs)[:, None])
         max_gap = max(max_gap, float(dist.max()))
         remaining -= chunk
     return max_gap

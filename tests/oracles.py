@@ -6,7 +6,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from opnet.family import budget_limit
+from opnet.family import EXACT_FRACTION, budget_limit
+from opnet.functions import SampledFn
+from opnet.geometry import Partition
 
 
 def brute_force_count(measures, grid_values, net_size, p, r):
@@ -50,6 +52,57 @@ def square_budget_count(n_cells, levels, budget, net_size):
                 nxt[s + j * j] += n * (net_size if j else 1)
         ways = nxt
     return sum(ways)
+
+
+# --------------------------------------------------------------------------
+# `family.sample_ball` as one draw per Python iteration; the stacked sampler
+# must keep its bits
+
+
+def reference_sample_ball(
+    partition: Partition,
+    n: int,
+    p: float,
+    r: float,
+    count: int,
+    seed: int = 0,
+    smoothness: str = "rough",
+) -> SampledFn:
+    """A stack of random elements of the closed L_p ball of radius r.
+
+    Rough mode draws a random vector per cell; smooth mode a short random
+    cosine series.  Each draw is rescaled so its quadrature L_p norm is
+    exactly r for the first `EXACT_FRACTION` of draws and uniformly in [0, r)
+    for the rest.
+    """
+    if smoothness not in ("rough", "smooth"):
+        raise ValueError(f"unknown smoothness mode {smoothness!r}")
+    rng = np.random.default_rng(seed)
+    dom = partition.domain
+    pts = partition.points
+    vals = np.zeros((count, pts.shape[0], n))
+    targets = np.full(count, float(r))
+    n_exact = int(round(EXACT_FRACTION * count))
+    for idx in range(count):
+        if smoothness == "rough":
+            cell_vals = rng.standard_normal((partition.num_cells, n))
+            vals[idx] = cell_vals[partition.node_cell]
+        else:
+            u = (pts - dom.lower) / dom.lengths  # (P, k) in [0,1]
+            for _ in range(3):
+                freq = rng.integers(0, 3, size=dom.dim)
+                phase = rng.uniform(0.0, 2.0 * math.pi, size=dom.dim)
+                direction = rng.standard_normal(n)
+                direction /= np.linalg.norm(direction)
+                profile = np.prod(np.cos(math.pi * freq * u + phase), axis=1)
+                vals[idx] += rng.standard_normal() * profile[:, None] * direction
+        if idx >= n_exact:
+            targets[idx] = r * rng.uniform(0.0, 1.0)
+    # `lp_norm` in its `np.linalg.norm` form, so no norm code is shared
+    norms = (np.linalg.norm(vals, axis=-1) ** p
+             * partition.weights).sum(axis=-1) ** (1.0 / p)
+    scale = np.where(norms > 0, targets / np.where(norms > 0, norms, 1.0), 1.0)
+    return SampledFn(partition, vals * scale[:, None, None])
 
 
 # --------------------------------------------------------------------------

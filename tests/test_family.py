@@ -30,12 +30,12 @@ from opnet.family import (
     snap_direction,
     tchebyshev_measure,
 )
-from opnet.functions import PiecewiseConstFn, SampledFn, lp_norm
+from opnet.functions import PiecewiseConstFn, SampledFn, lp_norm, node_norms
 from opnet.geometry import Domain, build_partition
 from opnet.sphere import DirectionNet, build_sigma_net
 from opnet.verify import _family, _setup
 
-from oracles import brute_force_count, square_budget_count
+from oracles import brute_force_count, reference_sample_ball, square_budget_count
 
 
 def interval_partition(delta=2.0, nodes=3):
@@ -592,6 +592,30 @@ def test_sample_ball_norms(mode):
     assert norms[0] == pytest.approx(1.0, abs=1e-12)
 
 
+BALL_PARTITIONS = {
+    "1-D": lambda: interval_partition(delta=0.15),
+    "2-D": lambda: build_partition(Domain(np.zeros(2), np.ones(2)), 1.0),
+    # steps-3d's 216 nodes
+    "3-D": lambda: build_partition(Domain(np.zeros(3), np.ones(3)), 1.0),
+}
+
+
+@pytest.mark.parametrize("mode", ["rough", "smooth"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("dims", list(BALL_PARTITIONS))
+def test_sample_ball_keeps_the_bits_of_one_draw_per_iteration(dims, n, p, mode):
+    part = BALL_PARTITIONS[dims]()
+    # a count of 0 is the smooth half of `samples = 1`
+    for count, seed in zip((0, 1, 2, 7, 200), (5, 6, 7, 8, 9)):
+        new = sample_ball(part, n, p, 1.3, count, seed, mode).values
+        ref = reference_sample_ball(part, n, p, 1.3, count, seed, mode).values
+        assert new.shape == ref.shape == (count, len(part.points), n)
+        # the rough gather comes back strided, and the sampler copies it
+        assert new.flags.c_contiguous
+        assert np.array_equal(new.view(np.int64), ref.view(np.int64))
+
+
 def test_sample_ball_rough_constant_bounded():
     part = interval_partition()  # unit measure, single cell
     draws = sample_ball(part, 1, 2, 1.0, 10, seed=3, smoothness="rough")
@@ -698,7 +722,7 @@ def test_round_magnitude_displacement_and_monotone():
     rounded = round_magnitude(f, grid)
     disp = np.linalg.norm(rounded.values - f.values, axis=-1)
     assert np.all(disp <= grid.delta_step + 1e-12)
-    assert np.all(rounded.cell_norms() <= f.cell_norms() + 1e-12)
+    assert np.all(node_norms(rounded.values) <= node_norms(f.values) + 1e-12)
     again = round_magnitude(rounded, grid)
     assert again.values == pytest.approx(rounded.values, abs=1e-14)
 

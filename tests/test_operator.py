@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from opnet import integral_op
-from opnet.functions import PiecewiseConstFn, SampledFn, lp_norm
+from opnet.functions import PiecewiseConstFn, SampledFn, lp_norm, node_norms
 from opnet.geometry import Domain, build_partition
 from opnet.integral_op import DiscretizedOperator
 from opnet.kernels import (
@@ -185,6 +185,52 @@ def test_lp_norm_rejects_small_p():
     f = SampledFn(part, np.ones((1, part.points.shape[0], 1)))
     with pytest.raises(ValueError):
         lp_norm(f, 1.0)
+
+
+def bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+def wide_range_stack(rng, shape):
+    """Values from about 1e-150 to 1e150, with zeros and subnormals."""
+    v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-150, 150, shape)
+    v.flat[::7] = 0.0
+    v.flat[3::11] = 5e-324 * rng.integers(1, 1000, v.flat[3::11].shape)
+    return v
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_node_norms_are_the_bits_of_linalg_norm(n):
+    v = wide_range_stack(np.random.default_rng(n), (40, 216, n))
+    assert np.array_equal(bits(node_norms(v)), bits(np.linalg.norm(v, axis=-1)))
+    small = np.array([[[0.0] * n, [5e-324] * n, [1e-150] * n, [1e150] * n]])
+    assert np.array_equal(bits(node_norms(small)),
+                          bits(np.linalg.norm(small, axis=-1)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_node_norms_do_not_depend_on_the_layout(n):
+    rng = np.random.default_rng(10 + n)
+    v = wide_range_stack(rng, (30, 36, n))
+    cells = wide_range_stack(rng, (30, 4, n))
+    swapped = np.ascontiguousarray(v.transpose(1, 0, 2)).transpose(1, 0, 2)
+    views = (v[::2], v[:, ::3], swapped, cells[:, np.repeat(np.arange(4), 9)])
+    for view in views:
+        norms = node_norms(view)
+        assert norms.flags.c_contiguous
+        assert np.array_equal(bits(norms), bits(node_norms(np.ascontiguousarray(view))))
+
+
+def test_lp_norm_of_a_strided_stack_is_that_of_its_copy():
+    # a gather of cell values onto the nodes comes back strided
+    part = build_partition(Domain(np.zeros(2), np.ones(2)), 1.0)
+    cells = np.random.default_rng(3).standard_normal((50, part.num_cells, 2))
+    gathered = cells[:, part.node_cell]
+    assert not gathered.flags.c_contiguous
+    for p in (1.5, 2, 3):
+        assert np.array_equal(
+            bits(lp_norm(SampledFn(part, gathered), p)),
+            bits(lp_norm(SampledFn(part, np.ascontiguousarray(gathered)), p)))
 
 
 def test_functions_are_stacks_only():

@@ -68,3 +68,23 @@ def test_nearest_ties_break_to_lowest_index():
     idx, dist = net.nearest(np.array([[0.0, 1.0]]))
     assert idx[0] == 0
     assert dist[0] == pytest.approx(math.sqrt(2))
+
+
+# build_sigma_net(3, 1.2, seed=7).points, recorded from the net built with
+# np.linalg.norm for every pool distance
+STEPS_3D_NET = [
+    [1.0, 0.0, 0.0],
+    [-0.9999820180622744, 0.005385153318280138, 0.002638877761425594],
+    [-0.002916308496760859, -0.7827831988202832, -0.6222876816950796],
+    [8.032805645817052e-05, -0.5252587269815264, 0.8509425734308688],
+    [0.0014701725037152946, 0.7809620097410959, -0.6245767990679432],
+    [-0.15984867990337812, 0.7403391029081317, 0.6529520749935099],
+]
+
+
+def test_steps_3d_net_is_pinned():
+    # the steps-3d benchmark workload counts on a 6-point net for every seed
+    assert {build_sigma_net(3, 1.2, seed).size for seed in range(40)} == {6}
+    points = build_sigma_net(3, 1.2, seed=7).points
+    assert np.array_equal(points.view(np.int64),
+                          np.array(STEPS_3D_NET).view(np.int64))
