@@ -278,7 +278,8 @@ def cmd_build(cfg: RunConfig) -> int:
     partition, net, table, count = _setup(
         kernel, domain, cfg.gamma, cfg.Delta, cfg.delta, cfg.sigma,
         cfg.quad_nodes, cfg.seed, cfg.p, cfg.r, cfg.family_mode)
-    family = _family(table, net, cfg.family_mode, cfg.family_samples, cfg.seed)
+    family = _family(partition, table, net, cfg.family_mode,
+                     cfg.family_samples, cfg.seed)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(cfg),

@@ -81,22 +81,21 @@ def budget_limit(p: float, r: float) -> float:
     return r**p + BUDGET_SLACK * max(1.0, r**p)
 
 
-def integer_budget(costs: np.ndarray, limit: float) -> tuple[list[list[int]], int]:
-    """The rows of a 2-D array of nonnegative `costs` as exact integers over
-    one binary denominator, and the largest integer sum T whose value rounds
-    to at most `limit`.
+def integer_budget(costs: np.ndarray, limit: float) -> tuple[list[int], int]:
+    """The nonnegative `costs` as exact integers over one binary denominator,
+    and the largest integer sum T whose value rounds to at most `limit`.
 
     math.fsum is correctly rounded, so any choice of costs has fsum <= limit
     exactly when its integer sum is <= T.
     """
-    ratios = [[c.as_integer_ratio() for c in row] for row in costs.tolist()]
-    den = max(d for row in ratios for _, d in row)  # all powers of two
-    rows = [[n * (den // d) for n, d in row] for row in ratios]
+    ratios = [c.as_integer_ratio() for c in costs.tolist()]
+    den = max(d for _, d in ratios)  # all powers of two
+    row = [n * (den // d) for n, d in ratios]
     # every sum below the midpoint between limit and the next float rounds
     # to at most limit; the midpoint itself rounds to whichever is even
     above = (Fraction(limit) + Fraction(math.nextafter(limit, math.inf))) / 2
     top = math.floor(above * den)
-    return rows, top if float(Fraction(top, den)) <= limit else top - 1
+    return row, top if float(Fraction(top, den)) <= limit else top - 1
 
 
 # --------------------------------------------------------------------------
@@ -105,31 +104,31 @@ def integer_budget(costs: np.ndarray, limit: float) -> tuple[list[list[int]], in
 
 class BudgetTable:
     """Every budget state (cell, budget used by the cells before it) that a
-    feasible member passes through: `layers[i]` is the sorted array of the
-    budgets used before cell i, so `np.searchsorted` finds a state's index.
-    Budgets are exact: int64 while sums stay below 2**62, else Python ints;
-    completion counts are uint64 while they provably stay below 2**53.
-    """
+    feasible member of `cells` equal cells passes through, with `costs` the
+    cells' one cost row: `layers[i]` is the sorted array of the budgets used
+    before cell i, so `np.searchsorted` finds a state's index.  Budgets are
+    exact: int64 while sums stay below 2**62, else Python ints; completion
+    counts are uint64 while they provably stay below 2**53."""
 
-    def __init__(self, partition: Partition, grid: MagnitudeGrid, p: float, r: float):
+    def __init__(self, cells: int, cell_measure: float, grid: MagnitudeGrid,
+                 p: float, r: float):
         # the budget only needs p >= 1; the p > 1 restriction is for norms
         if p < 1 or r <= 0:
             raise ValueError("need p >= 1 and r > 0")
-        self.partition, self.grid = partition, grid
+        self.cells, self.grid = cells, grid
         # every layer holds the zero state, so the cells alone can pass the cap
-        self._check_states(partition.num_cells + 1)
+        self._check_states(cells + 1)
         # a cost over the limit never fits, so 2 * limit serves for them all
         limit = budget_limit(p, r)
-        rows, self.threshold = integer_budget(np.minimum(
-            partition.measures[:, None] * grid.values[None, :] ** p, 2 * limit), limit)
-        top = self.threshold + max(row[-1] for row in rows)  # largest sum formed
-        shift = max(0, top.bit_length() - 62)
-        self.costs = np.array(rows, dtype=object if shift else np.int64)
+        row, self.threshold = integer_budget(np.minimum(
+            cell_measure * grid.values ** p, 2 * limit), limit)
+        shift = max(0, (self.threshold + row[-1]).bit_length() - 62)
+        self.costs = np.array(row, dtype=object if shift else np.int64)
         self.layers = [np.zeros(1, dtype=self.costs.dtype)]
         stored = 1  # states in self.layers
-        for i in range(len(rows)):
+        for _ in range(cells):
             nxt = self.layers[-1][:0]
-            for *_, budget in self.pairs(i, self.layers[-1]):
+            for *_, budget in self.pairs(self.layers[-1]):
                 nxt = np.concatenate([nxt, budget])
                 if shift:  # an int64 sort by the top 62 bits, then an exact one
                     nxt = nxt[np.argsort((nxt >> shift).astype(np.int64))]
@@ -144,35 +143,35 @@ class BudgetTable:
         if states > STATE_CAP:
             raise ResourceError(
                 f"family too large: its budget table needs more than "
-                f"{STATE_CAP} states ({self.partition.num_cells} cells x "
+                f"{STATE_CAP} states ({self.cells} cells x "
                 f"{self.grid.a + 1} magnitude levels); increase Delta or delta")
 
-    def pairs(self, i: int, used: np.ndarray):
+    def pairs(self, used: np.ndarray):
         """The (owner, level) pairs that fit the budget after `used[owner]`
-        at cell i, owner by owner with levels ascending (costs increase with
-        the level), as blocks (owner, level, budget used after the pair).
+        at the next cell, owner by owner with levels ascending (costs increase
+        with the level), as blocks (owner, level, budget used after the pair).
 
         A block holds the owners whose pairs end in one run of STATE_CAP
         pairs, so it has fewer than STATE_CAP pairs besides its first owner's."""
-        k = np.searchsorted(self.costs[i], self.threshold - used, side="right")
+        k = np.searchsorted(self.costs, self.threshold - used, side="right")
         runs = np.cumsum(k) // STATE_CAP
         for owners in np.split(np.arange(len(used)), np.flatnonzero(np.diff(runs)) + 1):
             c = k[owners]
             owner = np.repeat(owners, c)
             level = np.arange(owner.size) - np.repeat(np.cumsum(c) - c, c)
-            yield owner, level, used[owner] + self.costs[i][level]
+            yield owner, level, used[owner] + self.costs[level]
 
     def completions(self, factor: int) -> list[np.ndarray]:
         """Per layer, each state's number of feasible completions (exact); a
         nonzero magnitude weighs `factor`, zero weighs 1.  Every count and
         block sum is at most (1 + factor * top level) ** cells: uint64 while
         that is below 2**53 (exact in float64 too), else Python ints."""
-        bound = (1 + factor * (self.costs.shape[1] - 1)) ** len(self.costs)
+        bound = (1 + factor * (len(self.costs) - 1)) ** self.cells
         dtype = np.uint64 if bound < 2**53 else object
         tables = [np.ones(len(self.layers[-1]), dtype=dtype)]
-        for i in reversed(range(len(self.costs))):
+        for i in reversed(range(self.cells)):
             table = np.empty(len(self.layers[i]), dtype=dtype)
-            for owner, level, budget in self.pairs(i, self.layers[i]):
+            for owner, level, budget in self.pairs(self.layers[i]):
                 w = tables[-1][np.searchsorted(self.layers[i + 1], budget)]
                 w[level > 0] *= factor
                 starts = np.flatnonzero(level == 0)
@@ -190,8 +189,9 @@ def count_family(table: BudgetTable, net: DirectionNet) -> int:
     return int(table.completions(net.size)[0][0])
 
 
-def enumerate_family(table: BudgetTable, net: DirectionNet) -> PiecewiseConstFn:
-    """Every family member once, as one stack in lexicographic
+def enumerate_family(partition: Partition, table: BudgetTable,
+                     net: DirectionNet) -> PiecewiseConstFn:
+    """Every family member once, as one stack on `partition` in lexicographic
     (cell, magnitude, direction) order, with indices in the smallest unsigned
     dtypes that hold them.  Zero-magnitude cells carry direction index 0.
     """
@@ -204,12 +204,12 @@ def enumerate_family(table: BudgetTable, net: DirectionNet) -> PiecewiseConstFn:
     links, state = [], np.zeros(1, dtype=int)
     for i, (layer, nxt) in enumerate(zip(table.layers, table.layers[1:])):
         blocks = []
-        for row, j, budget in table.pairs(i, layer[state]):
+        for row, j, budget in table.pairs(layer[state]):
             c = np.where(j > 0, net.size, 1)
             pair = np.repeat(np.arange(j.size), c)
             rank = np.arange(pair.size) - np.repeat(np.cumsum(c) - c, c)
             blocks.append((row[pair].astype(np.int32), j[pair].astype(mag_t),
-                           rank.astype(dir_t), pair[:0] if i == len(table.costs) - 1
+                           rank.astype(dir_t), pair[:0] if i == table.cells - 1
                            else np.searchsorted(nxt, budget)[pair]))
         *link, state = map(np.concatenate, zip(*blocks))
         links.append(link)
@@ -220,24 +220,24 @@ def enumerate_family(table: BudgetTable, net: DirectionNet) -> PiecewiseConstFn:
         mag[:, len(links)], dirs[:, len(links)] = j[rows], d[rows]
         rows = parent[rows]
     del blocks, link, row, rank, pair, rows  # freed before the values are built
-    return _from_indices(table, net, mag, dirs)
+    return _from_indices(partition, table, net, mag, dirs)
 
 
-def _from_indices(table, net, mag, dirs) -> PiecewiseConstFn:
-    """The stack of members with (F, N) magnitude and direction indices, its
-    values built `_BLOCK` elements at a time."""
+def _from_indices(partition, table, net, mag, dirs) -> PiecewiseConstFn:
+    """The stack on `partition` of members with (F, N) magnitude and
+    direction indices, its values built `_BLOCK` elements at a time."""
     values = np.empty((*mag.shape, net.points.shape[1]))
     step = max(1, _BLOCK // (values.shape[1] * values.shape[2]))
     for s in range(0, len(values), step):
         np.multiply(table.grid.values[mag[s:s + step]][..., None],
                     net.points[dirs[s:s + step]], out=values[s:s + step])
-    return PiecewiseConstFn(table.partition, values, mag_idx=mag, dir_idx=dirs)
+    return PiecewiseConstFn(partition, values, mag_idx=mag, dir_idx=dirs)
 
 
-def sample_family(table: BudgetTable, net: DirectionNet, count: int,
-                  seed: int = 0) -> PiecewiseConstFn:
-    """Draw a stack of members with uniform magnitude profiles via the
-    completion table.
+def sample_family(partition: Partition, table: BudgetTable, net: DirectionNet,
+                  count: int, seed: int = 0) -> PiecewiseConstFn:
+    """Draw a stack on `partition` of members with uniform magnitude profiles
+    via the completion table.
 
     Magnitude profiles are sampled uniformly over the feasible set (counts of
     feasible completions drive the per-cell choice); directions are uniform
@@ -251,11 +251,11 @@ def sample_family(table: BudgetTable, net: DirectionNet, count: int,
         raise ValueError("count must be >= 0")
     rng = np.random.default_rng(seed)
     completions = table.completions(1)
-    mags = np.zeros((count, len(table.costs)), dtype=int)
+    mags = np.zeros((count, table.cells), dtype=int)
     state = np.zeros(count, dtype=int)
     for i, (layer, nxt) in enumerate(zip(table.layers, table.layers[1:])):
         u, total = rng.random(count), completions[i][state]
-        for draw, level, budget in table.pairs(i, layer[state]):
+        for draw, level, budget in table.pairs(layer[state]):
             succ = np.searchsorted(nxt, budget)
             w, starts = completions[i + 1][succ], np.flatnonzero(level == 0)
             # a uint64 cumsum over the block's owners may wrap past 2**64, but
@@ -267,7 +267,7 @@ def sample_family(table: BudgetTable, net: DirectionNet, count: int,
             mags[owner, i] = np.add.reduceat(below, starts, dtype=int)
             state[owner] = succ[starts + mags[owner, i]]
     dirs = np.where(mags > 0, rng.integers(net.size, size=mags.shape), 0)
-    return _from_indices(table, net, mags, dirs)
+    return _from_indices(partition, table, net, mags, dirs)
 
 
 def sample_ball(
@@ -354,7 +354,7 @@ def cell_average(x: SampledFn) -> PiecewiseConstFn:
     qpc = partition.nodes_per_cell
     w = partition.weights.reshape(partition.num_cells, qpc, 1)
     v = x.values.reshape(len(x), partition.num_cells, qpc, x.dim)
-    means = (w * v).sum(axis=-2) / partition.measures[:, None]
+    means = (w * v).sum(axis=-2) / partition.cell_measure
     return PiecewiseConstFn(partition, means)
 
 

@@ -97,5 +97,5 @@ def lp_norm(f: SampledFn | PiecewiseConstFn, p: float) -> np.ndarray:
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
     part = f.partition
-    weights = part.measures if isinstance(f, PiecewiseConstFn) else part.weights
+    weights = part.cell_measure if isinstance(f, PiecewiseConstFn) else part.weights
     return weighted_lp(f.values, weights, p)

@@ -1,8 +1,8 @@
 """Axis-aligned box domains, grid partitions and tensor Gauss-Legendre quadrature.
 
-A partition is held as flat arrays: the cell measures, and the quadrature
-nodes of every cell with weights that sum to the cell measure.  All
-downstream integrals are weighted sums over these node arrays.
+A partition is its cell count, the one measure of its equal cells, and the
+quadrature nodes of every cell as flat arrays, with weights that sum to the
+cell measure.  All downstream integrals are weighted sums over these nodes.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Domain", "Partition", "build_partition"]
+__all__ = ["Domain", "Partition", "build_partition", "cell_grid"]
 
 # cell diameters may exceed the requested delta by rounding noise only
 _DIAM_SLACK = 1e-9
@@ -56,7 +56,7 @@ class Domain:
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Grid partition of a Domain with per-cell quadrature.
+    """Grid partition of a Domain into equal cells, with per-cell quadrature.
 
     Flattened node arrays are cell-major: nodes of cell i occupy the slice
     [i * nodes_per_cell, (i + 1) * nodes_per_cell).
@@ -64,41 +64,37 @@ class Partition:
 
     domain: Domain
     nodes_per_axis: int
-    measures: np.ndarray  # (N,)
+    num_cells: int
+    cell_measure: float
     points: np.ndarray  # (P, k)
     weights: np.ndarray  # (P,)
     node_cell: np.ndarray  # (P,) int
-
-    @property
-    def num_cells(self) -> int:
-        return self.measures.size
 
     @property
     def nodes_per_cell(self) -> int:
         return self.nodes_per_axis ** self.domain.dim
 
 
-def build_partition(domain: Domain, delta: float, nodes_per_axis: int = 3) -> Partition:
-    """Split each axis into ceil(sqrt(k) * length / delta) equal pieces.
-
-    The sqrt(k) factor makes the cell diagonal, not just the side, at most
-    delta.
-    """
+def cell_grid(domain: Domain, delta: float) -> tuple[tuple[int, ...], float]:
+    """(cells per axis, cell measure): ceil(sqrt(k) * length / delta) equal
+    pieces per axis, so that the cell diagonal, not just the side, is <= delta."""
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
+    root_k = math.sqrt(domain.dim)
+    counts = tuple(max(1, math.ceil(root_k * length / delta))
+                   for length in domain.lengths)
+    h = domain.lengths / np.array(counts, dtype=float)
+    if float(np.linalg.norm(h)) > delta * (1.0 + _DIAM_SLACK):
+        raise AssertionError("cell diagonal exceeds delta; count formula broken")
+    return counts, float(np.prod(h))
+
+
+def build_partition(domain: Domain, delta: float, nodes_per_axis: int = 3) -> Partition:
+    """The `cell_grid` partition, with nodes_per_axis^k Gauss nodes per cell."""
     if nodes_per_axis < 1:
         raise ValueError(f"nodes_per_axis must be >= 1, got {nodes_per_axis}")
-
-    k = domain.dim
-    root_k = math.sqrt(k)
-    counts = tuple(
-        max(1, math.ceil(root_k * length / delta)) for length in domain.lengths
-    )
-    h = domain.lengths / np.array(counts, dtype=float)
-    diam = float(np.linalg.norm(h))
-    if diam > delta * (1.0 + _DIAM_SLACK):
-        raise AssertionError("cell diagonal exceeds delta; count formula broken")
-    measure = float(np.prod(h))
+    counts, measure = cell_grid(domain, delta)
+    k, h = domain.dim, domain.lengths / np.array(counts, dtype=float)
 
     ref_x, ref_w = np.polynomial.legendre.leggauss(nodes_per_axis)
     # cell-major: cells in C order of their grid index, and within each cell
@@ -111,19 +107,18 @@ def build_partition(domain: Domain, delta: float, nodes_per_axis: int = 3) -> Pa
     node = np.indices((nodes_per_axis,) * k).reshape(k, -1)  # (k, m^k)
     points = axis_x[:, ax, node].transpose(0, 2, 1).reshape(-1, k)
     weights = axis_w[:, ax, node].prod(axis=1).ravel()
-    measures = np.full(lo.shape[0], measure)
-    node_cell = np.repeat(np.arange(measures.size), nodes_per_axis**k)
+    node_cell = np.repeat(np.arange(len(lo)), nodes_per_axis**k)
 
-    total = float(weights.sum())
-    if abs(total - domain.measure) > 1e-12 * max(1.0, domain.measure):
+    # the sum's relative error in roundings of u = eps / 2, to first order: a
+    # side (lo + h) - lo is off h by u (|corner| + h), h off length / count by
+    # u h and the length by u, so u (max |corner| / h + 3) per axis; the Gauss
+    # weights sum to 2 within (m + 1) u per axis, a node's k factors and k - 1
+    # products add 2 k u, the measure's k - 1 products k u and the sum of P
+    # weights (P - 1) u.  The check allows twice that (eps, not u)
+    corner = np.maximum(abs(domain.lower), abs(domain.upper))
+    bound = np.finfo(float).eps * domain.measure * (
+        np.sum(corner / h + 3) + k * (nodes_per_axis + 4) + len(weights))
+    if abs(weights.sum() - domain.measure) > bound:
         raise AssertionError("quadrature weights do not sum to the domain measure")
-
-    return Partition(
-        domain=domain,
-        nodes_per_axis=nodes_per_axis,
-        measures=measures,
-        points=points,
-        weights=weights,
-        node_cell=node_cell,
-    )
-
+    return Partition(domain, nodes_per_axis, len(lo), measure, points, weights,
+                     node_cell)

@@ -247,6 +247,9 @@ def load_tabulated_kernel(path) -> tuple[Kernel, Domain]:
     grid_shape = tuple(int(v) for v in lines[4].split())
     if not len(lower) == len(upper) == len(grid_shape) == k:
         raise ValueError(f"{path}: header does not give {k} entries per axis line")
+    if m < 1 or n < 1 or any(g < 2 for g in grid_shape):
+        raise ValueError(f"{path}: header gives m, n = {m}, {n} and grid sizes "
+                         f"{list(grid_shape)}; need m, n >= 1 and sizes >= 2")
     mode = lines[5].decode("ascii").strip()
     payload = lines[6]
     count = int(np.prod(grid_shape)) ** 2 * m * n

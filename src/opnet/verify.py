@@ -28,7 +28,7 @@ from .family import (
 )
 from .functions import PiecewiseConstFn, SampledFn, lp_norm
 from .functions import weighted_lp as _lq_norms
-from .geometry import Domain, build_partition
+from .geometry import Domain, build_partition, cell_grid
 from .integral_op import DiscretizedOperator
 from .kernels import Kernel
 from .sphere import build_sigma_net
@@ -328,9 +328,9 @@ def _setup(kernel, domain, gamma, Delta, delta, sigma, nodes_per_axis, seed,
            p, r, family_mode):
     """(partition, net, table, count): the run's family as its budget table
     and exact count.  Every refusal of a run for its size is raised here,
-    before an operator, a ball sample or a member is made."""
-    partition = build_partition(domain, Delta, nodes_per_axis=nodes_per_axis)
-    a, mu = _levels(gamma, delta), float(partition.measures.min())
+    before a partition, an operator, a ball sample or a member is made."""
+    counts, mu = cell_grid(domain, Delta)
+    cells, a = math.prod(counts), _levels(gamma, delta)
     # no cell affords a level past a r mu^(-1/p) / gamma within the budget
     # r^p; the grid stores one level more, so that rounding a ball sample
     # never needs a level that is not stored.  A budget table holds a state
@@ -341,8 +341,8 @@ def _setup(kernel, domain, gamma, Delta, delta, sigma, nodes_per_axis, seed,
             f"family too large: one cell can take more than {STATE_CAP} of its "
             f"{a + 1} magnitude levels within the budget; increase delta")
     net = build_sigma_net(kernel.n, sigma, seed=seed)
-    table = BudgetTable(partition, build_magnitude_grid(gamma, a, top), p, r)
-    size = 8 * kernel.m * kernel.n * len(partition.points) ** 2
+    table = BudgetTable(cells, mu, build_magnitude_grid(gamma, a, top), p, r)
+    size = 8 * kernel.m * kernel.n * (cells * nodes_per_axis ** domain.dim) ** 2
     if size > OPERATOR_CAP:
         raise ResourceError(f"operator too large ({size} > cap {OPERATOR_CAP} "
                             "bytes of kernel values); increase Delta or "
@@ -351,14 +351,15 @@ def _setup(kernel, domain, gamma, Delta, delta, sigma, nodes_per_axis, seed,
     if family_mode == "enumerate" and count > ENUM_CAP:
         raise ResourceError(f"family too large to enumerate ({count} > cap "
                             f"{ENUM_CAP}); set family_mode = sample")
+    partition = build_partition(domain, Delta, nodes_per_axis=nodes_per_axis)
     return partition, net, table, count
 
 
-def _family(table, net, family_mode, family_samples, seed):
-    """Every member of the table's family, or `family_samples` drawn ones."""
+def _family(partition, table, net, family_mode, family_samples, seed):
+    """The table's family on `partition`: every member, or `family_samples`."""
     if family_mode == "sample":
-        return sample_family(table, net, family_samples, seed)
-    return enumerate_family(table, net)
+        return sample_family(partition, table, net, family_samples, seed)
+    return enumerate_family(partition, table, net)
 
 
 def _mixed_ball_samples(partition, n, p, r, samples, seed) -> SampledFn:
@@ -454,7 +455,7 @@ def verify_run(
         steps_report.passed = tcheby_ok and all(s.passed for s in steps)
     del ball  # only its images are used from here on
 
-    family = _family(table, net, family_mode, family_samples, seed)
+    family = _family(partition, table, net, family_mode, family_samples, seed)
     certified = breakdown.total
     d_fwd, d_rev = directed_distance(ball_images, family, q, op)
 

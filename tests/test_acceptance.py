@@ -56,7 +56,8 @@ def test_criterion_1_constant_kernel_oracle():
     grid = build_magnitude_grid(2.0, 40)  # step 0.05
     net = build_sigma_net(1, 0.5)
     op = DiscretizedOperator(kern, part)
-    family = enumerate_family(BudgetTable(part, grid, 2, 1.0), net)
+    family = enumerate_family(
+        part, BudgetTable(part.num_cells, part.cell_measure, grid, 2, 1.0), net)
     family_values = sorted(
         float(op.apply(family[k:k + 1]).values[0, 0, 0])
         for k in range(len(family))
@@ -104,8 +105,10 @@ def test_criterion_3_counting_equivalence():
         grid = build_magnitude_grid(1.0, a)
         ang = 2 * math.pi * np.arange(c) / c
         net = DirectionNet(np.stack([np.cos(ang), np.sin(ang)], axis=1))
-        got = count_family(BudgetTable(part, grid, p, 1.0), net)
-        want = brute_force_count(part.measures, grid.values, c, p, 1.0)
+        got = count_family(BudgetTable(part.num_cells, part.cell_measure, grid,
+                                          p, 1.0), net)
+        want = brute_force_count([part.cell_measure] * part.num_cells,
+                                 grid.values, c, p, 1.0)
         ok = ok and got == want
         checked += 1
     elapsed = time.time() - t0

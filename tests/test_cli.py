@@ -399,13 +399,20 @@ def bad_kernel_file(path, case):
         path.write_text("".join(lines[:-1]))
     elif case == "dimension":
         path.write_text("".join([lines[0], "1 1 2\n"] + lines[2:]))
+    elif case in ("zero-m", "zero-n"):
+        # a zero-size kernel with its empty payload, consistent with the header
+        shape = "0 1 1\n" if case == "zero-m" else "1 0 1\n"
+        path.write_text("".join([lines[0], shape] + lines[2:6]))
+    elif case == "one-point":
+        path.write_text("".join(lines[:4] + ["1\n", lines[5], "0.5\n"]))
     else:
         path.write_text("".join(lines[:-1]) + "nan\n")
 
 
 @pytest.mark.parametrize("command", ["bound", "verify", "build"])
 @pytest.mark.parametrize("case", ["missing", "short-header", "bad-magic",
-                                  "value-count", "dimension", "nan"])
+                                  "value-count", "dimension", "nan", "zero-m",
+                                  "zero-n", "one-point"])
 def test_bad_kernel_file_is_config_error(capsys, tmp_path, command, case):
     dom = Domain(np.zeros(1), np.ones(1))
     path = tmp_path / "kernel.txt"
@@ -416,6 +423,8 @@ def test_bad_kernel_file_is_config_error(capsys, tmp_path, command, case):
     assert main([command, cfg, "--output", str(tmp_path / "out")]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: [kernel] file:")
+    if case in ("zero-m", "zero-n", "one-point"):
+        assert "header gives" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
@@ -661,7 +670,8 @@ def test_build_images_do_not_depend_on_block_boundaries(monkeypatch, capsys,
     partition, net, table, _ = _setup(
         kernel, domain, cfg.gamma, cfg.Delta, cfg.delta, cfg.sigma,
         cfg.quad_nodes, cfg.seed, cfg.p, cfg.r, cfg.family_mode)
-    family = sample_family(table, net, cfg.family_samples, cfg.seed)
+    family = sample_family(partition, table, net, cfg.family_samples,
+                           cfg.seed)
     n = len(family)
     want = DiscretizedOperator(kernel, partition).apply(family).values
     # blocks of `size` rows leave a 1-row tail: n = k * size + 1
@@ -774,6 +784,19 @@ REFUSED_OPERATOR_CONFIG = REFUSED_TABLE_CONFIG.replace(
     "gamma = 2.0\nDelta = 0.0004\ndelta = 1.0",
     "gamma = 1000\nDelta = 0.0001\ndelta = 1000")
 
+# 100,000,000 cells: the budget table refuses them by their number alone,
+# and their nodes would take over 1 GiB to build
+REFUSED_CELLS_CONFIG = REFUSED_OPERATOR_CONFIG.replace("Delta = 0.0001",
+                                                       "Delta = 1e-8")
+
+# one 3-D cell of 400^3 nodes: the operator cap refuses them, and their
+# points alone would take 1.4 GiB to build
+REFUSED_NODES_CONFIG = REFUSED_TABLE_CONFIG.replace(
+    "dim = 1\nlower = 0.0\nupper = 1.0",
+    "dim = 3\nlower = 0.0 0.0 0.0\nupper = 1.0 1.0 1.0").replace(
+    "Delta = 0.0004", "Delta = 2.0").replace(
+    "samples = 20\n", "samples = 20\nquad_nodes = 400\n")
+
 
 @pytest.mark.parametrize("command", ["verify", "build", "sweep"])
 @pytest.mark.parametrize("text,message", [
@@ -783,7 +806,12 @@ REFUSED_OPERATOR_CONFIG = REFUSED_TABLE_CONFIG.replace(
     (REFUSED_OPERATOR_CONFIG, "resource error: operator too large (7200000000 "
      "> cap 33554432 bytes of kernel values); increase Delta or decrease "
      "quad_nodes"),
-], ids=["state-cap", "enum-cap", "operator-cap"])
+    (REFUSED_CELLS_CONFIG, "resource error: family too large: its budget "
+     "table needs more than 200000 states (100000000 cells x 2 magnitude "
+     "levels)"),
+    (REFUSED_NODES_CONFIG, "resource error: operator too large "
+     "(32768000000000000 > cap 33554432 bytes of kernel values)"),
+], ids=["state-cap", "enum-cap", "operator-cap", "cell-count", "node-count"])
 def test_refusals_come_before_the_operator(monkeypatch, capsys, tmp_path,
                                            command, text, message):
     def no_operator(*args, **kwargs):
@@ -792,9 +820,13 @@ def test_refusals_come_before_the_operator(monkeypatch, capsys, tmp_path,
     def no_count(*args, **kwargs):
         raise AssertionError("the family was counted")
 
+    def no_partition(*args, **kwargs):
+        raise AssertionError("a partition was built")
+
     monkeypatch.setattr(DiscretizedOperator, "__init__", no_operator)
+    monkeypatch.setattr(opnet.verify, "build_partition", no_partition)
     monkeypatch.setattr(opnet.verify, "ENUM_CAP", 2)
-    if text is REFUSED_OPERATOR_CONFIG:
+    if text in (REFUSED_OPERATOR_CONFIG, REFUSED_NODES_CONFIG):
         # the operator cap is checked before the count
         monkeypatch.setattr(opnet.verify, "count_family", no_count)
     argv = [command, write(tmp_path, text), "--output", str(tmp_path / "out")]

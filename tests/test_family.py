@@ -51,8 +51,13 @@ def within_budget(part, grid, p, r, mag_idx):
     """The integer budget test: true exactly when the fsum of mu_i z_i^p is
     at most budget_limit(p, r)."""
     costs, threshold = integer_budget(
-        part.measures[:, None] * grid.values[None, :] ** p, budget_limit(p, r))
-    return sum(row[j] for row, j in zip(costs, mag_idx)) <= threshold
+        part.cell_measure * grid.values ** p, budget_limit(p, r))
+    return sum(costs[j] for j in mag_idx) <= threshold
+
+
+def table_of(part, grid, p, r):
+    """The budget table of the cells of `part`."""
+    return BudgetTable(part.num_cells, part.cell_measure, grid, p, r)
 
 
 def members(stack):
@@ -101,8 +106,8 @@ def test_magnitude_grid_invalid():
 
 
 def _integer_test_agrees(costs, limit):
-    rows, threshold = integer_budget(np.array([costs]), limit)
-    return (sum(rows[0]) <= threshold) == (math.fsum(costs) <= limit)
+    row, threshold = integer_budget(np.array(costs), limit)
+    return (sum(row) <= threshold) == (math.fsum(costs) <= limit)
 
 
 def test_integer_budget_matches_fsum_on_random_costs():
@@ -151,31 +156,31 @@ def test_integer_budget_rounds_ties_like_fsum():
 def test_budgets_are_int64_while_sums_fit(n_cells, a, p, r, dtype):
     part = interval_partition(delta=1.0 / n_cells, nodes=1)
     grid = build_magnitude_grid(1.0, a)
-    table = BudgetTable(part, grid, p, r)
+    table = table_of(part, grid, p, r)
     assert table.costs.dtype == dtype
     top = table.threshold + int(table.costs.max())
     assert (top < 2**62) == (dtype is np.int64)
     assert count_family(table, angle_net(3)) == brute_force_count(
-        part.measures, grid.values, 3, p, r)
+        [part.cell_measure] * part.num_cells, grid.values, 3, p, r)
 
 
 def test_count_single_cell():
     part = interval_partition()
     grid = build_magnitude_grid(1.0, 2)  # {0, 0.5, 1}
-    assert count_family(BudgetTable(part, grid, 2, 1.0), sign_net()) == 5
+    assert count_family(table_of(part, grid, 2, 1.0), sign_net()) == 5
 
 
 def test_count_two_cells_p1():
     part = interval_partition(delta=0.5)
     grid = build_magnitude_grid(1.0, 1)  # {0, 1}
     # (0,0) -> 1, (1,0)/(0,1) -> 2 each, (1,1) -> 4
-    assert count_family(BudgetTable(part, grid, 1.0, 1.0), sign_net()) == 9
+    assert count_family(table_of(part, grid, 1.0, 1.0), sign_net()) == 9
 
 
 def test_count_tiny_radius_only_zero():
     part = interval_partition()
     grid = build_magnitude_grid(1.0, 2)
-    assert count_family(BudgetTable(part, grid, 2, 1e-6), sign_net()) == 1
+    assert count_family(table_of(part, grid, 2, 1e-6), sign_net()) == 1
 
 
 def test_count_matches_brute_force_random_configs():
@@ -190,8 +195,9 @@ def test_count_matches_brute_force_random_configs():
         part = interval_partition(delta=1.0 / n_cells, nodes=1)
         grid = build_magnitude_grid(gamma, a)
         net = angle_net(c)
-        expected = brute_force_count(part.measures, grid.values, c, p, r)
-        assert count_family(BudgetTable(part, grid, p, r), net) == expected
+        expected = brute_force_count(
+            [part.cell_measure] * part.num_cells, grid.values, c, p, r)
+        assert count_family(table_of(part, grid, p, r), net) == expected
 
 
 def test_count_epsilon_one_family_is_fast_and_exact():
@@ -203,7 +209,7 @@ def test_count_epsilon_one_family_is_fast_and_exact():
     expected = square_budget_count(9, 50, 225, 2)
     assert expected == 128_236_319_951
     start = time.perf_counter()
-    assert count_family(BudgetTable(part, grid, 2, 1.0), sign_net()) == expected
+    assert count_family(table_of(part, grid, 2, 1.0), sign_net()) == expected
     assert time.perf_counter() - start < 5.0
 
 
@@ -214,7 +220,7 @@ def test_count_epsilon_one_family_is_fast_and_exact():
 def test_enumerate_single_cell():
     part = interval_partition()
     grid = build_magnitude_grid(1.0, 2)
-    fam = enumerate_family(BudgetTable(part, grid, 2, 1.0), sign_net())
+    fam = enumerate_family(part, table_of(part, grid, 2, 1.0), sign_net())
     assert len(fam) == 5
     assert np.all(fam[:1].values == 0.0)  # zero function first
 
@@ -222,7 +228,7 @@ def test_enumerate_single_cell():
 def test_enumerate_infeasible_smallest_magnitude():
     part = interval_partition()
     grid = build_magnitude_grid(1.0, 2)
-    fam = enumerate_family(BudgetTable(part, grid, 2, 1e-6), sign_net())
+    fam = enumerate_family(part, table_of(part, grid, 2, 1e-6), sign_net())
     assert len(fam) == 1
 
 
@@ -230,8 +236,8 @@ def test_enumerate_respects_budget_and_count():
     part = interval_partition(delta=0.5)
     grid = build_magnitude_grid(1.0, 1)
     net = sign_net()
-    fam = enumerate_family(BudgetTable(part, grid, 1.0, 1.0), net)
-    assert len(fam) == 9 == count_family(BudgetTable(part, grid, 1.0, 1.0), net)
+    fam = enumerate_family(part, table_of(part, grid, 1.0, 1.0), net)
+    assert len(fam) == 9 == count_family(table_of(part, grid, 1.0, 1.0), net)
     for mag_idx in fam.mag_idx:
         assert within_budget(part, grid, 1.0, 1.0, mag_idx)
 
@@ -254,15 +260,15 @@ def test_enumerate_cap(monkeypatch):
     assert _setup(*run, "sample")[3] == count
     monkeypatch.undo()
     monkeypatch.setattr(opnet.verify, "ENUM_CAP", count)
-    _, net, table, _ = _setup(*run, "enumerate")
-    assert len(_family(table, net, "enumerate", 0, 0)) == count
+    part, net, table, _ = _setup(*run, "enumerate")
+    assert len(_family(part, table, net, "enumerate", 0, 0)) == count
 
 
 def test_enumerate_is_a_set():
     part = interval_partition(delta=0.5)
     grid = build_magnitude_grid(1.0, 2)
     net = angle_net(3)
-    fam = enumerate_family(BudgetTable(part, grid, 2, 1.0), net)
+    fam = enumerate_family(part, table_of(part, grid, 2, 1.0), net)
     keys = {(tuple(m), tuple(d)) for m, d in zip(fam.mag_idx, fam.dir_idx)}
     assert len(keys) == len(fam)
     # zero magnitude cells are canonicalized to direction 0
@@ -288,10 +294,10 @@ def test_enumerate_order_and_content_match_brute_force(n_cells, a, c, p, r):
     choices = [(0, 0)] + [(j, l) for j in range(1, a + 1) for l in range(c)]
     want = [
         combo for combo in itertools.product(choices, repeat=n_cells)
-        if math.fsum(part.measures[i] * grid.values[j] ** p
-                     for i, (j, _) in enumerate(combo)) <= limit
+        if math.fsum(part.cell_measure * grid.values[j] ** p
+                     for j, _ in combo) <= limit
     ]
-    fam = enumerate_family(BudgetTable(part, grid, p, r), net)
+    fam = enumerate_family(part, table_of(part, grid, p, r), net)
     got = [tuple(zip(m, d))
            for m, d in zip(fam.mag_idx.tolist(), fam.dir_idx.tolist())]
     assert got == want
@@ -301,20 +307,21 @@ def test_enumerate_order_and_content_match_brute_force(n_cells, a, c, p, r):
 
 
 def b102k_table_and_net():
-    """The 2-D baseline's budget table and net: 4 cells, 5 levels, 7 points."""
+    """The 2-D baseline's partition, budget table and net: 4 cells, 5 levels,
+    7 points."""
     part = build_partition(Domain(np.zeros(2), np.ones(2)), 1.0, nodes_per_axis=3)
-    return (BudgetTable(part, build_magnitude_grid(2.0, 4), 2.0, 1.0),
+    return (part, table_of(part, build_magnitude_grid(2.0, 4), 2.0, 1.0),
             build_sigma_net(2, 0.9, seed=7))
 
 
 def test_enumerate_peak_is_close_to_the_stack_it_returns():
     # only per-cell links are held besides the stack, and the values are
     # built a block at a time
-    table, net = b102k_table_and_net()
-    enumerate_family(table, net)  # numpy's one-time allocations happen here
+    part, table, net = b102k_table_and_net()
+    enumerate_family(part, table, net)  # numpy's one-time allocations happen here
     tracemalloc.start()
     try:
-        fam = enumerate_family(table, net)
+        fam = enumerate_family(part, table, net)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -324,14 +331,14 @@ def test_enumerate_peak_is_close_to_the_stack_it_returns():
 
 
 def test_enumerate_indices_take_the_smallest_unsigned_dtypes():
-    table, net = b102k_table_and_net()
-    fam = enumerate_family(table, net)
+    part, table, net = b102k_table_and_net()
+    fam = enumerate_family(part, table, net)
     assert (fam.mag_idx.dtype, fam.dir_idx.dtype) == (np.uint8, np.uint8)
     # two cells of measure 1/2 and r^2 = 0.36: a cell takes level 0 or 1
     part = interval_partition(delta=0.5, nodes=1)
     grid = build_magnitude_grid(1.0, 2)
     net = angle_net(257)
-    fam = enumerate_family(BudgetTable(part, grid, 2.0, 0.6), net)
+    fam = enumerate_family(part, table_of(part, grid, 2.0, 0.6), net)
     assert len(fam) == 1 + 2 * 257 + 257**2
     assert (fam.mag_idx.dtype, fam.dir_idx.dtype) == (np.uint8, np.uint16)
     assert fam.dir_idx.max() == 256
@@ -355,7 +362,7 @@ def test_levels_refused_before_the_grid_are_refused_by_the_table(monkeypatch, r,
     except ResourceError:
         part = build_partition(domain, 0.25, nodes_per_axis=1)
         with pytest.raises(ResourceError):
-            BudgetTable(part, build_magnitude_grid(1.0, a), 2.0, r)
+            table_of(part, build_magnitude_grid(1.0, a), 2.0, r)
     else:
         assert table.grid.a == a
 
@@ -368,9 +375,9 @@ def test_sample_family_members_are_enumerable():
     part = interval_partition()
     grid = build_magnitude_grid(1.0, 2)
     net = sign_net()
-    fam = enumerate_family(BudgetTable(part, grid, 2, 1.0), net)
+    fam = enumerate_family(part, table_of(part, grid, 2, 1.0), net)
     fam_keys = {(tuple(m), tuple(d)) for m, d in zip(fam.mag_idx, fam.dir_idx)}
-    drawn = sample_family(BudgetTable(part, grid, 2, 1.0), net, 100, seed=8)
+    drawn = sample_family(part, table_of(part, grid, 2, 1.0), net, 100, seed=8)
     for m, d in zip(drawn.mag_idx, drawn.dir_idx):
         assert (tuple(m), tuple(d)) in fam_keys
 
@@ -379,8 +386,8 @@ def test_sample_family_empty_and_budget():
     part = interval_partition(delta=0.5)
     grid = build_magnitude_grid(1.0, 3)
     net = angle_net(3)
-    assert len(sample_family(BudgetTable(part, grid, 2, 1.0), net, 0, seed=1)) == 0
-    for mag_idx in sample_family(BudgetTable(part, grid, 2, 1.0), net, 50,
+    assert len(sample_family(part, table_of(part, grid, 2, 1.0), net, 0, seed=1)) == 0
+    for mag_idx in sample_family(part, table_of(part, grid, 2, 1.0), net, 50,
                                  seed=1).mag_idx:
         assert within_budget(part, grid, 2, 1.0, mag_idx)
 
@@ -390,7 +397,7 @@ def test_sample_family_draws_are_pinned():
     # sequence, and so to every seed's sample, fails here
     part = interval_partition(delta=0.25, nodes=1)
     grid = build_magnitude_grid(1.0, 3)
-    fam = sample_family(BudgetTable(part, grid, 2.0, 0.6), angle_net(3), 12, seed=5)
+    fam = sample_family(part, table_of(part, grid, 2.0, 0.6), angle_net(3), 12, seed=5)
     assert fam.mag_idx.tolist() == [
         [2, 1, 1, 2], [2, 2, 2, 0], [1, 3, 0, 0], [0, 2, 2, 2],
         [0, 1, 3, 0], [1, 1, 0, 3], [1, 1, 2, 0], [0, 0, 0, 1],
@@ -407,8 +414,9 @@ def loop_sample(part, grid, net, p, r, count, seed):
     """sample_family one member and one level at a time: cell by cell, each
     member's u against the exact ratios cum_j / total of its state's
     completion counts, then every direction."""
-    costs, threshold = integer_budget(
-        part.measures[:, None] * grid.values[None, :] ** p, budget_limit(p, r))
+    row, threshold = integer_budget(
+        part.cell_measure * grid.values ** p, budget_limit(p, r))
+    costs = [row] * part.num_cells
 
     @functools.lru_cache(maxsize=None)
     def completions(i, used):
@@ -445,8 +453,9 @@ def loop_sample(part, grid, net, p, r, count, seed):
 def test_sample_family_matches_a_loop_over_members(n_cells, a, c, p, r, seed, draws):
     part = interval_partition(delta=1.0 / n_cells, nodes=1)
     grid = build_magnitude_grid(1.0, a)
-    table = BudgetTable(part, grid, p, r)
-    fam = sample_family(table, angle_net(c), draws, seed=seed)
+    table = table_of(part, grid, p, r)
+    fam = sample_family(part, table, angle_net(c), draws,
+                        seed=seed)
     mags, dirs = loop_sample(part, grid, angle_net(c), p, r, draws, seed)
     assert np.array_equal(fam.mag_idx, mags)
     assert np.array_equal(fam.dir_idx, dirs)
@@ -461,7 +470,7 @@ def test_sample_family_is_uniform_over_profiles():
                 if sum(j * j for j in m) <= 12]
     assert len(profiles) == 108
     index = {m: k for k, m in enumerate(profiles)}
-    fam = sample_family(BudgetTable(part, grid, 2.0, 0.6), angle_net(3), 20_000,
+    fam = sample_family(part, table_of(part, grid, 2.0, 0.6), angle_net(3), 20_000,
                         seed=23)
     # a KeyError here is an infeasible draw
     drawn = [index[tuple(m)] for m in fam.mag_idx.tolist()]
@@ -481,9 +490,9 @@ def test_counts_above_2_to_the_64_are_exact():
     net = angle_net(64)
     expected = square_budget_count(16, 8, 256, 64)
     assert expected == 753039082979042119047170672614151500603393
-    assert count_family(BudgetTable(part, grid, 2, 1.0), net) == expected
-    assert type(count_family(BudgetTable(part, grid, 2, 1.0), net)) is int
-    fam = sample_family(BudgetTable(part, grid, 2, 1.0), net, 500, seed=4)
+    assert count_family(table_of(part, grid, 2, 1.0), net) == expected
+    assert type(count_family(table_of(part, grid, 2, 1.0), net)) is int
+    fam = sample_family(part, table_of(part, grid, 2, 1.0), net, 500, seed=4)
     assert all(sum(j * j for j in m) <= 256 for m in fam.mag_idx.tolist())
 
 
@@ -493,24 +502,24 @@ def test_blocks_do_not_change_the_family(monkeypatch):
     part = interval_partition(delta=0.25, nodes=1)
     grid = build_magnitude_grid(1.0, 16)
     net = angle_net(2)
-    table = BudgetTable(part, grid, 1.0, 0.25)
-    whole = (count_family(table, net), enumerate_family(table, net),
-             sample_family(table, net, 400, seed=3))
+    table = table_of(part, grid, 1.0, 0.25)
+    whole = (count_family(table, net), enumerate_family(part, table, net),
+             sample_family(part, table, net, 400, seed=3))
     assert whole[0] == sum(2 ** sum(j > 0 for j in m)
                            for m in itertools.product(range(17), repeat=4)
                            if sum(m) <= 16)
     # blocks of at most 69 pairs, and 400 draws per cell
     monkeypatch.setattr(family, "STATE_CAP", 69)
-    table = BudgetTable(part, grid, 1.0, 0.25)
-    blocked = (count_family(table, net), enumerate_family(table, net),
-               sample_family(table, net, 400, seed=3))
+    table = table_of(part, grid, 1.0, 0.25)
+    blocked = (count_family(table, net), enumerate_family(part, table, net),
+               sample_family(part, table, net, 400, seed=3))
     assert blocked[0] == whole[0]
     for a, b in zip(whole[1:], blocked[1:]):
         assert np.array_equal(a.mag_idx, b.mag_idx)
         assert np.array_equal(a.dir_idx, b.dir_idx)
     monkeypatch.setattr(family, "STATE_CAP", 68)
     with pytest.raises(ResourceError):
-        BudgetTable(part, grid, 1.0, 0.25)
+        table_of(part, grid, 1.0, 0.25)
 
 
 def test_too_many_cells_are_refused_before_the_costs(monkeypatch):
@@ -525,7 +534,7 @@ def test_too_many_cells_are_refused_before_the_costs(monkeypatch):
     assert part.num_cells == 4
     with pytest.raises(ResourceError, match=r"budget table needs more than 4 "
                        r"states \(4 cells x 3 magnitude levels\)"):
-        BudgetTable(part, build_magnitude_grid(1.0, 2), 2, 1.0)
+        table_of(part, build_magnitude_grid(1.0, 2), 2, 1.0)
 
 
 def test_refusal_with_many_levels_is_cheap():
@@ -544,7 +553,7 @@ def test_refusal_with_many_levels_is_cheap():
         "grid = build_magnitude_grid(2.0, 50_000)\n"
         "start = time.perf_counter()\n"
         "try:\n"
-        "    BudgetTable(part, grid, 2.0, 1.0)\n"
+        "    BudgetTable(part.num_cells, part.cell_measure, grid, 2.0, 1.0)\n"
         "except ResourceError:\n"
         "    print(time.perf_counter() - start)\n")
     src = os.path.dirname(os.path.dirname(opnet.__file__))
@@ -563,7 +572,7 @@ def test_table_walk_is_linear_in_the_cells():
     part = interval_partition(delta=1.0 / 20_000, nodes=1)
     assert part.num_cells == 20_000
     start = time.perf_counter()
-    table = BudgetTable(part, build_magnitude_grid(1000.0, 1), 2, 1.0)
+    table = table_of(part, build_magnitude_grid(1000.0, 1), 2, 1.0)
     assert time.perf_counter() - start < 3.0
     assert [len(layer) for layer in table.layers] == [1] * 20_001
 
@@ -572,8 +581,8 @@ def test_sample_family_deterministic():
     part = interval_partition(delta=0.5)
     grid = build_magnitude_grid(1.0, 2)
     net = sign_net()
-    a = sample_family(BudgetTable(part, grid, 2, 1.0), net, 20, seed=9)
-    b = sample_family(BudgetTable(part, grid, 2, 1.0), net, 20, seed=9)
+    a = sample_family(part, table_of(part, grid, 2, 1.0), net, 20, seed=9)
+    b = sample_family(part, table_of(part, grid, 2, 1.0), net, 20, seed=9)
     for fa, fb in zip(a.values, b.values):
         assert np.array_equal(fa, fb)
 
@@ -683,7 +692,7 @@ def test_cell_average_preserves_integrals_and_norm():
         w = part.weights.reshape(part.num_cells, qpc, 1)
         v = f.values.reshape(part.num_cells, qpc, -1)
         cell_ints = (w * v).sum(axis=1)
-        expected = avg.values[0] * part.measures[:, None]
+        expected = avg.values[0] * part.cell_measure
         assert cell_ints == pytest.approx(expected, abs=1e-12)
         assert lp_norm(avg, p) <= lp_norm(f, p) + 1e-10
         again = cell_average(SampledFn(part, avg.values[:, part.node_cell]))
@@ -767,7 +776,7 @@ def test_project_fixed_point():
     part = interval_partition(delta=0.5, nodes=1)
     grid = build_magnitude_grid(1.0, 2)
     net = sign_net()
-    member = enumerate_family(BudgetTable(part, grid, 2, 1.0), net)[3:4]
+    member = enumerate_family(part, table_of(part, grid, 2, 1.0), net)[3:4]
     x = SampledFn(part, member.values[:, part.node_cell])
     stages = run_pipeline(x, 1.0, grid, net)
     assert np.array_equal(stages[-1].values, member.values)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from opnet.geometry import Domain, build_partition
+from opnet.geometry import Domain, build_partition, cell_grid
 
 
 def unit_interval():
@@ -40,7 +40,7 @@ def test_uniform_split_1d():
     lower, upper = cell_boxes(part)
     assert lower[:, 0].tolist() == [0.0, 0.5] and upper[:, 0].tolist() == [0.5, 1.0]
     assert_nodes_in_cells(part)
-    assert part.measures == pytest.approx([0.5, 0.5])
+    assert part.cell_measure == pytest.approx(0.5)
     assert cell_diagonal(part) == pytest.approx(0.5)
 
 
@@ -95,7 +95,7 @@ def test_weights_sum_to_cell_measure(nodes):
     dom = Domain(np.array([-1.0, 0.0]), np.array([2.0, 0.5]))
     part = build_partition(dom, 0.8, nodes_per_axis=nodes)
     per_cell = np.bincount(part.node_cell, part.weights, minlength=part.num_cells)
-    assert per_cell == pytest.approx(part.measures, rel=1e-12)
+    assert per_cell == pytest.approx(part.cell_measure, rel=1e-12)
     assert part.weights.sum() == pytest.approx(dom.measure, rel=1e-12)
 
 
@@ -114,6 +114,16 @@ def test_polynomial_exactness(nodes):
             assert got == pytest.approx(exact, rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.parametrize("lower,upper", [(0.0, 1.0), (0.3, 7.1)])
+def test_200000_cells_build(lower, upper):
+    # each side (lo + h) - lo is off h by up to eps |corner|, so the weight
+    # sum's relative error grows like eps max |corner| / h
+    dom = Domain(np.array([lower]), np.array([upper]))
+    part = build_partition(dom, (upper - lower) / 200_000 * (1 + 1e-9))
+    assert part.num_cells == 200_000
+    assert part.weights.sum() == pytest.approx(dom.measure, rel=1e-10)
+
+
 def test_random_boxes_partition_invariants():
     rng = np.random.default_rng(42)
     for _ in range(25):
@@ -123,9 +133,11 @@ def test_random_boxes_partition_invariants():
         dom = Domain(lower, upper)
         delta = rng.uniform(1e-3, 2.0) * dom.diameter
         part = build_partition(dom, delta, nodes_per_axis=2)
-        measures = part.measures
-        assert np.all(measures > 0)
-        assert measures.sum() == pytest.approx(dom.measure, rel=1e-12)
+        counts, measure = cell_grid(dom, delta)
+        assert (math.prod(counts), measure) == (part.num_cells, part.cell_measure)
+        assert part.cell_measure > 0
+        assert part.num_cells * part.cell_measure == pytest.approx(dom.measure,
+                                                                  rel=1e-12)
         assert cell_diagonal(part) <= delta * (1 + 1e-9)
         assert_nodes_in_cells(part)
 

@@ -401,7 +401,7 @@ def test_directed_distance_allocates_two_family_vectors():
     op = DiscretizedOperator(kern, partition)
     images = op.apply(verify._mixed_ball_samples(partition, kern.n, 2, 1, 200,
                                                  7))
-    family = verify._family(table, net, "enumerate", 500, 7)
+    family = verify._family(partition, table, net, "enumerate", 500, 7)
     tracemalloc.start()
     try:
         directed_distance(images, family, 2.0, op)
