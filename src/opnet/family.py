@@ -38,7 +38,7 @@ __all__ = [
     "tchebyshev_measure",
 ]
 
-# absolute slack for the floating budget comparison; reported, never silent
+# cost sums up to r^p + BUDGET_SLACK max(1, r^p) fit the budget (`budget_limit`)
 BUDGET_SLACK = 1e-12
 # budget states the completion table may hold before the family is refused
 STATE_CAP = 200_000
@@ -126,7 +126,7 @@ class BudgetTable:
         self.costs = np.array(row, dtype=object if shift else np.int64)
         self.layers = [np.zeros(1, dtype=self.costs.dtype)]
         stored = 1  # states in self.layers
-        for _ in range(cells):
+        for i in range(cells):
             nxt = self.layers[-1][:0]
             for *_, budget in self.pairs(self.layers[-1]):
                 nxt = np.concatenate([nxt, budget])
@@ -136,6 +136,11 @@ class BudgetTable:
                 nxt = nxt[np.concatenate([[True], nxt[1:] != nxt[:-1]])]
                 # checked per block, so a layer never grows far past the cap
                 self._check_states(stored + len(nxt))
+            # level 0 is free: a layer holds the last, so equal sizes repeat it
+            if len(nxt) == len(self.layers[-1]):
+                self._check_states(stored + (cells - i) * len(nxt))
+                self.layers += [nxt] * (cells - i)
+                break
             self.layers.append(nxt)
             stored += len(nxt)
 
@@ -304,8 +309,7 @@ def sample_ball(
         for idx in range(n_exact, count):
             cell_vals[idx] = rng.standard_normal(cell_vals.shape[1:])
             targets[idx] = r * rng.uniform(0.0, 1.0)
-        # the gather comes back strided; a stack is C-contiguous everywhere
-        vals = np.ascontiguousarray(cell_vals[:, partition.node_cell])
+        vals = np.repeat(cell_vals, partition.nodes_per_cell, axis=1)
     else:
         freq, phase = np.empty((2, count, 3, dom.dim))
         direction, amp = np.empty((count, 3, n)), np.empty((count, 3))

@@ -36,6 +36,8 @@ class Domain:
             raise ValueError(f"domain dimension must be 1, 2 or 3, got {lower.size}")
         if not np.all(upper > lower):
             raise ValueError("upper must exceed lower on every axis")
+        if self.measure < np.finfo(float).tiny:
+            raise ValueError("measure is below the normal float range")
 
     @property
     def dim(self) -> int:
@@ -82,7 +84,7 @@ def cell_grid(domain: Domain, delta: float) -> tuple[tuple[int, ...], float]:
         raise ValueError(f"delta must be positive, got {delta}")
     root_k = math.sqrt(domain.dim)
     counts = tuple(max(1, math.ceil(root_k * length / delta))
-                   for length in domain.lengths)
+                   for length in domain.lengths.tolist())
     h = domain.lengths / np.array(counts, dtype=float)
     if float(np.linalg.norm(h)) > delta * (1.0 + _DIAM_SLACK):
         raise AssertionError("cell diagonal exceeds delta; count formula broken")

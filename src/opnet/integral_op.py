@@ -27,25 +27,22 @@ class DiscretizedOperator:
         self.partition = partition
         pts, m, n = partition.points, kernel.m, kernel.n
         p_nodes = len(pts)
-        # the weighted (P, P, m, n) kernel, filled in blocks of xi rows of at
-        # most _BLOCK values (or one row): the evaluator's temporaries scale
-        # with a block, not with the whole array
-        kmat = np.empty((p_nodes, p_nodes, m, n))
+        # the weighted kernel, (xi node, out component, s node, in component),
+        # filled in blocks of at most _BLOCK values (or one xi row): the
+        # evaluator's temporaries scale with a block, not with the whole array
+        kmat = np.empty((p_nodes, m, p_nodes, n))
         step = max(1, _BLOCK // kmat[0].size)
         for s in range(0, p_nodes, step):
             block = kernel.evaluate(pts[s:s + step, None], pts[None])
-            if block.shape != kmat[s:s + step].shape:
+            if block.shape != kmat[s:s + step].transpose(0, 2, 1, 3).shape:
                 raise ValueError("kernel evaluator returned wrong matrix shape")
-            np.multiply(block, partition.weights[:, None, None], out=kmat[s:s + step])
-        # (P n, P m) over flattened node values; for m = n = 1 it stays a
-        # strided view, and a contiguous copy would change the last bits of
-        # its products
-        self._node_matrix = kmat.transpose(1, 3, 0, 2).reshape(p_nodes * n, -1)
-        # the integral of K over each cell, as a (P m, N n) matrix over
-        # flattened values
-        self.cell_matrix = np.ascontiguousarray(kmat.reshape(
-            p_nodes, partition.num_cells, partition.nodes_per_cell, m, n
-        ).sum(axis=2).transpose(0, 2, 1, 3)).reshape(p_nodes * m, -1)
+            np.multiply(block.transpose(0, 2, 1, 3), partition.weights[:, None],
+                        out=kmat[s:s + step])
+        # (P m, .) factors over flattened values: kmat, and its cell integrals
+        self._node_matrix = kmat.reshape(p_nodes * m, -1)
+        self.cell_matrix = kmat.reshape(
+            p_nodes * m, partition.num_cells, partition.nodes_per_cell, n
+        ).sum(axis=2).reshape(p_nodes * m, -1)
 
     def apply(self, x: SampledFn | PiecewiseConstFn) -> SampledFn:
         """Images of every member of a stack at once.
@@ -60,8 +57,8 @@ class DiscretizedOperator:
             raise ValueError(
                 f"input dim {x.dim} != kernel input dim {self.kernel.n}"
             )
-        right = (self.cell_matrix.T if isinstance(x, PiecewiseConstFn)
-                 else self._node_matrix)
+        right = (self.cell_matrix if isinstance(x, PiecewiseConstFn)
+                 else self._node_matrix).T
         rows = x.values.reshape(-1, right.shape[0])
         y = np.dot(rows[[0, 0]] if len(rows) == 1 else rows, right)[:len(rows)]
         return SampledFn(self.partition, y.reshape(

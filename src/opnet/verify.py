@@ -48,8 +48,8 @@ _BLOCK = 1 << 15  # elements per temporary of the distance computations
 _SCREEN_SAFETY = 4.0
 # members past which `_setup` refuses to enumerate a family
 ENUM_CAP = 10_000_000
-# bytes of the operator's (P, P, m, n) kernel array past which `_setup`
-# refuses the run: building it in row blocks peaks at 1.3 to 2.6 times that
+# bytes of the (P m, P n) kernel array past which `_setup` refuses the run;
+# the build peaks at 1 + 1 / (nodes per cell) times that, plus a row block
 OPERATOR_CAP = 1 << 25
 
 
@@ -329,7 +329,12 @@ def _setup(kernel, domain, gamma, Delta, delta, sigma, nodes_per_axis, seed,
     """(partition, net, table, count): the run's family as its budget table
     and exact count.  Every refusal of a run for its size is raised here,
     before a partition, an operator, a ball sample or a member is made."""
-    counts, mu = cell_grid(domain, Delta)
+    try:
+        counts, mu = cell_grid(domain, Delta)
+    except OverflowError:  # more cells per axis than a float counts
+        mu = 0.0
+    if mu < np.finfo(float).tiny:  # then mu ** (-1 / p) can overflow
+        raise ConfigError(f"[parameters] Delta: cells of measure {mu} underflow")
     cells, a = math.prod(counts), _levels(gamma, delta)
     # no cell affords a level past a r mu^(-1/p) / gamma within the budget
     # r^p; the grid stores one level more, so that rounding a ball sample

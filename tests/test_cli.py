@@ -840,6 +840,67 @@ def test_refusals_come_before_the_operator(monkeypatch, capsys, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["bound", "verify", "build", "sweep"])
+@pytest.mark.parametrize("upper", ["1e-110 1e-110 1e-110", "1e-310"])
+def test_domains_of_no_normal_measure_are_config_errors(capsys, tmp_path,
+                                                        command, upper):
+    # a 3-D box whose measure 1e-330 underflows to 0, and a 1-D box of
+    # subnormal length: no bound term or partition is made of them
+    dim = upper.count(" ") + 1
+    text = REFUSED_TABLE_CONFIG.replace(
+        "dim = 1\nlower = 0.0\nupper = 1.0",
+        f"dim = {dim}\nlower = {' '.join(['0.0'] * dim)}\nupper = {upper}")
+    argv = [command, write(tmp_path, text.replace("Delta = 0.0004", "Delta = 1")),
+            "--output", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--axis", "sigma", "--values", "0.8,0.4"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: [domain]: measure is below the "
+                            "normal float range\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "build", "sweep"])
+@pytest.mark.parametrize("domain,Delta,measure", [
+    ("dim = 3\nlower = 0.0 0.0 0.0\nupper = 1.0 1.0 1.0", "1e-110",
+     "0.0"),  # 1e-330 underflows to 0
+    ("dim = 1\nlower = 0.0\nupper = 3e-308", "1e-308", "7.5e-309"),
+    ("dim = 1\nlower = 0.0\nupper = 1.0", "1e-320", "0.0"),  # count overflows
+], ids=["cube", "subnormal-cells", "subnormal-Delta"])
+def test_cells_of_no_normal_measure_are_config_errors(
+        monkeypatch, capsys, tmp_path, command, domain, Delta, measure):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a budget table was built")
+
+    monkeypatch.setattr(opnet.verify, "BudgetTable", no_table)
+    text = REFUSED_TABLE_CONFIG.replace(
+        "dim = 1\nlower = 0.0\nupper = 1.0", domain).replace(
+        "Delta = 0.0004", f"Delta = {Delta}")
+    argv = [command, write(tmp_path, text), "--output", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--axis", "sigma", "--values", "0.8,0.4"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == (f"config error: [parameters] Delta: cells of "
+                            f"measure {measure} underflow\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_100000_cell_table_is_walked_to_its_fixed_point_only(capsys,
+                                                               tmp_path):
+    # 100,000 one-state cells: the table stops at its first layer, and the
+    # operator cap refuses the run
+    text = REFUSED_OPERATOR_CONFIG.replace("Delta = 0.0001", "Delta = 1e-5")
+    start = time.perf_counter()
+    code = main(["verify", write(tmp_path, text),
+                 "--output", str(tmp_path / "out.json")])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_RESOURCE
+    assert capsys.readouterr().err.startswith(
+        "resource error: operator too large (720000000000 > cap")
+
+
 def test_sweep_requires_axis(capsys, tmp_path):
     cfg = write(tmp_path, BASE_CONFIG)
     assert main(["sweep", cfg]) == EXIT_CONFIG

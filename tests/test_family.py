@@ -577,6 +577,48 @@ def test_table_walk_is_linear_in_the_cells():
     assert [len(layer) for layer in table.layers] == [1] * 20_001
 
 
+def test_table_walk_stops_at_its_fixed_point(monkeypatch):
+    # 100,000 cells of measure 1e-5 afford only level 0 of {0, 1000}: the
+    # first layer repeats, so one layer is walked, not 100,000
+    calls, pairs = [], BudgetTable.pairs
+    monkeypatch.setattr(BudgetTable, "pairs", lambda self, used: (
+        calls.append(len(used)) or pairs(self, used)))
+    grid = build_magnitude_grid(1000.0, 1, 1)
+    table = BudgetTable(100_000, 1e-5, grid, 2.0, 1.0)
+    assert calls == [1]
+    assert len(table.layers) == 100_001
+    assert all(layer.tolist() == [0] for layer in table.layers)
+
+
+@pytest.mark.parametrize("cells", [1, 3, 7, 12])
+@pytest.mark.parametrize("p,measure", [(2.0, 2.0), (1.0, 0.9), (3.0, 1.5),
+                                       (2.0, 0.25)])
+def test_table_layers_are_every_budget_reached(cells, p, measure):
+    # the layers that repeat from a fixed point (at 12 cells, layer 3, 2, 8
+    # and 11 on) are those a walk of every cell gives: layer i holds the
+    # budgets of i cells' levels that fit
+    table = BudgetTable(cells, measure, build_magnitude_grid(1.0, 3), p, 1.0)
+    assert len(table.layers) == cells + 1
+    layer, costs = {0}, table.costs.tolist()
+    for got in table.layers[1:]:
+        layer = {u + c for u in layer for c in costs if u + c <= table.threshold}
+        assert got.tolist() == sorted(layer)
+
+
+def test_repeated_layers_count_against_the_state_cap():
+    # cells of measure 1/4 at levels {0, 1}: four cells in all can take level
+    # 1, so the layers hold 1, 2, 3, 4 and then 5 states to the last cell;
+    # 40,001 cells store 5 * 40,001 - 5 = STATE_CAP states, and one more
+    # cell passes it
+    grid = build_magnitude_grid(1.0, 1)
+    table = BudgetTable(40_001, 0.25, grid, 2.0, 1.0)
+    assert [len(layer) for layer in table.layers[:6]] == [1, 2, 3, 4, 5, 5]
+    assert sum(map(len, table.layers)) == family.STATE_CAP == 200_000
+    with pytest.raises(ResourceError, match=r"needs more than 200000 states "
+                       r"\(40002 cells x 2 magnitude levels\); increase Delta"):
+        BudgetTable(40_002, 0.25, grid, 2.0, 1.0)
+
+
 def test_sample_family_deterministic():
     part = interval_partition(delta=0.5)
     grid = build_magnitude_grid(1.0, 2)

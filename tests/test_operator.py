@@ -443,7 +443,53 @@ def test_row_blocks_match_one_whole_grid_evaluation(monkeypatch, tmp_path, name)
     monkeypatch.setattr(integral_op, "_BLOCK", whole.size)
     one = DiscretizedOperator(kern, part)
     assert calls[-1] == len(pts)
-    node_matrix = whole.transpose(1, 3, 0, 2).reshape(len(pts) * kern.n, -1)
+    node_matrix = whole.transpose(0, 2, 1, 3).reshape(len(pts) * kern.m, -1)
     for op in (blocked, one):
         assert op._node_matrix.tobytes() == node_matrix.tobytes()
     assert blocked.cell_matrix.tobytes() == one.cell_matrix.tobytes()
+
+
+@pytest.mark.parametrize("name", ["gaussian-2d-2x2", "steps-3d"])
+def test_matrix_kernel_build_peak_is_one_kernel_array_and_its_cell_sums(
+        tmp_path, name):
+    # the kernel is filled in the layout both products read, so the peak is
+    # the array, its cell sums (1/9 or 1/27 of it) and one block's
+    # temporaries
+    if name == "steps-3d":
+        kern, part = block_case(name, tmp_path)
+    else:  # 64 cells x 9 nodes, a 2 x 2 kernel
+        dom = Domain(np.zeros(2), np.ones(2))
+        kern = builtin_kernel("block_diag", dom, components=[
+            ("gaussian", {"beta": 1.0}), ("gaussian", {"beta": 2.0})])
+        part = build_partition(dom, math.sqrt(2) / 8)
+    size = 8 * len(part.points) ** 2 * kern.m * kern.n
+    tracemalloc.start()
+    try:
+        DiscretizedOperator(kern, part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kern.m == kern.n == (2 if name != "steps-3d" else 3)
+    assert peak <= 1.3 * size
+
+
+def test_node_matrix_is_the_filled_kernel_reshaped():
+    # a 2 x 3 kernel, so the (xi node, out, s node, in) layout is pinned
+    part = build_partition(unit_domain(), 0.25)
+    rng = np.random.default_rng(0)
+    mix = rng.standard_normal((2, 3))
+    kern = Kernel(2, 3, lambda xi, s: np.exp(-(xi - s)[..., :1, None] ** 2) * mix,
+                  "mixed", KernelMetrics(0.0, 0.0))
+    op = DiscretizedOperator(kern, part)
+    P = len(part.points)
+    node = op._node_matrix
+    assert node.flags.c_contiguous and node.base is not None
+    assert node.base.shape == (P, 2, P, 3)
+    whole = kern.evaluate(part.points[:, None], part.points[None])
+    expected = (whole * part.weights[:, None, None]).transpose(0, 2, 1, 3)
+    assert node.tobytes() == expected.reshape(P * 2, P * 3).tobytes()
+    cells = expected.reshape(P * 2, part.num_cells, part.nodes_per_cell, 3)
+    assert op.cell_matrix.tobytes() == cells.sum(axis=2).reshape(P * 2, -1).tobytes()
+    x = SampledFn(part, rng.standard_normal((4, P, 3)))
+    assert np.allclose(op.apply(x).values,
+                       np.einsum("apbq,ibq->iap", expected, x.values))
