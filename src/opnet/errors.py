@@ -2,8 +2,8 @@
 
 
 class ResourceError(RuntimeError):
-    """A run would pass a cap (members, budget states or levels, or the sphere
-    net's candidate pool); refused before the heavy work."""
+    """A run would pass a cap (members, budget states, links or levels, or the
+    sphere net's candidate pool); refused before the heavy work."""
 
 
 class ConfigError(ValueError):

@@ -42,6 +42,9 @@ __all__ = [
 BUDGET_SLACK = 1e-12
 # budget states the completion table may hold before the family is refused
 STATE_CAP = 200_000
+# (state, level) pairs whose successors the table may store (64 MiB as
+# uint32) before the family is refused
+LINK_CAP = 1 << 24
 # share of `sample_ball` draws rescaled to norm exactly r; the rest fall inside
 EXACT_FRACTION = 0.5
 _BLOCK = 1 << 15  # elements per block of the family values
@@ -106,9 +109,15 @@ class BudgetTable:
     """Every budget state (cell, budget used by the cells before it) that a
     feasible member of `cells` equal cells passes through, with `costs` the
     cells' one cost row: `layers[i]` is the sorted array of the budgets used
-    before cell i, so `np.searchsorted` finds a state's index.  Budgets are
-    exact: int64 while sums stay below 2**62, else Python ints; completion
-    counts are uint64 while they provably stay below 2**53."""
+    before cell i.  Budgets are exact: int64 while sums stay below 2**62,
+    else Python ints; completion counts are uint64 while they provably stay
+    below 2**53.
+
+    `links[i] = (k, first, succ)` joins layer i to layer i + 1: state s
+    affords levels 0..k[s] - 1 at cell i, and its pair with level j leads to
+    state succ[first[s] + j] (pairs owner-major, levels ascending, so
+    `first = cumsum(k) - k`).  The layers repeated from the walk's fixed
+    point share one layer array and one links tuple."""
 
     def __init__(self, cells: int, cell_measure: float, grid: MagnitudeGrid,
                  p: float, r: float):
@@ -117,53 +126,61 @@ class BudgetTable:
             raise ValueError("need p >= 1 and r > 0")
         self.cells, self.grid = cells, grid
         # every layer holds the zero state, so the cells alone can pass the cap
-        self._check_states(cells + 1)
+        self._check(cells + 1, STATE_CAP, "states")
         # a cost over the limit never fits, so 2 * limit serves for them all
         limit = budget_limit(p, r)
         row, self.threshold = integer_budget(np.minimum(
             cell_measure * grid.values ** p, 2 * limit), limit)
         shift = max(0, (self.threshold + row[-1]).bit_length() - 62)
         self.costs = np.array(row, dtype=object if shift else np.int64)
-        self.layers = [np.zeros(1, dtype=self.costs.dtype)]
-        stored = 1  # states in self.layers
+        self.layers, self.links = [np.zeros(1, dtype=self.costs.dtype)], []
+        stored, linked = 1, 0  # states in self.layers, pairs in self.links
         for i in range(cells):
-            nxt = self.layers[-1][:0]
-            for *_, budget in self.pairs(self.layers[-1]):
-                nxt = np.concatenate([nxt, budget])
-                if shift:  # an int64 sort by the top 62 bits, then an exact one
-                    nxt = nxt[np.argsort((nxt >> shift).astype(np.int64))]
-                nxt = np.sort(nxt, kind="stable" if shift else None)
-                nxt = nxt[np.concatenate([[True], nxt[1:] != nxt[:-1]])]
+            layer = self.layers[-1]
+            k = self._levels(layer)
+            linked += int(k.sum())
+            self._check(linked, LINK_CAP, "links")
+            nxt, blocks = layer[:0], []
+            for *_, budget in self.pairs(layer):
+                blocks.append(_distinct(budget, shift))
+                nxt = _distinct(np.concatenate([nxt, blocks[-1][0]]), shift)[0]
                 # checked per block, so a layer never grows far past the cap
-                self._check_states(stored + len(nxt))
+                self._check(stored + len(nxt), STATE_CAP, "states")
+            # a pair's successor is its block's distinct budget, found in nxt
+            succ = np.empty(k.sum(), np.min_scalar_type(len(nxt) - 1))
+            end = len(succ)
+            while blocks:  # each block is freed once its links are stored
+                distinct, at = blocks.pop()
+                succ[end - len(at):end] = np.searchsorted(nxt, distinct)[at]
+                end -= len(at)
+            link = (k, np.cumsum(k) - k, succ)
             # level 0 is free: a layer holds the last, so equal sizes repeat it
-            if len(nxt) == len(self.layers[-1]):
-                self._check_states(stored + (cells - i) * len(nxt))
+            if len(nxt) == len(layer):
+                self._check(stored + (cells - i) * len(nxt), STATE_CAP, "states")
                 self.layers += [nxt] * (cells - i)
+                self.links += [link] * (cells - i)
                 break
             self.layers.append(nxt)
+            self.links.append(link)
             stored += len(nxt)
 
-    def _check_states(self, states: int) -> None:
-        if states > STATE_CAP:
+    def _check(self, need: int, cap: int, what: str) -> None:
+        if need > cap:
             raise ResourceError(
                 f"family too large: its budget table needs more than "
-                f"{STATE_CAP} states ({self.cells} cells x "
+                f"{cap} {what} ({self.cells} cells x "
                 f"{self.grid.a + 1} magnitude levels); increase Delta or delta")
+
+    def _levels(self, used: np.ndarray) -> np.ndarray:
+        """How many levels (costs increase with the level) fit the budget
+        after each of the budgets `used`."""
+        return np.searchsorted(self.costs, self.threshold - used, side="right")
 
     def pairs(self, used: np.ndarray):
         """The (owner, level) pairs that fit the budget after `used[owner]`
-        at the next cell, owner by owner with levels ascending (costs increase
-        with the level), as blocks (owner, level, budget used after the pair).
-
-        A block holds the owners whose pairs end in one run of STATE_CAP
-        pairs, so it has fewer than STATE_CAP pairs besides its first owner's."""
-        k = np.searchsorted(self.costs, self.threshold - used, side="right")
-        runs = np.cumsum(k) // STATE_CAP
-        for owners in np.split(np.arange(len(used)), np.flatnonzero(np.diff(runs)) + 1):
-            c = k[owners]
-            owner = np.repeat(owners, c)
-            level = np.arange(owner.size) - np.repeat(np.cumsum(c) - c, c)
+        at the next cell, as the `_blocks` (owner, level) of `_levels(used)`
+        with the budget used after each pair."""
+        for owner, level in _blocks(self._levels(used)):
             yield owner, level, used[owner] + self.costs[level]
 
     def completions(self, factor: int) -> list[np.ndarray]:
@@ -174,15 +191,41 @@ class BudgetTable:
         bound = (1 + factor * (len(self.costs) - 1)) ** self.cells
         dtype = np.uint64 if bound < 2**53 else object
         tables = [np.ones(len(self.layers[-1]), dtype=dtype)]
-        for i in reversed(range(self.cells)):
-            table = np.empty(len(self.layers[i]), dtype=dtype)
-            for owner, level, budget in self.pairs(self.layers[i]):
-                w = tables[-1][np.searchsorted(self.layers[i + 1], budget)]
+        for k, first, succ in reversed(self.links):
+            table = np.empty(len(k), dtype=dtype)
+            for owner, level in _blocks(k):
+                start = first[owner[0]]
+                w = tables[-1][succ[start:start + len(owner)]]
                 w[level > 0] *= factor
                 starts = np.flatnonzero(level == 0)
                 table[owner[starts]] = np.add.reduceat(w, starts)
             tables.append(table)
         return tables[::-1]
+
+
+def _blocks(k: np.ndarray):
+    """Each owner's levels 0..k[owner] - 1, owner by owner with levels
+    ascending, as blocks (owner, level).  A block holds the owners whose
+    pairs end in one run of STATE_CAP pairs, so it has fewer than STATE_CAP
+    pairs besides its first owner's."""
+    runs = np.cumsum(k) // STATE_CAP
+    for owners in np.split(np.arange(len(k)), np.flatnonzero(np.diff(runs)) + 1):
+        c = k[owners]
+        owner = np.repeat(owners, c)
+        yield owner, np.arange(owner.size) - np.repeat(np.cumsum(c) - c, c)
+
+
+def _distinct(budget: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of the exact budgets `budget`, and the
+    index of each budget among them."""
+    order = np.argsort((budget >> shift).astype(np.int64) if shift else budget)
+    if shift:  # sorted by the top 62 bits in int64, then exactly
+        order = order[np.argsort(budget[order], kind="stable")]
+    budget = budget[order]
+    new = np.concatenate([[True], budget[1:] != budget[:-1]])
+    at = np.empty(len(order), np.min_scalar_type(new.sum() - 1))
+    at[order] = np.cumsum(new) - 1
+    return budget[new], at
 
 
 def count_family(table: BudgetTable, net: DirectionNet) -> int:
@@ -207,15 +250,15 @@ def enumerate_family(partition: Partition, table: BudgetTable,
     # then gathered along the links from the last cell back
     mag_t, dir_t = np.min_scalar_type(table.grid.a), np.min_scalar_type(net.size - 1)
     links, state = [], np.zeros(1, dtype=int)
-    for i, (layer, nxt) in enumerate(zip(table.layers, table.layers[1:])):
+    for i, (k, first, succ) in enumerate(table.links):
         blocks = []
-        for row, j, budget in table.pairs(layer[state]):
+        for row, j in _blocks(k[state]):
             c = np.where(j > 0, net.size, 1)
             pair = np.repeat(np.arange(j.size), c)
             rank = np.arange(pair.size) - np.repeat(np.cumsum(c) - c, c)
             blocks.append((row[pair].astype(np.int32), j[pair].astype(mag_t),
                            rank.astype(dir_t), pair[:0] if i == table.cells - 1
-                           else np.searchsorted(nxt, budget)[pair]))
+                           else succ[first[state[row]] + j][pair]))
         *link, state = map(np.concatenate, zip(*blocks))
         links.append(link)
     mag, dirs = (np.empty((len(link[0]), len(links)), t) for t in (mag_t, dir_t))
@@ -258,11 +301,11 @@ def sample_family(partition: Partition, table: BudgetTable, net: DirectionNet,
     completions = table.completions(1)
     mags = np.zeros((count, table.cells), dtype=int)
     state = np.zeros(count, dtype=int)
-    for i, (layer, nxt) in enumerate(zip(table.layers, table.layers[1:])):
+    for i, (k, first, succ) in enumerate(table.links):
         u, total = rng.random(count), completions[i][state]
-        for draw, level, budget in table.pairs(layer[state]):
-            succ = np.searchsorted(nxt, budget)
-            w, starts = completions[i + 1][succ], np.flatnonzero(level == 0)
+        for draw, level in _blocks(k[state]):
+            to = succ[first[state[draw]] + level]
+            w, starts = completions[i + 1][to], np.flatnonzero(level == 0)
             # a uint64 cumsum over the block's owners may wrap past 2**64, but
             # it wraps modulo 2**64, so each owner's cum - offset is exact
             cum = np.cumsum(w)
@@ -270,7 +313,7 @@ def sample_family(partition: Partition, table: BudgetTable, net: DirectionNet,
             below = cum / total[draw] <= u[draw]
             owner = draw[starts]
             mags[owner, i] = np.add.reduceat(below, starts, dtype=int)
-            state[owner] = succ[starts + mags[owner, i]]
+            state[owner] = to[starts + mags[owner, i]]
     dirs = np.where(mags > 0, rng.integers(net.size, size=mags.shape), 0)
     return _from_indices(partition, table, net, mags, dirs)
 

@@ -36,7 +36,11 @@ class Domain:
             raise ValueError(f"domain dimension must be 1, 2 or 3, got {lower.size}")
         if not np.all(upper > lower):
             raise ValueError("upper must exceed lower on every axis")
-        if self.measure < np.finfo(float).tiny:
+        with np.errstate(over="ignore"):  # a side or product past the float range is inf
+            measure = self.measure
+        if not math.isfinite(measure):
+            raise ValueError("side length or measure overflows the float range")
+        if measure < np.finfo(float).tiny:
             raise ValueError("measure is below the normal float range")
 
     @property

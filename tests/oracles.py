@@ -6,8 +6,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from opnet.family import EXACT_FRACTION, budget_limit
-from opnet.functions import SampledFn
+from opnet.family import EXACT_FRACTION, _from_indices, budget_limit
+from opnet.functions import PiecewiseConstFn, SampledFn
 from opnet.geometry import Partition
 
 
@@ -103,6 +103,48 @@ def reference_sample_ball(
              * partition.weights).sum(axis=-1) ** (1.0 / p)
     scale = np.where(norms > 0, targets / np.where(norms > 0, norms, 1.0), 1.0)
     return SampledFn(partition, vals * scale[:, None, None])
+
+
+# --------------------------------------------------------------------------
+# `family.sample_family` finding each pair's successor by searching the next
+# layer, as it did before the table stored its links; the sampler that
+# gathers along the links must keep its bits
+
+
+def reference_sample_family(partition: Partition, table, net, count: int,
+                            seed: int = 0) -> PiecewiseConstFn:
+    """Draw a stack on `partition` of members with uniform magnitude profiles
+    via the completion table.
+
+    Magnitude profiles are sampled uniformly over the feasible set (counts of
+    feasible completions drive the per-cell choice); directions are uniform
+    per nonzero cell.  Cell by cell, one uniform u per member picks the first
+    level whose cumulative completion count over the state's total (a
+    correctly rounded ratio of exact counts: uint64 below 2**53 converts
+    exactly, so float64 division rounds as `int / int` does) exceeds u; then
+    all directions are drawn at once.  Deterministic for a fixed seed.
+    """
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    rng = np.random.default_rng(seed)
+    completions = table.completions(1)
+    mags = np.zeros((count, table.cells), dtype=int)
+    state = np.zeros(count, dtype=int)
+    for i, (layer, nxt) in enumerate(zip(table.layers, table.layers[1:])):
+        u, total = rng.random(count), completions[i][state]
+        for draw, level, budget in table.pairs(layer[state]):
+            succ = np.searchsorted(nxt, budget)
+            w, starts = completions[i + 1][succ], np.flatnonzero(level == 0)
+            # a uint64 cumsum over the block's owners may wrap past 2**64, but
+            # it wraps modulo 2**64, so each owner's cum - offset is exact
+            cum = np.cumsum(w)
+            cum -= (cum[starts] - w[starts])[np.cumsum(level == 0) - 1]
+            below = cum / total[draw] <= u[draw]
+            owner = draw[starts]
+            mags[owner, i] = np.add.reduceat(below, starts, dtype=int)
+            state[owner] = succ[starts + mags[owner, i]]
+    dirs = np.where(mags > 0, rng.integers(net.size, size=mags.shape), 0)
+    return _from_indices(partition, table, net, mags, dirs)
 
 
 # --------------------------------------------------------------------------

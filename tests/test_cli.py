@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -858,6 +859,30 @@ def test_domains_of_no_normal_measure_are_config_errors(capsys, tmp_path,
     captured = capsys.readouterr()
     assert captured.err == ("config error: [domain]: measure is below the "
                             "normal float range\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["bound", "verify", "build", "sweep"])
+@pytest.mark.parametrize("domain", [
+    "dim = 1\nlower = -1e308\nupper = 1e308",  # the side overflows to inf
+    "dim = 3\nlower = 0.0 0.0 0.0\nupper = 1e200 1e200 1e200",  # the measure
+], ids=["side", "measure"])
+def test_domains_past_the_float_range_are_config_errors(capsys, tmp_path,
+                                                        command, domain):
+    # finite corners whose side or measure overflows: every bound term would
+    # be inf, so the domain is refused before any is made, without a warning
+    text = REFUSED_TABLE_CONFIG.replace("dim = 1\nlower = 0.0\nupper = 1.0",
+                                        domain)
+    argv = [command, write(tmp_path, text.replace("Delta = 0.0004", "Delta = 1")),
+            "--output", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--axis", "sigma", "--values", "0.8,0.4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: [domain]: side length or measure "
+                            "overflows the float range\n")
     assert not (tmp_path / "out").exists()
 
 

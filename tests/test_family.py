@@ -35,7 +35,12 @@ from opnet.geometry import Domain, build_partition
 from opnet.sphere import DirectionNet, build_sigma_net
 from opnet.verify import _family, _setup
 
-from oracles import brute_force_count, reference_sample_ball, square_budget_count
+from oracles import (
+    brute_force_count,
+    reference_sample_ball,
+    reference_sample_family,
+    square_budget_count,
+)
 
 
 def interval_partition(delta=2.0, nodes=3):
@@ -617,6 +622,99 @@ def test_repeated_layers_count_against_the_state_cap():
     with pytest.raises(ResourceError, match=r"needs more than 200000 states "
                        r"\(40002 cells x 2 magnitude levels\); increase Delta"):
         BudgetTable(40_002, 0.25, grid, 2.0, 1.0)
+
+
+def sample_wide_table():
+    """The table of the sample-wide benchmark: 12 cells of 11 levels, whose
+    layers repeat from layer 10."""
+    part = interval_partition(delta=0.0834)
+    return part, table_of(part, build_magnitude_grid(2.0, 10), 2, 1.0)
+
+
+@pytest.mark.parametrize("case,dtype,repeats", [
+    ("sample-wide", np.int64, 2),
+    ("object-budgets", object, 0),
+    ("fixed-point", np.int64, 8),
+])
+def test_links_are_the_successor_of_every_pair(case, dtype, repeats):
+    if case == "sample-wide":
+        table = sample_wide_table()[1]
+    elif case == "object-budgets":
+        part = interval_partition(delta=1.0 / 3, nodes=1)
+        table = table_of(part, build_magnitude_grid(1.0, 10), 3.0, 0.7)
+    else:
+        table = BudgetTable(12, 2.0, build_magnitude_grid(1.0, 3), 2.0, 1.0)
+    assert table.costs.dtype == dtype and len(table.links) == table.cells
+    for i, (k, first, succ) in enumerate(table.links):
+        layer, nxt = table.layers[i], table.layers[i + 1]
+        assert np.array_equal(k, np.searchsorted(
+            table.costs, table.threshold - layer, side="right"))
+        assert np.array_equal(first, np.cumsum(k) - k)
+        owner = np.repeat(np.arange(len(layer)), k)
+        budget = layer[owner] + table.costs[np.arange(len(owner)) - first[owner]]
+        assert succ.dtype == np.min_scalar_type(len(nxt) - 1)
+        assert np.array_equal(succ, np.searchsorted(nxt, budget))
+        assert np.all(nxt[succ] == budget)
+    # a layer repeated from the fixed point shares its links with the last
+    shared = [a is b for a, b in zip(table.links, table.links[1:])]
+    assert shared == [a is b for a, b in zip(table.layers[1:], table.layers[2:])]
+    assert sum(shared) == repeats
+
+
+@pytest.mark.parametrize("case", ["sample-wide", "object-counts",
+                                  "object-budgets", "blocks"])
+def test_sample_family_keeps_the_bits_of_the_searching_sampler(monkeypatch,
+                                                                case):
+    if case == "sample-wide":
+        part, table = sample_wide_table()
+        net, draws, seed = build_sigma_net(1, 1.0), 2000, 7
+    elif case == "object-counts":  # the table of the count above 2**64
+        part = interval_partition(delta=1.0 / 16, nodes=1)
+        table = table_of(part, build_magnitude_grid(2.0, 8), 2, 1.0)
+        net, draws, seed = angle_net(64), 500, 4
+        assert table.completions(net.size)[0].dtype == object
+    elif case == "object-budgets":
+        part = interval_partition(delta=1.0 / 3, nodes=1)
+        table = table_of(part, build_magnitude_grid(1.0, 10), 3.0, 0.7)
+        net, draws, seed = angle_net(3), 500, 5
+        assert table.costs.dtype == object
+    else:  # blocks of at most 69 pairs, as in test_blocks_do_not_change_the_family
+        monkeypatch.setattr(family, "STATE_CAP", 69)
+        part = interval_partition(delta=0.25, nodes=1)
+        table = table_of(part, build_magnitude_grid(1.0, 16), 1.0, 0.25)
+        net, draws, seed = angle_net(2), 400, 3
+    got = sample_family(part, table, net, draws, seed=seed)
+    want = reference_sample_family(part, table, net, draws, seed=seed)
+    for a, b in ((got.mag_idx, want.mag_idx), (got.dir_idx, want.dir_idx),
+                 (got.values, want.values)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_a_table_past_the_link_cap_is_refused_before_its_layer_is_walked(
+        monkeypatch):
+    # p = 1 on 4 cells of 8,193 levels: cost j / 4096 and sum j <= 8192, so a
+    # layer holds at most the sums 0..8192 and the table at most 32,773
+    # states, but the 8,193 states of layer 1 afford 33,566,721 pairs
+    calls, pairs = [], BudgetTable.pairs
+    monkeypatch.setattr(BudgetTable, "pairs", lambda self, used: (
+        calls.append(len(used)) or pairs(self, used)))
+    grid = build_magnitude_grid(8.0, 8192)
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match=r"budget table needs more than "
+                       r"16777216 links \(4 cells x 8193 magnitude levels\); "
+                       r"increase Delta or delta"):
+        BudgetTable(4, 0.25, grid, 1.0, 2.0)
+    assert time.perf_counter() - start < 1.0
+    assert calls == [1]
+
+
+def test_a_table_near_both_caps_builds():
+    # the 1-D run at Delta = 0.25, gamma = 2, delta = 2 / 256 and p = 2: 4
+    # cells of 257 levels
+    table = BudgetTable(4, 0.25, build_magnitude_grid(2.0, 256), 2.0, 1.0)
+    assert sum(map(len, table.layers)) == 136_507 < family.STATE_CAP
+    links = {id(link): link for link in table.links}.values()
+    assert sum(len(succ) for *_, succ in links) == 12_199_982 < family.LINK_CAP
 
 
 def test_sample_family_deterministic():
