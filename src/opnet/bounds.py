@@ -10,6 +10,7 @@ selection targets epsilon by giving each term an epsilon/5 share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 from .kernels import KernelMetrics
@@ -100,7 +101,8 @@ def select_parameters(
     """Pick (lambda, gamma, Delta, delta, sigma) giving each term epsilon/5.
 
     `delta_cap` bounds the partition Delta when omega is identically zero
-    (constant kernels); it defaults to 1.
+    (constant kernels); it defaults to 1.  Raises ValueError when a selected
+    parameter is not a positive finite float.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -117,18 +119,28 @@ def select_parameters(
             delta=1.0, sigma=1.0, achieved=achieved, degenerate=True,
         )
 
-    c_star = 2.0 * r**p * mu ** (1.0 / q)
-    gamma = (5.0 * c_star * big_m / epsilon) ** (1.0 / (p - 1.0))
-    delta = epsilon / (5.0 * big_m * mu ** (1.0 + 1.0 / q))
-    sigma = delta / gamma
+    # a measure far from 1 can take a power, or a parameter, past the float
+    # range
+    try:
+        c_star = 2.0 * r**p * mu ** (1.0 / q)
+        gamma = (5.0 * c_star * big_m / epsilon) ** (1.0 / (p - 1.0))
+        delta = epsilon / (5.0 * big_m * mu ** (1.0 + 1.0 / q))
+        sigma = delta / gamma
 
-    delta = min(delta, gamma)  # the magnitude grid cannot be coarser than gamma
-    sigma = min(sigma, 2.0)  # sphere diameter
+        delta = min(delta, gamma)  # the magnitude grid cannot be coarser than gamma
+        sigma = min(sigma, 2.0)  # sphere diameter
 
-    omega_target = epsilon / (5.0 * 2.0 * r * mu ** (2.0 / q))
-    # omega(Delta) <= lipschitz * Delta meets the target
-    Delta = (omega_target / metrics.lipschitz if metrics.lipschitz > 0
-             else fallback_delta)
+        omega_target = epsilon / (5.0 * 2.0 * r * mu ** (2.0 / q))
+        # omega(Delta) <= lipschitz * Delta meets the target
+        Delta = (omega_target / metrics.lipschitz if metrics.lipschitz > 0
+                 else fallback_delta)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError("selects parameters past the float range") from None
+    for name, value in (("gamma", gamma), ("Delta", Delta), ("delta", delta),
+                        ("sigma", sigma)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"selects {name} = {value!r}, which is not "
+                             "positive and finite")
 
     achieved = error_bound(p, r, mu, lam, gamma, Delta, delta, sigma, metrics)
     return ParameterSelection(

@@ -26,10 +26,14 @@ from .kernels import builtin_kernel, load_tabulated_kernel
 from .verify import _family, _levels, _setup, verify_run
 
 SCHEMA_VERSION = 3
-# family members that build applies the operator to, and writes, at once;
-# larger blocks format fewer values twice but cost peak RSS (build-30k: 40 MB
-# at 256 rows, 44 MB at 512, 68 MB at 4096 for 20 % less run time)
+# family members that build applies the operator to at once; the images in
+# memory grow with it, how often a value is formatted does not (the CSV
+# writer's text table spans blocks)
 IMAGE_BLOCK = 256
+# the CSV writer's text table: its slot count (a power of two) and the rows
+# it formats at once, which bound the writer's own temporaries
+TEXT_SLOTS = 1 << 16
+TEXT_PIECE = 64
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -209,10 +213,14 @@ def resolve(cfg: RunConfig):
 
     selection = None
     if cfg.epsilon is not None:
-        selection = bounds_mod.select_parameters(
-            cfg.epsilon, cfg.p, cfg.r, domain.measure, kernel.metrics,
-            delta_cap=domain.diameter,
-        )
+        try:
+            selection = bounds_mod.select_parameters(
+                cfg.epsilon, cfg.p, cfg.r, domain.measure, kernel.metrics,
+                delta_cap=domain.diameter,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"[parameters] epsilon = {cfg.epsilon!r} on this "
+                              f"[domain] {exc}") from None
         cfg.gamma = selection.gamma
         cfg.Delta = selection.delta_partition
         cfg.delta = selection.delta
@@ -233,23 +241,55 @@ def _dump_json(obj, path: str | None) -> str:
     return _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
 
 
+# Fibonacci hashing: the top bits of bits * 2^64 / golden ratio pick a slot
+_HASH = np.uint64(0x9E3779B97F4A7C15)
+# the 8-byte dtype whose repr each value kind is written in
+_WIDE = {"f": np.float64, "i": np.int64, "u": np.uint64}
+
+
 def _write_csv(path: str, cols: list[str], blocks) -> None:
     """Write a header line and 2-D integer or float blocks of rows as CSV.
 
     Every value is written as its Python repr: an integer's digits, or the
     shortest text that reads back to the same float.  repr is the costly
-    part, so it runs once per distinct bit pattern of a block (keying on the
-    bits keeps -0.0 apart from 0.0), and the block's rows index that table.
+    part, so the call keeps one text table per value kind across all its
+    blocks: TEXT_SLOTS slots of a value's bits (keying on the bits keeps
+    -0.0 apart from 0.0) and its repr (24 bytes hold the longest float or
+    64-bit integer repr), the slot picked by a multiplicative hash of the bits.  Each
+    piece of TEXT_PIECE rows looks every value up, formats its distinct
+    misses once and stores them, and is written as one bytes string: every
+    value's text followed by `,` or a newline, with the NUL padding dropped.
     """
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for rows in blocks:
-            bits, inverse = np.unique(rows.view(f"i{rows.itemsize}"),
-                                      return_inverse=True)
-            text = np.array([repr(v) for v in bits.view(rows.dtype).tolist()],
-                            dtype=object)
-            fh.writelines(",".join(row) + "\n" for row in
-                          text[inverse.reshape(rows.shape)].tolist())
+    shift = np.uint64(65 - TEXT_SLOTS.bit_length())
+    tables = {}
+    with open(path, "wb") as fh:
+        fh.write((",".join(cols) + "\n").encode())
+        for block in blocks:
+            for s in range(0, len(block), TEXT_PIECE):
+                rows = block[s:s + TEXT_PIECE]
+                wide = rows.astype(_WIDE[rows.dtype.kind], copy=False)
+                if wide.dtype not in tables:
+                    # every slot starts out holding zero, whose hash is slot 0
+                    zero = repr(wide.dtype.type(0).item())
+                    tables[wide.dtype] = (np.zeros(TEXT_SLOTS, np.uint64),
+                                          np.full(TEXT_SLOTS, zero, "S24"))
+                keys, texts = tables[wide.dtype]
+                bits = wide.view(np.uint64)
+                slot = (bits * _HASH) >> shift
+                text = texts[slot]
+                miss = keys[slot] != bits
+                new, inverse = np.unique(bits[miss], return_inverse=True)
+                formatted = np.array([repr(v) for v in new.view(
+                    wide.dtype).tolist()], "S24")
+                text[miss] = formatted[inverse]
+                at = (new * _HASH) >> shift
+                keys[at] = new
+                texts[at] = formatted
+                line = np.empty(rows.shape + (25,), np.uint8)
+                line[..., :24] = text.view(np.uint8).reshape(*rows.shape, 24)
+                line[:, :-1, 24] = ord(",")
+                line[:, -1, 24] = ord("\n")
+                fh.write(line[line != 0].tobytes())
 
 
 # --------------------------------------------------------------------------

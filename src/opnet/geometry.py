@@ -57,7 +57,7 @@ class Domain:
 
     @property
     def diameter(self) -> float:
-        return float(np.linalg.norm(self.lengths))
+        return math.hypot(*self.lengths)  # no overflow for a finite diameter
 
 
 @dataclass(frozen=True, eq=False)

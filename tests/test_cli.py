@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -726,6 +727,56 @@ def test_write_csv_rows_do_not_depend_on_the_index_dtype(tmp_path, dtype):
     assert paths[0].read_text() == paths[1].read_text()
 
 
+@pytest.mark.parametrize("multiplier", [opnet.cli._HASH, np.uint64(2)],
+                         ids=["fibonacci", "bit-62"])
+def test_write_csv_text_table_survives_collisions(monkeypatch, tmp_path,
+                                                  multiplier):
+    # two slots, so nearly every stored value evicts another; the bit-62
+    # hash puts 0.0 and -0.0, and 0 and -2**63, in slot 0 together
+    monkeypatch.setattr(opnet.cli, "TEXT_SLOTS", 2)
+    monkeypatch.setattr(opnet.cli, "_HASH", multiplier)
+    calls = []
+    monkeypatch.setattr(opnet.cli, "repr",
+                        lambda v: calls.append(v) or repr(v), raising=False)
+    nans = np.array([0x7FF8000000000001, 0xFFF0000000000123,
+                     0x7FF4000000000000], np.uint64).view(np.float64)
+    pool = np.concatenate([[0.0, -0.0, 0.1, 1e16, 5e-324, np.inf,
+                            -2.2250738585072014e-308], nans])
+    rows = np.random.default_rng(3).choice(pool, size=(40, 4))
+    floats = [rows[s:s + 3] for s in range(0, 40, 3)]
+    floats += [floats[0], floats[5], floats[0]]  # values that recur blocks apart
+    ints = [np.array([[-2**63, 0, 5], [0, -2**63, -1]], np.int64),
+            np.array([[2**64 - 1, 0, 2**63]], np.uint64)]
+    ints += [ints[0], ints[1]]  # -1 and 2**64 - 1 share their bits
+    for name, blocks in (("floats", floats), ("ints", ints)):
+        calls.clear()
+        path = tmp_path / f"{name}.csv"
+        _write_csv(str(path), ["a", "b"], blocks)
+        assert path.read_text() == "a,b\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for b in blocks
+            for row in b.tolist())
+        # some values were found in the table rather than formatted again
+        assert len(calls) < sum(len(np.unique(b.view(np.uint64)))
+                                for b in blocks)
+
+
+def test_write_csv_memory_does_not_grow_with_the_rows(tmp_path):
+    # 72 columns drawn from 5,000 floats: a table of every value written, or
+    # of every row, would grow with the rows; the text table does not
+    pool = np.random.default_rng(4).standard_normal(5_000)
+    rows = np.random.default_rng(5).choice(pool, size=(32_000, 72))
+    peaks = []
+    for n in (8_000, 32_000):
+        tracemalloc.start()
+        try:
+            _write_csv(str(tmp_path / "rows.csv"), ["x"],
+                       (rows[s:min(s + 256, n)] for s in range(0, n, 256)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 4 << 20, peaks
+
+
 def test_build_cap_is_resource_exit(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(opnet.verify, "ENUM_CAP", 2)
     cfg = write(tmp_path, BASE_CONFIG)
@@ -883,6 +934,27 @@ def test_domains_past_the_float_range_are_config_errors(capsys, tmp_path,
     captured = capsys.readouterr()
     assert captured.err == ("config error: [domain]: side length or measure "
                             "overflows the float range\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["bound", "verify"])
+@pytest.mark.parametrize("upper,message", [
+    ("1e200", "selects sigma = 0.0, which is not positive and finite"),
+    ("1e300", "selects parameters past the float range"),  # mu ** 1.5 is inf
+    ("1e-300", "selects parameters past the float range"),  # and here 0.0
+], ids=["sigma-underflows", "power-overflows", "power-underflows"])
+def test_epsilon_parameters_past_the_float_range_are_config_errors(
+        capsys, tmp_path, command, upper, message):
+    # a finite 1-D box whose epsilon-mode parameters are not all positive and
+    # finite floats; its diameter is computed without a numpy overflow
+    text = EPSILON_CONFIG.replace("upper = 1.0", f"upper = {upper}")
+    argv = [command, write(tmp_path, text), "--output", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: [parameters] epsilon = 2.0 on this "
+                            f"[domain] {message}\n")
     assert not (tmp_path / "out").exists()
 
 
