@@ -23,7 +23,7 @@ from .errors import ConfigError, ResourceError
 from .geometry import Domain
 from .integral_op import DiscretizedOperator
 from .kernels import builtin_kernel, load_tabulated_kernel
-from .verify import _family, _levels, _setup, verify_run
+from .verify import certified_terms, scheme, verify_run
 
 SCHEMA_VERSION = 3
 # family members that build applies the operator to at once; the images in
@@ -298,10 +298,8 @@ def _write_csv(path: str, cols: list[str], blocks) -> None:
 
 def cmd_bound(cfg: RunConfig) -> int:
     domain, kernel, selection = resolve(cfg)
-    breakdown = bounds_mod.error_bound(
-        cfg.p, cfg.r, domain.measure, cfg.lam, cfg.gamma, cfg.Delta,
-        cfg.gamma / _levels(cfg.gamma, cfg.delta), cfg.sigma, kernel.metrics,
-    )
+    breakdown = certified_terms(kernel, domain, cfg.p, cfg.r, cfg.lam,
+                                cfg.gamma, cfg.Delta, cfg.delta, cfg.sigma)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(cfg),
@@ -315,24 +313,22 @@ def cmd_bound(cfg: RunConfig) -> int:
 
 def cmd_build(cfg: RunConfig) -> int:
     domain, kernel, _ = resolve(cfg)
-    partition, net, table, count = _setup(
-        kernel, domain, cfg.gamma, cfg.Delta, cfg.delta, cfg.sigma,
-        cfg.quad_nodes, cfg.seed, cfg.p, cfg.r, cfg.family_mode)
-    family = _family(partition, table, net, cfg.family_mode,
-                     cfg.family_samples, cfg.seed)
+    run = scheme(kernel, domain, cfg.p, cfg.r, cfg.lam, cfg.gamma, cfg.Delta,
+                 cfg.delta, cfg.sigma, cfg.quad_nodes, cfg.seed, cfg.family_mode)
+    family = run.family(cfg.family_mode, cfg.family_samples, cfg.seed)
+    n_cells = run.partition.num_cells
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(cfg),
-        "family_count": str(count),
-        "cells": partition.num_cells,
-        "net_size": net.size,
-        "magnitude_levels": table.grid.a + 1,
+        "family_count": str(run.count),
+        "cells": n_cells,
+        "net_size": run.net.size,
+        "magnitude_levels": run.table.grid.a + 1,
     }
     out = cfg.output or "family"
     os.makedirs(out, exist_ok=True)
-    op = DiscretizedOperator(kernel, partition)
-    n_cells = partition.num_cells
-    p_nodes = partition.points.shape[0]
+    op = DiscretizedOperator(kernel, run.partition)
+    p_nodes = run.partition.points.shape[0]
     _write_csv(os.path.join(out, "family.csv"),
                [f"mag_{i}" for i in range(n_cells)]
                + [f"dir_{i}" for i in range(n_cells)],

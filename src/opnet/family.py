@@ -137,12 +137,13 @@ class BudgetTable:
         stored, linked = 1, 0  # states in self.layers, pairs in self.links
         for i in range(cells):
             layer = self.layers[-1]
-            k = self._levels(layer)
+            # levels affordable after each state (costs increase with the level)
+            k = np.searchsorted(self.costs, self.threshold - layer, side="right")
             linked += int(k.sum())
             self._check(linked, LINK_CAP, "links")
             nxt, blocks = layer[:0], []
-            for *_, budget in self.pairs(layer):
-                blocks.append(_distinct(budget, shift))
+            for owner, level in _blocks(k):
+                blocks.append(_distinct(layer[owner] + self.costs[level], shift))
                 nxt = _distinct(np.concatenate([nxt, blocks[-1][0]]), shift)[0]
                 # checked per block, so a layer never grows far past the cap
                 self._check(stored + len(nxt), STATE_CAP, "states")
@@ -170,18 +171,6 @@ class BudgetTable:
                 f"family too large: its budget table needs more than "
                 f"{cap} {what} ({self.cells} cells x "
                 f"{self.grid.a + 1} magnitude levels); increase Delta or delta")
-
-    def _levels(self, used: np.ndarray) -> np.ndarray:
-        """How many levels (costs increase with the level) fit the budget
-        after each of the budgets `used`."""
-        return np.searchsorted(self.costs, self.threshold - used, side="right")
-
-    def pairs(self, used: np.ndarray):
-        """The (owner, level) pairs that fit the budget after `used[owner]`
-        at the next cell, as the `_blocks` (owner, level) of `_levels(used)`
-        with the budget used after each pair."""
-        for owner, level in _blocks(self._levels(used)):
-            yield owner, level, used[owner] + self.costs[level]
 
     def completions(self, factor: int) -> list[np.ndarray]:
         """Per layer, each state's number of feasible completions (exact); a

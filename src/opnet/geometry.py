@@ -90,7 +90,7 @@ def cell_grid(domain: Domain, delta: float) -> tuple[tuple[int, ...], float]:
     counts = tuple(max(1, math.ceil(root_k * length / delta))
                    for length in domain.lengths.tolist())
     h = domain.lengths / np.array(counts, dtype=float)
-    if float(np.linalg.norm(h)) > delta * (1.0 + _DIAM_SLACK):
+    if math.hypot(*h.tolist()) > delta * (1.0 + _DIAM_SLACK):
         raise AssertionError("cell diagonal exceeds delta; count formula broken")
     return counts, float(np.prod(h))
 

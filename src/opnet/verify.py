@@ -9,11 +9,12 @@ compared against the certified total.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bounds import error_bound
+from .bounds import BoundBreakdown, error_bound
 from .errors import ConfigError, ResourceError
 from .family import (
     STATE_CAP,
@@ -28,10 +29,10 @@ from .family import (
 )
 from .functions import PiecewiseConstFn, SampledFn, lp_norm
 from .functions import weighted_lp as _lq_norms
-from .geometry import Domain, build_partition, cell_grid
+from .geometry import Domain, Partition, build_partition, cell_grid
 from .integral_op import DiscretizedOperator
 from .kernels import Kernel
-from .sphere import build_sigma_net
+from .sphere import DirectionNet, build_sigma_net
 
 __all__ = [
     "StepRecord",
@@ -46,9 +47,9 @@ _BLOCK = 1 << 15  # elements per temporary of the distance computations
 # c in the screen tolerance c ((max(dim, k) + 4) eps (|a| + |b|)^2 + slack);
 # see `_lq_bounds`, `_screen_space` and `_slack`
 _SCREEN_SAFETY = 4.0
-# members past which `_setup` refuses to enumerate a family
+# members past which `scheme` refuses to enumerate a family
 ENUM_CAP = 10_000_000
-# bytes of the (P m, P n) kernel array past which `_setup` refuses the run;
+# bytes of the (P m, P n) kernel array past which `scheme` refuses the run;
 # the build peaks at 1 + 1 / (nodes per cell) times that, plus a row block
 OPERATOR_CAP = 1 << 25
 
@@ -324,10 +325,46 @@ def _levels(gamma, delta):
     return max(1, math.ceil(gamma / delta * (1.0 - 1e-12)))
 
 
-def _setup(kernel, domain, gamma, Delta, delta, sigma, nodes_per_axis, seed,
-           p, r, family_mode):
-    """(partition, net, table, count): the run's family as its budget table
-    and exact count.  Every refusal of a run for its size is raised here,
+def certified_terms(kernel, domain, p, r, lam, gamma, Delta, delta, sigma):
+    """The five terms that a run requesting `delta` certifies, at its grid
+    step gamma / `_levels`; a term past the float range refuses the run."""
+    with suppress(OverflowError):  # a power of the measure
+        terms = error_bound(p, r, domain.measure, lam, gamma, Delta,
+                            gamma / _levels(gamma, delta), sigma, kernel.metrics)
+        if math.isfinite(terms.total):
+            return terms
+    raise ConfigError("[domain]: a certified term is past the float range")
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One run's scheme: its partition and direction net, its family as a
+    budget table and exact count, and the certified terms of its stages."""
+
+    partition: Partition
+    net: DirectionNet
+    table: BudgetTable
+    count: int
+    terms: BoundBreakdown
+
+    def family(self, mode, samples, seed):
+        """The table's family on the partition: every member, or `samples`."""
+        if mode == "sample":
+            return sample_family(self.partition, self.table, self.net,
+                                 samples, seed)
+        return enumerate_family(self.partition, self.table, self.net)
+
+    def stages(self, ball):
+        """(name, stack, term) per projection stage of the stack `ball`."""
+        grid, terms = self.table.grid, self.terms
+        return zip(("clip", "average", "round", "snap"),
+                   run_pipeline(ball, grid.gamma, grid, self.net),
+                   (terms.tail_term, terms.psi, terms.phi, terms.alpha))
+
+
+def scheme(kernel, domain, p, r, lam, gamma, Delta, delta, sigma,
+           nodes_per_axis, seed, family_mode) -> Scheme:
+    """The run's scheme.  Every refusal of a run for its size is raised here,
     before a partition, an operator, a ball sample or a member is made."""
     try:
         counts, mu = cell_grid(domain, Delta)
@@ -357,14 +394,8 @@ def _setup(kernel, domain, gamma, Delta, delta, sigma, nodes_per_axis, seed,
         raise ResourceError(f"family too large to enumerate ({count} > cap "
                             f"{ENUM_CAP}); set family_mode = sample")
     partition = build_partition(domain, Delta, nodes_per_axis=nodes_per_axis)
-    return partition, net, table, count
-
-
-def _family(partition, table, net, family_mode, family_samples, seed):
-    """The table's family on `partition`: every member, or `family_samples`."""
-    if family_mode == "sample":
-        return sample_family(partition, table, net, family_samples, seed)
-    return enumerate_family(partition, table, net)
+    return Scheme(partition, net, table, count, certified_terms(
+        kernel, domain, p, r, lam, gamma, Delta, delta, sigma))
 
 
 def _mixed_ball_samples(partition, n, p, r, samples, seed) -> SampledFn:
@@ -374,30 +405,25 @@ def _mixed_ball_samples(partition, n, p, r, samples, seed) -> SampledFn:
     return SampledFn(partition, np.concatenate([rough.values, smooth.values]))
 
 
-def _check_steps(op, ball, ball_images, breakdown, gamma, grid, net, q):
-    """Per-stage image displacement of the ball samples against its bound term.
+def _check_steps(op, scheme, ball, ball_images, q):
+    """Per-stage image displacement of the ball samples against its bound
+    term, one step record a stage.
 
-    Returns the step records and the Tchebyshev observation.  Each stage's
-    image is differenced against the one before and then replaces it, so at
-    most two stage images are alive at once.
+    Each stage's image is differenced against the one before and then
+    replaces it, so at most two stage images are alive at once.
     """
-    partition = op.partition
-    bounds = {"clip": breakdown.tail_term, "average": breakdown.psi,
-              "round": breakdown.phi, "snap": breakdown.alpha}
     before = ball_images.values
-    steps = []
-    for name, stage in zip(bounds, run_pipeline(ball, gamma, grid, net)):
+    for name, stage, term in scheme.stages(ball):
         after = op.apply(stage).values
-        observed = float(lp_norm(SampledFn(partition, before - after), q).max())
+        observed = float(lp_norm(SampledFn(op.partition, before - after), q).max())
         before = after
-        steps.append(StepRecord(
+        yield StepRecord(
             step=name,
-            certified=bounds[name],
+            certified=term,
             observed_max=observed,
             samples=len(ball),
-            passed=observed <= bounds[name] + STEP_TOLERANCE,
-        ))
-    return steps, float(tchebyshev_measure(ball, gamma).max())
+            passed=observed <= term + STEP_TOLERANCE,
+        )
 
 
 def verify_run(
@@ -430,28 +456,22 @@ def verify_run(
         raise ValueError("samples must be >= 1")
     if family_mode not in ("enumerate", "sample"):
         raise ValueError(f"unknown family mode {family_mode!r}")
-    partition, net, table, count = _setup(kernel, domain, gamma, Delta, delta,
-                                          sigma, nodes_per_axis, seed, p, r,
-                                          family_mode)
-    grid = table.grid
+    run = scheme(kernel, domain, p, r, lam, gamma, Delta, delta, sigma,
+                 nodes_per_axis, seed, family_mode)
     q = p / (p - 1.0)
-    breakdown = error_bound(
-        p, r, domain.measure, lam, gamma, Delta, grid.delta_step, sigma,
-        kernel.metrics,
-    )
     config = {
         "kernel": kernel.name, "p": p, "r": r, "gamma": gamma,
-        "Delta": Delta, "delta": grid.delta_step, "sigma": sigma,
+        "Delta": Delta, "delta": run.table.grid.delta_step, "sigma": sigma,
         "samples": samples, "nodes_per_axis": nodes_per_axis,
     }
 
-    op = DiscretizedOperator(kernel, partition)
-    ball = _mixed_ball_samples(partition, kernel.n, p, r, samples, seed)
+    op = DiscretizedOperator(kernel, run.partition)
+    ball = _mixed_ball_samples(run.partition, kernel.n, p, r, samples, seed)
     ball_images = op.apply(ball)
     steps_report = None
     if check_steps:
-        steps, tcheby_obs = _check_steps(op, ball, ball_images, breakdown,
-                                         gamma, grid, net, q)
+        steps = list(_check_steps(op, run, ball, ball_images, q))
+        tcheby_obs = float(tchebyshev_measure(ball, gamma).max())
         steps_report = VerificationReport(config=config, seed=seed, steps=steps)
         steps_report.tchebyshev_bound = r**p / gamma**p
         steps_report.tchebyshev_observed = tcheby_obs
@@ -460,15 +480,15 @@ def verify_run(
         steps_report.passed = tcheby_ok and all(s.passed for s in steps)
     del ball  # only its images are used from here on
 
-    family = _family(partition, table, net, family_mode, family_samples, seed)
-    certified = breakdown.total
+    family = run.family(family_mode, family_samples, seed)
+    certified = run.terms.total
     d_fwd, d_rev = directed_distance(ball_images, family, q, op)
 
     bound_report = VerificationReport(
         config={**config, "lambda": lam, "family_mode": family_mode},
-        seed=seed, breakdown=breakdown.to_dict(), certified_total=certified,
+        seed=seed, breakdown=run.terms.to_dict(), certified_total=certified,
         directed_sampled_to_family=d_fwd,
         directed_family_to_sampled=d_rev,  # diagnostic only
         ratio=d_fwd / certified if certified > 0 else 0.0,
-        family_count=count, passed=d_fwd <= certified + STEP_TOLERANCE)
+        family_count=run.count, passed=d_fwd <= certified + STEP_TOLERANCE)
     return steps_report, bound_report

@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from opnet.family import EXACT_FRACTION, _from_indices, budget_limit
+from opnet.family import EXACT_FRACTION, _blocks, _from_indices, budget_limit
 from opnet.functions import PiecewiseConstFn, SampledFn
 from opnet.geometry import Partition
 
@@ -132,8 +132,12 @@ def reference_sample_family(partition: Partition, table, net, count: int,
     state = np.zeros(count, dtype=int)
     for i, (layer, nxt) in enumerate(zip(table.layers, table.layers[1:])):
         u, total = rng.random(count), completions[i][state]
-        for draw, level, budget in table.pairs(layer[state]):
-            succ = np.searchsorted(nxt, budget)
+        # the states before the cell: the loop below moves `state` on
+        used = layer[state]
+        levels = np.searchsorted(table.costs, table.threshold - used,
+                                 side="right")
+        for draw, level in _blocks(levels):
+            succ = np.searchsorted(nxt, used[draw] + table.costs[level])
             w, starts = completions[i + 1][succ], np.flatnonzero(level == 0)
             # a uint64 cumsum over the block's owners may wrap past 2**64, but
             # it wraps modulo 2**64, so each owner's cum - offset is exact

@@ -30,7 +30,7 @@ from opnet.family import BudgetTable, sample_family
 from opnet.geometry import Domain
 from opnet.integral_op import DiscretizedOperator
 from opnet.kernels import builtin_kernel, save_tabulated_kernel
-from opnet.verify import _setup
+from opnet.verify import scheme
 
 from test_verify import scale_error_bound
 
@@ -669,10 +669,10 @@ def test_build_images_do_not_depend_on_block_boundaries(monkeypatch, capsys,
                                                         tmp_path):
     cfg = parse_config(BLOCK_DIAG_CONFIG)
     domain, kernel, _ = resolve(cfg)
-    partition, net, table, _ = _setup(
-        kernel, domain, cfg.gamma, cfg.Delta, cfg.delta, cfg.sigma,
-        cfg.quad_nodes, cfg.seed, cfg.p, cfg.r, cfg.family_mode)
-    family = sample_family(partition, table, net, cfg.family_samples,
+    run = scheme(kernel, domain, cfg.p, cfg.r, cfg.lam, cfg.gamma, cfg.Delta,
+                 cfg.delta, cfg.sigma, cfg.quad_nodes, cfg.seed, cfg.family_mode)
+    partition = run.partition
+    family = sample_family(partition, run.table, run.net, cfg.family_samples,
                            cfg.seed)
     n = len(family)
     want = DiscretizedOperator(kernel, partition).apply(family).values
@@ -955,6 +955,31 @@ def test_epsilon_parameters_past_the_float_range_are_config_errors(
     captured = capsys.readouterr()
     assert captured.err == ("config error: [parameters] epsilon = 2.0 on this "
                             f"[domain] {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["bound", "verify", "build", "sweep"])
+@pytest.mark.parametrize("upper,gamma", [
+    ("1e300", "2.0"),  # phi's mu ** 1.5 raises OverflowError
+    ("1e200", "1e10"),  # alpha's M mu ** 1.5 gamma sigma is inf
+], ids=["power-overflows", "product-overflows"])
+def test_explicit_terms_past_the_float_range_are_config_errors(
+        capsys, tmp_path, command, upper, gamma):
+    # one cell as long as the 1-D box: its diagonal is computed without an
+    # overflow, and its certified terms are not all finite floats
+    text = REFUSED_TABLE_CONFIG.replace("upper = 1.0", f"upper = {upper}")
+    for key, value in (("Delta", upper), ("gamma", gamma), ("delta", gamma)):
+        text = set_key(text, key, value)
+    argv = [command, write(tmp_path, text), "--output", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--axis", "sigma", "--values", "0.9,1.2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: [domain]: a certified term is past "
+                            "the float range\n")
+    assert "Traceback" not in captured.err and not captured.out
     assert not (tmp_path / "out").exists()
 
 

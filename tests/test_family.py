@@ -33,7 +33,7 @@ from opnet.family import (
 from opnet.functions import PiecewiseConstFn, SampledFn, lp_norm, node_norms
 from opnet.geometry import Domain, build_partition
 from opnet.sphere import DirectionNet, build_sigma_net
-from opnet.verify import _family, _setup
+from opnet.verify import scheme
 
 from oracles import (
     brute_force_count,
@@ -250,8 +250,8 @@ def test_enumerate_respects_budget_and_count():
 def test_enumerate_cap(monkeypatch):
     domain = Domain(np.zeros(1), np.ones(1))
     kernel = opnet.builtin_kernel("gaussian", domain)
-    run = (kernel, domain, 1.0, 0.25, 0.25, 1.0, 3, 0, 2.0, 1.0)
-    count = _setup(*run, "enumerate")[3]
+    run = (kernel, domain, 2.0, 1.0, 0.0, 1.0, 0.25, 0.25, 1.0, 3, 0)
+    count = scheme(*run, "enumerate").count
 
     def refuse(*args):
         raise AssertionError("enumerated past the cap")
@@ -261,12 +261,11 @@ def test_enumerate_cap(monkeypatch):
     monkeypatch.setattr(opnet.verify, "enumerate_family", refuse)
     monkeypatch.setattr(opnet.verify, "ENUM_CAP", count - 1)
     with pytest.raises(ResourceError, match=rf"\({count} > cap {count - 1}\)"):
-        _setup(*run, "enumerate")
-    assert _setup(*run, "sample")[3] == count
+        scheme(*run, "enumerate")
+    assert scheme(*run, "sample").count == count
     monkeypatch.undo()
     monkeypatch.setattr(opnet.verify, "ENUM_CAP", count)
-    part, net, table, _ = _setup(*run, "enumerate")
-    assert len(_family(part, table, net, "enumerate", 0, 0)) == count
+    assert len(scheme(*run, "enumerate").family("enumerate", 0, 0)) == count
 
 
 def test_enumerate_is_a_set():
@@ -354,7 +353,7 @@ def test_enumerate_indices_take_the_smallest_unsigned_dtypes():
 @pytest.mark.parametrize("r", [0.02, 0.05, 0.3, 1.0])
 @pytest.mark.parametrize("a", [24, 25, 48, 49, 50, 99, 100])
 def test_levels_refused_before_the_grid_are_refused_by_the_table(monkeypatch, r, a):
-    # a family that `_setup` refuses, for its grid alone or for its table of
+    # a family that `scheme` refuses, for its grid alone or for its table of
     # stored levels, has a budget table of the whole grid that is refused
     # too; a cap of 50 states keeps the tables small
     monkeypatch.setattr(family, "STATE_CAP", 50)
@@ -362,8 +361,8 @@ def test_levels_refused_before_the_grid_are_refused_by_the_table(monkeypatch, r,
     domain = Domain(np.zeros(1), np.ones(1))
     kernel = opnet.builtin_kernel("gaussian", domain)
     try:
-        table = _setup(kernel, domain, 1.0, 0.25, 1.0 / a, 1.0, 1, 0, 2.0, r,
-                       "sample")[2]
+        table = scheme(kernel, domain, 2.0, r, 0.0, 1.0, 0.25, 1.0 / a, 1.0, 1,
+                       0, "sample").table
     except ResourceError:
         part = build_partition(domain, 0.25, nodes_per_axis=1)
         with pytest.raises(ResourceError):
@@ -585,9 +584,9 @@ def test_table_walk_is_linear_in_the_cells():
 def test_table_walk_stops_at_its_fixed_point(monkeypatch):
     # 100,000 cells of measure 1e-5 afford only level 0 of {0, 1000}: the
     # first layer repeats, so one layer is walked, not 100,000
-    calls, pairs = [], BudgetTable.pairs
-    monkeypatch.setattr(BudgetTable, "pairs", lambda self, used: (
-        calls.append(len(used)) or pairs(self, used)))
+    calls, blocks = [], family._blocks
+    monkeypatch.setattr(family, "_blocks", lambda k: (
+        calls.append(len(k)) or blocks(k)))
     grid = build_magnitude_grid(1000.0, 1, 1)
     table = BudgetTable(100_000, 1e-5, grid, 2.0, 1.0)
     assert calls == [1]
@@ -695,9 +694,9 @@ def test_a_table_past_the_link_cap_is_refused_before_its_layer_is_walked(
     # p = 1 on 4 cells of 8,193 levels: cost j / 4096 and sum j <= 8192, so a
     # layer holds at most the sums 0..8192 and the table at most 32,773
     # states, but the 8,193 states of layer 1 afford 33,566,721 pairs
-    calls, pairs = [], BudgetTable.pairs
-    monkeypatch.setattr(BudgetTable, "pairs", lambda self, used: (
-        calls.append(len(used)) or pairs(self, used)))
+    calls, blocks = [], family._blocks
+    monkeypatch.setattr(family, "_blocks", lambda k: (
+        calls.append(len(k)) or blocks(k)))
     grid = build_magnitude_grid(8.0, 8192)
     start = time.perf_counter()
     with pytest.raises(ResourceError, match=r"budget table needs more than "

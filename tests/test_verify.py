@@ -6,11 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from opnet.bounds import error_bound
 from opnet.cli import EXIT_OK, main
+from opnet.family import (BudgetTable, build_magnitude_grid, count_family,
+                          run_pipeline, sample_family)
 from opnet.functions import PiecewiseConstFn, SampledFn, weighted_lp
 from opnet.geometry import Domain, build_partition
 from opnet.integral_op import DiscretizedOperator
 from opnet.kernels import builtin_kernel
+from opnet.sphere import build_sigma_net
 from opnet import verify
 from opnet.verify import directed_distance, verify_run
 
@@ -391,17 +395,53 @@ def test_verify_run_never_holds_the_family_images():
     assert peak < 40 << 20
 
 
+def test_scheme_is_its_parts():
+    # a run that requests delta = 0.3 with gamma = 2 certifies the grid step
+    # 2 / 7: its table, count and terms are those built by hand on that grid,
+    # its sampled family is `sample_family`'s, and its stages are the
+    # pipeline's four, each with its term
+    dom, kern = b102k_kernel()
+    run = verify.scheme(kern, dom, 2.0, 1.0, 0.1, 2.0, 1.0, 0.3, 0.9, 2, 7,
+                        "sample")
+    grid = run.table.grid
+    assert grid.a == 7 and grid.delta_step == 2.0 / 7
+    assert run.partition.points.tobytes() == build_partition(
+        dom, 1.0, nodes_per_axis=2).points.tobytes()
+    assert run.net.points.tobytes() == build_sigma_net(
+        kern.n, 0.9, seed=7).points.tobytes()
+    table = BudgetTable(run.partition.num_cells, run.partition.cell_measure,
+                        build_magnitude_grid(2.0, 7), 2.0, 1.0)
+    assert len(run.table.layers) == len(table.layers)
+    for got, want in zip(run.table.layers, table.layers):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert run.count == count_family(table, run.net)
+    terms = error_bound(2.0, 1.0, dom.measure, 0.1, 2.0, 1.0, grid.delta_step,
+                        0.9, kern.metrics)
+    assert run.terms == terms
+    got = run.family("sample", 50, 3)
+    want = sample_family(run.partition, table, run.net, 50, 3)
+    for name in ("values", "mag_idx", "dir_idx"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    ball = verify._mixed_ball_samples(run.partition, kern.n, 2.0, 1.0, 10, 7)
+    stages = list(run.stages(ball))
+    assert [(name, term) for name, _, term in stages] == [
+        ("clip", terms.tail_term), ("average", terms.psi),
+        ("round", terms.phi), ("snap", terms.alpha)]
+    for (_, got, _), want in zip(stages, run_pipeline(ball, 2.0, grid, run.net)):
+        assert got.values.tobytes() == want.values.tobytes()
+
+
 def test_directed_distance_allocates_two_family_vectors():
     # on the baseline's 102,621 members the distance keeps, beside its
     # inputs, the family's squared norms and screened minima (8 bytes a
     # member each), a mask, and temporaries of at most _BLOCK elements
     dom, kern = b102k_kernel()
-    partition, net, table, _ = verify._setup(kern, dom, 2.0, 1.0, 0.5, 0.9, 3,
-                                             7, 2, 1, "enumerate")
-    op = DiscretizedOperator(kern, partition)
-    images = op.apply(verify._mixed_ball_samples(partition, kern.n, 2, 1, 200,
-                                                 7))
-    family = verify._family(partition, table, net, "enumerate", 500, 7)
+    run = verify.scheme(kern, dom, 2, 1, 0.0, 2.0, 1.0, 0.5, 0.9, 3, 7,
+                        "enumerate")
+    op = DiscretizedOperator(kern, run.partition)
+    images = op.apply(verify._mixed_ball_samples(run.partition, kern.n, 2, 1,
+                                                 200, 7))
+    family = run.family("enumerate", 500, 7)
     tracemalloc.start()
     try:
         directed_distance(images, family, 2.0, op)
