@@ -26,12 +26,9 @@ from .kernels import builtin_kernel, load_tabulated_kernel
 from .verify import certified_terms, scheme, verify_run
 
 SCHEMA_VERSION = 3
-# family members that build applies the operator to at once; the images in
-# memory grow with it, how often a value is formatted does not (the CSV
-# writer's text table spans blocks)
-IMAGE_BLOCK = 256
 # the CSV writer's text table: its slot count (a power of two) and the rows
-# it formats at once, which bound the writer's own temporaries
+# it formats at once, which bound the writer's own temporaries; build
+# applies the operator to that many members at once
 TEXT_SLOTS = 1 << 16
 TEXT_PIECE = 64
 
@@ -332,14 +329,14 @@ def cmd_build(cfg: RunConfig) -> int:
     _write_csv(os.path.join(out, "family.csv"),
                [f"mag_{i}" for i in range(n_cells)]
                + [f"dir_{i}" for i in range(n_cells)],
-               (np.hstack([family.mag_idx[s:s + IMAGE_BLOCK],
-                           family.dir_idx[s:s + IMAGE_BLOCK]])
-                for s in range(0, len(family), IMAGE_BLOCK)))
+               (np.hstack([family.mag_idx[s:s + TEXT_PIECE],
+                           family.dir_idx[s:s + TEXT_PIECE]])
+                for s in range(0, len(family), TEXT_PIECE)))
     _write_csv(os.path.join(out, "images.csv"),
                [f"node{i}_{j}" for i in range(p_nodes) for j in range(kernel.m)],
-               (op.apply(family[s:s + IMAGE_BLOCK]).values.reshape(
+               (op.apply(family[s:s + TEXT_PIECE]).values.reshape(
                    -1, p_nodes * kernel.m)
-                for s in range(0, len(family), IMAGE_BLOCK)))
+                for s in range(0, len(family), TEXT_PIECE)))
     print(_dump_json(manifest, os.path.join(out, "manifest.json")), end="")
     return EXIT_OK
 

@@ -127,10 +127,12 @@ class BudgetTable:
         self.cells, self.grid = cells, grid
         # every layer holds the zero state, so the cells alone can pass the cap
         self._check(cells + 1, STATE_CAP, "states")
-        # a cost over the limit never fits, so 2 * limit serves for them all
+        # a cost over the limit never fits, so 2 * limit serves for them all,
+        # an overflowed one too
         limit = budget_limit(p, r)
-        row, self.threshold = integer_budget(np.minimum(
-            cell_measure * grid.values ** p, 2 * limit), limit)
+        with np.errstate(over="ignore"):
+            costs = np.minimum(cell_measure * grid.values ** p, 2 * limit)
+        row, self.threshold = integer_budget(costs, limit)
         shift = max(0, (self.threshold + row[-1]).bit_length() - 62)
         self.costs = np.array(row, dtype=object if shift else np.int64)
         self.layers, self.links = [np.zeros(1, dtype=self.costs.dtype)], []
@@ -403,9 +405,6 @@ def round_magnitude(f: PiecewiseConstFn, grid: MagnitudeGrid) -> PiecewiseConstF
     # nudge norms up by a few ulps so a magnitude that already sits on a grid
     # point (up to rounding noise) is not floored a whole step down
     j = np.searchsorted(grid.values, norms * (1.0 + 1e-13), side="right") - 1
-    last = len(grid.values) - 1
-    j = np.clip(j, 0, last)
-    j[norms >= grid.gamma] = last
     z = grid.values[j]
     scale = np.where(norms > 0, z / np.where(norms > 0, norms, 1.0), 0.0)
     return PiecewiseConstFn(f.partition, f.values * scale[..., None], mag_idx=j)
@@ -419,11 +418,9 @@ def snap_direction(f: PiecewiseConstFn, net: DirectionNet) -> PiecewiseConstFn:
     dir_idx = np.zeros(norms.shape, dtype=int)
     values = np.zeros_like(f.values)
     nz = norms > 0
-    if np.any(nz):
-        dirs = f.values[nz] / norms[nz, None]
-        idx, _ = net.nearest(dirs)
-        dir_idx[nz] = idx
-        values[nz] = norms[nz, None] * net.points[idx]
+    idx, _ = net.nearest(f.values[nz] / norms[nz, None])
+    dir_idx[nz] = idx
+    values[nz] = norms[nz, None] * net.points[idx]
     return PiecewiseConstFn(f.partition, values, mag_idx=f.mag_idx, dir_idx=dir_idx)
 
 

@@ -68,7 +68,8 @@ def _scalar(fn):
 
 def _corner_radius(domain: Domain) -> float:
     corners = np.abs(np.stack([domain.lower, domain.upper]))
-    return float(np.linalg.norm(corners.max(axis=0)))
+    with np.errstate(over="ignore"):  # a radius past the float range is inf
+        return float(np.linalg.norm(corners.max(axis=0)))
 
 
 # the keyword parameters each catalogue kernel reads

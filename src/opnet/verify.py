@@ -327,7 +327,11 @@ def _levels(gamma, delta):
 
 def certified_terms(kernel, domain, p, r, lam, gamma, Delta, delta, sigma):
     """The five terms that a run requesting `delta` certifies, at its grid
-    step gamma / `_levels`; a term past the float range refuses the run."""
+    step gamma / `_levels`; r ** p or a term past the float range refuses it."""
+    try:
+        r**p  # the budget
+    except OverflowError:
+        raise ConfigError(f"[parameters] r: r ** p overflows, got {r}") from None
     with suppress(OverflowError):  # a power of the measure
         terms = error_bound(p, r, domain.measure, lam, gamma, Delta,
                             gamma / _levels(gamma, delta), sigma, kernel.metrics)
@@ -373,6 +377,7 @@ def scheme(kernel, domain, p, r, lam, gamma, Delta, delta, sigma,
     if mu < np.finfo(float).tiny:  # then mu ** (-1 / p) can overflow
         raise ConfigError(f"[parameters] Delta: cells of measure {mu} underflow")
     cells, a = math.prod(counts), _levels(gamma, delta)
+    terms = certified_terms(kernel, domain, p, r, lam, gamma, Delta, delta, sigma)
     # no cell affords a level past a r mu^(-1/p) / gamma within the budget
     # r^p; the grid stores one level more, so that rounding a ball sample
     # never needs a level that is not stored.  A budget table holds a state
@@ -394,8 +399,7 @@ def scheme(kernel, domain, p, r, lam, gamma, Delta, delta, sigma,
         raise ResourceError(f"family too large to enumerate ({count} > cap "
                             f"{ENUM_CAP}); set family_mode = sample")
     partition = build_partition(domain, Delta, nodes_per_axis=nodes_per_axis)
-    return Scheme(partition, net, table, count, certified_terms(
-        kernel, domain, p, r, lam, gamma, Delta, delta, sigma))
+    return Scheme(partition, net, table, count, terms)
 
 
 def _mixed_ball_samples(partition, n, p, r, samples, seed) -> SampledFn:
@@ -473,7 +477,10 @@ def verify_run(
         steps = list(_check_steps(op, run, ball, ball_images, q))
         tcheby_obs = float(tchebyshev_measure(ball, gamma).max())
         steps_report = VerificationReport(config=config, seed=seed, steps=steps)
-        steps_report.tchebyshev_bound = r**p / gamma**p
+        try:
+            steps_report.tchebyshev_bound = r**p / gamma**p
+        except OverflowError:  # gamma ** p; r ** p is finite (`certified_terms`)
+            steps_report.tchebyshev_bound = (r / gamma) ** p
         steps_report.tchebyshev_observed = tcheby_obs
         tcheby_ok = (tcheby_obs
                      <= steps_report.tchebyshev_bound + TCHEBYSHEV_TOLERANCE)

@@ -678,7 +678,7 @@ def test_build_images_do_not_depend_on_block_boundaries(monkeypatch, capsys,
     want = DiscretizedOperator(kernel, partition).apply(family).values
     # blocks of `size` rows leave a 1-row tail: n = k * size + 1
     size = next(b for b in range(2, n) if (n - 1) % b == 0)
-    monkeypatch.setattr(opnet.cli, "IMAGE_BLOCK", size)
+    monkeypatch.setattr(opnet.cli, "TEXT_PIECE", size)
     out = tmp_path / "family"
     assert main(["build", write(tmp_path, BLOCK_DIAG_CONFIG),
                  "--output", str(out)]) == EXIT_OK
@@ -981,6 +981,39 @@ def test_explicit_terms_past_the_float_range_are_config_errors(
                             "the float range\n")
     assert "Traceback" not in captured.err and not captured.out
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["bound", "verify", "build", "sweep"])
+@pytest.mark.parametrize("keys,code,message", [
+    # r ** p overflows: refused before the budget table is made
+    ({"r": "1e200"}, EXIT_CONFIG,
+     "config error: [parameters] r: r ** p overflows, got 1e+200\n"),
+    # gamma ** p overflows in the cost row and the Tchebyshev bound; the run
+    # is one all-zero member and passes
+    ({"gamma": "1e200", "delta": "1e200"}, EXIT_OK, ""),
+    # the corner radius of the product kernel overflows, so its bound is inf
+    ({"name": "product", "beta": None, "upper": "1e200", "Delta": "1e200"},
+     EXIT_CONFIG, "config error: [domain]: a certified term is past the "
+     "float range\n"),
+], ids=["r", "gamma", "product"])
+def test_float_range_parameters_exit_cleanly(capsys, tmp_path, command, keys,
+                                             code, message):
+    # the 1-D gaussian box [0, 1] of two cells, with one value past the
+    # float range once raised to the power p
+    text = set_key(REFUSED_TABLE_CONFIG, "Delta", "0.5")
+    for key, value in keys.items():
+        text = re.sub(rf"^{key} = .*\n", "" if value is None
+                      else f"{key} = {value}\n", text, flags=re.M)
+    argv = [command, write(tmp_path, text), "--output", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--axis", "sigma", "--values", "0.9,1.2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == message
+    if code != EXIT_OK:
+        assert not captured.out and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "build", "sweep"])
