@@ -26,6 +26,6 @@ from .kernels import (
     save_tabulated_kernel,
 )
 from .sphere import DirectionNet, build_sigma_net, verify_covering
-from .verify import VerificationReport, directed_distance, verify_run
+from .verify import Run, VerificationReport, directed_distance, verify_run
 
 __version__ = "0.1.0"

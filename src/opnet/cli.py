@@ -23,7 +23,7 @@ from .errors import ConfigError, ResourceError
 from .geometry import Domain
 from .integral_op import DiscretizedOperator
 from .kernels import builtin_kernel, load_tabulated_kernel
-from .verify import certified_terms, scheme, verify_run
+from .verify import Run, certified_terms, scheme, verify_run
 
 SCHEMA_VERSION = 3
 # the CSV writer's text table: its slot count (a power of two) and the rows
@@ -38,27 +38,17 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 
 
-@dataclass
-class RunConfig:
+@dataclass(kw_only=True)
+class RunConfig(Run):
+    """A config's run, with its domain, kernel, epsilon and output path."""
+
     dim: int
     lower: tuple
     upper: tuple
     kernel_name: str = "constant"
     kernel_params: dict = field(default_factory=dict)
     kernel_file: str | None = None
-    p: float = 2.0
-    r: float = 1.0
-    gamma: float | None = None
-    Delta: float | None = None
-    delta: float | None = None
-    sigma: float | None = None
-    lam: float = 0.0
     epsilon: float | None = None
-    quad_nodes: int = 3
-    seed: int = 0
-    samples: int = 200
-    family_mode: str = "enumerate"
-    family_samples: int = 500
     output: str | None = None
 
 
@@ -295,8 +285,7 @@ def _write_csv(path: str, cols: list[str], blocks) -> None:
 
 def cmd_bound(cfg: RunConfig) -> int:
     domain, kernel, selection = resolve(cfg)
-    breakdown = certified_terms(kernel, domain, cfg.p, cfg.r, cfg.lam,
-                                cfg.gamma, cfg.Delta, cfg.delta, cfg.sigma)
+    breakdown = certified_terms(kernel, domain, cfg)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(cfg),
@@ -310,22 +299,21 @@ def cmd_bound(cfg: RunConfig) -> int:
 
 def cmd_build(cfg: RunConfig) -> int:
     domain, kernel, _ = resolve(cfg)
-    run = scheme(kernel, domain, cfg.p, cfg.r, cfg.lam, cfg.gamma, cfg.Delta,
-                 cfg.delta, cfg.sigma, cfg.quad_nodes, cfg.seed, cfg.family_mode)
-    family = run.family(cfg.family_mode, cfg.family_samples, cfg.seed)
-    n_cells = run.partition.num_cells
+    sch = scheme(kernel, domain, cfg)
+    family = sch.family()
+    n_cells = sch.partition.num_cells
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(cfg),
-        "family_count": str(run.count),
+        "family_count": str(sch.count),
         "cells": n_cells,
-        "net_size": run.net.size,
-        "magnitude_levels": run.table.grid.a + 1,
+        "net_size": sch.net.size,
+        "magnitude_levels": sch.table.grid.a + 1,
     }
     out = cfg.output or "family"
     os.makedirs(out, exist_ok=True)
-    op = DiscretizedOperator(kernel, run.partition)
-    p_nodes = run.partition.points.shape[0]
+    op = DiscretizedOperator(kernel, sch.partition)
+    p_nodes = sch.partition.points.shape[0]
     _write_csv(os.path.join(out, "family.csv"),
                [f"mag_{i}" for i in range(n_cells)]
                + [f"dir_{i}" for i in range(n_cells)],
@@ -341,19 +329,9 @@ def cmd_build(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _verify(cfg: RunConfig, domain, kernel, check_steps: bool = True):
-    """`verify_run` on the resolved run `cfg`."""
-    return verify_run(
-        kernel, domain, cfg.p, cfg.r, cfg.gamma, cfg.Delta, cfg.delta,
-        cfg.sigma, cfg.samples, cfg.seed, cfg.lam, cfg.quad_nodes,
-        family_mode=cfg.family_mode, family_samples=cfg.family_samples,
-        check_steps=check_steps,
-    )
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     domain, kernel, _ = resolve(cfg)
-    steps_report, bound_report = _verify(cfg, domain, kernel)
+    steps_report, bound_report = verify_run(kernel, domain, cfg)
     passed = steps_report.passed and bound_report.passed
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -381,7 +359,7 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
         _check_ranges(run)
     lines = [f"{axis},certified_total,tail_term,psi,phi,alpha,observed_distance"]
     for value, run in zip(values, runs):
-        _, report = _verify(run, domain, kernel, check_steps=False)
+        _, report = verify_run(kernel, domain, run, check_steps=False)
         brk = report.breakdown
         lines.append(",".join(repr(float(v)) for v in (
             value, report.certified_total, brk["tail_term"], brk["psi"],

@@ -74,7 +74,6 @@ class Partition:
     cell_measure: float
     points: np.ndarray  # (P, k)
     weights: np.ndarray  # (P,)
-    node_cell: np.ndarray  # (P,) int
 
     @property
     def nodes_per_cell(self) -> int:
@@ -113,7 +112,6 @@ def build_partition(domain: Domain, delta: float, nodes_per_axis: int = 3) -> Pa
     node = np.indices((nodes_per_axis,) * k).reshape(k, -1)  # (k, m^k)
     points = axis_x[:, ax, node].transpose(0, 2, 1).reshape(-1, k)
     weights = axis_w[:, ax, node].prod(axis=1).ravel()
-    node_cell = np.repeat(np.arange(len(lo)), nodes_per_axis**k)
 
     # the sum's relative error in roundings of u = eps / 2, to first order: a
     # side (lo + h) - lo is off h by u (|corner| + h), h off length / count by
@@ -126,5 +124,4 @@ def build_partition(domain: Domain, delta: float, nodes_per_axis: int = 3) -> Pa
         np.sum(corner / h + 3) + k * (nodes_per_axis + 4) + len(weights))
     if abs(weights.sum() - domain.measure) > bound:
         raise AssertionError("quadrature weights do not sum to the domain measure")
-    return Partition(domain, nodes_per_axis, len(lo), measure, points, weights,
-                     node_cell)
+    return Partition(domain, nodes_per_axis, len(lo), measure, points, weights)

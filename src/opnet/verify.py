@@ -35,6 +35,7 @@ from .kernels import Kernel
 from .sphere import DirectionNet, build_sigma_net
 
 __all__ = [
+    "Run",
     "StepRecord",
     "VerificationReport",
     "directed_distance",
@@ -325,16 +326,39 @@ def _levels(gamma, delta):
     return max(1, math.ceil(gamma / delta * (1.0 - 1e-12)))
 
 
-def certified_terms(kernel, domain, p, r, lam, gamma, Delta, delta, sigma):
-    """The five terms that a run requesting `delta` certifies, at its grid
-    step gamma / `_levels`; r ** p or a term past the float range refuses it."""
+@dataclass
+class Run:
+    """One run's parameters.  gamma, Delta, delta and sigma are given by its
+    config, or selected by the config's epsilon."""
+
+    p: float = 2.0
+    r: float = 1.0
+    gamma: float | None = None
+    Delta: float | None = None
+    delta: float | None = None
+    sigma: float | None = None
+    lam: float = 0.0
+    quad_nodes: int = 3
+    seed: int = 0
+    samples: int = 200
+    family_mode: str = "enumerate"
+    family_samples: int = 500
+
+
+def certified_terms(kernel, domain, run: Run):
+    """The five terms that `run` certifies, at its grid step gamma / `_levels`;
+    r ** p, gamma ** p or a term past the float range refuses it."""
+    p, r, gamma = run.p, run.r, run.gamma
     try:
         r**p  # the budget
     except OverflowError:
         raise ConfigError(f"[parameters] r: r ** p overflows, got {r}") from None
+    if gamma < 1 and gamma**p == 0:  # the Tchebyshev bound divides by it
+        raise ConfigError(f"[parameters] gamma: gamma ** p underflows, got {gamma}")
     with suppress(OverflowError):  # a power of the measure
-        terms = error_bound(p, r, domain.measure, lam, gamma, Delta,
-                            gamma / _levels(gamma, delta), sigma, kernel.metrics)
+        terms = error_bound(p, r, domain.measure, run.lam, gamma, run.Delta,
+                            gamma / _levels(gamma, run.delta), run.sigma,
+                            kernel.metrics)
         if math.isfinite(terms.total):
             return terms
     raise ConfigError("[domain]: a certified term is past the float range")
@@ -345,17 +369,18 @@ class Scheme:
     """One run's scheme: its partition and direction net, its family as a
     budget table and exact count, and the certified terms of its stages."""
 
+    run: Run
     partition: Partition
     net: DirectionNet
     table: BudgetTable
     count: int
     terms: BoundBreakdown
 
-    def family(self, mode, samples, seed):
-        """The table's family on the partition: every member, or `samples`."""
-        if mode == "sample":
+    def family(self):
+        """The table's family on the partition: every member, or a sample."""
+        if self.run.family_mode == "sample":
             return sample_family(self.partition, self.table, self.net,
-                                 samples, seed)
+                                 self.run.family_samples, self.run.seed)
         return enumerate_family(self.partition, self.table, self.net)
 
     def stages(self, ball):
@@ -366,18 +391,18 @@ class Scheme:
                    (terms.tail_term, terms.psi, terms.phi, terms.alpha))
 
 
-def scheme(kernel, domain, p, r, lam, gamma, Delta, delta, sigma,
-           nodes_per_axis, seed, family_mode) -> Scheme:
+def scheme(kernel, domain, run: Run) -> Scheme:
     """The run's scheme.  Every refusal of a run for its size is raised here,
     before a partition, an operator, a ball sample or a member is made."""
+    p, r, gamma, Delta = run.p, run.r, run.gamma, run.Delta
     try:
         counts, mu = cell_grid(domain, Delta)
     except OverflowError:  # more cells per axis than a float counts
         mu = 0.0
     if mu < np.finfo(float).tiny:  # then mu ** (-1 / p) can overflow
         raise ConfigError(f"[parameters] Delta: cells of measure {mu} underflow")
-    cells, a = math.prod(counts), _levels(gamma, delta)
-    terms = certified_terms(kernel, domain, p, r, lam, gamma, Delta, delta, sigma)
+    cells, a = math.prod(counts), _levels(gamma, run.delta)
+    terms = certified_terms(kernel, domain, run)
     # no cell affords a level past a r mu^(-1/p) / gamma within the budget
     # r^p; the grid stores one level more, so that rounding a ball sample
     # never needs a level that is not stored.  A budget table holds a state
@@ -387,19 +412,19 @@ def scheme(kernel, domain, p, r, lam, gamma, Delta, delta, sigma,
         raise ResourceError(
             f"family too large: one cell can take more than {STATE_CAP} of its "
             f"{a + 1} magnitude levels within the budget; increase delta")
-    net = build_sigma_net(kernel.n, sigma, seed=seed)
+    net = build_sigma_net(kernel.n, run.sigma, seed=run.seed)
     table = BudgetTable(cells, mu, build_magnitude_grid(gamma, a, top), p, r)
-    size = 8 * kernel.m * kernel.n * (cells * nodes_per_axis ** domain.dim) ** 2
+    size = 8 * kernel.m * kernel.n * (cells * run.quad_nodes ** domain.dim) ** 2
     if size > OPERATOR_CAP:
         raise ResourceError(f"operator too large ({size} > cap {OPERATOR_CAP} "
                             "bytes of kernel values); increase Delta or "
                             "decrease quad_nodes")
     count = count_family(table, net)
-    if family_mode == "enumerate" and count > ENUM_CAP:
+    if run.family_mode == "enumerate" and count > ENUM_CAP:
         raise ResourceError(f"family too large to enumerate ({count} > cap "
                             f"{ENUM_CAP}); set family_mode = sample")
-    partition = build_partition(domain, Delta, nodes_per_axis=nodes_per_axis)
-    return Scheme(partition, net, table, count, terms)
+    partition = build_partition(domain, Delta, nodes_per_axis=run.quad_nodes)
+    return Scheme(run, partition, net, table, count, terms)
 
 
 def _mixed_ball_samples(partition, n, p, r, samples, seed) -> SampledFn:
@@ -430,23 +455,9 @@ def _check_steps(op, scheme, ball, ball_images, q):
         )
 
 
-def verify_run(
-    kernel: Kernel,
-    domain: Domain,
-    p: float,
-    r: float,
-    gamma: float,
-    Delta: float,
-    delta: float,
-    sigma: float,
-    samples: int,
-    seed: int = 0,
-    lam: float = 0.0,
-    nodes_per_axis: int = 3,
-    family_mode: str = "enumerate",
-    family_samples: int = 500,
-    check_steps: bool = True,
-) -> tuple[VerificationReport | None, VerificationReport]:
+def verify_run(kernel: Kernel, domain: Domain, run: Run,
+               check_steps: bool = True,
+               ) -> tuple[VerificationReport | None, VerificationReport]:
     """Check the ball samples stage by stage and against the family image.
 
     One partition, operator and stack of ball samples serve both checks.
@@ -456,25 +467,26 @@ def verify_run(
     `check_steps` false the stage check is skipped and steps_report is None;
     the bound report is the same.
     """
-    if samples < 1:
+    if run.samples < 1:
         raise ValueError("samples must be >= 1")
-    if family_mode not in ("enumerate", "sample"):
-        raise ValueError(f"unknown family mode {family_mode!r}")
-    run = scheme(kernel, domain, p, r, lam, gamma, Delta, delta, sigma,
-                 nodes_per_axis, seed, family_mode)
+    if run.family_mode not in ("enumerate", "sample"):
+        raise ValueError(f"unknown family mode {run.family_mode!r}")
+    sch = scheme(kernel, domain, run)
+    p, r, gamma, seed = run.p, run.r, run.gamma, run.seed
     q = p / (p - 1.0)
     config = {
         "kernel": kernel.name, "p": p, "r": r, "gamma": gamma,
-        "Delta": Delta, "delta": run.table.grid.delta_step, "sigma": sigma,
-        "samples": samples, "nodes_per_axis": nodes_per_axis,
+        "Delta": run.Delta, "delta": sch.table.grid.delta_step,
+        "sigma": run.sigma, "samples": run.samples,
+        "nodes_per_axis": run.quad_nodes,
     }
 
-    op = DiscretizedOperator(kernel, run.partition)
-    ball = _mixed_ball_samples(run.partition, kernel.n, p, r, samples, seed)
+    op = DiscretizedOperator(kernel, sch.partition)
+    ball = _mixed_ball_samples(sch.partition, kernel.n, p, r, run.samples, seed)
     ball_images = op.apply(ball)
     steps_report = None
     if check_steps:
-        steps = list(_check_steps(op, run, ball, ball_images, q))
+        steps = list(_check_steps(op, sch, ball, ball_images, q))
         tcheby_obs = float(tchebyshev_measure(ball, gamma).max())
         steps_report = VerificationReport(config=config, seed=seed, steps=steps)
         try:
@@ -487,15 +499,15 @@ def verify_run(
         steps_report.passed = tcheby_ok and all(s.passed for s in steps)
     del ball  # only its images are used from here on
 
-    family = run.family(family_mode, family_samples, seed)
-    certified = run.terms.total
+    family = sch.family()
+    certified = sch.terms.total
     d_fwd, d_rev = directed_distance(ball_images, family, q, op)
 
     bound_report = VerificationReport(
-        config={**config, "lambda": lam, "family_mode": family_mode},
-        seed=seed, breakdown=run.terms.to_dict(), certified_total=certified,
+        config={**config, "lambda": run.lam, "family_mode": run.family_mode},
+        seed=seed, breakdown=sch.terms.to_dict(), certified_total=certified,
         directed_sampled_to_family=d_fwd,
         directed_family_to_sampled=d_rev,  # diagnostic only
         ratio=d_fwd / certified if certified > 0 else 0.0,
-        family_count=run.count, passed=d_fwd <= certified + STEP_TOLERANCE)
+        family_count=sch.count, passed=d_fwd <= certified + STEP_TOLERANCE)
     return steps_report, bound_report

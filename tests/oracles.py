@@ -11,6 +11,11 @@ from opnet.functions import PiecewiseConstFn, SampledFn
 from opnet.geometry import Partition
 
 
+def node_cell(partition):
+    """Each node's cell: nodes are cell-major, `nodes_per_cell` to a cell."""
+    return np.repeat(np.arange(partition.num_cells), partition.nodes_per_cell)
+
+
 def brute_force_count(measures, grid_values, net_size, p, r):
     """Count family members by exhaustive enumeration over magnitude tuples.
 
@@ -86,7 +91,7 @@ def reference_sample_ball(
     for idx in range(count):
         if smoothness == "rough":
             cell_vals = rng.standard_normal((partition.num_cells, n))
-            vals[idx] = cell_vals[partition.node_cell]
+            vals[idx] = cell_vals[node_cell(partition)]
         else:
             u = (pts - dom.lower) / dom.lengths  # (P, k) in [0,1]
             for _ in range(3):

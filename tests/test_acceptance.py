@@ -29,7 +29,7 @@ from opnet.geometry import Domain, build_partition
 from opnet.integral_op import DiscretizedOperator
 from opnet.kernels import builtin_kernel
 from opnet.sphere import DirectionNet, build_sigma_net
-from opnet.verify import verify_run
+from opnet.verify import Run, verify_run
 
 from oracles import brute_force_count, estimate_metrics
 
@@ -49,8 +49,8 @@ def test_criterion_1_constant_kernel_oracle():
     dom = unit_domain()
     kern = builtin_kernel("constant", dom, value=1.0)
     t0 = time.time()
-    rep = verify_run(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0,
-                     delta=0.05, sigma=0.5, samples=1000, seed=0)[1]
+    rep = verify_run(kern, dom, Run(p=2, r=1, gamma=2.0, Delta=1.0,
+                         delta=0.05, sigma=0.5, samples=1000, seed=0))[1]
 
     part = build_partition(dom, 1.0)
     grid = build_magnitude_grid(2.0, 40)  # step 0.05
@@ -83,8 +83,8 @@ def test_criterion_2_per_step_inequalities():
     worst = 0.0
     ok = True
     for i, kern in enumerate(kernels):
-        rep = verify_run(kern, dom, p=2, r=1, gamma=1.5, Delta=0.25,
-                         delta=0.25, sigma=0.4, samples=500, seed=i)[0]
+        rep = verify_run(kern, dom, Run(p=2, r=1, gamma=1.5, Delta=0.25,
+                             delta=0.25, sigma=0.4, samples=500, seed=i))[0]
         ok = ok and rep.passed
         for step in rep.steps:
             slack = step.observed_max - step.certified

@@ -669,8 +669,7 @@ def test_build_images_do_not_depend_on_block_boundaries(monkeypatch, capsys,
                                                         tmp_path):
     cfg = parse_config(BLOCK_DIAG_CONFIG)
     domain, kernel, _ = resolve(cfg)
-    run = scheme(kernel, domain, cfg.p, cfg.r, cfg.lam, cfg.gamma, cfg.Delta,
-                 cfg.delta, cfg.sigma, cfg.quad_nodes, cfg.seed, cfg.family_mode)
+    run = scheme(kernel, domain, cfg)
     partition = run.partition
     family = sample_family(partition, run.table, run.net, cfg.family_samples,
                            cfg.seed)
@@ -995,7 +994,13 @@ def test_explicit_terms_past_the_float_range_are_config_errors(
     ({"name": "product", "beta": None, "upper": "1e200", "Delta": "1e200"},
      EXIT_CONFIG, "config error: [domain]: a certified term is past the "
      "float range\n"),
-], ids=["r", "gamma", "product"])
+    # gamma ** p underflows: the Tchebyshev bound, and at p = 3 the clip
+    # term, would divide by zero
+    ({"gamma": "1e-200", "delta": "1e-200"}, EXIT_CONFIG,
+     "config error: [parameters] gamma: gamma ** p underflows, got 1e-200\n"),
+    ({"p": "3", "gamma": "1e-200", "delta": "1e-200"}, EXIT_CONFIG,
+     "config error: [parameters] gamma: gamma ** p underflows, got 1e-200\n"),
+], ids=["r", "gamma", "product", "gamma-underflows-p2", "gamma-underflows-p3"])
 def test_float_range_parameters_exit_cleanly(capsys, tmp_path, command, keys,
                                              code, message):
     # the 1-D gaussian box [0, 1] of two cells, with one value past the

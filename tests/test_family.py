@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,10 +34,11 @@ from opnet.family import (
 from opnet.functions import PiecewiseConstFn, SampledFn, lp_norm, node_norms
 from opnet.geometry import Domain, build_partition
 from opnet.sphere import DirectionNet, build_sigma_net
-from opnet.verify import scheme
+from opnet.verify import Run, scheme
 
 from oracles import (
     brute_force_count,
+    node_cell,
     reference_sample_ball,
     reference_sample_family,
     square_budget_count,
@@ -72,7 +74,7 @@ def members(stack):
 
 def stage_displacements(x, stages):
     """Largest node displacement of each pipeline stage, by stage name."""
-    nodes = [g.values[:, g.partition.node_cell] if isinstance(g, PiecewiseConstFn)
+    nodes = [g.values[:, node_cell(g.partition)] if isinstance(g, PiecewiseConstFn)
              else g.values for g in (x, *stages)]
     return {name: float(np.linalg.norm(after - before, axis=-1).max())
             for name, before, after in zip(("clip", "average", "round", "snap"),
@@ -250,8 +252,8 @@ def test_enumerate_respects_budget_and_count():
 def test_enumerate_cap(monkeypatch):
     domain = Domain(np.zeros(1), np.ones(1))
     kernel = opnet.builtin_kernel("gaussian", domain)
-    run = (kernel, domain, 2.0, 1.0, 0.0, 1.0, 0.25, 0.25, 1.0, 3, 0)
-    count = scheme(*run, "enumerate").count
+    run = Run(p=2.0, r=1.0, gamma=1.0, Delta=0.25, delta=0.25, sigma=1.0)
+    count = scheme(kernel, domain, run).count
 
     def refuse(*args):
         raise AssertionError("enumerated past the cap")
@@ -261,11 +263,12 @@ def test_enumerate_cap(monkeypatch):
     monkeypatch.setattr(opnet.verify, "enumerate_family", refuse)
     monkeypatch.setattr(opnet.verify, "ENUM_CAP", count - 1)
     with pytest.raises(ResourceError, match=rf"\({count} > cap {count - 1}\)"):
-        scheme(*run, "enumerate")
-    assert scheme(*run, "sample").count == count
+        scheme(kernel, domain, run)
+    sampled = replace(run, family_mode="sample")
+    assert scheme(kernel, domain, sampled).count == count
     monkeypatch.undo()
     monkeypatch.setattr(opnet.verify, "ENUM_CAP", count)
-    assert len(scheme(*run, "enumerate").family("enumerate", 0, 0)) == count
+    assert len(scheme(kernel, domain, run).family()) == count
 
 
 def test_enumerate_is_a_set():
@@ -361,8 +364,9 @@ def test_levels_refused_before_the_grid_are_refused_by_the_table(monkeypatch, r,
     domain = Domain(np.zeros(1), np.ones(1))
     kernel = opnet.builtin_kernel("gaussian", domain)
     try:
-        table = scheme(kernel, domain, 2.0, r, 0.0, 1.0, 0.25, 1.0 / a, 1.0, 1,
-                       0, "sample").table
+        table = scheme(kernel, domain, Run(
+            p=2.0, r=r, gamma=1.0, Delta=0.25, delta=1.0 / a, sigma=1.0,
+            quad_nodes=1, family_mode="sample")).table
     except ResourceError:
         part = build_partition(domain, 0.25, nodes_per_axis=1)
         with pytest.raises(ResourceError):
@@ -834,7 +838,7 @@ def test_cell_average_preserves_integrals_and_norm():
         expected = avg.values[0] * part.cell_measure
         assert cell_ints == pytest.approx(expected, abs=1e-12)
         assert lp_norm(avg, p) <= lp_norm(f, p) + 1e-10
-        again = cell_average(SampledFn(part, avg.values[:, part.node_cell]))
+        again = cell_average(SampledFn(part, avg.values[:, node_cell(part)]))
         assert again.values == pytest.approx(avg.values, abs=1e-14)
 
 
@@ -916,7 +920,7 @@ def test_project_fixed_point():
     grid = build_magnitude_grid(1.0, 2)
     net = sign_net()
     member = enumerate_family(part, table_of(part, grid, 2, 1.0), net)[3:4]
-    x = SampledFn(part, member.values[:, part.node_cell])
+    x = SampledFn(part, member.values[:, node_cell(part)])
     stages = run_pipeline(x, 1.0, grid, net)
     assert np.array_equal(stages[-1].values, member.values)
     for step in stage_displacements(x, stages).values():

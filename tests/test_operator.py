@@ -22,6 +22,7 @@ from oracles import (
     kernel_sup_norm,
     matrix_norm,
     modulus_of_continuity,
+    node_cell,
 )
 
 
@@ -75,7 +76,7 @@ def test_apply_piecewise_matches_sampled():
     rng = np.random.default_rng(1)
     f = PiecewiseConstFn(part, rng.standard_normal((1, part.num_cells, 1)))
     via_cache = op.apply(f)
-    via_nodes = op.apply(SampledFn(part, f.values[:, part.node_cell]))
+    via_nodes = op.apply(SampledFn(part, f.values[:, node_cell(part)]))
     assert via_cache.values == pytest.approx(via_nodes.values, abs=1e-12)
 
 
@@ -225,7 +226,7 @@ def test_lp_norm_of_a_strided_stack_is_that_of_its_copy():
     # a gather of cell values onto the nodes comes back strided
     part = build_partition(Domain(np.zeros(2), np.ones(2)), 1.0)
     cells = np.random.default_rng(3).standard_normal((50, part.num_cells, 2))
-    gathered = cells[:, part.node_cell]
+    gathered = cells[:, node_cell(part)]
     assert not gathered.flags.c_contiguous
     for p in (1.5, 2, 3):
         assert np.array_equal(

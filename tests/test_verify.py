@@ -16,7 +16,7 @@ from opnet.integral_op import DiscretizedOperator
 from opnet.kernels import builtin_kernel
 from opnet.sphere import build_sigma_net
 from opnet import verify
-from opnet.verify import directed_distance, verify_run
+from opnet.verify import Run, directed_distance, verify_run
 
 
 def unit_domain():
@@ -387,8 +387,8 @@ def test_verify_run_never_holds_the_family_images():
     dom, kern = b102k_kernel()
     tracemalloc.start()
     try:
-        verify_run(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0, delta=0.5,
-                   sigma=0.9, samples=200, seed=7)
+        verify_run(kern, dom, Run(p=2, r=1, gamma=2.0, Delta=1.0, delta=0.5,
+                       sigma=0.9, samples=200, seed=7))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -401,8 +401,9 @@ def test_scheme_is_its_parts():
     # its sampled family is `sample_family`'s, and its stages are the
     # pipeline's four, each with its term
     dom, kern = b102k_kernel()
-    run = verify.scheme(kern, dom, 2.0, 1.0, 0.1, 2.0, 1.0, 0.3, 0.9, 2, 7,
-                        "sample")
+    run = verify.scheme(kern, dom, Run(
+        p=2.0, r=1.0, gamma=2.0, Delta=1.0, delta=0.3, sigma=0.9, lam=0.1,
+        quad_nodes=2, seed=7, family_mode="sample", family_samples=50))
     grid = run.table.grid
     assert grid.a == 7 and grid.delta_step == 2.0 / 7
     assert run.partition.points.tobytes() == build_partition(
@@ -418,8 +419,8 @@ def test_scheme_is_its_parts():
     terms = error_bound(2.0, 1.0, dom.measure, 0.1, 2.0, 1.0, grid.delta_step,
                         0.9, kern.metrics)
     assert run.terms == terms
-    got = run.family("sample", 50, 3)
-    want = sample_family(run.partition, table, run.net, 50, 3)
+    got = run.family()
+    want = sample_family(run.partition, table, run.net, 50, 7)
     for name in ("values", "mag_idx", "dir_idx"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
     ball = verify._mixed_ball_samples(run.partition, kern.n, 2.0, 1.0, 10, 7)
@@ -436,12 +437,12 @@ def test_directed_distance_allocates_two_family_vectors():
     # inputs, the family's squared norms and screened minima (8 bytes a
     # member each), a mask, and temporaries of at most _BLOCK elements
     dom, kern = b102k_kernel()
-    run = verify.scheme(kern, dom, 2, 1, 0.0, 2.0, 1.0, 0.5, 0.9, 3, 7,
-                        "enumerate")
+    run = verify.scheme(kern, dom, Run(p=2, r=1, gamma=2.0, Delta=1.0,
+                                       delta=0.5, sigma=0.9, seed=7))
     op = DiscretizedOperator(kern, run.partition)
     images = op.apply(verify._mixed_ball_samples(run.partition, kern.n, 2, 1,
                                                  200, 7))
-    family = run.family("enumerate", 500, 7)
+    family = run.family()
     tracemalloc.start()
     try:
         directed_distance(images, family, 2.0, op)
@@ -467,8 +468,8 @@ def test_directed_distance_empty_sets():
 def test_verify_steps_zero_kernel():
     dom = unit_domain()
     kern = builtin_kernel("constant", dom, value=0.0)
-    rep = verify_run(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0,
-                     delta=0.5, sigma=0.5, samples=50, seed=0)[0]
+    rep = verify_run(kern, dom, Run(p=2, r=1, gamma=2.0, Delta=1.0,
+                         delta=0.5, sigma=0.5, samples=50, seed=0))[0]
     assert rep.passed
     for step in rep.steps:
         assert step.observed_max == 0.0
@@ -477,8 +478,8 @@ def test_verify_steps_zero_kernel():
 def test_verify_steps_constant_kernel_clip_bound():
     dom = unit_domain()
     kern = builtin_kernel("constant", dom, value=1.0)
-    rep = verify_run(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0,
-                     delta=0.1, sigma=0.1, samples=200, seed=1)[0]
+    rep = verify_run(kern, dom, Run(p=2, r=1, gamma=2.0, Delta=1.0,
+                         delta=0.1, sigma=0.1, samples=200, seed=1))[0]
     assert rep.passed
     by_name = {s.step: s for s in rep.steps}
     # clip bound 2 r^p M mu^(1/q) / gamma^(p-1) = 2 * 1 / 2 = 1
@@ -496,8 +497,8 @@ def test_verify_steps_constant_kernel_clip_bound():
 def test_verify_steps_smooth_kernels(name, kw):
     dom = unit_domain()
     kern = builtin_kernel(name, dom, **kw)
-    rep = verify_run(kern, dom, p=2, r=1, gamma=1.5, Delta=0.25,
-                     delta=0.25, sigma=0.4, samples=120, seed=2)[0]
+    rep = verify_run(kern, dom, Run(p=2, r=1, gamma=1.5, Delta=0.25,
+                         delta=0.25, sigma=0.4, samples=120, seed=2))[0]
     assert rep.passed
     for step in rep.steps:
         assert step.observed_max <= step.certified + 1e-8
@@ -507,8 +508,8 @@ def test_step_bounds_are_the_breakdown_terms():
     # measure 2.25, so every term carries a power of mu other than 1
     dom = Domain(np.array([0.0, -1.0]), np.array([1.5, 0.5]))
     kern = builtin_kernel("gaussian", dom, beta=1.0)
-    steps, bound = verify_run(kern, dom, p=3, r=1.5, gamma=2.0, Delta=1.5,
-                              delta=0.5, sigma=0.9, samples=10, seed=0)
+    steps, bound = verify_run(kern, dom, Run(p=3, r=1.5, gamma=2.0, Delta=1.5,
+                                  delta=0.5, sigma=0.9, samples=10, seed=0))
     brk = bound.breakdown
     certified = {s.step: s.certified for s in steps.steps}
     assert certified == {
@@ -524,8 +525,8 @@ def test_verify_steps_forced_failure(monkeypatch):
     dom = unit_domain()
     kern = builtin_kernel("constant", dom, value=1.0)
     scale_error_bound(monkeypatch, 0.0001)
-    rep = verify_run(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0,
-                     delta=0.1, sigma=0.1, samples=200, seed=1)[0]
+    rep = verify_run(kern, dom, Run(p=2, r=1, gamma=2.0, Delta=1.0,
+                         delta=0.1, sigma=0.1, samples=200, seed=1))[0]
     assert not rep.passed
 
 
@@ -536,8 +537,8 @@ def test_verify_steps_forced_failure(monkeypatch):
 def test_verify_bound_constant_kernel():
     dom = unit_domain()
     kern = builtin_kernel("constant", dom, value=1.0)
-    rep = verify_run(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0,
-                     delta=0.25, sigma=0.2, samples=60, seed=3)[1]
+    rep = verify_run(kern, dom, Run(p=2, r=1, gamma=2.0, Delta=1.0,
+                         delta=0.25, sigma=0.2, samples=60, seed=3))[1]
     assert rep.passed
     assert rep.directed_sampled_to_family <= rep.certified_total + 1e-8
     assert 0.0 <= rep.ratio <= 1.0
@@ -550,8 +551,8 @@ def test_verify_bound_sample_mode_and_determinism():
     kern = builtin_kernel("gaussian", dom, beta=1.0)
     kwargs = dict(p=2, r=1, gamma=1.5, Delta=0.5, delta=0.5, sigma=0.7,
                   samples=40, seed=4, family_mode="sample", family_samples=80)
-    a = verify_run(kern, dom, **kwargs)[1]
-    b = verify_run(kern, dom, **kwargs)[1]
+    a = verify_run(kern, dom, Run(**kwargs))[1]
+    b = verify_run(kern, dom, Run(**kwargs))[1]
     assert a.to_dict() == b.to_dict()
     assert a.passed
 
@@ -560,8 +561,8 @@ def test_verify_bound_forced_failure(monkeypatch):
     dom = unit_domain()
     kern = builtin_kernel("constant", dom, value=1.0)
     scale_error_bound(monkeypatch, 0.01)
-    rep = verify_run(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0,
-                     delta=0.25, sigma=0.2, samples=60, seed=3)[1]
+    rep = verify_run(kern, dom, Run(p=2, r=1, gamma=2.0, Delta=1.0,
+                         delta=0.25, sigma=0.2, samples=60, seed=3))[1]
     assert not rep.passed
 
 
@@ -570,16 +571,16 @@ def test_verify_bound_report_without_the_step_check():
     kern = builtin_kernel("gaussian", dom, beta=1.0)
     kwargs = dict(p=2, r=1, gamma=1.5, Delta=0.5, delta=0.5, sigma=0.7,
                   samples=40, seed=4)
-    steps, bound = verify_run(kern, dom, **kwargs, check_steps=False)
+    steps, bound = verify_run(kern, dom, Run(**kwargs), check_steps=False)
     assert steps is None
-    assert bound.to_dict() == verify_run(kern, dom, **kwargs)[1].to_dict()
+    assert bound.to_dict() == verify_run(kern, dom, Run(**kwargs))[1].to_dict()
 
 
 def test_verify_bound_report_shape():
     dom = unit_domain()
     kern = builtin_kernel("constant", dom, value=1.0)
-    rep = verify_run(kern, dom, p=2, r=1, gamma=2.0, Delta=1.0,
-                     delta=0.5, sigma=0.5, samples=20, seed=5)[1]
+    rep = verify_run(kern, dom, Run(p=2, r=1, gamma=2.0, Delta=1.0,
+                         delta=0.5, sigma=0.5, samples=20, seed=5))[1]
     d = rep.to_dict()
     assert set(d["breakdown"]) == {
         "lambda", "c_star", "tail_term", "psi", "phi", "alpha", "total",
