@@ -10,7 +10,6 @@ from .family import (
     count_family,
     enumerate_family,
     round_magnitude,
-    run_pipeline,
     sample_ball,
     sample_family,
     snap_direction,

@@ -2,8 +2,9 @@
 
 
 class ResourceError(RuntimeError):
-    """A run would pass a cap (members, budget states, links or levels, or the
-    sphere net's candidate pool); refused before the heavy work."""
+    """A run would pass a cap (members, budget states, links or levels, the
+    operator's bytes of kernel values, or the sphere net's candidate pool);
+    refused before the heavy work."""
 
 
 class ConfigError(ValueError):

@@ -34,7 +34,6 @@ __all__ = [
     "cell_average",
     "round_magnitude",
     "snap_direction",
-    "run_pipeline",
     "tchebyshev_measure",
 ]
 
@@ -309,66 +308,61 @@ def sample_family(partition: Partition, table: BudgetTable, net: DirectionNet,
     return _from_indices(partition, table, net, mags, dirs)
 
 
-def sample_ball(
-    partition: Partition,
-    n: int,
-    p: float,
-    r: float,
-    count: int,
-    seed: int = 0,
-    smoothness: str = "rough",
-) -> SampledFn:
-    """A stack of random elements of the closed L_p ball of radius r.
-
-    Rough mode draws a random vector per cell; smooth mode a short random
-    cosine series.  Each draw is rescaled so its quadrature L_p norm is
-    exactly r for the first `EXACT_FRACTION` of draws and uniformly in [0, r)
-    for the rest.
+def sample_ball(partition: Partition, n: int, p: float, r: float, count: int,
+                seed: int = 0) -> SampledFn:
+    """A stack of `count` random elements of the closed L_p ball of radius r:
+    `count - count // 2` rough draws at `seed`, a random vector per cell, then
+    `count // 2` smooth draws at `seed + 1`, a short random cosine series.
+    Each draw is rescaled so its quadrature L_p norm is exactly r for the
+    first `EXACT_FRACTION` of its half's draws and uniformly in [0, r) for
+    the rest.
 
     A seed's samples are fixed by the order of the generator calls, draw by
     draw: rough, a (cells, n) normal; smooth, per term, `integers(0, 3)` and
     `uniform(0, 2 pi)` per axis, a `standard_normal(n)` direction and a
     `standard_normal()` amplitude; then, past the exact fraction, the radius.
     """
-    if smoothness not in ("rough", "smooth"):
-        raise ValueError(f"unknown smoothness mode {smoothness!r}")
-    rng = np.random.default_rng(seed)
-    dom = partition.domain
+    dom, cells, qpc = partition.domain, partition.num_cells, partition.nodes_per_cell
+    vals = np.empty((count, len(partition.points), n))
     targets = np.full(count, float(r))
-    n_exact = int(round(EXACT_FRACTION * count))
-    if smoothness == "rough":
-        # the exact draws' normals in one call, which gives the same stream
-        cell_vals = np.empty((count, partition.num_cells, n))
-        cell_vals[:n_exact] = rng.standard_normal((n_exact, *cell_vals.shape[1:]))
-        for idx in range(n_exact, count):
-            cell_vals[idx] = rng.standard_normal(cell_vals.shape[1:])
-            targets[idx] = r * rng.uniform(0.0, 1.0)
-        vals = np.repeat(cell_vals, partition.nodes_per_cell, axis=1)
-    else:
-        freq, phase = np.empty((2, count, 3, dom.dim))
-        direction, amp = np.empty((count, 3, n)), np.empty((count, 3))
-        for idx in range(count):
-            for t in range(3):
-                freq[idx, t] = rng.integers(0, 3, size=dom.dim)
-                phase[idx, t] = rng.uniform(0.0, 2.0 * math.pi, size=dom.dim)
-                d = rng.standard_normal(n)
-                direction[idx, t] = d / np.linalg.norm(d)
-                amp[idx, t] = rng.standard_normal()
-            if idx >= n_exact:
-                targets[idx] = r * rng.uniform(0.0, 1.0)
-        # a term's cosines once per distinct coordinate, gathered onto the nodes
-        u = (partition.points - dom.lower) / dom.lengths  # (P, k) in [0,1]
-        profile = np.ones((count, 3, len(u)))
-        for a in range(dom.dim):
-            coords, at = np.unique(u[:, a], return_inverse=True)
-            profile *= np.cos(math.pi * freq[..., a, None] * coords
-                              + phase[..., a, None])[..., at]
-        # the terms in order onto zero, as one draw at a time added them
-        vals = sum(amp[:, t, None, None] * profile[:, t, :, None]
-                   * direction[:, t, None] for t in range(3))
+    rough, smooth = count - count // 2, count // 2
+    # rough: the exact draws' normals in one call, which gives the same stream
+    rng = np.random.default_rng(seed)
+    n_exact = int(round(EXACT_FRACTION * rough))
+    cell_vals = np.empty((rough, cells, n))
+    cell_vals[:n_exact] = rng.standard_normal((n_exact, cells, n))
+    for idx in range(n_exact, rough):
+        cell_vals[idx] = rng.standard_normal((cells, n))
+        targets[idx] = r * rng.uniform(0.0, 1.0)
+    vals[:rough].reshape(rough, cells, qpc, n)[:] = cell_vals[:, :, None]
+    # smooth: its own stream, which the rough half's size does not move
+    rng = np.random.default_rng(seed + 1)
+    n_exact = int(round(EXACT_FRACTION * smooth))
+    freq, phase = np.empty((2, smooth, 3, dom.dim))
+    direction, amp = np.empty((smooth, 3, n)), np.empty((smooth, 3))
+    for idx in range(smooth):
+        for t in range(3):
+            freq[idx, t] = rng.integers(0, 3, size=dom.dim)
+            phase[idx, t] = rng.uniform(0.0, 2.0 * math.pi, size=dom.dim)
+            d = rng.standard_normal(n)
+            direction[idx, t] = d / np.linalg.norm(d)
+            amp[idx, t] = rng.standard_normal()
+        if idx >= n_exact:
+            targets[rough + idx] = r * rng.uniform(0.0, 1.0)
+    # a term's cosines once per distinct coordinate, gathered onto the nodes
+    u = (partition.points - dom.lower) / dom.lengths  # (P, k) in [0,1]
+    profile = np.ones((smooth, 3, len(u)))
+    for a in range(dom.dim):
+        coords, at = np.unique(u[:, a], return_inverse=True)
+        profile *= np.cos(math.pi * freq[..., a, None] * coords
+                          + phase[..., a, None])[..., at]
+    # the terms in order onto zero, as one draw at a time added them
+    vals[rough:] = sum(amp[:, t, None, None] * profile[:, t, :, None]
+                       * direction[:, t, None] for t in range(3))
     norms = lp_norm(SampledFn(partition, vals), p)
-    scale = np.where(norms > 0, targets / np.where(norms > 0, norms, 1.0), 1.0)
-    return SampledFn(partition, vals * scale[:, None, None])
+    vals *= np.where(norms > 0, targets / np.where(norms > 0, norms, 1.0),
+                     1.0)[:, None, None]
+    return SampledFn(partition, vals)
 
 
 # --------------------------------------------------------------------------
@@ -422,22 +416,6 @@ def snap_direction(f: PiecewiseConstFn, net: DirectionNet) -> PiecewiseConstFn:
     dir_idx[nz] = idx
     values[nz] = norms[nz, None] * net.points[idx]
     return PiecewiseConstFn(f.partition, values, mag_idx=f.mag_idx, dir_idx=dir_idx)
-
-
-def run_pipeline(
-    x: SampledFn,
-    gamma: float,
-    grid: MagnitudeGrid,
-    net: DirectionNet,
-) -> tuple[SampledFn, PiecewiseConstFn, PiecewiseConstFn, PiecewiseConstFn]:
-    """Clip, average, round and snap every member of the stack `x`.
-
-    Returns every stage: (clipped, averaged, rounded, snapped).
-    """
-    clipped = clip_to_gamma(x, gamma)
-    averaged = cell_average(clipped)
-    rounded = round_magnitude(averaged, grid)
-    return clipped, averaged, rounded, snap_direction(rounded, net)
 
 
 def tchebyshev_measure(x: SampledFn, gamma: float):

@@ -20,11 +20,14 @@ from .family import (
     STATE_CAP,
     BudgetTable,
     build_magnitude_grid,
+    cell_average,
+    clip_to_gamma,
     count_family,
     enumerate_family,
-    run_pipeline,
+    round_magnitude,
     sample_ball,
     sample_family,
+    snap_direction,
     tchebyshev_measure,
 )
 from .functions import PiecewiseConstFn, SampledFn, lp_norm
@@ -347,7 +350,8 @@ class Run:
 
 def certified_terms(kernel, domain, run: Run):
     """The five terms that `run` certifies, at its grid step gamma / `_levels`;
-    r ** p, gamma ** p or a term past the float range refuses it."""
+    r ** p, gamma ** p, their quotient or a term past the float range refuses
+    it."""
     p, r, gamma = run.p, run.r, run.gamma
     try:
         r**p  # the budget
@@ -355,6 +359,9 @@ def certified_terms(kernel, domain, run: Run):
         raise ConfigError(f"[parameters] r: r ** p overflows, got {r}") from None
     if gamma < 1 and gamma**p == 0:  # the Tchebyshev bound divides by it
         raise ConfigError(f"[parameters] gamma: gamma ** p underflows, got {gamma}")
+    if gamma < 1 and r**p / gamma**p == math.inf:  # the Tchebyshev bound
+        raise ConfigError(
+            f"[parameters] gamma: r ** p / gamma ** p overflows, got {gamma}")
     with suppress(OverflowError):  # a power of the measure
         terms = error_bound(p, r, domain.measure, run.lam, gamma, run.Delta,
                             gamma / _levels(gamma, run.delta), run.sigma,
@@ -384,11 +391,16 @@ class Scheme:
         return enumerate_family(self.partition, self.table, self.net)
 
     def stages(self, ball):
-        """(name, stack, term) per projection stage of the stack `ball`."""
+        """(name, stack, term) per projection stage of the stack `ball`, each
+        stage made from the one before as it is taken."""
         grid, terms = self.table.grid, self.terms
-        return zip(("clip", "average", "round", "snap"),
-                   run_pipeline(ball, grid.gamma, grid, self.net),
-                   (terms.tail_term, terms.psi, terms.phi, terms.alpha))
+        stack = clip_to_gamma(ball, grid.gamma)
+        yield "clip", stack, terms.tail_term
+        stack = cell_average(stack)
+        yield "average", stack, terms.psi
+        stack = round_magnitude(stack, grid)
+        yield "round", stack, terms.phi
+        yield "snap", snap_direction(stack, self.net), terms.alpha
 
 
 def scheme(kernel, domain, run: Run) -> Scheme:
@@ -425,13 +437,6 @@ def scheme(kernel, domain, run: Run) -> Scheme:
                             f"{ENUM_CAP}); set family_mode = sample")
     partition = build_partition(domain, Delta, nodes_per_axis=run.quad_nodes)
     return Scheme(run, partition, net, table, count, terms)
-
-
-def _mixed_ball_samples(partition, n, p, r, samples, seed) -> SampledFn:
-    half = samples // 2
-    rough = sample_ball(partition, n, p, r, samples - half, seed, "rough")
-    smooth = sample_ball(partition, n, p, r, half, seed + 1, "smooth")
-    return SampledFn(partition, np.concatenate([rough.values, smooth.values]))
 
 
 def _check_steps(op, scheme, ball, ball_images, q):
@@ -482,7 +487,7 @@ def verify_run(kernel: Kernel, domain: Domain, run: Run,
     }
 
     op = DiscretizedOperator(kernel, sch.partition)
-    ball = _mixed_ball_samples(sch.partition, kernel.n, p, r, run.samples, seed)
+    ball = sample_ball(sch.partition, kernel.n, p, r, run.samples, seed)
     ball_images = op.apply(ball)
     steps_report = None
     if check_steps:

@@ -6,7 +6,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from opnet.family import EXACT_FRACTION, _blocks, _from_indices, budget_limit
+from opnet.family import (
+    EXACT_FRACTION,
+    _blocks,
+    _from_indices,
+    budget_limit,
+    cell_average,
+    clip_to_gamma,
+    round_magnitude,
+    snap_direction,
+)
 from opnet.functions import PiecewiseConstFn, SampledFn
 from opnet.geometry import Partition
 
@@ -108,6 +117,15 @@ def reference_sample_ball(
              * partition.weights).sum(axis=-1) ** (1.0 / p)
     scale = np.where(norms > 0, targets / np.where(norms > 0, norms, 1.0), 1.0)
     return SampledFn(partition, vals * scale[:, None, None])
+
+
+def pipeline(x, gamma, grid, net):
+    """(clipped, averaged, rounded, snapped): the four projection stages of
+    the stack `x`, each made from the one before."""
+    clipped = clip_to_gamma(x, gamma)
+    averaged = cell_average(clipped)
+    rounded = round_magnitude(averaged, grid)
+    return clipped, averaged, rounded, snap_direction(rounded, net)
 
 
 # --------------------------------------------------------------------------

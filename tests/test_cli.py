@@ -310,9 +310,9 @@ def test_verify_builds_one_operator_and_draws_the_ball_once(
     monkeypatch.setattr(opnet.verify, "sample_ball", counting_draw)
     monkeypatch.setattr(opnet.verify, "directed_distance", counting_distance)
     assert main(["verify", write(tmp_path, BASE_CONFIG)]) == EXIT_OK
-    # one rough and one smooth draw of the ball samples, and one screen for
-    # both directed distances
-    assert calls == {"operator": 1, "sample_ball": 2, "directed_distance": 1}
+    # one draw of the ball samples, both halves, and one screen for both
+    # directed distances
+    assert calls == {"operator": 1, "sample_ball": 1, "directed_distance": 1}
 
 
 @pytest.mark.parametrize("command,mode", [
@@ -1000,7 +1000,16 @@ def test_explicit_terms_past_the_float_range_are_config_errors(
      "config error: [parameters] gamma: gamma ** p underflows, got 1e-200\n"),
     ({"p": "3", "gamma": "1e-200", "delta": "1e-200"}, EXIT_CONFIG,
      "config error: [parameters] gamma: gamma ** p underflows, got 1e-200\n"),
-], ids=["r", "gamma", "product", "gamma-underflows-p2", "gamma-underflows-p3"])
+    # gamma ** p is subnormal, and r ** p / gamma ** p, the Tchebyshev
+    # bound, overflows
+    ({"gamma": "1e-155", "delta": "1e-155"}, EXIT_CONFIG,
+     "config error: [parameters] gamma: r ** p / gamma ** p overflows, got "
+     "1e-155\n"),
+    ({"p": "3", "gamma": "1e-107", "delta": "1e-107"}, EXIT_CONFIG,
+     "config error: [parameters] gamma: r ** p / gamma ** p overflows, got "
+     "1e-107\n"),
+], ids=["r", "gamma", "product", "gamma-underflows-p2", "gamma-underflows-p3",
+        "bound-overflows-p2", "bound-overflows-p3"])
 def test_float_range_parameters_exit_cleanly(capsys, tmp_path, command, keys,
                                              code, message):
     # the 1-D gaussian box [0, 1] of two cells, with one value past the
@@ -1096,7 +1105,7 @@ def test_sweep_skips_the_step_check(monkeypatch, capsys, tmp_path):
     def no_pipeline(*args, **kwargs):
         raise AssertionError("sweep ran the step check")
 
-    monkeypatch.setattr(opnet.verify, "run_pipeline", no_pipeline)
+    monkeypatch.setattr(opnet.verify, "clip_to_gamma", no_pipeline)
     cfg = write(tmp_path, BASE_CONFIG)
     assert main(["sweep", cfg, "--axis", "sigma", "--values", "0.8,0.4"]) == EXIT_OK
 

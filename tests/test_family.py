@@ -25,7 +25,6 @@ from opnet.family import (
     enumerate_family,
     integer_budget,
     round_magnitude,
-    run_pipeline,
     sample_ball,
     sample_family,
     snap_direction,
@@ -39,6 +38,7 @@ from opnet.verify import Run, scheme
 from oracles import (
     brute_force_count,
     node_cell,
+    pipeline,
     reference_sample_ball,
     reference_sample_family,
     square_budget_count,
@@ -734,14 +734,20 @@ def test_sample_family_deterministic():
 # ball sampling
 
 
+def ball_half(draws, mode):
+    """The rough (first) or smooth (second) half of a `sample_ball` stack."""
+    rough = len(draws) - len(draws) // 2
+    return draws[:rough] if mode == "rough" else draws[rough:]
+
+
 @pytest.mark.parametrize("mode", ["rough", "smooth"])
 def test_sample_ball_norms(mode):
     part = interval_partition(delta=0.25)
-    draws = sample_ball(part, 2, 2, 1.0, 30, seed=10, smoothness=mode)
+    draws = sample_ball(part, 2, 2, 1.0, 60, seed=10)
     norms = lp_norm(draws, 2)
     assert all(n <= 1.0 + 1e-10 for n in norms)
-    # the first half is rescaled to the boundary exactly
-    assert norms[0] == pytest.approx(1.0, abs=1e-12)
+    # each half's first draw is rescaled to the boundary exactly
+    assert lp_norm(ball_half(draws, mode)[:1], 2)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 BALL_PARTITIONS = {
@@ -758,20 +764,23 @@ BALL_PARTITIONS = {
 @pytest.mark.parametrize("dims", list(BALL_PARTITIONS))
 def test_sample_ball_keeps_the_bits_of_one_draw_per_iteration(dims, n, p, mode):
     part = BALL_PARTITIONS[dims]()
-    # a count of 0 is the smooth half of `samples = 1`
+    # a count of 1 has an empty smooth half
     for count, seed in zip((0, 1, 2, 7, 200), (5, 6, 7, 8, 9)):
-        new = sample_ball(part, n, p, 1.3, count, seed, mode).values
-        ref = reference_sample_ball(part, n, p, 1.3, count, seed, mode).values
-        assert new.shape == ref.shape == (count, len(part.points), n)
-        # the rough gather comes back strided, and the sampler copies it
+        new = sample_ball(part, n, p, 1.3, count, seed).values
+        assert new.shape == (count, len(part.points), n)
+        # both halves are written into one C-contiguous stack
         assert new.flags.c_contiguous
-        assert np.array_equal(new.view(np.int64), ref.view(np.int64))
+        half = ball_half(new, mode)
+        # the rough half is drawn at the seed, the smooth half at seed + 1
+        ref = reference_sample_ball(part, n, p, 1.3, len(half),
+                                    seed + (mode == "smooth"), mode).values
+        assert np.array_equal(half.view(np.int64), ref.view(np.int64))
 
 
 def test_sample_ball_rough_constant_bounded():
     part = interval_partition()  # unit measure, single cell
-    draws = sample_ball(part, 1, 2, 1.0, 10, seed=3, smoothness="rough")
-    for values in draws.values:
+    draws = sample_ball(part, 1, 2, 1.0, 20, seed=3)
+    for values in ball_half(draws.values, "rough"):
         # constant on a unit-measure domain: |c| equals the norm, so <= 1
         assert np.abs(values).max() <= 1.0 + 1e-10
 
@@ -921,7 +930,7 @@ def test_project_fixed_point():
     net = sign_net()
     member = enumerate_family(part, table_of(part, grid, 2, 1.0), net)[3:4]
     x = SampledFn(part, member.values[:, node_cell(part)])
-    stages = run_pipeline(x, 1.0, grid, net)
+    stages = pipeline(x, 1.0, grid, net)
     assert np.array_equal(stages[-1].values, member.values)
     for step in stage_displacements(x, stages).values():
         assert step == 0.0
@@ -931,7 +940,7 @@ def test_project_zero_function():
     part = interval_partition(delta=0.5)
     grid = build_magnitude_grid(1.0, 2)
     x = SampledFn(part, np.zeros((1, part.points.shape[0], 1)))
-    out = run_pipeline(x, 1.0, grid, sign_net())[-1]
+    out = pipeline(x, 1.0, grid, sign_net())[-1]
     assert np.all(out.values == 0.0)
 
 
@@ -941,7 +950,7 @@ def test_project_random_budget_and_displacements():
     net = angle_net(8)
     gamma, p, r = 2.0, 2.0, 1.0
     for x in members(sample_ball(part, 2, p, r, 25, seed=16)):
-        stages = run_pipeline(x, gamma, grid, net)
+        stages = pipeline(x, gamma, grid, net)
         steps = stage_displacements(x, stages)
         assert within_budget(part, grid, p, r, stages[-1].mag_idx[0])
         assert steps["round"] <= grid.delta_step + 1e-12
@@ -972,9 +981,9 @@ def test_pipeline_on_a_stack_matches_member_by_member():
     grid = build_magnitude_grid(1.5, 6)
     net = angle_net(6)
     ball = sample_ball(part, 2, 2.0, 1.0, 12, seed=18)
-    stacked = run_pipeline(ball, 1.5, grid, net)
+    stacked = pipeline(ball, 1.5, grid, net)
     for k, x in enumerate(members(ball)):
-        single = run_pipeline(x, 1.5, grid, net)
+        single = pipeline(x, 1.5, grid, net)
         for whole, one in zip(stacked, single):
             assert whole[k:k + 1].values == pytest.approx(one.values, abs=1e-14)
         assert np.array_equal(stacked[-1].mag_idx[k:k + 1], single[-1].mag_idx)

@@ -9,7 +9,7 @@ import pytest
 from opnet.bounds import error_bound
 from opnet.cli import EXIT_OK, main
 from opnet.family import (BudgetTable, build_magnitude_grid, count_family,
-                          run_pipeline, sample_family)
+                          sample_family)
 from opnet.functions import PiecewiseConstFn, SampledFn, weighted_lp
 from opnet.geometry import Domain, build_partition
 from opnet.integral_op import DiscretizedOperator
@@ -17,6 +17,8 @@ from opnet.kernels import builtin_kernel
 from opnet.sphere import build_sigma_net
 from opnet import verify
 from opnet.verify import Run, directed_distance, verify_run
+
+from oracles import pipeline
 
 
 def unit_domain():
@@ -423,13 +425,28 @@ def test_scheme_is_its_parts():
     want = sample_family(run.partition, table, run.net, 50, 7)
     for name in ("values", "mag_idx", "dir_idx"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    ball = verify._mixed_ball_samples(run.partition, kern.n, 2.0, 1.0, 10, 7)
+    ball = verify.sample_ball(run.partition, kern.n, 2.0, 1.0, 10, 7)
     stages = list(run.stages(ball))
     assert [(name, term) for name, _, term in stages] == [
         ("clip", terms.tail_term), ("average", terms.psi),
         ("round", terms.phi), ("snap", terms.alpha)]
-    for (_, got, _), want in zip(stages, run_pipeline(ball, 2.0, grid, run.net)):
+    for (_, got, _), want in zip(stages, pipeline(ball, 2.0, grid, run.net)):
         assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_scheme_stages_are_made_as_they_are_taken(monkeypatch):
+    # with the last stage broken, the first three can still be taken
+    def no_snap(*args, **kwargs):
+        raise AssertionError("the snap stage was made before it was taken")
+
+    dom, kern = b102k_kernel()
+    run = verify.scheme(kern, dom, Run(p=2.0, r=1.0, gamma=2.0, Delta=1.0,
+                                       delta=0.5, sigma=0.9, seed=7))
+    monkeypatch.setattr(verify, "snap_direction", no_snap)
+    stages = run.stages(verify.sample_ball(run.partition, kern.n, 2.0, 1.0, 10, 7))
+    assert [next(stages)[0] for _ in range(3)] == ["clip", "average", "round"]
+    with pytest.raises(AssertionError, match="snap stage"):
+        next(stages)
 
 
 def test_directed_distance_allocates_two_family_vectors():
@@ -440,8 +457,7 @@ def test_directed_distance_allocates_two_family_vectors():
     run = verify.scheme(kern, dom, Run(p=2, r=1, gamma=2.0, Delta=1.0,
                                        delta=0.5, sigma=0.9, seed=7))
     op = DiscretizedOperator(kern, run.partition)
-    images = op.apply(verify._mixed_ball_samples(run.partition, kern.n, 2, 1,
-                                                 200, 7))
+    images = op.apply(verify.sample_ball(run.partition, kern.n, 2, 1, 200, 7))
     family = run.family()
     tracemalloc.start()
     try:
