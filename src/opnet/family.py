@@ -183,25 +183,31 @@ class BudgetTable:
         tables = [np.ones(len(self.layers[-1]), dtype=dtype)]
         for k, first, succ in reversed(self.links):
             table = np.empty(len(k), dtype=dtype)
-            for owner, level in _blocks(k):
-                start = first[owner[0]]
-                w = tables[-1][succ[start:start + len(owner)]]
-                w[level > 0] *= factor
-                starts = np.flatnonzero(level == 0)
-                table[owner[starts]] = np.add.reduceat(w, starts)
+            for lo, hi in _ranges(k):
+                # owners lo..hi - 1 hold pairs first[lo]..stop - 1, each
+                # owner's level 0 at its offset `at`
+                at, stop = first[lo:hi] - first[lo], first[hi - 1] + k[hi - 1]
+                w = tables[-1][succ[first[lo]:stop]] * factor
+                w[at] = tables[-1][succ[first[lo:hi]]]  # level 0 weighs 1
+                table[lo:hi] = np.add.reduceat(w, at)
             tables.append(table)
         return tables[::-1]
 
 
+def _ranges(k: np.ndarray):
+    """Owner ranges (lo, hi) of the owners of k[0], k[1], ... pairs: a range
+    holds the owners whose pairs end in one run of STATE_CAP pairs, so it
+    has fewer than STATE_CAP pairs besides its first owner's."""
+    cuts = [0, *np.flatnonzero(np.diff(np.cumsum(k) // STATE_CAP)) + 1, len(k)]
+    return zip(cuts[:-1], cuts[1:])
+
+
 def _blocks(k: np.ndarray):
     """Each owner's levels 0..k[owner] - 1, owner by owner with levels
-    ascending, as blocks (owner, level).  A block holds the owners whose
-    pairs end in one run of STATE_CAP pairs, so it has fewer than STATE_CAP
-    pairs besides its first owner's."""
-    runs = np.cumsum(k) // STATE_CAP
-    for owners in np.split(np.arange(len(k)), np.flatnonzero(np.diff(runs)) + 1):
-        c = k[owners]
-        owner = np.repeat(owners, c)
+    ascending, as blocks (owner, level), one per range of `_ranges`."""
+    for lo, hi in _ranges(k):
+        c = k[lo:hi]
+        owner = np.repeat(np.arange(lo, hi), c)
         yield owner, np.arange(owner.size) - np.repeat(np.cumsum(c) - c, c)
 
 
@@ -263,12 +269,20 @@ def enumerate_family(partition: Partition, table: BudgetTable,
 
 def _from_indices(partition, table, net, mag, dirs) -> PiecewiseConstFn:
     """The stack on `partition` of members with (F, N) magnitude and
-    direction indices, its values built `_BLOCK` elements at a time."""
-    values = np.empty((*mag.shape, net.points.shape[1]))
-    step = max(1, _BLOCK // (values.shape[1] * values.shape[2]))
+    direction indices, its values made `_BLOCK` elements at a time: each is
+    its level times its net point, gathered from a table of every such
+    product when the table holds no more of them than the stack does."""
+    levels, points, n = table.grid.values, net.points, net.points.shape[1]
+    values = np.empty((*mag.shape, n))
+    step = max(1, _BLOCK // (values.shape[1] * n))
+    gather = len(levels) * net.size <= mag.size
+    products = (levels[:, None, None] * points).reshape(-1, n) if gather else None
     for s in range(0, len(values), step):
-        np.multiply(table.grid.values[mag[s:s + step]][..., None],
-                    net.points[dirs[s:s + step]], out=values[s:s + step])
+        m, d, out = mag[s:s + step], dirs[s:s + step], values[s:s + step]
+        if gather:
+            np.take(products, m.astype(np.intp) * net.size + d, axis=0, out=out)
+        else:
+            np.multiply(levels[m][..., None], points[d], out=out)
     return PiecewiseConstFn(partition, values, mag_idx=mag, dir_idx=dirs)
 
 

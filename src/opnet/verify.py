@@ -274,10 +274,16 @@ def directed_distance(x: SampledFn, y: SampledFn | PiecewiseConstFn, q: float,
         raise ValueError("both sets must be nonempty")
     gx, c, xsq, ysq, tol, y_rows = _screen_space(x, y, op)
     best_x, best_y = np.full(len(x), np.inf), np.full(len(y), np.inf)
+    run = np.empty((0, 1))  # elementwise minimum of a row block's blocks
     for fs, ts, block in _screen(gx, xsq, np.arange(len(x)), c, ysq):
-        rs, cs = slice(fs, fs + len(block)), slice(ts, ts + block.shape[1])
+        cs = slice(ts, ts + block.shape[1])
         np.minimum(best_y[cs], block.min(axis=0), out=best_y[cs])
-        np.minimum(best_x[rs], block.min(axis=1), out=best_x[rs])
+        if ts:
+            head = run[:, :block.shape[1]]
+            np.minimum(head, block, out=head)
+        else:  # a new row block: the one before it is done
+            best_x[fs - len(run):fs], run = run.min(axis=1), block
+    best_x[len(x) - len(run):] = run.min(axis=1)
     x_side = (x.values.__getitem__, gx, xsq, best_x)
     y_side = (y_rows, c, ysq, best_y)
     w = x.partition.weights

@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -528,6 +529,111 @@ def test_blocks_do_not_change_the_family(monkeypatch):
     monkeypatch.setattr(family, "STATE_CAP", 68)
     with pytest.raises(ResourceError):
         table_of(part, grid, 1.0, 0.25)
+
+
+@pytest.mark.parametrize("case,factor,dtype", [
+    ("factor-1", 1, np.uint64),
+    ("net-size", 3, np.uint64),
+    # the table of the count above 2**64: 16 cells x 8 levels, 64 directions
+    ("object-counts", 64, object),
+    # 153 pairs a layer in owner ranges of fewer than 69 besides the first's
+    ("ranges", 2, np.uint64),
+])
+def test_completions_are_a_recursion_over_every_state(monkeypatch, case, factor,
+                                                      dtype):
+    if case == "object-counts":
+        part, grid, p, r = (interval_partition(delta=1.0 / 16, nodes=1),
+                            build_magnitude_grid(2.0, 8), 2.0, 1.0)
+    else:
+        if case == "ranges":
+            monkeypatch.setattr(family, "STATE_CAP", 69)
+        part, grid, p, r = (interval_partition(delta=0.25, nodes=1),
+                            build_magnitude_grid(1.0, 16), 1.0, 0.25)
+    table = table_of(part, grid, p, r)
+    if case == "ranges":  # several owner ranges in a layer
+        assert max(len(list(family._ranges(k))) for k, _, _ in table.links) > 1
+    row, threshold = integer_budget(
+        part.cell_measure * grid.values ** p, budget_limit(p, r))
+
+    @functools.lru_cache(maxsize=None)
+    def completions(i, used):
+        if i == part.num_cells:
+            return 1
+        return sum((factor if j else 1) * completions(i + 1, used + c)
+                   for j, c in enumerate(row) if used + c <= threshold)
+
+    got = table.completions(factor)
+    assert len(got) == part.num_cells + 1
+    for i, (counts, layer) in enumerate(zip(got, table.layers)):
+        assert counts.dtype == dtype
+        assert counts.tolist() == [completions(i, used) for used in layer.tolist()]
+
+
+def split_blocks(k, cap):
+    """`family._blocks` as it was written with `np.split` of the owners."""
+    runs = np.cumsum(k) // cap
+    for owners in np.split(np.arange(len(k)), np.flatnonzero(np.diff(runs)) + 1):
+        c = k[owners]
+        owner = np.repeat(owners, c)
+        yield owner, np.arange(owner.size) - np.repeat(np.cumsum(c) - c, c)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_blocks_are_the_pairs_of_split_owners(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    cap = int(rng.integers(1, 40))
+    monkeypatch.setattr(family, "STATE_CAP", cap)
+    cases = [rng.integers(0 if seed % 2 else 1, 12, size=int(rng.integers(1, 60))),
+             np.zeros(0, dtype=np.intp),
+             np.array([2, 3 * cap + 1, 1, 2 * cap, 3])]  # owners past the cap
+    for k in cases:
+        got, want = list(family._blocks(k)), list(split_blocks(k, cap))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            for x, y in zip(a, b):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("levels,c,dtype,blocks", [
+    (9, 5, np.uint8, 2),
+    # gathered with flat product indices past 2**16
+    (300, 300, np.uint16, 6),
+    # 90,000 products against 12 values: each value is its own product
+    (300, 300, np.uint16, 0),
+])
+def test_member_values_are_each_level_times_each_direction(levels, c, dtype,
+                                                           blocks):
+    # directions with negative components, so level 0 gives signed zeros, and
+    # a row count that is not a multiple of the values' row block
+    part = interval_partition(delta=0.25, nodes=1)
+    grid, net = build_magnitude_grid(2.0, levels - 1), angle_net(c)
+    rows = blocks * family._BLOCK // (part.num_cells * 2) + 3
+    rng = np.random.default_rng(levels + blocks)
+    mag = rng.integers(levels, size=(rows, part.num_cells)).astype(dtype)
+    mag[0] = 0
+    dirs = rng.integers(c, size=mag.shape).astype(dtype)
+    dirs[0] = c // 2  # a point with a negative first component
+    got = family._from_indices(part, SimpleNamespace(grid=grid), net, mag, dirs)
+    want = grid.values[mag][..., None] * net.points[dirs]
+    assert (np.signbit(want) & (want == 0)).any()
+    assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64))
+
+
+def test_member_values_build_no_table_larger_than_the_stack():
+    # a sample of 500 one-cell members from 1,001 levels x 1,000 directions:
+    # the table of every product would take 16 MB, the stack 8 kB
+    part = interval_partition(delta=1.0, nodes=1)
+    grid, net = build_magnitude_grid(2.0, 1000), angle_net(1000)
+    rng = np.random.default_rng(3)
+    mag = rng.integers(1001, size=(500, 1)).astype(np.uint16)
+    dirs = rng.integers(1000, size=mag.shape).astype(np.uint16)
+    tracemalloc.start()
+    try:
+        family._from_indices(part, SimpleNamespace(grid=grid), net, mag, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * family._BLOCK
 
 
 def test_too_many_cells_are_refused_before_the_costs(monkeypatch):
