@@ -216,9 +216,17 @@ def resolve(cfg: RunConfig):
     return domain, kernel, selection
 
 
+def _make_dir(path: str) -> None:
+    """Make the directory `path` and its parents, before a run's output is
+    computed; a path that cannot be made is a config error."""
+    try:
+        os.makedirs(path or ".", exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"[run] output: {exc}") from None
+
+
 def _write_text(text: str, path: str | None) -> str:
     if path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w") as fh:
             fh.write(text)
     return text
@@ -285,6 +293,7 @@ def _write_csv(path: str, cols: list[str], blocks) -> None:
 
 def cmd_bound(cfg: RunConfig) -> int:
     domain, kernel, selection = resolve(cfg)
+    _make_dir(os.path.dirname(cfg.output or ""))
     breakdown = certified_terms(kernel, domain, cfg)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -300,6 +309,8 @@ def cmd_bound(cfg: RunConfig) -> int:
 def cmd_build(cfg: RunConfig) -> int:
     domain, kernel, _ = resolve(cfg)
     sch = scheme(kernel, domain, cfg)
+    out = cfg.output or "family"
+    _make_dir(out)  # after the scheme's refusals, which leave no output
     family = sch.family()
     n_cells = sch.partition.num_cells
     manifest = {
@@ -310,8 +321,6 @@ def cmd_build(cfg: RunConfig) -> int:
         "net_size": sch.net.size,
         "magnitude_levels": sch.table.grid.a + 1,
     }
-    out = cfg.output or "family"
-    os.makedirs(out, exist_ok=True)
     op = DiscretizedOperator(kernel, sch.partition)
     p_nodes = sch.partition.points.shape[0]
     _write_csv(os.path.join(out, "family.csv"),
@@ -331,6 +340,7 @@ def cmd_build(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     domain, kernel, _ = resolve(cfg)
+    _make_dir(os.path.dirname(cfg.output or ""))
     steps_report, bound_report = verify_run(kernel, domain, cfg)
     passed = steps_report.passed and bound_report.passed
     payload = {
@@ -357,6 +367,7 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
     runs = [replace(cfg, **{name: value}) for value in values]
     for run in runs:
         _check_ranges(run)
+    _make_dir(os.path.dirname(cfg.output or ""))
     lines = [f"{axis},certified_total,tail_term,psi,phi,alpha,observed_distance"]
     for value, run in zip(values, runs):
         _, report = verify_run(kernel, domain, run, check_steps=False)

@@ -51,6 +51,14 @@ _BLOCK = 1 << 15  # elements per temporary of the distance computations
 # c in the screen tolerance c ((max(dim, k) + 4) eps (|a| + |b|)^2 + slack);
 # see `_lq_bounds`, `_screen_space` and `_slack`
 _SCREEN_SAFETY = 4.0
+# rows of x that pass 1 screens against every member first (`_minima`).  On
+# enum-b102k at seed 7, 16, 32 and 64 pilots leave 3.1, 4.5 and 7.4 M of the
+# 20.5 M pairs to screen at p = 2, and 12.8, 8.1 and 9.4 M of 24.4 M at p = 1.5
+_PILOTS = 32
+# pass 1 screens every other row against every _STRIDE-th member.  Strides of
+# 8, 16 and 32 leave 5.4, 4.5 and 3.9 M of the 20.5 M pairs (p = 2) and 8.3,
+# 8.1 and 7.8 M of 24.4 M (p = 1.5), the last two in about the same time
+_STRIDE = 16
 # members past which `scheme` refuses to enumerate a family
 ENUM_CAP = 10_000_000
 # bytes of the (P m, P n) kernel array past which `scheme` refuses the run;
@@ -170,9 +178,9 @@ def _screen(a, asq, rows, b, bsq):
     A block takes as many of `rows` as a temporary of (k + 2)-element rows
     holds, and as many rows of b as keep both the block and b's augmented
     rows within `_BLOCK` elements: every temporary holds at most `_BLOCK`
-    elements, or one row where a row holds more.
+    elements, or one row where a row holds more.  No rows yield no block.
     """
-    rf = min(len(rows), max(1, _BLOCK // (a.shape[1] + 2)))
+    rf = max(1, min(len(rows), _BLOCK // (a.shape[1] + 2)))
     rt = max(1, _BLOCK // max(rf, a.shape[1] + 2))
     for fs in range(0, len(rows), rf):
         part = _augment(a[rows[fs:fs + rf]], asq[rows[fs:fs + rf]], 1.0)
@@ -215,23 +223,41 @@ def _lq_bounds(w, n, q):
     return c, C, alpha
 
 
-def _directed(frm, to, tol, w, q, n):
+def _lower(m, tol, bounds):
+    """A lower bound of the result of a direction whose largest screened row
+    minimum is m; bounds is `_lq_bounds`'s (c, C, alpha).
+
+    A screened squared distance S is within tol of the exact one, so the
+    computed distance E has c sqrt(S - tol) - alpha <= E <= C sqrt(S + tol)
+    + alpha, and the row of minimum m bounds the result from below.
+    """
+    c_lo, _, alpha = bounds
+    return c_lo * math.sqrt(max(m - tol, 0.0)) - alpha
+
+
+def _threshold(m, tol, bounds):
+    """The row threshold at the largest screened row minimum m: a row whose
+    screened minimum falls below it has an upper bound short of `_lower`, so
+    it cannot attain the result.  It only rises with m."""
+    _, c_hi, alpha = bounds
+    return (max(_lower(m, tol, bounds) - alpha, 0) / c_hi) ** 2 - tol
+
+
+def _directed(frm, to, tol, bounds, w, q, n):
     """max over `frm` of min over `to` of the weighted L_q distance.
 
     Each side is (node values by row index, rows in `_screen_space`, squared
     norms, screened row minima), the last from pass 1; n is the number of
-    components of a node value.  Two sweeps screen the surviving rows
-    against every target and compute the entries within a limit.
+    components of a node value.  Two sweeps screen the rows that reach
+    `_threshold` against every target and compute the entries within a
+    limit.
     """
     f_rows, fspace, fsq, approx = frm
     t_rows, tspace, tsq = to[:3]
-    c_lo, c_hi, alpha = _lq_bounds(w, n, q)
-    # A screened squared distance S is within tol of the exact one, so the
-    # computed distance E has c sqrt(S - tol) - alpha <= E <= C sqrt(S + tol)
-    # + alpha.  The largest lower bound of a row minimum bounds the result
-    # from below; rows whose upper bound falls short of it cannot attain it.
-    lower = c_lo * math.sqrt(max(approx.max() - tol, 0.0)) - alpha
-    rows = np.flatnonzero(approx >= (max(lower - alpha, 0) / c_hi) ** 2 - tol)
+    c_lo, _, alpha = bounds
+    top = approx.max()
+    lower = _lower(top, tol, bounds)
+    rows = np.flatnonzero(approx >= _threshold(top, tol, bounds))
     best = np.full(len(rows), np.inf)
     chunk = max(1, _BLOCK // (len(w) * n))
     # Sweep 1: both screenings of an entry are within tol of its exact value,
@@ -254,6 +280,70 @@ def _directed(frm, to, tol, w, q, n):
     return float(best.max())
 
 
+def _pilots(gx):
+    """A mask of up to `_PILOTS` rows of gx, taken in greedy farthest-point
+    order from the row of largest norm: rows far apart, so that their
+    minima bound the family from many sides."""
+    pilot = np.zeros(len(gx), dtype=bool)
+    gsq = np.einsum("ij,ij->i", gx, gx)
+    far, i = np.full(len(gx), np.inf), int(gsq.argmax())
+    for _ in range(min(_PILOTS, len(gx))):
+        pilot[i] = True
+        far = np.minimum(far, gsq - 2.0 * np.einsum("ij,j->i", gx, gx[i])
+                         + gsq[i])
+        i = int(far.argmax())
+    return pilot
+
+
+def _fold(gx, xsq, rows, c, ysq, best_x, best_y):
+    """Screen x's `rows` against c, folding the blocks' row minima into
+    best_x[rows] and their column minima into best_y, as long as c."""
+    for fs, ts, block in _screen(gx, xsq, rows, c, ysq):
+        at, cs = rows[fs:fs + len(block)], slice(ts, ts + block.shape[1])
+        best_x[at] = np.minimum(best_x[at], block.min(axis=1))
+        np.minimum(best_y[cs], block.min(axis=0), out=best_y[cs])
+
+
+def _minima(gx, xsq, c, ysq, tol, bounds):
+    """(best_x, best_y): pass 1 of `directed_distance`, each row's and each
+    member's screened minimum wherever it can reach `_threshold`.
+
+    An early-break screen (Taha and Hanbury, IEEE TPAMI 37(11), 2015):
+    1. `_pilots` rows against every member: their minima, and an upper
+       bound for every member;
+    2. every other row against every `_STRIDE`-th member: those members'
+       minima, and an upper bound for every other row;
+    3. each row whose bound reaches `_threshold` at the largest row minimum
+       so far, against every member;
+    4. block by block, each member whose bound reaches `_threshold` at the
+       largest member minimum so far, against the rows not yet screened
+       against every member.
+    A row or member not screened whole keeps its bound, the screened entry
+    of a real pair, which lies below a threshold that only rises with the
+    maximum: `_directed` drops it as it would drop its minimum, and the
+    largest minimum of each side is the one an all-pairs screen gives.
+    """
+    best_x, best_y = np.full(len(gx), np.inf), np.full(len(c), np.inf)
+    pilot = _pilots(gx)
+    pilots, rest = np.flatnonzero(pilot), np.flatnonzero(~pilot)
+    _fold(gx, xsq, pilots, c, ysq, best_x, best_y)
+    _fold(gx, xsq, rest, c[::_STRIDE], ysq[::_STRIDE], best_x,
+          best_y[::_STRIDE])
+    reach = best_x[rest] >= _threshold(best_x[pilots].max(), tol, bounds)
+    _fold(gx, xsq, rest[reach], c, ysq, best_x, best_y)
+    rest = rest[~reach]
+    top, size = best_y[::_STRIDE].max(), max(1, _BLOCK // (c.shape[1] + 2))
+    for s in range(0, len(c) if len(rest) else 0, size):
+        at = s + np.flatnonzero(best_y[s:s + size]
+                                >= _threshold(top, tol, bounds))
+        at = at[at % _STRIDE != 0]  # the strided members are done
+        if len(at):
+            sub = best_y[at]
+            _fold(gx, xsq, rest, c[at], ysq[at], best_x, sub)
+            best_y[at], top = sub, max(top, sub.max())
+    return best_x, best_y
+
+
 def directed_distance(x: SampledFn, y: SampledFn | PiecewiseConstFn, q: float,
                       op: DiscretizedOperator | None = None) -> tuple[float, float]:
     """(d(x -> y), d(y -> x)): max over one set of min over the other.
@@ -263,32 +353,24 @@ def directed_distance(x: SampledFn, y: SampledFn | PiecewiseConstFn, q: float,
     stack standing for its images under op, which `op.apply` maps a few
     rows at a time, each row with its bits in `op.apply(y)` (see
     `integral_op`).  Each result is `_lq_norms(t - u, w, q)` of its
-    maximizing pair, exactly as an all-pairs scan gives it.  One blocked
+    maximizing pair, exactly as an all-pairs scan gives it.  A blocked
     screen of the x-by-y squared L_2 distances (`_screen_space`), each block
-    complete from one product (`_screen`), keeps only each row's and each
-    column's minimum; per direction, `_lq_bounds` turns them into L_q
-    bounds, and only the pairs that can attain the result are computed
-    exactly (see `_directed`).
+    complete from one product (`_screen`), keeps each row's and each
+    column's minimum where it can attain its direction's result
+    (`_minima`); per direction, `_lq_bounds` turns them into L_q bounds,
+    and only the pairs that can attain the result are computed exactly
+    (see `_directed`).
     """
     if not x or not y:
         raise ValueError("both sets must be nonempty")
     gx, c, xsq, ysq, tol, y_rows = _screen_space(x, y, op)
-    best_x, best_y = np.full(len(x), np.inf), np.full(len(y), np.inf)
-    run = np.empty((0, 1))  # elementwise minimum of a row block's blocks
-    for fs, ts, block in _screen(gx, xsq, np.arange(len(x)), c, ysq):
-        cs = slice(ts, ts + block.shape[1])
-        np.minimum(best_y[cs], block.min(axis=0), out=best_y[cs])
-        if ts:
-            head = run[:, :block.shape[1]]
-            np.minimum(head, block, out=head)
-        else:  # a new row block: the one before it is done
-            best_x[fs - len(run):fs], run = run.min(axis=1), block
-    best_x[len(x) - len(run):] = run.min(axis=1)
+    w = x.partition.weights
+    bounds = _lq_bounds(w, x.dim, q)
+    best_x, best_y = _minima(gx, xsq, c, ysq, tol, bounds)
     x_side = (x.values.__getitem__, gx, xsq, best_x)
     y_side = (y_rows, c, ysq, best_y)
-    w = x.partition.weights
-    return (_directed(x_side, y_side, tol, w, q, x.dim),
-            _directed(y_side, x_side, tol, w, q, x.dim))
+    return (_directed(x_side, y_side, tol, bounds, w, q, x.dim),
+            _directed(y_side, x_side, tol, bounds, w, q, x.dim))
 
 
 # --------------------------------------------------------------------------

@@ -1181,6 +1181,49 @@ def test_cli_import_leaves_scipy_interpolate_out():
     assert out.stdout.strip() == "False"
 
 
+def test_verify_and_build_leave_numpy_ma_out(tmp_path):
+    # numpy 2.4's plain np.unique imports numpy.ma, which costs about 10 ms
+    # and 0.7 MB of peak RSS a run; neither command needs it
+    src = os.path.dirname(os.path.dirname(opnet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys; from opnet.cli import main; "
+            "codes = [main(['verify', sys.argv[1], '--output', sys.argv[2]]), "
+            "main(['build', sys.argv[1], '--output', sys.argv[3]])]; "
+            "print(codes, 'numpy.ma' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", code, write(tmp_path, BASE_CONFIG),
+         str(tmp_path / "report.json"), str(tmp_path / "family")],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.splitlines()[-1] == "[0, 0] False"
+
+
+@pytest.mark.parametrize("command", ["bound", "verify", "build", "sweep"])
+def test_unwritable_output_is_config_error_before_the_run(
+        monkeypatch, capsys, tmp_path, command):
+    # an output path under a regular file: the directory that would hold the
+    # report or the family cannot be made, and the run is refused before
+    # its operator is built
+    def no_operator(*args, **kwargs):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(DiscretizedOperator, "__init__", no_operator)
+    blocker = tmp_path / "somefile"
+    blocker.write_text("")
+    cfg = write(tmp_path, BASE_CONFIG)
+    outputs = [blocker / "r.json"] + ([blocker] if command == "build" else [])
+    for out in outputs:
+        argv = [command, cfg, "--output", str(out)]
+        if command == "sweep":
+            argv += ["--axis", "sigma", "--values", "0.8,0.4"]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: [run] output: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+    assert blocker.read_text() == ""
+
+
 def test_readme_example_config_runs(capsys, tmp_path):
     readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
     text = open(readme).read()

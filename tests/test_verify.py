@@ -263,6 +263,78 @@ def test_screened_entries_are_within_the_tolerance(monkeypatch, kind,
                     assert abs(value - exact) <= tol / verify._SCREEN_SAFETY
 
 
+def exact_minima(x, y):
+    """Each row's and each target's smallest squared weighted L_2 distance
+    to the other stack of node values, from an fsum a pair."""
+    w = np.repeat(x.partition.weights, x.dim)
+    yv = y.values.reshape(len(y), -1)
+    d = np.array([list(map(math.fsum, w * (yv - a) ** 2))
+                  for a in x.values.reshape(len(x), -1)])
+    return d.min(axis=1), d.min(axis=0)
+
+
+def pass_one_stacks(case, rng):
+    """(other, family, op) with 100 rows of other, or fewer, and 300 members.
+
+    "duplicates": under a constant kernel, members of small-integer cell
+    values, many of which share an image.  "clusters": three members about
+    each row, at spreads over a decade, so that most rows and members have
+    their nearest neighbour among the rows that no pilot screen takes.
+    """
+    if case == "duplicates":
+        dom = unit_domain()
+        op = DiscretizedOperator(builtin_kernel("constant", dom, value=1.0),
+                                 build_partition(dom, 0.25))
+        part = op.partition
+        family = PiecewiseConstFn(part, rng.integers(
+            -2, 3, (300, part.num_cells, 1)).astype(float))
+        near = op.apply(PiecewiseConstFn(part, rng.standard_normal(
+            (100, part.num_cells, 1)))).values
+        return (SampledFn(part, near + 0.1 * rng.standard_normal(near.shape)),
+                family, op)
+    if case == "clusters":
+        _, centres, op = family_stacks("random", rng, 1, 100)
+        spread = np.exp(rng.uniform(-3, -1, (300, 1, 1)))
+        family = PiecewiseConstFn(op.partition, np.repeat(
+            centres.values, 3, axis=0) + spread * rng.standard_normal(
+                (300,) + centres.values.shape[1:]))
+        near = op.apply(centres).values
+        return (SampledFn(op.partition,
+                          near + 0.01 * rng.standard_normal(near.shape)),
+                family, op)
+    other, family, op = family_stacks("random", rng, 100, 300)
+    return other[:{"one-row": 1, "few-rows": verify._PILOTS - 5}.get(
+        case, len(other))], family, op
+
+
+@pytest.mark.parametrize("q,case", [
+    (1.5, "random"), (2, "random"), (3.0, "random"), (2, "duplicates"),
+    (1.5, "clusters"), (2, "clusters"), (1.5, "one-row"), (3.0, "few-rows"),
+])
+@pytest.mark.parametrize("block", [97, None])
+def test_pass_one_minima_reach_every_threshold(monkeypatch, q, case, block):
+    """Pass 1 screens a row or member whole wherever its bound reaches its
+    direction's final threshold, and both results stay the all-pairs ones."""
+    if block is not None:
+        monkeypatch.setattr(verify, "_BLOCK", block)
+    other, family, op = pass_one_stacks(case, np.random.default_rng(1))
+    images = op.apply(family)
+    gx, c, xsq, ysq, tol, _ = verify._screen_space(other, family, op)
+    bounds = verify._lq_bounds(other.partition.weights, other.dim, q)
+    pruned = 0
+    for best, exact in zip(verify._minima(gx, xsq, c, ysq, tol, bounds),
+                           exact_minima(other, images)):
+        assert np.all(best >= exact - tol)
+        # a bound past its exact minimum was not screened whole
+        cut = best > exact + tol
+        assert np.all(best[cut] < verify._threshold(best.max(), tol, bounds))
+        pruned += cut.sum()
+    # fewer rows than pilots are all screened whole, and so is every member
+    assert (pruned > 0) == (len(other) > verify._PILOTS)
+    assert directed_distance(other, family, q, op) == (
+        brute_force(other, images, q), brute_force(images, other, q))
+
+
 def b102k_kernel():
     """The baseline's domain and 2 x 2 kernel (4 cells and 36 nodes)."""
     dom = Domain(np.zeros(2), np.ones(2))
@@ -466,6 +538,39 @@ def test_directed_distance_allocates_two_family_vectors():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * len(family) + 4 * 8 * verify._BLOCK
+
+
+def test_pass_one_screens_a_quarter_of_the_pairs(monkeypatch):
+    # the baseline at seed 7: 200 ball samples by 102,621 members, of whose
+    # 20,524,200 pairs the early-break screen took 4,478,574; the sweeps,
+    # which screen the rows that reach the threshold against every target,
+    # keep their count
+    dom, kern = b102k_kernel()
+    run = verify.scheme(kern, dom, Run(p=2, r=1, gamma=2.0, Delta=1.0,
+                                       delta=0.5, sigma=0.9, seed=7))
+    op = DiscretizedOperator(kern, run.partition)
+    images = op.apply(verify.sample_ball(run.partition, kern.n, 2, 1, 200, 7))
+    family = run.family()
+    screened = {"pass 1": 0, "sweeps": 0}
+    phase = "pass 1"
+    screen, directed = verify._screen, verify._directed
+
+    def counting_screen(*args):
+        for fs, ts, block in screen(*args):
+            screened[phase] += block.size
+            yield fs, ts, block
+
+    def sweeping(*args):
+        nonlocal phase
+        phase = "sweeps"
+        return directed(*args)
+
+    monkeypatch.setattr(verify, "_screen", counting_screen)
+    monkeypatch.setattr(verify, "_directed", sweeping)
+    assert directed_distance(images, family, 2.0, op) == (
+        0.09445127269395913, 0.2811835183874316)
+    assert screened["pass 1"] <= 200 * len(family) // 4
+    assert screened["sweeps"] == 205_642
 
 
 def test_directed_distance_empty_sets():
