@@ -216,10 +216,13 @@ def resolve(cfg: RunConfig):
     return domain, kernel, selection
 
 
-def _make_dir(path: str) -> None:
+def _make_dir(path: str, report: str | None = None) -> None:
     """Make the directory `path` and its parents, before a run's output is
-    computed; a path that cannot be made is a config error."""
+    computed; a path that cannot be made, or a `report` path to be written
+    in it that is a directory, is a config error."""
     try:
+        if report and os.path.isdir(report):
+            raise IsADirectoryError(f"{report!r} is a directory")
         os.makedirs(path or ".", exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"[run] output: {exc}") from None
@@ -293,7 +296,7 @@ def _write_csv(path: str, cols: list[str], blocks) -> None:
 
 def cmd_bound(cfg: RunConfig) -> int:
     domain, kernel, selection = resolve(cfg)
-    _make_dir(os.path.dirname(cfg.output or ""))
+    _make_dir(os.path.dirname(cfg.output or ""), cfg.output)
     breakdown = certified_terms(kernel, domain, cfg)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -340,7 +343,7 @@ def cmd_build(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     domain, kernel, _ = resolve(cfg)
-    _make_dir(os.path.dirname(cfg.output or ""))
+    _make_dir(os.path.dirname(cfg.output or ""), cfg.output)
     steps_report, bound_report = verify_run(kernel, domain, cfg)
     passed = steps_report.passed and bound_report.passed
     payload = {
@@ -367,7 +370,7 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
     runs = [replace(cfg, **{name: value}) for value in values]
     for run in runs:
         _check_ranges(run)
-    _make_dir(os.path.dirname(cfg.output or ""))
+    _make_dir(os.path.dirname(cfg.output or ""), cfg.output)
     lines = [f"{axis},certified_total,tail_term,psi,phi,alpha,observed_distance"]
     for value, run in zip(values, runs):
         _, report = verify_run(kernel, domain, run, check_steps=False)
@@ -426,8 +429,9 @@ def main(argv=None) -> int:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except MemoryError:
-        print("resource error: out of memory; set family_mode = sample, or "
-              "a larger Delta or delta", file=sys.stderr)
+        print("resource error: out of memory; set family_mode = sample, a "
+              "larger Delta or delta, or fewer samples or family_samples",
+              file=sys.stderr)
         return EXIT_RESOURCE
     return EXIT_CONFIG
 

@@ -241,29 +241,24 @@ def enumerate_family(partition: Partition, table: BudgetTable,
     """
     # cell i extends each feasible prefix row by each feasible magnitude in
     # turn: magnitude 0 with direction 0, a magnitude j >= 1 with each
-    # direction.  A new row keeps only a link (its parent row, magnitude and
-    # direction) and, before the last cell, its budget state; the indices are
-    # then gathered along the links from the last cell back
+    # direction.  The earlier cells' index columns (magnitude, direction,
+    # magnitude, ...) are gathered onto the new rows and the cell appends its
+    # own two; before the last cell a row also keeps its budget state
     mag_t, dir_t = np.min_scalar_type(table.grid.a), np.min_scalar_type(net.size - 1)
-    links, state = [], np.zeros(1, dtype=int)
+    cols, state = [], np.zeros(1, dtype=int)
     for i, (k, first, succ) in enumerate(table.links):
         blocks = []
         for row, j in _blocks(k[state]):
             c = np.where(j > 0, net.size, 1)
             pair = np.repeat(np.arange(j.size), c)
             rank = np.arange(pair.size) - np.repeat(np.cumsum(c) - c, c)
-            blocks.append((row[pair].astype(np.int32), j[pair].astype(mag_t),
-                           rank.astype(dir_t), pair[:0] if i == table.cells - 1
+            blocks.append((row[pair], j[pair].astype(mag_t), rank.astype(dir_t),
+                           pair[:0] if i == table.cells - 1
                            else succ[first[state[row]] + j][pair]))
-        *link, state = map(np.concatenate, zip(*blocks))
-        links.append(link)
-    mag, dirs = (np.empty((len(link[0]), len(links)), t) for t in (mag_t, dir_t))
-    rows = slice(None)
-    while links:
-        parent, j, d = links.pop()
-        mag[:, len(links)], dirs[:, len(links)] = j[rows], d[rows]
-        rows = parent[rows]
-    del blocks, link, row, rank, pair, rows  # freed before the values are built
+        row, j, rank, state = map(np.concatenate, zip(*blocks))
+        cols = [col[row] for col in cols] + [j, rank]
+    mag, dirs = np.stack(cols[::2], axis=1), np.stack(cols[1::2], axis=1)
+    del blocks, cols, row, j, pair, rank, c, state  # freed before the values are built
     return _from_indices(partition, table, net, mag, dirs)
 
 

@@ -500,6 +500,18 @@ def test_out_of_memory_is_resource_exit(tmp_path):
     assert "family_mode = sample" in out.stderr
 
 
+def test_out_of_memory_names_the_sample_counts(tmp_path):
+    # 10^8 ball samples on 36 nodes are a 54 GiB stack: the advice names
+    # samples and family_samples beside the family's own parameters
+    cfg = write(tmp_path, set_key(B102K_CONFIG, "samples", "100000000"))
+    out = run_limited(["verify", cfg, "--output", str(tmp_path / "report.json")],
+                      1 << 30)
+    assert out.returncode == EXIT_RESOURCE, out.stderr
+    assert "Traceback" not in out.stderr
+    assert "resource error: out of memory" in out.stderr
+    assert "samples or family_samples" in out.stderr
+
+
 def test_levels_past_the_budget_are_not_stored(tmp_path):
     # 2e9 levels, of which a cell can afford about 1,000 within r = 1e-6: the
     # whole grid would be 16 GB, so only the affordable levels are stored,
@@ -1203,7 +1215,7 @@ def test_unwritable_output_is_config_error_before_the_run(
         monkeypatch, capsys, tmp_path, command):
     # an output path under a regular file: the directory that would hold the
     # report or the family cannot be made, and the run is refused before
-    # its operator is built
+    # its operator is built; so is a report path that is a directory
     def no_operator(*args, **kwargs):
         raise AssertionError("an operator was built")
 
@@ -1211,7 +1223,9 @@ def test_unwritable_output_is_config_error_before_the_run(
     blocker = tmp_path / "somefile"
     blocker.write_text("")
     cfg = write(tmp_path, BASE_CONFIG)
-    outputs = [blocker / "r.json"] + ([blocker] if command == "build" else [])
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    outputs = [blocker / "r.json"] + ([blocker] if command == "build" else [adir])
     for out in outputs:
         argv = [command, cfg, "--output", str(out)]
         if command == "sweep":
@@ -1222,6 +1236,7 @@ def test_unwritable_output_is_config_error_before_the_run(
         assert "Traceback" not in captured.err
         assert captured.out == ""
     assert blocker.read_text() == ""
+    assert not any(adir.iterdir())
 
 
 def test_readme_example_config_runs(capsys, tmp_path):

@@ -284,13 +284,16 @@ def test_enumerate_is_a_set():
         assert np.all(d[m == 0] == 0)
 
 
-# the last two configs hold their budgets as Python ints (see
-# test_budgets_are_int64_while_sums_fit)
+# the third and fourth configs hold their budgets as Python ints (see
+# test_budgets_are_int64_while_sums_fit); the last gathers its index columns
+# through six cells, the last two along one link repeated from the table's
+# fixed point (3,321 of its 15,625 combinations fit the budget)
 @pytest.mark.parametrize("n_cells,a,c,p,r", [
     (3, 3, 3, 2.0, 0.8),
     (4, 2, 2, 1.5, 1.0),
     (3, 10, 2, 3.0, 0.7),
     (2, 30, 2, 2.0, 0.5),
+    (6, 2, 2, 2.0, 0.6),
 ])
 def test_enumerate_order_and_content_match_brute_force(n_cells, a, c, p, r):
     # a member reads (m_0, d_0, m_1, d_1, ...); walking each cell's choices in
@@ -323,8 +326,8 @@ def b102k_table_and_net():
 
 
 def test_enumerate_peak_is_close_to_the_stack_it_returns():
-    # only per-cell links are held besides the stack, and the values are
-    # built a block at a time
+    # besides the stack, only the index columns of the cells so far are held,
+    # and the values are built a block at a time
     part, table, net = b102k_table_and_net()
     enumerate_family(part, table, net)  # numpy's one-time allocations happen here
     tracemalloc.start()
