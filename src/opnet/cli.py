@@ -216,13 +216,14 @@ def resolve(cfg: RunConfig):
     return domain, kernel, selection
 
 
-def _make_dir(path: str, report: str | None = None) -> None:
+def _make_dir(path: str, *files: str | None) -> None:
     """Make the directory `path` and its parents, before a run's output is
-    computed; a path that cannot be made, or a `report` path to be written
-    in it that is a directory, is a config error."""
+    computed; a path that cannot be made, or one of the `files` to be
+    written in it that is a directory, is a config error."""
     try:
-        if report and os.path.isdir(report):
-            raise IsADirectoryError(f"{report!r} is a directory")
+        for file in files:
+            if file and os.path.isdir(file):
+                raise IsADirectoryError(f"{file!r} is a directory")
         os.makedirs(path or ".", exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"[run] output: {exc}") from None
@@ -313,7 +314,11 @@ def cmd_build(cfg: RunConfig) -> int:
     domain, kernel, _ = resolve(cfg)
     sch = scheme(kernel, domain, cfg)
     out = cfg.output or "family"
-    _make_dir(out)  # after the scheme's refusals, which leave no output
+    family_csv, images_csv, manifest_json = (
+        os.path.join(out, name)
+        for name in ("family.csv", "images.csv", "manifest.json"))
+    # after the scheme's refusals, which leave no output
+    _make_dir(out, family_csv, images_csv, manifest_json)
     family = sch.family()
     n_cells = sch.partition.num_cells
     manifest = {
@@ -326,18 +331,18 @@ def cmd_build(cfg: RunConfig) -> int:
     }
     op = DiscretizedOperator(kernel, sch.partition)
     p_nodes = sch.partition.points.shape[0]
-    _write_csv(os.path.join(out, "family.csv"),
+    _write_csv(family_csv,
                [f"mag_{i}" for i in range(n_cells)]
                + [f"dir_{i}" for i in range(n_cells)],
                (np.hstack([family.mag_idx[s:s + TEXT_PIECE],
                            family.dir_idx[s:s + TEXT_PIECE]])
                 for s in range(0, len(family), TEXT_PIECE)))
-    _write_csv(os.path.join(out, "images.csv"),
+    _write_csv(images_csv,
                [f"node{i}_{j}" for i in range(p_nodes) for j in range(kernel.m)],
                (op.apply(family[s:s + TEXT_PIECE]).values.reshape(
                    -1, p_nodes * kernel.m)
                 for s in range(0, len(family), TEXT_PIECE)))
-    print(_dump_json(manifest, os.path.join(out, "manifest.json")), end="")
+    print(_dump_json(manifest, manifest_json), end="")
     return EXIT_OK
 
 

@@ -46,7 +46,6 @@ STATE_CAP = 200_000
 LINK_CAP = 1 << 24
 # share of `sample_ball` draws rescaled to norm exactly r; the rest fall inside
 EXACT_FRACTION = 0.5
-_BLOCK = 1 << 15  # elements per block of the family values
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,27 +257,14 @@ def enumerate_family(partition: Partition, table: BudgetTable,
         row, j, rank, state = map(np.concatenate, zip(*blocks))
         cols = [col[row] for col in cols] + [j, rank]
     mag, dirs = np.stack(cols[::2], axis=1), np.stack(cols[1::2], axis=1)
-    del blocks, cols, row, j, pair, rank, c, state  # freed before the values are built
     return _from_indices(partition, table, net, mag, dirs)
 
 
 def _from_indices(partition, table, net, mag, dirs) -> PiecewiseConstFn:
     """The stack on `partition` of members with (F, N) magnitude and
-    direction indices, its values made `_BLOCK` elements at a time: each is
-    its level times its net point, gathered from a table of every such
-    product when the table holds no more of them than the stack does."""
-    levels, points, n = table.grid.values, net.points, net.points.shape[1]
-    values = np.empty((*mag.shape, n))
-    step = max(1, _BLOCK // (values.shape[1] * n))
-    gather = len(levels) * net.size <= mag.size
-    products = (levels[:, None, None] * points).reshape(-1, n) if gather else None
-    for s in range(0, len(values), step):
-        m, d, out = mag[s:s + step], dirs[s:s + step], values[s:s + step]
-        if gather:
-            np.take(products, m.astype(np.intp) * net.size + d, axis=0, out=out)
-        else:
-            np.multiply(levels[m][..., None], points[d], out=out)
-    return PiecewiseConstFn(partition, values, mag_idx=mag, dir_idx=dirs)
+    direction indices, held by them: its values are built where used."""
+    return PiecewiseConstFn(partition, None, mag_idx=mag, dir_idx=dirs,
+                            levels=table.grid.values, points=net.points)
 
 
 def sample_family(partition: Partition, table: BudgetTable, net: DirectionNet,

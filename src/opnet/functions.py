@@ -1,14 +1,16 @@
 """Stacks of vector-valued functions on a partition, in two discrete forms.
 
 ``SampledFn`` stores values at the partition's quadrature nodes; integrals of
-such functions are always the weighted node sums.  ``PiecewiseConstFn`` stores
+such functions are always the weighted node sums.  ``PiecewiseConstFn`` has
 one value per cell, optionally with magnitude/direction indices when the
 functions are members of the finite input family.
 
 Either type holds a whole set of functions as one stack: ``values`` is
 ``(S, P, n)`` or ``(F, N, n)``, and ``mag_idx`` / ``dir_idx`` are ``(F, N)``.
 A stack has a length, and slices and index arrays along its first axis give
-sub-stacks.
+sub-stacks.  A stack of family members is held by its indices alone, with
+the magnitude levels and net points they index: its values are built from
+them only where they are asked for, and its sub-stacks select index rows.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from .geometry import Partition
 
 __all__ = ["SampledFn", "PiecewiseConstFn", "lp_norm", "node_norms"]
+_BLOCK = 1 << 15  # elements per block of values built from indices
 
 
 class _Functions:
@@ -27,12 +30,13 @@ class _Functions:
 
     _member_fields: tuple[str, ...] = ("values",)  # fields carrying the stack axis
 
-    def _check_values(self, rows: int, what: str) -> None:
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
+    @staticmethod
+    def _checked(values, rows: int, what: str) -> np.ndarray:
+        v = np.asarray(values, dtype=float)
         if v.ndim != 3 or v.shape[1] != rows:
             raise ValueError(f"expected a (stack, {rows}, dim) stack of {what} "
                              f"values, got shape {v.shape}")
+        return v
 
     @property
     def dim(self) -> int:
@@ -55,20 +59,73 @@ class SampledFn(_Functions):
     values: np.ndarray  # (S, P, d)
 
     def __post_init__(self):
-        self._check_values(self.partition.points.shape[0], "node")
+        object.__setattr__(self, "values", self._checked(
+            self.values, self.partition.points.shape[0], "node"))
 
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseConstFn(_Functions):
+    """A stack with one vector per cell: stored (F, N, n) values, or, with
+    `levels` and `points` and no values, family members held by their
+    indices, whose value on a cell is levels[mag_idx] * points[dir_idx]."""
+
     partition: Partition
-    values: np.ndarray  # (F, N, n), one vector per cell
+    _values: np.ndarray | None  # (F, N, n), one vector per cell
     mag_idx: np.ndarray | None = None  # indices into a MagnitudeGrid
     dir_idx: np.ndarray | None = None  # indices into a DirectionNet
+    levels: np.ndarray | None = None  # the grid levels that mag_idx indexes
+    points: np.ndarray | None = None  # the net points that dir_idx indexes
 
-    _member_fields = ("values", "mag_idx", "dir_idx")
+    _member_fields = ("_values", "mag_idx", "dir_idx")
 
     def __post_init__(self):
-        self._check_values(self.partition.num_cells, "cell")
+        if self.levels is None:
+            object.__setattr__(self, "_values", self._checked(
+                self._values, self.partition.num_cells, "cell"))
+
+    @property
+    def dim(self) -> int:
+        return (self.points if self.levels is not None else self._values).shape[-1]
+
+    def __len__(self) -> int:
+        return len(self.mag_idx if self.levels is not None else self._values)
+
+    @property
+    def values(self) -> np.ndarray:
+        """(F, N, n): the stored values, or new ones built from the indices."""
+        if self.levels is None:
+            return self._values
+        return self.fill(np.empty((*self.mag_idx.shape, self.dim)))
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """Write the values into `out`, of their shape or flattened to one
+        row per member (a view into a wider array will do), and return it.
+
+        Built from indices, `_BLOCK` elements at a time, each value is its
+        level times its net point: gathered from a table of every such
+        product when the table holds no more products than the stack holds
+        indices, else multiplied; either way the same bits."""
+        cells = self.partition.num_cells
+        view = out.reshape(len(self), cells, self.dim)  # a view of `out`
+        if self.levels is None:
+            view[...] = self._values
+            return out
+        levels, points = self.levels, self.points
+        mag, dirs = self.mag_idx, self.dir_idx
+        size = len(levels) * len(points)
+        gather = size <= mag.size
+        if gather:
+            products = (levels[:, None, None] * points).reshape(size, -1)
+            index = np.min_scalar_type(size - 1)  # holds a product's index
+        step = max(1, _BLOCK // (cells * self.dim))
+        for s in range(0, len(view), step):
+            m, d = mag[s:s + step], dirs[s:s + step]
+            if gather:
+                at = m.astype(index, copy=False) * len(points) + d
+                view[s:s + step] = np.take(products, at, axis=0)
+            else:
+                np.multiply(levels[m][..., None], points[d], out=view[s:s + step])
+        return out
 
 
 def node_norms(v: np.ndarray) -> np.ndarray:

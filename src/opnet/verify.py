@@ -117,16 +117,18 @@ def _screen_space(x, y, op):
     """(gx, c, xsq, ysq, tol, y_rows): the screen's rows, norms and tolerance.
 
     With `op`, y is a piecewise-constant stack standing for its images under
-    op, which are never stored whole: c holds its flattened cell values and
-    A is op's cell matrix, whose computed products A c are y's node values,
-    taken from `op.apply` of the rows asked for.  Without it,
-    y is a stack of sampled functions, c holds its flattened values and
-    A = I, whose product is exact.  gx holds -2 (a w) A for x's flattened
-    node values a and the node weights w, so gx @ c.T holds the cross terms
-    -2 (a w).(A c).  xsq and ysq hold the squared weighted norms |a|^2 and
-    |b|^2; ysq is c.(G c), G = A^T W A (W with A = I), over blocks that also
-    give `_slack` the largest |c|_2: no image is applied, and no other
-    family-long array made.  y_rows(idx) gives y's node values at rows idx.
+    op, which are never stored whole: c is y itself, whose rows are its
+    flattened cell values, built a block at a time where they are used
+    (here and in `_augment`), and A is op's cell matrix, whose computed
+    products A c are y's node values, taken from `op.apply` of the rows
+    asked for.  Without it, y is a stack of sampled functions, c holds its
+    flattened values and A = I, whose product is exact.  gx holds
+    -2 (a w) A for x's flattened node values a and the node weights w, so
+    gx @ c.T holds the cross terms -2 (a w).(A c).  xsq and ysq hold the
+    squared weighted norms |a|^2 and |b|^2; ysq is c.(G c), G = A^T W A
+    (W with A = I), over blocks that also give `_slack` the largest |c|_2:
+    no image is applied, and no other family-long array made.  y_rows(idx)
+    gives y's node values at rows idx.
     A `_screen` entry is within (dim + k + 3) u N^2 + `_slack` of the exact
     squared distance of the node values, and tol, `_SCREEN_SAFETY`
     ((max(dim, k) + 4) (eps N^2 + tiny) + slack), holds that error that many
@@ -134,15 +136,17 @@ def _screen_space(x, y, op):
     """
     w, v = x.partition.weights, x.values
     xsq, wrep = np.einsum("ipk,ipk,p->i", v, v, w), np.repeat(w, x.dim)
-    xv, c = v.reshape(len(x), -1), y.values.reshape(len(y), -1)
+    xv = v.reshape(len(x), -1)
     if op is None:
+        c = y.values.reshape(len(y), -1)
         a, y_rows = np.eye(xv.shape[1]), y.values.__getitem__
     else:
-        a, y_rows = op.cell_matrix, lambda idx: op.apply(y[idx]).values
+        c, a, y_rows = y, op.cell_matrix, lambda idx: op.apply(y[idx]).values
     gram = a.T @ (wrep[:, None] * a)
     size, ysq, cmax = max(1, _BLOCK // len(gram)), np.empty(len(c)), 0.0
     for s in range(0, len(c), size):
         blk = c[s:s + size]
+        blk = blk if op is None else blk.values.reshape(len(blk), -1)
         np.einsum("ij,ij->i", blk @ gram, blk, out=ysq[s:s + size])
         cmax = max(cmax, float(np.einsum("ij,ij->i", blk, blk).max()))
     neg2w = -2.0 * wrep  # -2 w per flattened value
@@ -157,10 +161,25 @@ def _screen_space(x, y, op):
     return gx, c, xsq, ysq, tol, y_rows
 
 
+def _width(rows):
+    """Elements per row of a 2-D array, or per member of a piecewise-constant
+    stack, whose rows are its flattened values."""
+    if isinstance(rows, np.ndarray):
+        return rows.shape[1]
+    return rows.partition.num_cells * rows.dim
+
+
 def _augment(rows, first, second):
-    """[rows | first | second]: `rows` with two more columns."""
-    out = np.empty((len(rows), rows.shape[1] + 2))
-    out[:, :-2], out[:, -2], out[:, -1] = rows, first, second
+    """[rows | first | second] as its (k + 2, len) transpose, which a product
+    takes as it is for its right operand (faster than a transposed one):
+    the rows of a 2-D array, or of a piecewise-constant stack built in
+    place, with two more columns."""
+    out = np.empty((_width(rows) + 2, len(rows)))
+    if isinstance(rows, np.ndarray):
+        out[:-2] = rows.T
+    else:
+        rows.fill(out[:-2].T)
+    out[-2], out[-1] = first, second
     return out
 
 
@@ -180,13 +199,12 @@ def _screen(a, asq, rows, b, bsq):
     rows within `_BLOCK` elements: every temporary holds at most `_BLOCK`
     elements, or one row where a row holds more.  No rows yield no block.
     """
-    rf = max(1, min(len(rows), _BLOCK // (a.shape[1] + 2)))
-    rt = max(1, _BLOCK // max(rf, a.shape[1] + 2))
+    rf = max(1, min(len(rows), _BLOCK // (_width(a) + 2)))
+    rt = max(1, _BLOCK // max(rf, _width(a) + 2))
     for fs in range(0, len(rows), rf):
-        part = _augment(a[rows[fs:fs + rf]], asq[rows[fs:fs + rf]], 1.0)
+        part = _augment(a[rows[fs:fs + rf]], asq[rows[fs:fs + rf]], 1.0).T
         for ts in range(0, len(b), rt):
-            yield fs, ts, part @ _augment(b[ts:ts + rt], 1.0,
-                                          bsq[ts:ts + rt]).T
+            yield fs, ts, part @ _augment(b[ts:ts + rt], 1.0, bsq[ts:ts + rt])
 
 
 def _lq_bounds(w, n, q):
@@ -332,7 +350,7 @@ def _minima(gx, xsq, c, ysq, tol, bounds):
     reach = best_x[rest] >= _threshold(best_x[pilots].max(), tol, bounds)
     _fold(gx, xsq, rest[reach], c, ysq, best_x, best_y)
     rest = rest[~reach]
-    top, size = best_y[::_STRIDE].max(), max(1, _BLOCK // (c.shape[1] + 2))
+    top, size = best_y[::_STRIDE].max(), max(1, _BLOCK // (_width(c) + 2))
     for s in range(0, len(c) if len(rest) else 0, size):
         at = s + np.flatnonzero(best_y[s:s + size]
                                 >= _threshold(top, tol, bounds))

@@ -17,6 +17,7 @@ from opnet.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_VERIFY_FAIL,
+    TEXT_PIECE,
     RunConfig,
     _KEYS,
     _write_csv,
@@ -27,6 +28,7 @@ from opnet.cli import (
 import opnet
 from opnet.errors import ConfigError
 from opnet.family import BudgetTable, sample_family
+from opnet.functions import PiecewiseConstFn
 from opnet.geometry import Domain
 from opnet.integral_op import DiscretizedOperator
 from opnet.kernels import builtin_kernel, save_tabulated_kernel
@@ -488,16 +490,28 @@ samples = 200
 
 
 def test_out_of_memory_is_resource_exit(tmp_path):
-    # 6,874,645 members at sigma = 0.3: their stack of values alone is
-    # 420 MiB, so the run verifies in 1 GiB (about 0.9 GB at its peak) but
-    # does not fit in 512 MiB
+    # 6,874,645 members at sigma = 0.3: held by their uint8 indices they
+    # take 52 MiB, and the enumeration's columns and row gathers several
+    # times that, so the run does not fit in 256 MiB
     cfg = write(tmp_path, B102K_CONFIG.replace("sigma = 0.9", "sigma = 0.3"))
     out = run_limited(["verify", cfg, "--output", str(tmp_path / "report.json")],
-                      512 << 20)
+                      256 << 20)
     assert out.returncode == EXIT_RESOURCE, out.stderr
     assert "Traceback" not in out.stderr
     assert "resource error:" in out.stderr
     assert "family_mode = sample" in out.stderr
+
+
+def test_sigma_03_family_verifies_in_512_mib(tmp_path):
+    # the same 6,874,645 members: their (F, N, n) values would be 420 MiB,
+    # but no more than a block of them is built at once
+    cfg = write(tmp_path, B102K_CONFIG.replace("sigma = 0.9", "sigma = 0.3"))
+    report = tmp_path / "report.json"
+    out = run_limited(["verify", cfg, "--output", str(report)], 512 << 20)
+    assert out.returncode == EXIT_OK, out.stderr
+    assert out.stdout.splitlines()[-1] == "PASS"
+    bound = json.loads(report.read_text())["bound_report"]
+    assert bound["family_count"] == "6874645"
 
 
 def test_out_of_memory_names_the_sample_counts(tmp_path):
@@ -1237,6 +1251,50 @@ def test_unwritable_output_is_config_error_before_the_run(
         assert captured.out == ""
     assert blocker.read_text() == ""
     assert not any(adir.iterdir())
+
+
+@pytest.mark.parametrize("name", ["family.csv", "images.csv", "manifest.json"])
+def test_build_output_file_that_is_a_directory_is_config_error(
+        monkeypatch, capsys, tmp_path, name):
+    # refused before the family is enumerated, where it exited 1 with an
+    # IsADirectoryError traceback once everything was built
+    def no_family(*args):
+        raise AssertionError("the family was built")
+
+    monkeypatch.setattr(opnet.verify, "enumerate_family", no_family)
+    cfg = write(tmp_path, BASE_CONFIG)
+    (tmp_path / "bdir" / name).mkdir(parents=True)
+    assert main(["build", cfg, "--output", str(tmp_path / "bdir")]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: [run] output: ")
+    assert name in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert [p.name for p in (tmp_path / "bdir").iterdir()] == [name]
+
+
+def test_verify_and_build_make_member_values_a_block_at_a_time(
+        monkeypatch, capsys, tmp_path):
+    # the baseline's 102,621 members (4,909 at sigma = 1.9 for the build)
+    # are held by their indices: verify and build ask for the values of a
+    # block of members at a time, never all
+    filled = []
+    fill = PiecewiseConstFn.fill
+
+    def spy(self, out):
+        if self.levels is not None:
+            filled.append(len(self))
+        return fill(self, out)
+
+    monkeypatch.setattr(PiecewiseConstFn, "fill", spy)
+    cfg = write(tmp_path, B102K_CONFIG)
+    assert main(["verify", cfg, "--output", str(tmp_path / "r.json")]) == EXIT_OK
+    assert filled and max(filled) < 102_621 // 8
+    filled.clear()
+    cfg = write(tmp_path, B102K_CONFIG.replace("sigma = 0.9", "sigma = 1.9"))
+    assert main(["build", cfg, "--output", str(tmp_path / "b")]) == EXIT_OK
+    capsys.readouterr()
+    assert filled and max(filled) == TEXT_PIECE
 
 
 def test_readme_example_config_runs(capsys, tmp_path):

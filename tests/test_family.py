@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import chisquare
 
 import opnet
-from opnet import family
+from opnet import family, functions
 from opnet.errors import ResourceError
 from opnet.family import (
     BudgetTable,
@@ -326,8 +326,8 @@ def b102k_table_and_net():
 
 
 def test_enumerate_peak_is_close_to_the_stack_it_returns():
-    # besides the stack, only the index columns of the cells so far are held,
-    # and the values are built a block at a time
+    # only the index columns of the cells so far are held, and no values are
+    # built: the traced peak stays below the (F, N, n) float values alone
     part, table, net = b102k_table_and_net()
     enumerate_family(part, table, net)  # numpy's one-time allocations happen here
     tracemalloc.start()
@@ -336,9 +336,8 @@ def test_enumerate_peak_is_close_to_the_stack_it_returns():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(fam) == 102_621
-    stack = fam.values.nbytes + fam.mag_idx.nbytes + fam.dir_idx.nbytes
-    assert peak <= 1.5 * stack
+    assert fam.mag_idx.shape == (102_621, 4) and fam.dim == 2
+    assert peak < 102_621 * 4 * 2 * 8  # 6.26 MiB
 
 
 def test_enumerate_indices_take_the_smallest_unsigned_dtypes():
@@ -610,7 +609,7 @@ def test_member_values_are_each_level_times_each_direction(levels, c, dtype,
     # a row count that is not a multiple of the values' row block
     part = interval_partition(delta=0.25, nodes=1)
     grid, net = build_magnitude_grid(2.0, levels - 1), angle_net(c)
-    rows = blocks * family._BLOCK // (part.num_cells * 2) + 3
+    rows = blocks * functions._BLOCK // (part.num_cells * 2) + 3
     rng = np.random.default_rng(levels + blocks)
     mag = rng.integers(levels, size=(rows, part.num_cells)).astype(dtype)
     mag[0] = 0
@@ -620,6 +619,12 @@ def test_member_values_are_each_level_times_each_direction(levels, c, dtype,
     want = grid.values[mag][..., None] * net.points[dirs]
     assert (np.signbit(want) & (want == 0)).any()
     assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64))
+    # built into a transposed view, as the distance screen builds them
+    out = np.full((part.num_cells * 2 + 2, rows), np.nan)
+    got.fill(out[:-2].T)
+    assert np.array_equal(out[:-2].T.view(np.uint64),
+                          want.reshape(rows, -1).view(np.uint64))
+    assert np.isnan(out[-2:]).all()
 
 
 def test_member_values_build_no_table_larger_than_the_stack():
@@ -630,13 +635,30 @@ def test_member_values_build_no_table_larger_than_the_stack():
     rng = np.random.default_rng(3)
     mag = rng.integers(1001, size=(500, 1)).astype(np.uint16)
     dirs = rng.integers(1000, size=mag.shape).astype(np.uint16)
+    stack = family._from_indices(part, SimpleNamespace(grid=grid), net, mag, dirs)
     tracemalloc.start()
     try:
-        family._from_indices(part, SimpleNamespace(grid=grid), net, mag, dirs)
+        stack.values
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 8 * family._BLOCK
+    assert peak <= 4 * 8 * functions._BLOCK
+
+
+def test_a_family_stack_is_held_by_its_indices():
+    # slices, strides and index arrays select index rows and build no values;
+    # each sub-stack builds the bits of the whole stack's rows
+    part, table, net = b102k_table_and_net()
+    fam = enumerate_family(part, table, net)
+    assert fam._values is None
+    whole = fam.values
+    at = np.array([5, 0, 102_620, 5])
+    for key in (slice(17, 4_000), slice(None, None, 16), at):
+        sub = fam[key]
+        assert sub._values is None and sub.levels is fam.levels
+        assert np.array_equal(sub.mag_idx, fam.mag_idx[key])
+        assert len(sub) == len(fam.mag_idx[key]) and sub.dim == 2
+        assert sub.values.tobytes() == whole[key].tobytes()
 
 
 def test_too_many_cells_are_refused_before_the_costs(monkeypatch):

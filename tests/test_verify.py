@@ -522,15 +522,17 @@ def test_scheme_stages_are_made_as_they_are_taken(monkeypatch):
 
 
 def test_directed_distance_allocates_two_family_vectors():
-    # on the baseline's 102,621 members the distance keeps, beside its
-    # inputs, the family's squared norms and screened minima (8 bytes a
-    # member each), a mask, and temporaries of at most _BLOCK elements
+    # on the baseline's 102,621 members, held by their indices, the distance
+    # keeps, beside its inputs, the family's squared norms and screened
+    # minima (8 bytes a member each), a mask, and temporaries of at most
+    # _BLOCK elements: member values are built a block at a time
     dom, kern = b102k_kernel()
     run = verify.scheme(kern, dom, Run(p=2, r=1, gamma=2.0, Delta=1.0,
                                        delta=0.5, sigma=0.9, seed=7))
     op = DiscretizedOperator(kern, run.partition)
     images = op.apply(verify.sample_ball(run.partition, kern.n, 2, 1, 200, 7))
     family = run.family()
+    assert family._values is None  # its (F, N, n) values would be 6.26 MiB
     tracemalloc.start()
     try:
         directed_distance(images, family, 2.0, op)
