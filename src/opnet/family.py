@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ResourceError
-from .functions import PiecewiseConstFn, SampledFn, lp_norm, node_norms
+from .functions import _BLOCK, PiecewiseConstFn, SampledFn, lp_norm, node_norms
 from .geometry import Partition
 from .sphere import DirectionNet
 
@@ -30,6 +30,7 @@ __all__ = [
     "enumerate_family",
     "sample_family",
     "sample_ball",
+    "ball_blocks",
     "clip_to_gamma",
     "cell_average",
     "round_magnitude",
@@ -305,12 +306,25 @@ def sample_family(partition: Partition, table: BudgetTable, net: DirectionNet,
 
 def sample_ball(partition: Partition, n: int, p: float, r: float, count: int,
                 seed: int = 0) -> SampledFn:
-    """A stack of `count` random elements of the closed L_p ball of radius r:
-    `count - count // 2` rough draws at `seed`, a random vector per cell, then
-    `count // 2` smooth draws at `seed + 1`, a short random cosine series.
-    Each draw is rescaled so its quadrature L_p norm is exactly r for the
-    first `EXACT_FRACTION` of its half's draws and uniformly in [0, r) for
-    the rest.
+    """A stack of `count` random elements of the closed L_p ball of radius
+    r: the blocks of `ball_blocks`, concatenated."""
+    return SampledFn(partition, np.concatenate([
+        np.empty((0, len(partition.points), n)),
+        *(block.values for block in ball_blocks(partition, n, p, r, count, seed)),
+    ]))
+
+
+def ball_blocks(partition: Partition, n: int, p: float, r: float, count: int,
+                seed: int = 0):
+    """`count` random elements of the closed L_p ball of radius r, as
+    consecutive stacks of about `_BLOCK` values each: `count - count // 2`
+    rough draws at `seed`, a random vector per cell, then `count // 2`
+    smooth draws at `seed + 1`, a short random cosine series.  Each draw is
+    rescaled so its quadrature L_p norm is exactly r for the first
+    `EXACT_FRACTION` of its half's draws and uniformly in [0, r) for the
+    rest.  No block has fewer than 3 rows, unless `count` is: a shorter tail
+    joins the block before it, since `DiscretizedOperator.apply` can give a
+    sampled row in a stack of 1 or 2 rows other bits than in a longer one.
 
     A seed's samples are fixed by the order of the generator calls, draw by
     draw: rough, a (cells, n) normal; smooth, per term, `integers(0, 3)` and
@@ -318,46 +332,55 @@ def sample_ball(partition: Partition, n: int, p: float, r: float, count: int,
     `standard_normal()` amplitude; then, past the exact fraction, the radius.
     """
     dom, cells, qpc = partition.domain, partition.num_cells, partition.nodes_per_cell
-    vals = np.empty((count, len(partition.points), n))
-    targets = np.full(count, float(r))
-    rough, smooth = count - count // 2, count // 2
-    # rough: the exact draws' normals in one call, which gives the same stream
-    rng = np.random.default_rng(seed)
-    n_exact = int(round(EXACT_FRACTION * rough))
-    cell_vals = np.empty((rough, cells, n))
-    cell_vals[:n_exact] = rng.standard_normal((n_exact, cells, n))
-    for idx in range(n_exact, rough):
-        cell_vals[idx] = rng.standard_normal((cells, n))
-        targets[idx] = r * rng.uniform(0.0, 1.0)
-    vals[:rough].reshape(rough, cells, qpc, n)[:] = cell_vals[:, :, None]
-    # smooth: its own stream, which the rough half's size does not move
-    rng = np.random.default_rng(seed + 1)
-    n_exact = int(round(EXACT_FRACTION * smooth))
-    freq, phase = np.empty((2, smooth, 3, dom.dim))
-    direction, amp = np.empty((smooth, 3, n)), np.empty((smooth, 3))
-    for idx in range(smooth):
-        for t in range(3):
-            freq[idx, t] = rng.integers(0, 3, size=dom.dim)
-            phase[idx, t] = rng.uniform(0.0, 2.0 * math.pi, size=dom.dim)
-            d = rng.standard_normal(n)
-            direction[idx, t] = d / np.linalg.norm(d)
-            amp[idx, t] = rng.standard_normal()
-        if idx >= n_exact:
-            targets[rough + idx] = r * rng.uniform(0.0, 1.0)
-    # a term's cosines once per distinct coordinate, gathered onto the nodes
+    nodes, rough = len(partition.points), count - count // 2
+    # the rough draws at `seed`; the smooth ones have their own stream, which
+    # the rough half's size does not move
+    rough_rng, smooth_rng = np.random.default_rng(seed), np.random.default_rng(seed + 1)
+    rough_exact = int(round(EXACT_FRACTION * rough))
+    smooth_exact = int(round(EXACT_FRACTION * (count // 2)))
+    # a smooth term's cosines once per distinct grid coordinate, gathered
+    # onto the nodes
     u = (partition.points - dom.lower) / dom.lengths  # (P, k) in [0,1]
-    profile = np.ones((smooth, 3, len(u)))
-    for a in range(dom.dim):
-        coords, at = np.unique(u[:, a], return_inverse=True)
-        profile *= np.cos(math.pi * freq[..., a, None] * coords
-                          + phase[..., a, None])[..., at]
-    # the terms in order onto zero, as one draw at a time added them
-    vals[rough:] = sum(amp[:, t, None, None] * profile[:, t, :, None]
-                       * direction[:, t, None] for t in range(3))
-    norms = lp_norm(SampledFn(partition, vals), p)
-    vals *= np.where(norms > 0, targets / np.where(norms > 0, norms, 1.0),
-                     1.0)[:, None, None]
-    return SampledFn(partition, vals)
+    axes = [np.unique(u[:, a], return_inverse=True) for a in range(dom.dim)]
+    starts = list(range(0, count, max(3, _BLOCK // (nodes * n))))
+    if len(starts) > 1 and count - starts[-1] < 3:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [count]):
+        vals = np.empty((hi - lo, nodes, n))
+        targets = np.full(hi - lo, float(r))
+        # rough: the exact draws' normals in one call, which gives the same
+        # stream as one call per draw
+        mid = max(min(rough, hi) - lo, 0)  # the block's rough rows
+        exact = min(max(rough_exact - lo, 0), mid)
+        cell_vals = np.empty((mid, cells, n))
+        cell_vals[:exact] = rough_rng.standard_normal((exact, cells, n))
+        for idx in range(exact, mid):
+            cell_vals[idx] = rough_rng.standard_normal((cells, n))
+            targets[idx] = r * rough_rng.uniform(0.0, 1.0)
+        vals[:mid].reshape(mid, cells, qpc, n)[:] = cell_vals[:, :, None]
+        smooth, first = hi - lo - mid, lo + mid - rough  # smooth rows, first's index
+        freq, phase = np.empty((2, smooth, 3, dom.dim))
+        direction, amp = np.empty((smooth, 3, n)), np.empty((smooth, 3))
+        for idx in range(smooth):
+            for t in range(3):
+                freq[idx, t] = smooth_rng.integers(0, 3, size=dom.dim)
+                phase[idx, t] = smooth_rng.uniform(0.0, 2.0 * math.pi, size=dom.dim)
+                d = smooth_rng.standard_normal(n)
+                direction[idx, t] = d / np.linalg.norm(d)
+                amp[idx, t] = smooth_rng.standard_normal()
+            if first + idx >= smooth_exact:
+                targets[mid + idx] = r * smooth_rng.uniform(0.0, 1.0)
+        profile = np.ones((smooth, 3, nodes))
+        for a, (coords, at) in enumerate(axes):
+            profile *= np.cos(math.pi * freq[..., a, None] * coords
+                              + phase[..., a, None])[..., at]
+        # the terms in order onto zero, as one draw at a time added them
+        vals[mid:] = sum(amp[:, t, None, None] * profile[:, t, :, None]
+                         * direction[:, t, None] for t in range(3))
+        norms = lp_norm(SampledFn(partition, vals), p)
+        vals *= np.where(norms > 0, targets / np.where(norms > 0, norms, 1.0),
+                         1.0)[:, None, None]
+        yield SampledFn(partition, vals)
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ them only where they are asked for, and its sub-stacks select index rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,11 +46,17 @@ class _Functions:
         return self.values.shape[0]
 
     def __getitem__(self, key):
-        """The sub-stack at a slice or an index array."""
-        return replace(self, **{
-            name: getattr(self, name)[key] for name in self._member_fields
-            if getattr(self, name) is not None
-        })
+        """The sub-stack at a slice or an index array.  It shares every other
+        field with the stack, and nothing of it is checked or built again."""
+        if not isinstance(key, slice) and np.ndim(key) == 0:
+            raise ValueError(f"a stack of functions takes a slice or an index "
+                             f"array, got {key!r}")
+        sub = object.__new__(type(self))
+        sub.__dict__.update(self.__dict__)
+        for name in self._member_fields:
+            if self.__dict__[name] is not None:
+                sub.__dict__[name] = self.__dict__[name][key]
+        return sub
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,6 +81,10 @@ class PiecewiseConstFn(_Functions):
     dir_idx: np.ndarray | None = None  # indices into a DirectionNet
     levels: np.ndarray | None = None  # the grid levels that mag_idx indexes
     points: np.ndarray | None = None  # the net points that dir_idx indexes
+    # (every level's product with every net point, the dtype of an index
+    # into them): built once by a stack that holds at least as many indices
+    # as there are products, and shared by its sub-stacks
+    _table: tuple | None = field(default=None, init=False, repr=False)
 
     _member_fields = ("_values", "mag_idx", "dir_idx")
 
@@ -82,6 +92,12 @@ class PiecewiseConstFn(_Functions):
         if self.levels is None:
             object.__setattr__(self, "_values", self._checked(
                 self._values, self.partition.num_cells, "cell"))
+            return
+        size = len(self.levels) * len(self.points)
+        if size <= self.mag_idx.size:
+            products = (self.levels[:, None, None] * self.points).reshape(size, -1)
+            object.__setattr__(self, "_table",
+                               (products, np.min_scalar_type(size - 1)))
 
     @property
     def dim(self) -> int:
@@ -102,9 +118,9 @@ class PiecewiseConstFn(_Functions):
         row per member (a view into a wider array will do), and return it.
 
         Built from indices, `_BLOCK` elements at a time, each value is its
-        level times its net point: gathered from a table of every such
-        product when the table holds no more products than the stack holds
-        indices, else multiplied; either way the same bits."""
+        level times its net point: gathered from the stack's table of every
+        such product where it has one, else multiplied; either way the same
+        bits."""
         cells = self.partition.num_cells
         view = out.reshape(len(self), cells, self.dim)  # a view of `out`
         if self.levels is None:
@@ -112,15 +128,11 @@ class PiecewiseConstFn(_Functions):
             return out
         levels, points = self.levels, self.points
         mag, dirs = self.mag_idx, self.dir_idx
-        size = len(levels) * len(points)
-        gather = size <= mag.size
-        if gather:
-            products = (levels[:, None, None] * points).reshape(size, -1)
-            index = np.min_scalar_type(size - 1)  # holds a product's index
         step = max(1, _BLOCK // (cells * self.dim))
         for s in range(0, len(view), step):
             m, d = mag[s:s + step], dirs[s:s + step]
-            if gather:
+            if self._table:
+                products, index = self._table
                 at = m.astype(index, copy=False) * len(points) + d
                 view[s:s + step] = np.take(products, at, axis=0)
             else:

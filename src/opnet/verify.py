@@ -19,13 +19,13 @@ from .errors import ConfigError, ResourceError
 from .family import (
     STATE_CAP,
     BudgetTable,
+    ball_blocks,
     build_magnitude_grid,
     cell_average,
     clip_to_gamma,
     count_family,
     enumerate_family,
     round_magnitude,
-    sample_ball,
     sample_family,
     snap_direction,
     tchebyshev_measure,
@@ -545,25 +545,43 @@ def scheme(kernel, domain, run: Run) -> Scheme:
     return Scheme(run, partition, net, table, count, terms)
 
 
-def _check_steps(op, scheme, ball, ball_images, q):
-    """Per-stage image displacement of the ball samples against its bound
-    term, one step record a stage.
+def _ball_images(op, sch, check_steps):
+    """(images, steps, tchebyshev): the ball samples' images under op, and,
+    with `check_steps`, one step record per projection stage, its largest
+    image displacement against its bound term, and the largest Tchebyshev
+    measure (else None and None).
 
-    Each stage's image is differenced against the one before and then
-    replaces it, so at most two stage images are alive at once.
+    The samples are drawn, applied and checked a block of rows at a time
+    (`ball_blocks`), and only their images are held whole.  The image array
+    is allocated first, so a run too large for it fails before any draw.
+    Within a block each stage's image is differenced against the one before
+    and then replaces it, so at most two stage images are alive at once.
     """
-    before = ball_images.values
-    for name, stage, term in scheme.stages(ball):
-        after = op.apply(stage).values
-        observed = float(lp_norm(SampledFn(op.partition, before - after), q).max())
-        before = after
-        yield StepRecord(
-            step=name,
-            certified=term,
-            observed_max=observed,
-            samples=len(ball),
-            passed=observed <= term + STEP_TOLERANCE,
-        )
+    run = sch.run
+    q = run.p / (run.p - 1.0)
+    images = np.empty((run.samples, len(op.partition.points), op.kernel.m))
+    # running maxima, by np.maximum, which keeps a NaN as a whole-stack max
+    terms, top, tcheby, s = {}, {}, -math.inf, 0
+    for ball in ball_blocks(op.partition, op.kernel.n, run.p, run.r,
+                            run.samples, run.seed):
+        after = images[s:s + len(ball)]
+        after[...] = op.apply(ball).values
+        s += len(ball)
+        if not check_steps:
+            continue
+        tcheby = float(np.maximum(tcheby, tchebyshev_measure(ball, run.gamma).max()))
+        for name, stage, term in sch.stages(ball):
+            before, after = after, op.apply(stage).values
+            observed = lp_norm(SampledFn(op.partition, before - after), q).max()
+            terms[name] = term
+            top[name] = float(np.maximum(top.get(name, -math.inf), observed))
+    images = SampledFn(op.partition, images)
+    if not check_steps:
+        return images, None, None
+    return images, [
+        StepRecord(step=name, certified=term, observed_max=top[name],
+                   samples=run.samples, passed=top[name] <= term + STEP_TOLERANCE)
+        for name, term in terms.items()], tcheby
 
 
 def verify_run(kernel: Kernel, domain: Domain, run: Run,
@@ -571,7 +589,7 @@ def verify_run(kernel: Kernel, domain: Domain, run: Run,
                ) -> tuple[VerificationReport | None, VerificationReport]:
     """Check the ball samples stage by stage and against the family image.
 
-    One partition, operator and stack of ball samples serve both checks.
+    One partition, operator and draw of ball samples serve both checks.
     Returns (steps_report, bound_report): each projection stage's
     image-space displacement against its bound term, and the observed
     directed image distance against the certified total.  With
@@ -593,12 +611,9 @@ def verify_run(kernel: Kernel, domain: Domain, run: Run,
     }
 
     op = DiscretizedOperator(kernel, sch.partition)
-    ball = sample_ball(sch.partition, kernel.n, p, r, run.samples, seed)
-    ball_images = op.apply(ball)
+    ball_images, steps, tcheby_obs = _ball_images(op, sch, check_steps)
     steps_report = None
     if check_steps:
-        steps = list(_check_steps(op, sch, ball, ball_images, q))
-        tcheby_obs = float(tchebyshev_measure(ball, gamma).max())
         steps_report = VerificationReport(config=config, seed=seed, steps=steps)
         try:
             steps_report.tchebyshev_bound = r**p / gamma**p
@@ -608,7 +623,6 @@ def verify_run(kernel: Kernel, domain: Domain, run: Run,
         tcheby_ok = (tcheby_obs
                      <= steps_report.tchebyshev_bound + TCHEBYSHEV_TOLERANCE)
         steps_report.passed = tcheby_ok and all(s.passed for s in steps)
-    del ball  # only its images are used from here on
 
     family = sch.family()
     certified = sch.terms.total

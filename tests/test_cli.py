@@ -291,30 +291,34 @@ def test_verify_reports_are_byte_identical(tmp_path):
 
 def test_verify_builds_one_operator_and_draws_the_ball_once(
         monkeypatch, capsys, tmp_path):
-    calls = {"operator": 0, "sample_ball": 0, "directed_distance": 0}
+    calls = {"operator": 0, "ball_blocks": 0, "rows": 0, "directed_distance": 0}
     init = DiscretizedOperator.__init__
-    draw = opnet.verify.sample_ball
+    blocks = opnet.verify.ball_blocks
     distance = opnet.verify.directed_distance
 
     def counting_init(self, *args, **kwargs):
         calls["operator"] += 1
         init(self, *args, **kwargs)
 
-    def counting_draw(*args, **kwargs):
-        calls["sample_ball"] += 1
-        return draw(*args, **kwargs)
+    def counting_blocks(*args, **kwargs):
+        calls["ball_blocks"] += 1
+        for block in blocks(*args, **kwargs):
+            calls["rows"] += len(block)
+            yield block
 
     def counting_distance(*args, **kwargs):
         calls["directed_distance"] += 1
         return distance(*args, **kwargs)
 
     monkeypatch.setattr(DiscretizedOperator, "__init__", counting_init)
-    monkeypatch.setattr(opnet.verify, "sample_ball", counting_draw)
+    monkeypatch.setattr(opnet.verify, "ball_blocks", counting_blocks)
     monkeypatch.setattr(opnet.verify, "directed_distance", counting_distance)
+    cfg = parse_config(BASE_CONFIG)
     assert main(["verify", write(tmp_path, BASE_CONFIG)]) == EXIT_OK
-    # one draw of the ball samples, both halves, and one screen for both
-    # directed distances
-    assert calls == {"operator": 1, "sample_ball": 1, "directed_distance": 1}
+    # one draw of the ball samples, both halves, a block of rows at a time,
+    # and one screen for both directed distances
+    assert calls == {"operator": 1, "ball_blocks": 1, "rows": cfg.samples,
+                     "directed_distance": 1}
 
 
 @pytest.mark.parametrize("command,mode", [
@@ -512,6 +516,43 @@ def test_sigma_03_family_verifies_in_512_mib(tmp_path):
     assert out.stdout.splitlines()[-1] == "PASS"
     bound = json.loads(report.read_text())["bound_report"]
     assert bound["family_count"] == "6874645"
+
+
+STEPS_3D_CONFIG = """\
+[domain]
+dim = 3
+lower = 0.0 0.0 0.0
+upper = 1.0 1.0 1.0
+
+[kernel]
+name = block_diag
+components = gaussian:beta=1.0|gaussian:beta=2.0|constant:value=0.5
+
+[parameters]
+p = 2
+r = 1
+gamma = 2.0
+Delta = 1.0
+delta = 2.0
+sigma = 1.2
+
+[run]
+seed = 7
+samples = 10000
+"""
+
+
+def test_10000_ball_samples_verify_in_256_mib(tmp_path):
+    # 10,000 samples on 216 nodes x 3 components: the ball, its stages and
+    # their images would be 49 MiB a stack, but only the images are held
+    # whole (97 MiB peak RSS, where the whole-stack check took 355 MiB)
+    report = tmp_path / "report.json"
+    out = run_limited(["verify", write(tmp_path, STEPS_3D_CONFIG), "--output",
+                       str(report)], 256 << 20)
+    assert out.returncode == EXIT_OK, out.stderr
+    assert out.stdout.splitlines()[-1] == "PASS"
+    steps = json.loads(report.read_text())["steps_report"]["steps"]
+    assert [s["samples"] for s in steps] == [10000] * 4
 
 
 def test_out_of_memory_names_the_sample_counts(tmp_path):

@@ -18,6 +18,7 @@ from opnet import family, functions
 from opnet.errors import ResourceError
 from opnet.family import (
     BudgetTable,
+    ball_blocks,
     budget_limit,
     build_magnitude_grid,
     cell_average,
@@ -906,6 +907,20 @@ def test_sample_ball_keeps_the_bits_of_one_draw_per_iteration(dims, n, p, mode):
         ref = reference_sample_ball(part, n, p, 1.3, len(half),
                                     seed + (mode == "smooth"), mode).values
         assert np.array_equal(half.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("count,sizes", [
+    (0, []), (1, [1]), (2, [2]), (49, [49]), (50, [50]), (51, [51]),
+    (52, [52]), (53, [50, 3]), (100, [50, 50]), (101, [50, 51]),
+    (102, [50, 52]), (103, [50, 50, 3]),
+])
+def test_ball_blocks_leave_no_tail_of_one_or_two_rows(count, sizes):
+    # steps-3d's 216 nodes x 3 components: `_BLOCK` values are 50 rows
+    part = BALL_PARTITIONS["3-D"]()
+    blocks = list(ball_blocks(part, 3, 2.0, 1.0, count, 7))
+    assert [len(b) for b in blocks] == sizes
+    assert all(isinstance(b, SampledFn) and b.values.flags.c_contiguous
+               for b in blocks)
 
 
 def test_sample_ball_rough_constant_bounded():

@@ -9,8 +9,8 @@ import pytest
 from opnet.bounds import error_bound
 from opnet.cli import EXIT_OK, main
 from opnet.family import (BudgetTable, build_magnitude_grid, count_family,
-                          sample_family)
-from opnet.functions import PiecewiseConstFn, SampledFn, weighted_lp
+                          sample_ball, sample_family, tchebyshev_measure)
+from opnet.functions import PiecewiseConstFn, SampledFn, lp_norm, weighted_lp
 from opnet.geometry import Domain, build_partition
 from opnet.integral_op import DiscretizedOperator
 from opnet.kernels import builtin_kernel
@@ -497,7 +497,7 @@ def test_scheme_is_its_parts():
     want = sample_family(run.partition, table, run.net, 50, 7)
     for name in ("values", "mag_idx", "dir_idx"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    ball = verify.sample_ball(run.partition, kern.n, 2.0, 1.0, 10, 7)
+    ball = sample_ball(run.partition, kern.n, 2.0, 1.0, 10, 7)
     stages = list(run.stages(ball))
     assert [(name, term) for name, _, term in stages] == [
         ("clip", terms.tail_term), ("average", terms.psi),
@@ -515,7 +515,7 @@ def test_scheme_stages_are_made_as_they_are_taken(monkeypatch):
     run = verify.scheme(kern, dom, Run(p=2.0, r=1.0, gamma=2.0, Delta=1.0,
                                        delta=0.5, sigma=0.9, seed=7))
     monkeypatch.setattr(verify, "snap_direction", no_snap)
-    stages = run.stages(verify.sample_ball(run.partition, kern.n, 2.0, 1.0, 10, 7))
+    stages = run.stages(sample_ball(run.partition, kern.n, 2.0, 1.0, 10, 7))
     assert [next(stages)[0] for _ in range(3)] == ["clip", "average", "round"]
     with pytest.raises(AssertionError, match="snap stage"):
         next(stages)
@@ -530,7 +530,7 @@ def test_directed_distance_allocates_two_family_vectors():
     run = verify.scheme(kern, dom, Run(p=2, r=1, gamma=2.0, Delta=1.0,
                                        delta=0.5, sigma=0.9, seed=7))
     op = DiscretizedOperator(kern, run.partition)
-    images = op.apply(verify.sample_ball(run.partition, kern.n, 2, 1, 200, 7))
+    images = op.apply(sample_ball(run.partition, kern.n, 2, 1, 200, 7))
     family = run.family()
     assert family._values is None  # its (F, N, n) values would be 6.26 MiB
     tracemalloc.start()
@@ -551,7 +551,7 @@ def test_pass_one_screens_a_quarter_of_the_pairs(monkeypatch):
     run = verify.scheme(kern, dom, Run(p=2, r=1, gamma=2.0, Delta=1.0,
                                        delta=0.5, sigma=0.9, seed=7))
     op = DiscretizedOperator(kern, run.partition)
-    images = op.apply(verify.sample_ball(run.partition, kern.n, 2, 1, 200, 7))
+    images = op.apply(sample_ball(run.partition, kern.n, 2, 1, 200, 7))
     family = run.family()
     screened = {"pass 1": 0, "sweeps": 0}
     phase = "pass 1"
@@ -642,6 +642,54 @@ def test_step_bounds_are_the_breakdown_terms():
         "snap": brk["alpha"],
     }
     assert bound.certified_total == brk["total"]
+
+
+def whole_stack_steps(op, sch, ball):
+    """[(step, term, largest displacement)] per stage and the largest
+    Tchebyshev measure of the stack `ball` applied and checked whole."""
+    q = sch.run.p / (sch.run.p - 1.0)
+    before, steps = op.apply(ball).values, []
+    for name, stage, term in sch.stages(ball):
+        after = op.apply(stage).values
+        steps.append((name, term, float(lp_norm(
+            SampledFn(op.partition, before - after), q).max())))
+        before = after
+    return steps, float(tchebyshev_measure(ball, sch.run.gamma).max())
+
+
+# steps-3d's rows hold 648 values, so a block holds 50 rows; 51, 101 and 102
+# samples would leave a tail of 1 or 2 rows, which join the block before
+@pytest.mark.parametrize("samples", [1, 2, 49, 50, 51, 100, 101, 102, 152])
+def test_streamed_ball_is_the_whole_stack_bit_for_bit(monkeypatch, samples):
+    dom, kern = steps3d_kernel()
+    sch = verify.scheme(kern, dom, Run(p=2, r=1, gamma=2.0, Delta=1.0,
+                                       delta=2.0, sigma=1.2, seed=7,
+                                       samples=samples))
+    op = DiscretizedOperator(kern, sch.partition)
+    ball = sample_ball(sch.partition, kern.n, 2.0, 1.0, samples, 7)
+    want = op.apply(ball).values
+    lengths, apply = [], op.apply
+
+    def recording_apply(x):
+        lengths.append(len(x))
+        return apply(x)
+
+    monkeypatch.setattr(op, "apply", recording_apply)
+    images, steps, tcheby = verify._ball_images(op, sch, True)
+    # every stack applied is a block: no more than 52 rows, and no fewer
+    # than 3 unless the ball has fewer, since a sampled row applied in a
+    # stack of 1 or 2 rows can take other last bits (on some BLAS kernels)
+    assert min(samples, 3) <= min(lengths) and max(lengths) <= 52
+    monkeypatch.undo()
+    assert images.values.tobytes() == want.tobytes()
+    assert [(s.step, s.certified, s.observed_max) for s in steps] == \
+        whole_stack_steps(op, sch, ball)[0]
+    assert {s.samples for s in steps} == {samples}
+    assert tcheby == whole_stack_steps(op, sch, ball)[1]
+    # without the step check the same images stream, and nothing else
+    images, steps, tcheby = verify._ball_images(op, sch, False)
+    assert images.values.tobytes() == want.tobytes()
+    assert steps is None and tcheby is None
 
 
 def test_verify_steps_forced_failure(monkeypatch):
